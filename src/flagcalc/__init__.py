@@ -5,7 +5,7 @@ rationals, surfaces are sparse bihomogeneous forms, and all ranks, kernels,
 and resultants come from fraction-free elimination.
 """
 
-from .binforms import BinaryForm, bf_gcd, bf_resultant
+from .binforms import BinaryForm, bf_gcd
 from .biforms import BiForm, incidence_form, reduce_mod_incidence
 from .errors import (
     DegenerateConicError,
@@ -74,7 +74,6 @@ __all__ = [
     "SchemaError",
     "SplitMix64",
     "bf_gcd",
-    "bf_resultant",
     "c1_squared",
     "c2",
     "chow_triple",

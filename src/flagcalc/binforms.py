@@ -232,13 +232,3 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
         rows.append([ZERO] * r + list(g.coeffs) + [ZERO] * (size - n - 1 - r))
     return linalg.det(rows)
 
-
-def bf_resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
-    """Resultant of two binary forms of the same degree d >= 1.
-
-    This is the determinant of the 2d x 2d Sylvester matrix; it vanishes
-    exactly when f and g share a projective root.
-    """
-    if f.degree != g.degree:
-        raise PreconditionError("bf_resultant requires equal degrees")
-    return sylvester_resultant(f, g)

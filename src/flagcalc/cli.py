@@ -143,7 +143,7 @@ def _cmd_mk_surface(args):
     else:
         conics = random_smooth_conics(rng, args.random, height=10)
     family = linsys.surface_family(args.a, args.b, conics)
-    member = linsys.surface_through_conics(args.a, args.b, conics, seed=args.seed ^ 0xA5A5)
+    member = linsys.family_member(family, seed=args.seed ^ 0xA5A5)
     return {
         "bidegree": [args.a, args.b],
         "seed": args.seed,

@@ -12,14 +12,13 @@ equal to 1) so equality and hashing are exact.
 
 from __future__ import annotations
 
-from .binforms import BinaryForm, bf_div_exact, triple_gcd, zero_form
+from .binforms import BinaryForm, triple_gcd, zero_form
 from .biforms import BiForm, proportionality as _proportionality
 from .errors import DegenerateConicError, PreconditionError
-from .gaussian import ONE, ZERO, GaussianRational
-from .sampling import SplitMix64
+from .gaussian import GaussianRational
 
 
-def dot(u, v) -> GaussianRational:
+def dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
@@ -178,14 +177,15 @@ def line_basis(m, pivot: int | None = None):
     Deterministic chart: with i the first nonzero coordinate of m (or the
     requested pivot) and j, k the remaining indices in order, the basis is
     m_i e_j - m_j e_i and m_i e_k - m_k e_i.  The chart degenerates exactly
-    when m_i = 0.
+    when m_i = 0.  Works over any coefficient ring: the unset entries are
+    the int 0.
     """
     i = pivot if pivot is not None else next(idx for idx in range(3) if m[idx])
     if not m[i]:
         raise PreconditionError("chart pivot coordinate vanishes")
     j, k = [idx for idx in range(3) if idx != i]
-    v1 = [ZERO, ZERO, ZERO]
-    v2 = [ZERO, ZERO, ZERO]
+    v1 = [0, 0, 0]
+    v2 = [0, 0, 0]
     v1[j], v1[i] = m[i], -m[j]
     v2[k], v2[i] = m[i], -m[k]
     return tuple(v1), tuple(v2)
@@ -223,38 +223,83 @@ def _pm_pairing(forms, const_triple) -> BinaryForm:
     return acc
 
 
+# The restriction kernel.  A coefficient sequence follows the BinaryForm
+# convention (entry k multiplies s^(d-k) t^k) and may hold elements of any
+# ring with + and *: GaussianRational for exact restriction, int for the
+# ruled certificate and the mod-p census.  Empty slots hold the int 0.
+
+def _conv(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                if y:
+                    k = i + j
+                    # an empty slot is assigned, not added to, so the int 0
+                    # is never coerced into the coefficient ring
+                    out[k] = out[k] + x * y if out[k] else x * y
+    return out
+
+
+def power_table(seq, n: int):
+    """The coefficient sequences of f^0, f^1, ..., f^n, where f has the
+    coefficient sequence seq."""
+    out = [(1,), seq]
+    for _ in range(n - 1):
+        out.append(_conv(out[-1], seq))
+    return out[: n + 1]
+
+
+def pull(terms, tables):
+    """Sum of seq * T0[e0] * T1[e1] * T2[e2] over the items (e, seq) of terms.
+
+    terms is a nonempty map from exponent triples to coefficient sequences
+    of one length; tables holds the power tables of three forms of one
+    degree.  The table entries are multiplied together before seq comes in,
+    so large coefficients meet only the finished monomial.
+    """
+    out = None
+    for e, seq in terms.items():
+        mono = None
+        for i in range(3):
+            if e[i]:
+                t = tables[i][e[i]]
+                mono = t if mono is None else _conv(mono, t)
+        if mono is not None:
+            seq = _conv(seq, mono)
+        if out is None:
+            out = list(seq)
+            continue
+        for k, x in enumerate(seq):
+            if x:
+                out[k] = out[k] + x if out[k] else x
+    return out
+
+
+def l_groups(terms):
+    """{(pe, le): c} regrouped as {le: {pe: (c,)}}, the p-side inputs of pull."""
+    groups = {}
+    for (pe, le), c in terms.items():
+        groups.setdefault(le, {})[pe] = (c,)
+    return groups
+
+
+def pull_terms(terms, p_tables, l_tables):
+    """Restriction coefficients of the nonzero form sum c p^pe l^le along
+    the curve whose p- and l-forms have the given power tables: pull the p
+    side of each l-exponent group, then the l side."""
+    p_side = {le: pull(g, p_tables) for le, g in l_groups(terms).items()}
+    return pull(p_side, l_tables)
+
+
 def substitute_forms(F: BiForm, p_forms, l_forms) -> BinaryForm:
     """Pull a biform back along a parametrized curve, giving a binary form."""
     a, b = F.bidegree
-    dp = p_forms[0].degree
-    dl = l_forms[0].degree
-    out_deg = a * dp + b * dl
-    p_pows = [_form_powers(f, a) for f in p_forms]
-    l_pows = [_form_powers(f, b) for f in l_forms]
-    acc = [ZERO] * (out_deg + 1)
-    for (pe, le), c in F.terms.items():
-        prod = None
-        for i in range(3):
-            if pe[i]:
-                prod = p_pows[i][pe[i]] if prod is None else prod * p_pows[i][pe[i]]
-        for i in range(3):
-            if le[i]:
-                prod = l_pows[i][le[i]] if prod is None else prod * l_pows[i][le[i]]
-        if prod is None:
-            acc[0] = acc[0] + c
-            continue
-        offset = out_deg - prod.degree
-        for k, pc in enumerate(prod.coeffs):
-            if pc:
-                acc[k + offset] = acc[k + offset] + c * pc
-    return BinaryForm(acc)
-
-
-def _form_powers(f: BinaryForm, n: int):
-    out = [BinaryForm([ONE])]
-    for _ in range(n):
-        out.append(out[-1] * f)
-    return out
+    if F.is_zero():
+        return zero_form(a * p_forms[0].degree + b * l_forms[0].degree)
+    p_tables = [power_table(f.coeffs, a) for f in p_forms]
+    l_tables = [power_table(f.coeffs, b) for f in l_forms]
+    return BinaryForm(pull_terms(F.terms, p_tables, l_tables))
 
 
 def restrict_to_curve(F: BiForm, curve: FlagCurve) -> BinaryForm:
@@ -309,43 +354,18 @@ def conics_meet_bruteforce(C1: Conic, C2: Conic) -> bool:
     return not dot(p_space[0], l_space[0])
 
 
-DEFAULT_BIDEGREE_SEED = 0x5EED1
-
-
-def curve_bidegree(curve: FlagCurve, seed: int = DEFAULT_BIDEGREE_SEED):
+def curve_bidegree(curve: FlagCurve):
     """Intersection numbers (d1, d2) of the curve with the two plane classes.
 
     d1 is the degree of the pairing of the gcd-reduced p-triple with a
-    random constant line, and symmetrically for d2.  Three independent
-    draws must agree; with exact arithmetic a disagreement can only come
-    from the pairing vanishing identically, which is resampled away.
+    general constant line, which is the formal degree of the reduced
+    triple; symmetrically for d2.
     """
-    rng = SplitMix64(seed)
-    d1 = _pairing_degree(curve.p_forms, rng)
-    d2 = _pairing_degree(curve.l_forms, rng)
-    return d1, d2
+    return _pairing_degree(curve.p_forms), _pairing_degree(curve.l_forms)
 
 
-def _pairing_degree(forms, rng) -> int:
-    g = triple_gcd(forms)
-    reduced = tuple(
-        bf_div_exact(f, g) if not f.is_zero() else zero_form(f.degree - g.degree)
-        for f in forms
-    )
-    votes = []
-    for _ in range(12):
-        const = tuple(
-            GaussianRational(rng.int_in(-50, 50), rng.int_in(-50, 50)) for _ in range(3)
-        )
-        pairing = _pm_pairing(reduced, const)
-        if pairing.is_zero():
-            continue
-        votes.append(pairing.degree)
-        if len(votes) == 3:
-            break
-    if len(votes) < 3:
-        raise PreconditionError("degenerate parametrization: pairing vanishes identically")
-    return max(set(votes), key=votes.count)
+def _pairing_degree(forms) -> int:
+    return forms[0].degree - triple_gcd(forms).degree
 
 
 def j_pullback(F: BiForm) -> BiForm:

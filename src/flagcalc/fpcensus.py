@@ -1,21 +1,22 @@
 """Brute-force conic census over small prime fields.
 
-An independent desk-scale oracle: reduce a surface mod an odd prime p,
-enumerate every pair (q, m) in P2(F_p) x P2(F_p) with q.m != 0, and keep
-the pairs whose conic L_{q,m} lies on the reduced surface.  The
-containment test mirrors the characteristic-zero restriction pipeline
-(same chart rule, same cross product), so reductions of rational witnesses
-are found whenever their reductions stay smooth.  Results are mod-p
-evidence only; a conic over F_p need not lift.
+A desk-scale scan: reduce a surface mod an odd prime p, enumerate every
+pair (q, m) in P2(F_p) x P2(F_p) with q.m != 0, and keep the pairs whose
+conic L_{q,m} lies on the reduced surface.  The containment test calls the
+characteristic-zero pipeline's own chart rule (flag.line_basis, flag.cross,
+flag.dot) and restriction kernel (flag.pull) over Z, reducing mod p where
+each stage ends, so reductions of rational witnesses are found whenever
+their reductions stay smooth.  Results are mod-p evidence only; a conic
+over F_p need not lift.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .biforms import BiForm
 from .errors import PreconditionError
+from .flag import cross, dot, l_groups, line_basis, power_table, pull
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -87,103 +88,36 @@ def proj_points(p: int) -> list[tuple[int, int, int]]:
     return pts
 
 
-def _dot(u, v, p):
-    return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % p
+def conic_census(S: FpSurface) -> list[FpConic]:
+    """All smooth conics over F_p contained in the reduced surface, sorted.
 
-
-def _cross(u, v, p):
-    return (
-        (u[1] * v[2] - u[2] * v[1]) % p,
-        (u[2] * v[0] - u[0] * v[2]) % p,
-        (u[0] * v[1] - u[1] * v[0]) % p,
-    )
-
-
-def _line_basis(m, p):
-    # Same deterministic chart as the exact pipeline: pivot at the first
-    # nonzero coordinate of the canonical representative.
-    i = next(idx for idx in range(3) if m[idx])
-    j, k = [idx for idx in range(3) if idx != i]
-    v1 = [0, 0, 0]
-    v2 = [0, 0, 0]
-    v1[j], v1[i] = m[i], (-m[j]) % p
-    v2[k], v2[i] = m[i], (-m[k]) % p
-    return tuple(v1), tuple(v2)
-
-
-def _conv(u, v, p):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
-def _form_powers(lin, n, p):
-    out = [[1]]
-    for _ in range(n):
-        out.append(_conv(out[-1], lin, p))
-    return out
-
-
-def conic_census(S: FpSurface, threads: int | None = None) -> list[FpConic]:
-    """All smooth conics over F_p contained in the reduced surface.
-
-    Scans the (p^2+p+1)^2 canonical pairs; output is sorted, so the result
-    does not depend on how the scan was chunked.
+    Scans the (p^2+p+1)^2 canonical pairs.
     """
     pts = proj_points(S.p)
-    if threads is None:
-        threads = worker_cap()
-    if threads <= 1 or len(pts) < 8:
-        hits = _census_chunk(S, pts, pts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [pts[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda ms: _census_chunk(S, ms, pts), chunks))
-        hits = [h for part in parts for h in part]
-    return sorted(hits)
+    return sorted(scan_pairs(S, pts, pts))
 
 
-def _census_chunk(S: FpSurface, m_points, q_points) -> list[FpConic]:
+def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
+    """The pairs (q, m) with q.m != 0 mod p whose conic lies on S.
+
+    The p side of the restriction is pulled once per m, the l side once
+    per pair.  Any representatives of the projective points may be given.
+    """
     p = S.p
     a, b = S.bidegree
-    terms = list(S.terms.items())
+    groups = l_groups(S.terms)
     hits: list[FpConic] = []
     for m in m_points:
-        v1, v2 = _line_basis(m, p)
-        p_lins = [(v1[c], v2[c]) for c in range(3)]
-        p_pows = [_form_powers(list(lin), a, p) for lin in p_lins]
-        # p-part of each monomial is shared across all q for this m
-        p_parts = {}
-        for (pe, _le), _c in terms:
-            if pe not in p_parts:
-                prod = [1]
-                for i in range(3):
-                    if pe[i]:
-                        prod = _conv(prod, p_pows[i][pe[i]], p)
-                p_parts[pe] = prod
+        v1, v2 = line_basis(m)
+        p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
+        p_side = {le: [x % p for x in pull(g, p_tables)] for le, g in groups.items()}
         for q in q_points:
-            if not _dot(q, m, p):
+            if not dot(q, m) % p:
                 continue
-            l1 = _cross(q, v1, p)
-            l2 = _cross(q, v2, p)
-            l_pows = [_form_powers([l1[c], l2[c]], b, p) for c in range(3)]
-            acc = [0] * (a + b + 1)
-            for (pe, le), c in terms:
-                prod = p_parts[pe]
-                for i in range(3):
-                    if le[i]:
-                        prod = _conv(prod, l_pows[i][le[i]], p)
-                off = a + b + 1 - len(prod)
-                for k, pc in enumerate(prod):
-                    if pc:
-                        acc[k + off] = (acc[k + off] + c * pc) % p
-            if not any(acc):
+            l1 = [x % p for x in cross(q, v1)]
+            l2 = [x % p for x in cross(q, v2)]
+            l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+            if not any(x % p for x in pull(p_side, l_tables)):
                 hits.append((q, m))
     return hits
 
@@ -196,7 +130,7 @@ def conics_meet_fp(c1: FpConic, c2: FpConic, p: int) -> bool:
         raise PreconditionError("conics must be distinct")
     if q1 == q2 or m1 == m2:
         return True
-    return _dot(_cross(m1, m2, p), _cross(q1, q2, p), p) == 0
+    return dot(cross(m1, m2), cross(q1, q2)) % p == 0
 
 
 @dataclass
@@ -244,13 +178,3 @@ def max_disjoint_subset(census: list[FpConic], p: int, limit: int = 24) -> Indep
 
     search((1 << n) - 1, 0)
     return IndependenceResult(best, True)
-
-
-def worker_cap() -> int:
-    """Worker parallelism cap from FLAGCALC_THREADS (default: all cores)."""
-    raw = os.environ.get("FLAGCALC_THREADS", "")
-    try:
-        n = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        n = 1
-    return max(1, min(n, os.cpu_count() or 1))

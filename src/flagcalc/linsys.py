@@ -16,8 +16,16 @@ from . import linalg
 from .binforms import BinaryForm, bf_gcd
 from .biforms import BiForm, monomials, quotient_monomials
 from .errors import EmptySystemError, PreconditionError
-from .flag import Conic, FlagPoint, conic_param, contains_conic, restrict_to_curve
-from .gaussian import ZERO, GaussianRational, gaussian_sqrt
+from .flag import (
+    Conic,
+    FlagPoint,
+    conic_param,
+    contains_conic,
+    power_table,
+    pull,
+    restrict_to_curve,
+)
+from .gaussian import ONE, ZERO, GaussianRational, gaussian_sqrt
 from .sampling import SplitMix64, random_flag_point
 
 
@@ -64,33 +72,6 @@ class ConditionMatrix:
     reduced: bool
 
 
-def _restriction_cache(C: Conic, a: int, b: int):
-    curve = conic_param(C)
-    p_pows = [_bf_powers(f, a) for f in curve.p_forms]
-    l_pows = [_bf_powers(f, b) for f in curve.l_forms]
-    return p_pows, l_pows
-
-
-def _bf_powers(f: BinaryForm, n: int):
-    from .gaussian import ONE
-
-    out = [BinaryForm([ONE])]
-    for _ in range(n):
-        out.append(out[-1] * f)
-    return out
-
-
-def _restrict_monomial(pe, le, p_pows, l_pows) -> BinaryForm:
-    prod = None
-    for i in range(3):
-        if pe[i]:
-            prod = p_pows[i][pe[i]] if prod is None else prod * p_pows[i][pe[i]]
-    for i in range(3):
-        if le[i]:
-            prod = l_pows[i][le[i]] if prod is None else prod * l_pows[i][le[i]]
-    return prod
-
-
 def condition_matrix(a: int, b: int, conics, reduced: bool = False) -> ConditionMatrix:
     """Assemble the containment conditions for a list of smooth conics.
 
@@ -108,11 +89,16 @@ def condition_matrix(a: int, b: int, conics, reduced: bool = False) -> Condition
     cols = quotient_monomials(a, b) if reduced else monomials(a, b)
     rows: list[list[GaussianRational]] = []
     for C in conics:
-        p_pows, l_pows = _restriction_cache(C, a, b)
+        curve = conic_param(C)
+        p_tables = [power_table(f.coeffs, a) for f in curve.p_forms]
+        l_tables = [power_table(f.coeffs, b) for f in curve.l_forms]
+        # the p side of a column depends only on pe, so it is pulled once
+        p_sides = {}
         block = [[ZERO] * len(cols) for _ in range(a + b + 1)]
         for j, (pe, le) in enumerate(cols):
-            r = _restrict_monomial(pe, le, p_pows, l_pows)
-            for k, c in enumerate(r.coeffs):
+            if pe not in p_sides:
+                p_sides[pe] = pull({pe: (ONE,)}, p_tables)
+            for k, c in enumerate(pull({le: p_sides[pe]}, l_tables)):
                 if c:
                     block[k][j] = c
         rows.extend(block)
@@ -168,9 +154,15 @@ def surface_family(a: int, b: int, conics, verify: bool = True) -> SurfaceFamily
 
 def surface_through_conics(a: int, b: int, conics, seed: int) -> BiForm:
     """A seeded pseudo-random member of the system through the conics."""
-    family = surface_family(a, b, conics, verify=False)
+    return family_member(surface_family(a, b, conics, verify=False), seed)
+
+
+def family_member(family: SurfaceFamily, seed: int) -> BiForm:
+    """A seeded pseudo-random nonzero combination of the family's basis,
+    checked against every prescribed conic."""
     if not family.basis:
         raise EmptySystemError("the linear system through these conics is empty")
+    a, b = family.bidegree
     rng = SplitMix64(seed)
     while True:
         member = BiForm((a, b))
@@ -180,7 +172,7 @@ def surface_through_conics(a: int, b: int, conics, seed: int) -> BiForm:
                 member = member + F.scale(c)
         if not member.is_zero():
             break
-    for C in conics:
+    for C in family.prescribed:
         if not contains_conic(member, C):
             raise PreconditionError("random member fails containment check")
     return member

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .binforms import BinaryForm, triple_gcd
+from .binforms import BinaryForm, _pdeg, _pdivmod, triple_gcd
 from .biforms import BiForm
 from .errors import PreconditionError
 from .flag import (
@@ -34,8 +35,9 @@ from .flag import (
     cross,
     j_pullback,
     line_basis,
+    power_table,
+    pull_terms,
     restrict_to_conic,
-    substitute_forms,
     twistor_fiber_of,
 )
 from .gaussian import GaussianRational
@@ -219,37 +221,19 @@ def _check_birational(forms, seed: int):
 
 # Sturm-sequence positivity of sum f_i^2 on the real parameter line.
 
-def _fdeg(u):
-    for i in range(len(u) - 1, -1, -1):
-        if u[i]:
-            return i
-    return -1
-
-
 def _fderiv(u):
     return [i * u[i] for i in range(1, len(u))] or [Fraction(0)]
 
 
-def _frem(u, v):
-    dv = _fdeg(v)
-    r = list(u)
-    while _fdeg(r) >= dv:
-        dr = _fdeg(r)
-        c = r[dr] / v[dv]
-        for i in range(dv + 1):
-            r[dr - dv + i] -= c * v[i]
-    return r
-
-
 def _real_root_count(u) -> int:
     """Number of distinct real roots, by Sturm sign variations at -inf/+inf."""
-    d = _fdeg(u)
+    d = _pdeg(u)
     if d <= 0:
         return 0
     chain = [u[: d + 1], _fderiv(u[: d + 1])]
-    while _fdeg(chain[-1]) >= 0:
-        r = _frem(chain[-2], chain[-1])
-        if _fdeg(r) < 0:
+    while _pdeg(chain[-1]) >= 0:
+        r = _pdivmod(chain[-2], chain[-1])[1]
+        if _pdeg(r) < 0:
             break
         chain.append([-c for c in r])
 
@@ -260,7 +244,7 @@ def _real_root_count(u) -> int:
     at_plus = []
     at_minus = []
     for p in chain:
-        dp = _fdeg(p)
+        dp = _pdeg(p)
         if dp < 0:
             continue
         lead = 1 if p[dp] > 0 else -1
@@ -285,7 +269,7 @@ def _positivity_certificate(forms):
             for j, cj in enumerate(asc):
                 if cj:
                     u[i + j] += ci * cj
-    if _fdeg(u) < 0:
+    if _pdeg(u) < 0:
         raise PreconditionError("triple is identically zero")
     if _real_root_count(u) != 0:
         raise PreconditionError("f.f vanishes at a real parameter")
@@ -304,10 +288,16 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
     proves identical vanishing; the charts with f_i not identically zero
     cover the parameter line because the triple is gcd-free.
     """
-    a = surface.bidegree[0]
-    deg_p = forms[0].degree
-    deg_l = 2 * forms[0].degree
-    bound = surface.bidegree[0] * deg_p + surface.bidegree[1] * deg_l
+    a, b = surface.bidegree
+    bound = a * forms[0].degree + b * 2 * forms[0].degree
+    # Real forms and a real surface let the chart run over Z: clearing
+    # denominators scales m and the restriction by nonzero constants, which
+    # changes neither the chart's pivot test nor whether the restriction
+    # vanishes.
+    coeffs = [c for f in forms for c in f.coeffs] + list(surface.terms.values())
+    if any(not c.is_real() for c in coeffs):
+        raise PreconditionError("the certificate needs real forms and a real surface")
+    int_terms = dict(zip(surface.terms, _cleared(surface.terms.values())))
     charts = []
     for i in range(3):
         if forms[i].is_zero():
@@ -315,16 +305,15 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
         count = 0
         k = 0
         while count <= bound:
-            m = tuple(f.evaluate(k, 1) for f in forms)
+            m = tuple(_cleared(f.evaluate(k, 1) for f in forms))
             k += 1
             if not m[i]:
                 continue
             v1, v2 = line_basis(m, pivot=i)
-            p_forms = tuple(BinaryForm([v1[c], v2[c]]) for c in range(3))
             l1, l2 = cross(m, v1), cross(m, v2)
-            l_forms = tuple(BinaryForm([l1[c], l2[c]]) for c in range(3))
-            r = substitute_forms(surface, p_forms, l_forms)
-            if not r.is_zero():
+            p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
+            l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+            if any(pull_terms(int_terms, p_tables, l_tables)):
                 return {
                     "passed": False,
                     "degree_bound": bound,
@@ -342,6 +331,13 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
             return {"passed": False, "degree_bound": bound, "failed_probe": str(t.re)}
         probes.append(str(t.re))
     return {"passed": True, "degree_bound": bound, "charts": charts, "probe_parameters": probes}
+
+
+def _cleared(values):
+    """Real rationals times the lcm of their denominators, as ints."""
+    values = list(values)
+    den = lcm(*(c.re.denominator for c in values))
+    return [int(c.re * den) for c in values]
 
 
 def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:

@@ -14,7 +14,7 @@ import json
 import time
 from fractions import Fraction
 
-from flagcalc.binforms import BinaryForm, bf_gcd, bf_resultant
+from flagcalc.binforms import BinaryForm, bf_gcd, sylvester_resultant
 from flagcalc.biforms import BiForm, proportionality, reduce_mod_incidence
 from flagcalc.cli import main as cli_main
 from flagcalc.flag import (
@@ -299,7 +299,7 @@ def test_criterion_8_property_suites(tmp_path, capsys):
             g = common * random_binary_form(rng, d - 1, height=4) if d > 1 else common
         if f.is_zero() or g.is_zero():
             continue
-        assert bf_resultant(f, g).is_zero() == (bf_gcd(f, g).degree >= 1)
+        assert sylvester_resultant(f, g).is_zero() == (bf_gcd(f, g).degree >= 1)
         checked += 1
     # involution identities on 1000 conics
     rng = SplitMix64(SEED_INVOLUTION)

@@ -12,6 +12,7 @@ from flagcalc.fpcensus import (
     max_disjoint_subset,
     proj_points,
     reduce_mod_p,
+    scan_pairs,
     sqrt_minus_one,
 )
 from flagcalc.gaussian import GaussianRational as GR
@@ -80,13 +81,13 @@ def test_census_incidence_multiple_sanity():
     # the census is all pairs with q.m != 0: (p^2+p+1) * p^2 of them
     p = 5
     S = reduce_mod_p(incidence_form(), p)
-    census = conic_census(S, threads=1)
+    census = conic_census(S)
     assert len(census) == (p * p + p + 1) * p * p
 
 
 def test_census_ruled_surface_mod_5(ruled2):
     p = 5
-    census = conic_census(reduce_mod_p(ruled2.surface, p), threads=1)
+    census = conic_census(reduce_mod_p(ruled2.surface, p))
     assert len(census) >= p + 1
     # all parameter fibers stay smooth mod 5 and appear in the census
     for t in list(range(p)) + [None]:
@@ -99,7 +100,7 @@ def test_census_mod_7_known_value(ruled2):
     # 4 parameter fibers stay smooth; with the two mixed pairs the census
     # has exactly 6 members (independently verified by brute-force point
     # evaluation)
-    census = conic_census(reduce_mod_p(ruled2.surface, 7), threads=1)
+    census = conic_census(reduce_mod_p(ruled2.surface, 7))
     assert len(census) == 6
     smooth_params = [t for t in range(7) if (t**4 + t**2 + 1) % 7]
     assert smooth_params == [0, 1, 6]
@@ -113,18 +114,13 @@ def test_census_lifted_witness_agreement(ruled2):
     # census decisions on reductions of rational ruling fibers agree with
     # exact containment
     for p in (5, 11):
-        census = conic_census(reduce_mod_p(ruled2.surface, p), threads=1)
+        census = conic_census(reduce_mod_p(ruled2.surface, p))
         for t in range(p):
             fiber = twistor_fiber_of(tuple(GR(v) for v in (1, t, t * t)))
             assert contains_conic(ruled2.surface, fiber)
             qbar = (1, t % p, t * t % p)
             if sum(c * c for c in qbar) % p:  # reduction stays smooth
                 assert (qbar, qbar) in census
-
-
-def test_census_deterministic_across_threads(ruled2):
-    S = reduce_mod_p(ruled2.surface, 5)
-    assert conic_census(S, threads=1) == conic_census(S, threads=3)
 
 
 def test_max_disjoint_trivial_cases():
@@ -142,7 +138,7 @@ def test_max_disjoint_pairwise_disjoint_family(ruled2):
     # product pairing is a norm only over R), so build a family that is
     # pairwise disjoint mod p and check it is returned whole
     p = 11
-    census = conic_census(reduce_mod_p(ruled2.surface, p), threads=1)
+    census = conic_census(reduce_mod_p(ruled2.surface, p))
     fibers = [c for c in census if c[0] == c[1]]
     family: list = []
     for c in fibers:
@@ -158,7 +154,7 @@ def test_max_disjoint_matches_bruteforce(ruled2):
     from itertools import combinations
 
     for p in (5, 7):
-        census = conic_census(reduce_mod_p(ruled2.surface, p), threads=1)
+        census = conic_census(reduce_mod_p(ruled2.surface, p))
         best = 0
         for r in range(len(census), 0, -1):
             if any(
@@ -174,22 +170,20 @@ def test_census_scale_invariance(ruled2):
     # containment over F_p only depends on the projective classes: scaling
     # q and m by units leaves the restriction's vanishing unchanged, which
     # is why scanning canonical representatives loses nothing
-    from flagcalc.fpcensus import _census_chunk
-
     p = 5
     S = reduce_mod_p(ruled2.surface, p)
-    census = set(conic_census(S, threads=1))
+    census = set(conic_census(S))
     for q, m in list(census)[:4]:
         for u in (2, 3):
             q2 = tuple(c * u % p for c in q)
             m2 = tuple(c * 3 % p for c in m)
-            assert _census_chunk(S, [m2], [q2]) == [(q2, m2)]
+            assert scan_pairs(S, [m2], [q2]) == [(q2, m2)]
 
 
 def test_max_disjoint_greedy_flagged():
     p = 5
     S = reduce_mod_p(incidence_form(), p)
-    census = conic_census(S, threads=1)
+    census = conic_census(S)
     r = max_disjoint_subset(census, p, limit=24)
     assert not r.exact
     assert r.size >= 1
