@@ -2,10 +2,12 @@
 """Observed vs expected interpolation dimensions over a small (a, b, x) grid.
 
 For each cell, x random smooth conics are sampled (seeded) and the exact
-kernel dimension of the containment conditions is computed.  Inside the
-guaranteed range x <= a(a-1)/2 the observed dimension always equals
-h0 - x(a+b+1); outside it the table simply reports what exact arithmetic
-sees, with no claim either way.
+kernel dimension of the containment conditions is computed: from the rank
+mod p when it meets the lower bound h0 - x(a+b+1), which proves it, and
+from exact Bareiss elimination otherwise.  Inside the guaranteed range
+x <= a(a-1)/2 the observed dimension always equals h0 - x(a+b+1); outside
+it the table simply reports what exact arithmetic sees, with no claim
+either way.
 """
 
 import argparse

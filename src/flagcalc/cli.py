@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or malformed input, 3 precondition
 violation, 4 internal failure.  Errors are emitted as {"code", "message"}
-JSON.  For a fixed subcommand, arguments, and seed the output bytes are
-identical across runs.
+JSON; an internal failure also prints its traceback to stderr.  For a
+fixed subcommand, arguments, and seed the output bytes are identical
+across runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 from . import fpcensus, invariants, linsys, ruled, serialize
 from .errors import FlagcalcError, PreconditionError, SchemaError
@@ -271,11 +273,10 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _emit({"code": "precondition", "message": str(exc)}, None)
         return EXIT_PRECONDITION
-    except FlagcalcError as exc:
-        _emit({"code": "internal", "message": str(exc)}, None)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
-        _emit({"code": "internal", "message": f"{type(exc).__name__}: {exc}"}, None)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        message = str(exc) if isinstance(exc, FlagcalcError) else f"{type(exc).__name__}: {exc}"
+        _emit({"code": "internal", "message": message}, None)
         return EXIT_INTERNAL
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(i).
+"""Exact linear algebra over Q(i), and its certified shadow over F_p.
 
 Rows are cleared to Gaussian-integer pairs, then reduced by fraction-free
 Bareiss condensation: every intermediate entry is a minor of the scaled
@@ -6,6 +6,13 @@ matrix, so all divisions are exact integer divisions and no rational
 arithmetic happens inside the elimination loop.  Pivots are chosen by
 smallest digit size with row order as the tie break, which keeps the whole
 pipeline deterministic.
+
+The prime PRIME = 2^61 - 31 is 1 (mod 4), and sending i to I_MOD, a square
+root of -1, maps every Gaussian rational whose denominators PRIME does not
+divide into F_p.  The map is a ring homomorphism, so a minor that is
+nonzero mod p is nonzero over Q(i): the rank over F_p never exceeds the
+rank over Q(i).  echelon_mod_p is used only where that one-sided bound,
+together with a matching bound the other way, proves the exact answer.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from .errors import PreconditionError
 from .gaussian import GaussianRational
 
 Pair = tuple[int, int]
+
+PRIME = 2305843009213693921  # 2^61 - 31
+I_MOD = 583529827753931384  # I_MOD^2 = -1 (mod PRIME)
 
 
 def _gi_div(a: Pair, b: Pair) -> Pair:
@@ -179,3 +189,48 @@ def nullity(matrix, ncols: int | None = None) -> int:
         return ncols
     ncols = len(matrix[0]) if ncols is None else ncols
     return ncols - rank(matrix)
+
+
+def gaussian_mod_p(z: GaussianRational) -> int | None:
+    """The image of z in F_p for p = PRIME, or None when p divides one of
+    its denominators."""
+    p = PRIME
+    v = 0
+    for part, unit in ((z.re, 1), (z.im, I_MOD)):
+        if part:
+            den = part.denominator
+            if den % p == 0:
+                return None
+            v += unit * part.numerator * pow(den, -1, p)
+    return v % p
+
+
+def echelon_mod_p(rows: list[list[int]], ncols: int):
+    """Row echelon form over F_p (p = PRIME) of integer rows, built greedily
+    in row order; the rows are not modified.
+
+    Returns (pivot_rows, pivot_cols): the indices of the rows that are
+    independent of the rows before them, in increasing order, and the
+    column each of them pivots on.  Their number is the rank mod p.
+    """
+    p = PRIME
+    reduced: dict[int, list[int]] = {}  # pivot column -> row with 1 there
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    for r, row in enumerate(rows):
+        if len(pivot_cols) == ncols:
+            break
+        v = [x % p for x in row]
+        for c in range(ncols):
+            x = v[c]
+            if not x:
+                continue
+            prow = reduced.get(c)
+            if prow is None:
+                inv = pow(x, -1, p)
+                reduced[c] = [y * inv % p for y in v]
+                pivot_rows.append(r)
+                pivot_cols.append(c)
+                break
+            v[c:] = [(y - x * z) % p for y, z in zip(v[c:], prow[c:])]
+    return pivot_rows, pivot_cols

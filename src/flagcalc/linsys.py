@@ -3,8 +3,14 @@
 Sections of the (a, b) polarization on the flag threefold are represented
 by their canonical coefficients on the quotient monomial basis (monomials
 not divisible by p0*l0).  A conic imposes the a+b+1 coefficients of the
-restriction map as linear conditions; kernels are computed by fraction-free
-elimination, so every dimension reported here is exact.
+restriction map as linear conditions.  The conditions are first built and
+eliminated over F_p (linalg.PRIME), whose rank bounds the exact rank from
+below.  A dimension is returned from F_p only when the row count bounds it
+from the other side; a kernel basis comes from exact fraction-free
+elimination of the rows independent mod p, and is proved complete by
+checking each basis vector against every conic.  Whenever the proof fails,
+the full matrix is eliminated exactly, so every dimension and basis
+reported here is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from math import comb
 from . import linalg
 from .binforms import BinaryForm, bf_gcd
 from .biforms import BiForm, monomials, quotient_monomials
-from .errors import EmptySystemError, PreconditionError
+from .errors import EmptySystemError, FlagcalcError, PreconditionError
 from .flag import (
     Conic,
     FlagPoint,
@@ -80,34 +86,88 @@ def condition_matrix(a: int, b: int, conics, reduced: bool = False) -> Condition
     default full columns the kernel additionally contains every multiple of
     the incidence form.
     """
+    conics = _checked(conics)
+    cols = quotient_monomials(a, b) if reduced else monomials(a, b)
+    rows = _condition_rows(a, b, cols, _charts(conics), ONE, ZERO, lambda seq: seq)
+    return ConditionMatrix((a, b), conics, cols, rows, reduced)
+
+
+def condition_rows_mod_p(a: int, b: int, conics, reduced: bool = False):
+    """The rows of condition_matrix(a, b, conics, reduced) reduced mod
+    linalg.PRIME; None when the prime divides a denominator of a chart
+    coefficient.
+
+    The exact charts are mapped into F_p and pulled by the same kernel, so
+    the rows are the images of the exact rows by construction.
+    """
+    charts = []
+    for seqs in _charts(_checked(conics)):
+        mapped = tuple([[linalg.gaussian_mod_p(z) for z in seq] for seq in side] for side in seqs)
+        if any(None in seq for side in mapped for seq in side):
+            return None
+        charts.append(mapped)
+    cols = quotient_monomials(a, b) if reduced else monomials(a, b)
+    p = linalg.PRIME
+    return _condition_rows(a, b, cols, charts, 1, 0, lambda seq: [x % p for x in seq])
+
+
+def _checked(conics) -> list[Conic]:
     conics = list(conics)
     for C in conics:
         if not C.is_smooth:
             raise PreconditionError("condition matrix requires smooth conics")
     if len(set(conics)) != len(conics):
         raise PreconditionError("conics must be pairwise distinct")
-    cols = quotient_monomials(a, b) if reduced else monomials(a, b)
-    rows: list[list[GaussianRational]] = []
+    return conics
+
+
+def _charts(conics):
+    """Per conic, the coefficient sequences of the p- and l-forms of
+    conic_param(C)."""
+    charts = []
     for C in conics:
         curve = conic_param(C)
-        p_tables = [power_table(f.coeffs, a) for f in curve.p_forms]
-        l_tables = [power_table(f.coeffs, b) for f in curve.l_forms]
+        charts.append(([f.coeffs for f in curve.p_forms], [f.coeffs for f in curve.l_forms]))
+    return charts
+
+
+def _condition_rows(a, b, cols, charts, one, zero, norm):
+    """a+b+1 rows per chart, the coefficient sequences of the p- and
+    l-forms of one conic's parametrization, over the ring of one and zero;
+    norm brings each pulled sequence back to normal form."""
+    rows = []
+    for p_seqs, l_seqs in charts:
+        p_tables = [[norm(t) for t in power_table(seq, a)] for seq in p_seqs]
+        l_tables = [[norm(t) for t in power_table(seq, b)] for seq in l_seqs]
         # the p side of a column depends only on pe, so it is pulled once
         p_sides = {}
-        block = [[ZERO] * len(cols) for _ in range(a + b + 1)]
+        block = [[zero] * len(cols) for _ in range(a + b + 1)]
         for j, (pe, le) in enumerate(cols):
             if pe not in p_sides:
-                p_sides[pe] = pull({pe: (ONE,)}, p_tables)
-            for k, c in enumerate(pull({le: p_sides[pe]}, l_tables)):
+                p_sides[pe] = norm(pull({pe: (one,)}, p_tables))
+            for k, c in enumerate(norm(pull({le: p_sides[pe]}, l_tables))):
                 if c:
                     block[k][j] = c
         rows.extend(block)
-    return ConditionMatrix((a, b), conics, cols, rows, reduced)
+    return rows
 
 
 def system_dimension(a: int, b: int, conics) -> int:
     """Exact dimension of the space of (a, b) forms through the conics,
-    measured inside the h0_flag(a, b)-dimensional section space."""
+    measured inside the h0_flag(a, b)-dimensional section space.
+
+    The rank mod p bounds the exact rank from below, so the nullity mod p
+    bounds the dimension from above; the row count bounds it from below
+    by expected_system_dimension.  When the two bounds meet, that is the
+    answer; otherwise exact Bareiss elimination decides.
+    """
+    conics = list(conics)
+    ncols = h0_flag(a, b)
+    rows = condition_rows_mod_p(a, b, conics, reduced=True)
+    if rows is not None:
+        nullity = ncols - len(linalg.echelon_mod_p(rows, ncols)[0])
+        if nullity == max(ncols - len(rows), 0):
+            return nullity
     cm = condition_matrix(a, b, conics, reduced=True)
     return linalg.nullity(cm.rows, ncols=len(cm.columns))
 
@@ -136,25 +196,48 @@ class SurfaceFamily:
         return len(self.basis)
 
 
-def surface_family(a: int, b: int, conics, verify: bool = True) -> SurfaceFamily:
-    conics = list(conics)
+def surface_family(a: int, b: int, conics) -> SurfaceFamily:
+    """The linear system of (a, b) surfaces through the conics, with the
+    reduced-echelon kernel basis of the condition matrix: one vector per
+    free column, which is unique for the kernel.
+
+    Exact elimination runs only on the rows that are independent mod p.
+    Their kernel contains the system; checking every basis vector against
+    every conic proves the converse, so the basis is the one the full
+    matrix gives.  If a check fails (p divides a minor the rank needs),
+    the full matrix is eliminated instead.
+    """
+    conics = _checked(conics)
+    rows = condition_rows_mod_p(a, b, conics, reduced=True)
+    if rows is not None:
+        pivots, _ = linalg.echelon_mod_p(rows, h0_flag(a, b))
+        n = a + b + 1
+        blocks = sorted({r // n for r in pivots})
+        at = {k: i for i, k in enumerate(blocks)}
+        cm = condition_matrix(a, b, [conics[k] for k in blocks], reduced=True)
+        basis = _kernel_basis(cm, [cm.rows[at[r // n] * n + r % n] for r in pivots])
+        if _contains_all(basis, conics):
+            return SurfaceFamily((a, b), conics, basis)
     cm = condition_matrix(a, b, conics, reduced=True)
-    kernel = linalg.nullspace(cm.rows, ncols=len(cm.columns))
-    basis = []
-    for vec in kernel:
-        terms = {cm.columns[j]: c for j, c in enumerate(vec) if c}
-        basis.append(BiForm((a, b), terms))
-    if verify:
-        for F in basis:
-            for C in conics:
-                if not contains_conic(F, C):
-                    raise PreconditionError("kernel element fails containment check")
+    basis = _kernel_basis(cm, cm.rows)
+    if not _contains_all(basis, conics):
+        raise PreconditionError("kernel element fails containment check")
     return SurfaceFamily((a, b), conics, basis)
+
+
+def _kernel_basis(cm: ConditionMatrix, rows) -> list[BiForm]:
+    a, b = cm.bidegree
+    kernel = linalg.nullspace(rows, ncols=len(cm.columns))
+    return [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
+
+
+def _contains_all(basis, conics) -> bool:
+    return all(contains_conic(F, C) for F in basis for C in conics)
 
 
 def surface_through_conics(a: int, b: int, conics, seed: int) -> BiForm:
     """A seeded pseudo-random member of the system through the conics."""
-    return family_member(surface_family(a, b, conics, verify=False), seed)
+    return family_member(surface_family(a, b, conics), seed)
 
 
 def family_member(family: SurfaceFamily, seed: int) -> BiForm:
@@ -251,59 +334,41 @@ def evaluation_rank_oracle(a: int, b: int, seed: int = 0xE7A1, extra: int = 5) -
     """Rank of the evaluation matrix of all (a, b) monomials at random flag
     points, an independent check of h0_flag.
 
-    Points have small Gaussian-integer coordinates, so the whole computation
-    stays in Z[i].  A rank below h0_flag(a, b) can only be a degenerate
-    sample and is resampled; ranks above are impossible because incidence
-    multiples vanish at every flag point.
+    Ranks above h0_flag(a, b) are impossible because incidence multiples
+    vanish at every flag point, and a rank mod p of h0_flag(a, b) proves
+    the exact rank is at least that.  A lower rank mod p is a degenerate
+    sample (or an unlucky prime) and is resampled; when every attempt
+    falls short, FlagcalcError says how many were used.
     """
+    attempts = 4
     target = h0_flag(a, b)
     cols = monomials(a, b)
-    npts = target + extra
     rng = SplitMix64(seed)
-    for _ in range(4):
-        rows = []
-        for _ in range(npts):
-            fp = random_flag_point(rng, height=3)
-            rows.append(_eval_row_int(fp, a, b, cols))
-        r = linalg.rank_int(rows, len(cols))
-        if r == target:
-            return r
-    return r
+    best = 0
+    for _ in range(attempts):
+        rows = [_eval_row_mod_p(random_flag_point(rng, height=3), a, b, cols)
+                for _ in range(target + extra)]
+        best = max(best, len(linalg.echelon_mod_p(rows, len(cols))[0]))
+        if best == target:
+            return target
+    raise FlagcalcError(
+        f"evaluation rank of ({a}, {b}) stayed at {best} < h0 = {target} "
+        f"after {attempts} attempts of {target + extra} points"
+    )
 
 
-def _eval_row_int(fp: FlagPoint, a: int, b: int, cols):
-    p = _int_coords(fp.p.coords)
-    l = _int_coords(fp.l.coords)
-    p_pows = [_int_powers(x, a) for x in p]
-    l_pows = [_int_powers(x, b) for x in l]
+def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
+    """The values mod p of the monomials at fp; a zero row, which can only
+    lower the rank, when p divides a coordinate denominator."""
+    p = linalg.PRIME
+    xs = [linalg.gaussian_mod_p(z) for z in fp.p.coords + fp.l.coords]
+    if None in xs:
+        return [0] * len(cols)
+    pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]
     row = []
     for pe, le in cols:
-        vr, vi = 1, 0
+        v = 1
         for i in range(3):
-            if pe[i]:
-                xr, xi = p_pows[i][pe[i]]
-                vr, vi = vr * xr - vi * xi, vr * xi + vi * xr
-            if le[i]:
-                xr, xi = l_pows[i][le[i]]
-                vr, vi = vr * xr - vi * xi, vr * xi + vi * xr
-        row.append((vr, vi))
+            v = v * pows[i][pe[i]] * pows[3 + i][le[i]] % p
+        row.append(v)
     return row
-
-
-def _int_coords(coords):
-    """Scale a canonical coordinate triple to Gaussian integers."""
-    from math import lcm
-
-    l = 1
-    for c in coords:
-        l = lcm(l, c.re.denominator, c.im.denominator)
-    return [(int(c.re * l), int(c.im * l)) for c in coords]
-
-
-def _int_powers(x, n):
-    out = [(1, 0)]
-    xr, xi = x
-    for _ in range(n):
-        pr, pi = out[-1]
-        out.append((pr * xr - pi * xi, pr * xi + pi * xr))
-    return out

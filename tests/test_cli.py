@@ -175,3 +175,17 @@ def test_mk_surface_from_conics_file(capsys, tmp_path):
     assert code == 0
     assert doc["dimension"] == 5
     assert len(doc["basis"]) == 5
+
+
+def test_internal_failure_traceback_goes_to_stderr(capsys, monkeypatch):
+    from flagcalc import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "h0", broken)
+    code = main(["h0", "--a", "1", "--b", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out) == {"code": "internal", "message": "RuntimeError: boom"}
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err

@@ -1,0 +1,270 @@
+"""Differential oracle for the certified mod-p interpolation path.
+
+system_dimension and surface_family eliminate over F_p first and fall back
+to exact Bareiss elimination whenever the modular answer is not proved.
+Exact Bareiss on the full condition matrix (linalg.nullity and
+linalg.nullspace of condition_matrix) is the oracle here: the tests pin the
+modular path to it, and force the fallbacks (a prime that loses rank, a
+coordinate denominator divisible by the prime) to show they stay exact.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from flagcalc import linalg
+from flagcalc.binforms import BinaryForm
+from flagcalc.biforms import BiForm
+from flagcalc.errors import FlagcalcError
+from flagcalc.flag import Conic, twistor_fiber_of
+from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.linsys import (
+    condition_matrix,
+    condition_rows_mod_p,
+    evaluation_rank_oracle,
+    expected_system_dimension,
+    h0_flag,
+    surface_family,
+    system_dimension,
+)
+from flagcalc.ruled import twistor_circle_samples, twistor_ruled_surface
+from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
+from flagcalc.serialize import biform_to_json
+
+VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
+CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
+
+
+@pytest.fixture(scope="module")
+def fibers12():
+    return twistor_circle_samples(twistor_ruled_surface(VERONESE), 12)
+
+
+@pytest.fixture(scope="module")
+def fibers28():
+    return twistor_circle_samples(twistor_ruled_surface(CUBIC), 28)
+
+
+def _exact_nullity(a, b, conics):
+    cm = condition_matrix(a, b, conics, reduced=True)
+    return linalg.nullity(cm.rows, ncols=len(cm.columns))
+
+
+def _exact_basis_json(a, b, conics):
+    cm = condition_matrix(a, b, conics, reduced=True)
+    kernel = linalg.nullspace(cm.rows, ncols=len(cm.columns))
+    basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
+    return json.dumps([biform_to_json(F) for F in basis])
+
+
+def _family_json(a, b, conics):
+    return json.dumps([biform_to_json(F) for F in surface_family(a, b, conics).basis])
+
+
+def _reduce(z, p, i):
+    # independent of linalg.gaussian_mod_p: Fraction pieces, inverted one by one
+    re = z.re.numerator * pow(z.re.denominator, -1, p)
+    im = z.im.numerator * pow(z.im.denominator, -1, p)
+    return (re + i * im) % p
+
+
+def _is_prime(n):
+    # Miller-Rabin with the first twelve prime bases is deterministic below 3.3e24
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class _Spy:
+    """Wraps a linalg function and records the row count of each call."""
+
+    def __init__(self, monkeypatch, name):
+        self.fn = getattr(linalg, name)
+        self.rows = []
+        monkeypatch.setattr(linalg, name, self)
+
+    def __call__(self, rows, *args, **kwargs):
+        self.rows.append(len(rows))
+        return self.fn(rows, *args, **kwargs)
+
+
+def _twins(shift):
+    """Two disjoint integer conics that coincide mod shift, plus two
+    general ones."""
+    return [
+        Conic((1, 2, 3), (1, 1, 1)),
+        Conic((1, 2 + shift, 3), (1, 1 + shift, 1)),
+        Conic((1, -1, 4), (2, 1, -3)),
+        Conic((1, 5, -2), (1, -4, 1)),
+    ]
+
+
+def test_prime_constants():
+    p, i = linalg.PRIME, linalg.I_MOD
+    assert p == 2**61 - 31
+    assert _is_prime(p)
+    assert not _is_prime(p + 2) and not _is_prime(561)  # a Carmichael number
+    assert p % 4 == 1
+    assert (i * i + 1) % p == 0
+
+
+def test_gaussian_mod_p():
+    p, i = linalg.PRIME, linalg.I_MOD
+    z = GR(Fraction(3, 7), Fraction(-5, 11))
+    assert linalg.gaussian_mod_p(z) == _reduce(z, p, i)
+    assert linalg.gaussian_mod_p(GR(0)) == 0
+    assert linalg.gaussian_mod_p(GR(0, 1)) == i
+    assert linalg.gaussian_mod_p(GR(Fraction(1, p))) is None
+    assert linalg.gaussian_mod_p(GR(1, Fraction(2, 3 * p))) is None
+
+
+def test_echelon_mod_p_matches_bareiss_rank():
+    rng = SplitMix64(5)
+    for nrows, ncols, rank in [(6, 9, 4), (9, 6, 5), (7, 7, 7), (5, 8, 0)]:
+        basis = [[rng.int_in(-9, 9) for _ in range(ncols)] for _ in range(rank)]
+        rows = []
+        for _ in range(nrows):
+            coeffs = [rng.int_in(-3, 3) for _ in range(rank)]
+            rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(ncols)])
+        pivot_rows, pivot_cols = linalg.echelon_mod_p(rows, ncols)
+        exact = linalg.rank_int([[(x, 0) for x in row] for row in rows], ncols)
+        assert len(pivot_rows) == len(pivot_cols) == exact
+        assert pivot_rows == sorted(pivot_rows)
+        assert len(set(pivot_cols)) == len(pivot_cols)
+        # the pivot rows alone have the full rank, and every row before a
+        # pivot row that is not one is dependent on its predecessors
+        sub = [[(x, 0) for x in rows[r]] for r in pivot_rows]
+        assert linalg.rank_int(sub, ncols) == exact
+        for r in range(nrows):
+            if r not in pivot_rows:
+                head = [[(x, 0) for x in rows[k]] for k in range(r + 1)]
+                assert linalg.rank_int(head, ncols) == sum(k < r for k in pivot_rows)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_mod_p_rows_are_reductions_of_exact_rows(reduced):
+    p, i = linalg.PRIME, linalg.I_MOD
+    rng = SplitMix64(91)
+    nonreal = []
+    for _ in range(3):
+        q = tuple(random_gaussian_rational(rng, 6) / GR(rng.int_in(1, 5)) for _ in range(3))
+        nonreal.append(twistor_fiber_of(q))
+    for a, b, conics in [
+        (2, 2, random_smooth_conics(SplitMix64(41), 3, height=10)),
+        (3, 2, nonreal),
+        (1, 3, [Conic((0, 1, GR(2, 3)), (1, GR(0, -1), 0))]),
+    ]:
+        cm = condition_matrix(a, b, conics, reduced=reduced)
+        expected = [[_reduce(z, p, i) for z in row] for row in cm.rows]
+        assert condition_rows_mod_p(a, b, conics, reduced=reduced) == expected
+
+
+def test_system_dimension_matches_bareiss_on_grid():
+    checked = 0
+    for a in range(1, 4):
+        for b in range(a, 5):
+            for x in range(a * (a - 1) // 2 + 1):
+                conics = random_smooth_conics(SplitMix64((a << 8) ^ (b << 4) ^ x), x, height=10)
+                d = system_dimension(a, b, conics)
+                assert d == _exact_nullity(a, b, conics), (a, b, x)
+                assert d == expected_system_dimension(a, b, x), (a, b, x)
+                checked += 1
+    assert checked == 18
+
+
+def test_system_dimension_no_conics():
+    for a, b in [(0, 0), (1, 2), (4, 4)]:
+        assert system_dimension(a, b, []) == h0_flag(a, b) == _exact_nullity(a, b, [])
+
+
+def test_system_dimension_more_rows_than_columns(fibers12, fibers28):
+    # 12 fibers give 60 rows on 27 columns and 28 fibers 196 rows on 64:
+    # the row count proves nothing, so the exact path decides
+    assert system_dimension(2, 2, fibers12) == _exact_nullity(2, 2, fibers12) == 1
+    assert system_dimension(3, 3, fibers28) == _exact_nullity(3, 3, fibers28) == 1
+
+
+@pytest.mark.parametrize("a, b, x, seed", [(2, 2, 0, 1), (2, 2, 3, 17), (3, 3, 4, 42)])
+def test_surface_family_basis_matches_full_nullspace(a, b, x, seed):
+    conics = random_smooth_conics(SplitMix64(seed), x, height=10)
+    assert _family_json(a, b, conics) == _exact_basis_json(a, b, conics)
+
+
+def test_surface_family_probe_eliminates_pivot_rows_only(monkeypatch, fibers28):
+    spy = _Spy(monkeypatch, "nullspace")
+    got = _family_json(3, 3, fibers28)
+    # 63 independent rows of 196 reach exact elimination
+    assert spy.rows == [63]
+    assert got == _exact_basis_json(3, 3, fibers28)
+
+
+def test_rank_loss_mod_p_falls_back_to_bareiss(monkeypatch):
+    # the twin conics coincide mod p, so the rank mod p drops by a+b+1
+    conics = _twins(linalg.PRIME)
+    a, b = 2, 2
+    exact = _exact_nullity(a, b, conics)
+    assert exact == expected_system_dimension(a, b, 4)
+    rows = condition_rows_mod_p(a, b, conics, reduced=True)
+    assert len(rows) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0]) == a + b + 1
+    spy = _Spy(monkeypatch, "echelon_int")
+    assert system_dimension(a, b, conics) == exact
+    assert spy.rows == [len(rows)]
+    want = _exact_basis_json(a, b, conics)
+    spy = _Spy(monkeypatch, "nullspace")
+    assert _family_json(a, b, conics) == want
+    # the pivot rows fail the containment check, the full matrix follows
+    assert spy.rows == [len(rows) - (a + b + 1), len(rows)]
+
+
+def test_small_prime_falls_back_to_bareiss(monkeypatch):
+    conics = _twins(5)
+    a, b = 2, 2
+    exact = _exact_nullity(a, b, conics)
+    want = _exact_basis_json(a, b, conics)
+    monkeypatch.setattr(linalg, "PRIME", 5)
+    monkeypatch.setattr(linalg, "I_MOD", 2)
+    rows = condition_rows_mod_p(a, b, conics, reduced=True)
+    nullity_p = h0_flag(a, b) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0])
+    assert nullity_p > exact == max(h0_flag(a, b) - len(rows), 0)
+    spy = _Spy(monkeypatch, "echelon_int")
+    assert system_dimension(a, b, conics) == exact
+    assert spy.rows
+    spy = _Spy(monkeypatch, "nullspace")
+    assert _family_json(a, b, conics) == want
+    assert spy.rows[-1] == len(rows)
+
+
+def test_denominator_divisible_by_prime_takes_exact_path(monkeypatch):
+    p = linalg.PRIME
+    conics = [Conic((1, GR(Fraction(1, p)), 2), (1, 1, 1))] + _twins(1)[2:]
+    a, b = 2, 3
+    assert condition_rows_mod_p(a, b, conics) is None
+    exact = _exact_nullity(a, b, conics)
+    want = _exact_basis_json(a, b, conics)
+    spy = _Spy(monkeypatch, "echelon_mod_p")
+    assert system_dimension(a, b, conics) == exact == expected_system_dimension(a, b, 3)
+    assert _family_json(a, b, conics) == want
+    assert spy.rows == []
+
+
+def test_rank_oracle_names_attempts_when_short():
+    # fewer points than h0 can never reach the rank
+    with pytest.raises(FlagcalcError, match="after 4 attempts"):
+        evaluation_rank_oracle(1, 1, extra=-1)
+
+
+def test_paper_size_system_dimension():
+    conics = random_smooth_conics(SplitMix64(2026), 10, height=10)
+    assert system_dimension(5, 5, conics) == expected_system_dimension(5, 5, 10) == 106
