@@ -4,7 +4,8 @@
 For each cell, x random smooth conics are sampled (seeded) and the exact
 kernel dimension of the containment conditions is computed: from the rank
 mod p when it meets the lower bound h0 - x(a+b+1), which proves it, and
-from exact Bareiss elimination otherwise.  Inside the guaranteed range
+otherwise as the size of the exact kernel basis that surface_family
+computes and certifies against every condition row.  Inside the guaranteed range
 x <= a(a-1)/2 the observed dimension always equals h0 - x(a+b+1); outside
 it the table simply reports what exact arithmetic sees, with no claim
 either way.

@@ -103,10 +103,6 @@ class BinaryForm:
         return f"BinaryForm({[str(c) for c in self.coeffs]})"
 
 
-def binary_form(coeffs) -> BinaryForm:
-    return coeffs if isinstance(coeffs, BinaryForm) else BinaryForm(coeffs)
-
-
 def zero_form(degree: int) -> BinaryForm:
     return BinaryForm([ZERO] * (degree + 1))
 

@@ -18,7 +18,7 @@ import traceback
 
 from . import fpcensus, invariants, linsys, ruled, serialize
 from .errors import FlagcalcError, PreconditionError, SchemaError
-from .flag import contains_conic, is_j_invariant, restrict_to_conic
+from .flag import is_j_invariant, restrict_to_conic
 from .sampling import SplitMix64, random_smooth_conics
 
 EXIT_OK = 0
@@ -161,14 +161,14 @@ def _cmd_mk_surface(args):
 def _cmd_check_conic(args):
     F = serialize.biform_from_json(_load_json(args.surface))
     C = serialize.conic_from_json(_load_json(args.conic))
-    contained = contains_conic(F, C)
+    restriction = restrict_to_conic(F, C)
     out = {
-        "contained": contained,
+        "contained": restriction.is_zero(),
         "twistor_fiber": C.is_twistor_fiber(),
         "smooth_conic": C.is_smooth,
     }
-    if not contained:
-        out["restriction_degree"] = restrict_to_conic(F, C).degree
+    if not out["contained"]:
+        out["restriction_degree"] = restriction.degree
     return out
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .biforms import BiForm
 from .errors import PreconditionError
 from .flag import cross, dot, l_groups, line_basis, power_table, pull
+from .linalg import gaussian_mod_p
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -67,12 +68,10 @@ def reduce_mod_p(F: BiForm, p: int) -> FpSurface:
         raise PreconditionError("nonreal coefficients need p = 1 (mod 4)")
     terms = {}
     for key, c in F.terms.items():
-        for den in (c.re.denominator, c.im.denominator):
-            if den % p == 0:
-                raise PreconditionError(f"denominator {den} is divisible by {p}")
-        v = c.re.numerator * pow(c.re.denominator, -1, p) % p
-        if c.im:
-            v = (v + (i_img or 0) * c.im.numerator * pow(c.im.denominator, -1, p)) % p
+        v = gaussian_mod_p(c, p, i_img or 0)
+        if v is None:
+            den = next(d for d in (c.re.denominator, c.im.denominator) if d % p == 0)
+            raise PreconditionError(f"denominator {den} is divisible by {p}")
         if v:
             terms[key] = v
     if not terms:

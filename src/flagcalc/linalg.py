@@ -9,10 +9,13 @@ pipeline deterministic.
 
 The prime PRIME = 2^61 - 31 is 1 (mod 4), and sending i to I_MOD, a square
 root of -1, maps every Gaussian rational whose denominators PRIME does not
-divide into F_p.  The map is a ring homomorphism, so a minor that is
-nonzero mod p is nonzero over Q(i): the rank over F_p never exceeds the
-rank over Q(i).  echelon_mod_p is used only where that one-sided bound,
-together with a matching bound the other way, proves the exact answer.
+divide into F_p (gaussian_mod_p takes the prime and the image of i, so the
+census uses it with its own).  The map is a ring homomorphism, so a minor
+that is nonzero mod p is nonzero over Q(i): the rank over F_p never
+exceeds the rank over Q(i).  echelon_mod_p is used only where that
+one-sided bound, together with a matching bound the other way, proves the
+exact answer; for a kernel that bound is annihilates, the exact product of
+every row with every basis vector.
 """
 
 from __future__ import annotations
@@ -191,12 +194,32 @@ def nullity(matrix, ncols: int | None = None) -> int:
     return ncols - rank(matrix)
 
 
-def gaussian_mod_p(z: GaussianRational) -> int | None:
-    """The image of z in F_p for p = PRIME, or None when p divides one of
-    its denominators."""
-    p = PRIME
+def annihilates(rows, vectors) -> bool:
+    """Whether every row times every vector is exactly 0 over Q(i).
+
+    Both sides are cleared to Z[i] first; scaling a row or a vector by a
+    nonzero integer does not change whether a product vanishes.
+    """
+    irows, _ = clear_rows(rows)
+    ivecs, _ = clear_rows(vectors)
+    for v in ivecs:
+        support = [(j, vr, vi) for j, (vr, vi) in enumerate(v) if vr or vi]
+        for row in irows:
+            sr = si = 0
+            for j, vr, vi in support:
+                ar, ai = row[j]
+                sr += ar * vr - ai * vi
+                si += ar * vi + ai * vr
+            if sr or si:
+                return False
+    return True
+
+
+def gaussian_mod_p(z: GaussianRational, p: int, i_img: int) -> int | None:
+    """The image of z in F_p when i maps to i_img, a square root of -1
+    mod p; None when p divides one of its denominators."""
     v = 0
-    for part, unit in ((z.re, 1), (z.im, I_MOD)):
+    for part, unit in ((z.re, 1), (z.im, i_img)):
         if part:
             den = part.denominator
             if den % p == 0:

@@ -6,11 +6,11 @@ not divisible by p0*l0).  A conic imposes the a+b+1 coefficients of the
 restriction map as linear conditions.  The conditions are first built and
 eliminated over F_p (linalg.PRIME), whose rank bounds the exact rank from
 below.  A dimension is returned from F_p only when the row count bounds it
-from the other side; a kernel basis comes from exact fraction-free
-elimination of the rows independent mod p, and is proved complete by
-checking each basis vector against every conic.  Whenever the proof fails,
-the full matrix is eliminated exactly, so every dimension and basis
-reported here is exact.
+from the other side.  Otherwise surface_family, the one exact elimination
+here, decides: it eliminates the exact rows independent mod p by
+fraction-free Bareiss and proves the kernel complete by multiplying every
+exact row of every conic with every basis vector; when the proof fails it
+eliminates all rows.  Every dimension and basis reported here is exact.
 """
 
 from __future__ import annotations
@@ -66,48 +66,42 @@ def h0_hirzebruch(side: str, a: int, b: int) -> int:
 class ConditionMatrix:
     """Linear conditions imposed by conics on the (a, b) coefficient space.
 
-    One block of a+b+1 rows per conic; one column per monomial in the fixed
-    descending-lex order.  A coefficient vector lies in the kernel exactly
-    when the corresponding form vanishes on every conic.
+    One block of a+b+1 rows per conic; one column per quotient monomial
+    (not divisible by p0*l0) in the fixed descending-lex order.  A
+    coefficient vector lies in the kernel exactly when the corresponding
+    form vanishes on every conic.
     """
 
     bidegree: tuple[int, int]
     conics: list[Conic]
     columns: list
     rows: list[list[GaussianRational]]
-    reduced: bool
 
 
-def condition_matrix(a: int, b: int, conics, reduced: bool = False) -> ConditionMatrix:
-    """Assemble the containment conditions for a list of smooth conics.
-
-    With reduced=True the columns run over the quotient monomial basis, so
-    the kernel is exactly the linear system through the conics; with the
-    default full columns the kernel additionally contains every multiple of
-    the incidence form.
-    """
+def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
+    """Assemble the containment conditions for a list of smooth conics;
+    the kernel is exactly the linear system through them."""
     conics = _checked(conics)
-    cols = quotient_monomials(a, b) if reduced else monomials(a, b)
+    cols = quotient_monomials(a, b)
     rows = _condition_rows(a, b, cols, _charts(conics), ONE, ZERO, lambda seq: seq)
-    return ConditionMatrix((a, b), conics, cols, rows, reduced)
+    return ConditionMatrix((a, b), conics, cols, rows)
 
 
-def condition_rows_mod_p(a: int, b: int, conics, reduced: bool = False):
-    """The rows of condition_matrix(a, b, conics, reduced) reduced mod
-    linalg.PRIME; None when the prime divides a denominator of a chart
-    coefficient.
+def condition_rows_mod_p(a: int, b: int, conics):
+    """The rows of condition_matrix(a, b, conics) reduced mod linalg.PRIME;
+    None when the prime divides a denominator of a chart coefficient.
 
     The exact charts are mapped into F_p and pulled by the same kernel, so
     the rows are the images of the exact rows by construction.
     """
+    p, i = linalg.PRIME, linalg.I_MOD
     charts = []
     for seqs in _charts(_checked(conics)):
-        mapped = tuple([[linalg.gaussian_mod_p(z) for z in seq] for seq in side] for side in seqs)
+        mapped = tuple([[linalg.gaussian_mod_p(z, p, i) for z in seq] for seq in side] for side in seqs)
         if any(None in seq for side in mapped for seq in side):
             return None
         charts.append(mapped)
-    cols = quotient_monomials(a, b) if reduced else monomials(a, b)
-    p = linalg.PRIME
+    cols = quotient_monomials(a, b)
     return _condition_rows(a, b, cols, charts, 1, 0, lambda seq: [x % p for x in seq])
 
 
@@ -159,17 +153,16 @@ def system_dimension(a: int, b: int, conics) -> int:
     The rank mod p bounds the exact rank from below, so the nullity mod p
     bounds the dimension from above; the row count bounds it from below
     by expected_system_dimension.  When the two bounds meet, that is the
-    answer; otherwise exact Bareiss elimination decides.
+    answer; otherwise the certified kernel of surface_family decides.
     """
     conics = list(conics)
     ncols = h0_flag(a, b)
-    rows = condition_rows_mod_p(a, b, conics, reduced=True)
+    rows = condition_rows_mod_p(a, b, conics)
     if rows is not None:
         nullity = ncols - len(linalg.echelon_mod_p(rows, ncols)[0])
         if nullity == max(ncols - len(rows), 0):
             return nullity
-    cm = condition_matrix(a, b, conics, reduced=True)
-    return linalg.nullity(cm.rows, ncols=len(cm.columns))
+    return surface_family(a, b, conics).dimension
 
 
 def expected_system_dimension(a: int, b: int, x: int) -> int:
@@ -202,37 +195,25 @@ def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     free column, which is unique for the kernel.
 
     Exact elimination runs only on the rows that are independent mod p.
-    Their kernel contains the system; checking every basis vector against
-    every conic proves the converse, so the basis is the one the full
-    matrix gives.  If a check fails (p divides a minor the rank needs),
-    the full matrix is eliminated instead.
+    Their kernel contains the system; linalg.annihilates on every exact
+    row of every conic proves the converse (a block of a+b+1 rows times a
+    basis vector is that surface's restriction to the conic), so the basis
+    is the one the full matrix gives.  If the proof fails (p divides a
+    minor the rank needs), all rows are eliminated and proved again.
     """
-    conics = _checked(conics)
-    rows = condition_rows_mod_p(a, b, conics, reduced=True)
-    if rows is not None:
-        pivots, _ = linalg.echelon_mod_p(rows, h0_flag(a, b))
-        n = a + b + 1
-        blocks = sorted({r // n for r in pivots})
-        at = {k: i for i, k in enumerate(blocks)}
-        cm = condition_matrix(a, b, [conics[k] for k in blocks], reduced=True)
-        basis = _kernel_basis(cm, [cm.rows[at[r // n] * n + r % n] for r in pivots])
-        if _contains_all(basis, conics):
-            return SurfaceFamily((a, b), conics, basis)
-    cm = condition_matrix(a, b, conics, reduced=True)
-    basis = _kernel_basis(cm, cm.rows)
-    if not _contains_all(basis, conics):
-        raise PreconditionError("kernel element fails containment check")
-    return SurfaceFamily((a, b), conics, basis)
-
-
-def _kernel_basis(cm: ConditionMatrix, rows) -> list[BiForm]:
-    a, b = cm.bidegree
-    kernel = linalg.nullspace(rows, ncols=len(cm.columns))
-    return [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
-
-
-def _contains_all(basis, conics) -> bool:
-    return all(contains_conic(F, C) for F in basis for C in conics)
+    cm = condition_matrix(a, b, conics)
+    ncols = len(cm.columns)
+    mod_p = condition_rows_mod_p(a, b, cm.conics)
+    kernel = None
+    if mod_p is not None:
+        pivots, _ = linalg.echelon_mod_p(mod_p, ncols)
+        kernel = linalg.nullspace([cm.rows[r] for r in pivots], ncols=ncols)
+    if kernel is None or not linalg.annihilates(cm.rows, kernel):
+        kernel = linalg.nullspace(cm.rows, ncols=ncols)
+        if not linalg.annihilates(cm.rows, kernel):
+            raise FlagcalcError("the exact kernel of the condition matrix fails its certificate")
+    basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
+    return SurfaceFamily((a, b), cm.conics, basis)
 
 
 def surface_through_conics(a: int, b: int, conics, seed: int) -> BiForm:
@@ -361,7 +342,7 @@ def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
     """The values mod p of the monomials at fp; a zero row, which can only
     lower the rank, when p divides a coordinate denominator."""
     p = linalg.PRIME
-    xs = [linalg.gaussian_mod_p(z) for z in fp.p.coords + fp.l.coords]
+    xs = [linalg.gaussian_mod_p(z, p, linalg.I_MOD) for z in fp.p.coords + fp.l.coords]
     if None in xs:
         return [0] * len(cols)
     pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]

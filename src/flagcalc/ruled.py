@@ -58,12 +58,7 @@ class RuledSurfaceSpec:
     certificate: dict
 
 
-def twistor_ruled_surface(
-    forms,
-    seed: int = DEFAULT_RULED_SEED,
-    positivity_check: bool = True,
-    certify: bool = True,
-) -> RuledSurfaceSpec:
+def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurfaceSpec:
     """Build the bidegree (a, a) surface swept by the conics L_{f(t), f(t)}.
 
     Preconditions: real coefficients, common degree a >= 2, trivial gcd,
@@ -87,8 +82,7 @@ def twistor_ruled_surface(
     if g.degree > 0:
         raise PreconditionError("the forms share a common factor")
     _check_birational(forms, seed)
-    if positivity_check:
-        _positivity_certificate(forms)
+    _positivity_certificate(forms)
 
     surface = _parameter_resultant(forms)
     if surface.is_zero():
@@ -109,12 +103,8 @@ def twistor_ruled_surface(
             raise PreconditionError("a sampled twistor fiber escapes the surface")
         witness_params.append(((s, t), C))
 
-    certificate = (
-        containment_certificate(forms, surface, seed=seed)
-        if certify
-        else {"passed": None, "skipped": True}
-    )
-    if certify and not certificate["passed"]:
+    certificate = containment_certificate(forms, surface, seed=seed)
+    if not certificate["passed"]:
         raise PreconditionError("containment certificate failed")
     return RuledSurfaceSpec(forms, a, surface, witness_params, certificate)
 

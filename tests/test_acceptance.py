@@ -215,7 +215,7 @@ def test_criterion_6_uniqueness_probe():
     from flagcalc import linalg
     from flagcalc.linsys import condition_matrix
 
-    cm = condition_matrix(2, 2, fibers, reduced=True)
+    cm = condition_matrix(2, 2, fibers)
     kernel = linalg.nullspace(cm.rows, ncols=len(cm.columns))
     assert len(kernel) == 1
     generator = BiForm((2, 2), {cm.columns[j]: c for j, c in enumerate(kernel[0]) if c})

@@ -67,3 +67,19 @@ def test_nullspace_full_rank():
 def test_nullity():
     assert linalg.nullity(_mat([[1, 1, 1]])) == 2
     assert linalg.nullity([], ncols=7) == 7
+
+
+def test_annihilates():
+    m = [
+        [GR(Fraction(1, 2)), GR(0, 1), GR(3), GR(Fraction(-2, 7), 1)],
+        [GR(1), GR(1), GR(Fraction(1, 3), -2), GR(0)],
+    ]
+    kernel = linalg.nullspace(m)
+    assert len(kernel) == 2
+    assert linalg.annihilates(m, kernel)
+    assert linalg.annihilates([], kernel) and linalg.annihilates(m, [])
+    bent = [list(v) for v in kernel]
+    bent[1][0] = bent[1][0] + GR(Fraction(1, 5))
+    assert not linalg.annihilates(m, bent)
+    # [1, 1] . [-1, 1 + i] = i: zero real part, nonzero imaginary part
+    assert not linalg.annihilates(_mat([[1, 1]]), _mat([[-1, (1, 1)]]))

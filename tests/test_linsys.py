@@ -48,15 +48,14 @@ def test_condition_matrix_shape_and_kernel_semantics():
     conics = random_smooth_conics(rng, 2)
     cm = condition_matrix(1, 1, conics)
     assert len(cm.rows) == 2 * 3  # a+b+1 rows per conic
-    assert len(cm.columns) == 9
-    # a kernel vector of the full matrix is a biform through both conics
-    kernel = linalg.nullspace(cm.rows, ncols=9)
-    for vec in kernel[:3]:
+    assert len(cm.columns) == 8  # quotient monomials: 9 minus p0*l0
+    # a kernel vector is a biform through both conics
+    kernel = linalg.nullspace(cm.rows, ncols=8)
+    for vec in kernel:
         F = BiForm((1, 1), {cm.columns[j]: c for j, c in enumerate(vec) if c})
         for C in conics:
             assert contains_conic(F, C)
-    # full kernel = system dimension + incidence multiples (here 1-dim)
-    assert len(kernel) == system_dimension(1, 1, conics) + 1
+    assert len(kernel) == system_dimension(1, 1, conics)
 
 
 def test_empty_prescription():

@@ -5,7 +5,8 @@ to exact Bareiss elimination whenever the modular answer is not proved.
 Exact Bareiss on the full condition matrix (linalg.nullity and
 linalg.nullspace of condition_matrix) is the oracle here: the tests pin the
 modular path to it, and force the fallbacks (a prime that loses rank, a
-coordinate denominator divisible by the prime) to show they stay exact.
+coordinate denominator divisible by the prime, a pivot row dropped) to show
+they stay exact.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 from flagcalc import linalg
 from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm
-from flagcalc.errors import FlagcalcError
+from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import Conic, twistor_fiber_of
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.linsys import (
@@ -47,12 +48,12 @@ def fibers28():
 
 
 def _exact_nullity(a, b, conics):
-    cm = condition_matrix(a, b, conics, reduced=True)
+    cm = condition_matrix(a, b, conics)
     return linalg.nullity(cm.rows, ncols=len(cm.columns))
 
 
 def _exact_basis_json(a, b, conics):
-    cm = condition_matrix(a, b, conics, reduced=True)
+    cm = condition_matrix(a, b, conics)
     kernel = linalg.nullspace(cm.rows, ncols=len(cm.columns))
     basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
     return json.dumps([biform_to_json(F) for F in basis])
@@ -123,11 +124,11 @@ def test_prime_constants():
 def test_gaussian_mod_p():
     p, i = linalg.PRIME, linalg.I_MOD
     z = GR(Fraction(3, 7), Fraction(-5, 11))
-    assert linalg.gaussian_mod_p(z) == _reduce(z, p, i)
-    assert linalg.gaussian_mod_p(GR(0)) == 0
-    assert linalg.gaussian_mod_p(GR(0, 1)) == i
-    assert linalg.gaussian_mod_p(GR(Fraction(1, p))) is None
-    assert linalg.gaussian_mod_p(GR(1, Fraction(2, 3 * p))) is None
+    assert linalg.gaussian_mod_p(z, p, i) == _reduce(z, p, i)
+    assert linalg.gaussian_mod_p(GR(0), p, i) == 0
+    assert linalg.gaussian_mod_p(GR(0, 1), p, i) == i
+    assert linalg.gaussian_mod_p(GR(Fraction(1, p)), p, i) is None
+    assert linalg.gaussian_mod_p(GR(1, Fraction(2, 3 * p)), p, i) is None
 
 
 def test_echelon_mod_p_matches_bareiss_rank():
@@ -153,8 +154,7 @@ def test_echelon_mod_p_matches_bareiss_rank():
                 assert linalg.rank_int(head, ncols) == sum(k < r for k in pivot_rows)
 
 
-@pytest.mark.parametrize("reduced", [False, True])
-def test_mod_p_rows_are_reductions_of_exact_rows(reduced):
+def test_mod_p_rows_are_reductions_of_exact_rows():
     p, i = linalg.PRIME, linalg.I_MOD
     rng = SplitMix64(91)
     nonreal = []
@@ -166,9 +166,9 @@ def test_mod_p_rows_are_reductions_of_exact_rows(reduced):
         (3, 2, nonreal),
         (1, 3, [Conic((0, 1, GR(2, 3)), (1, GR(0, -1), 0))]),
     ]:
-        cm = condition_matrix(a, b, conics, reduced=reduced)
+        cm = condition_matrix(a, b, conics)
         expected = [[_reduce(z, p, i) for z in row] for row in cm.rows]
-        assert condition_rows_mod_p(a, b, conics, reduced=reduced) == expected
+        assert condition_rows_mod_p(a, b, conics) == expected
 
 
 def test_system_dimension_matches_bareiss_on_grid():
@@ -216,16 +216,51 @@ def test_rank_loss_mod_p_falls_back_to_bareiss(monkeypatch):
     a, b = 2, 2
     exact = _exact_nullity(a, b, conics)
     assert exact == expected_system_dimension(a, b, 4)
-    rows = condition_rows_mod_p(a, b, conics, reduced=True)
+    rows = condition_rows_mod_p(a, b, conics)
     assert len(rows) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0]) == a + b + 1
+    # the bounds do not meet, so system_dimension takes surface_family's
+    # kernel: the pivot rows fail the certificate, all rows follow
     spy = _Spy(monkeypatch, "echelon_int")
     assert system_dimension(a, b, conics) == exact
-    assert spy.rows == [len(rows)]
+    assert spy.rows == [len(rows) - (a + b + 1), len(rows)]
     want = _exact_basis_json(a, b, conics)
     spy = _Spy(monkeypatch, "nullspace")
     assert _family_json(a, b, conics) == want
-    # the pivot rows fail the containment check, the full matrix follows
     assert spy.rows == [len(rows) - (a + b + 1), len(rows)]
+
+
+def test_dropped_pivot_row_fails_certificate(monkeypatch):
+    a, b = 2, 2
+    conics = random_smooth_conics(SplitMix64(17), 3, height=10)
+    want = _exact_basis_json(a, b, conics)
+    echelon = linalg.echelon_mod_p
+
+    def drop_first(rows, ncols):
+        pivot_rows, pivot_cols = echelon(rows, ncols)
+        assert pivot_rows == list(range(len(rows)))  # every row is independent
+        return pivot_rows[1:], pivot_cols[1:]
+
+    verdicts = []
+    annihilates = linalg.annihilates
+
+    def record(rows, vectors):
+        verdicts.append(annihilates(rows, vectors))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "echelon_mod_p", drop_first)
+    monkeypatch.setattr(linalg, "annihilates", record)
+    spy = _Spy(monkeypatch, "nullspace")
+    assert _family_json(a, b, conics) == want
+    assert spy.rows == [3 * (a + b + 1) - 1, 3 * (a + b + 1)]
+    assert verdicts == [False, True]
+
+
+def test_certificate_failure_is_internal(monkeypatch):
+    conics = random_smooth_conics(SplitMix64(17), 3, height=10)
+    monkeypatch.setattr(linalg, "annihilates", lambda rows, vectors: False)
+    with pytest.raises(FlagcalcError, match="fails its certificate") as info:
+        surface_family(2, 2, conics)
+    assert not isinstance(info.value, PreconditionError)
 
 
 def test_small_prime_falls_back_to_bareiss(monkeypatch):
@@ -235,7 +270,7 @@ def test_small_prime_falls_back_to_bareiss(monkeypatch):
     want = _exact_basis_json(a, b, conics)
     monkeypatch.setattr(linalg, "PRIME", 5)
     monkeypatch.setattr(linalg, "I_MOD", 2)
-    rows = condition_rows_mod_p(a, b, conics, reduced=True)
+    rows = condition_rows_mod_p(a, b, conics)
     nullity_p = h0_flag(a, b) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0])
     assert nullity_p > exact == max(h0_flag(a, b) - len(rows), 0)
     spy = _Spy(monkeypatch, "echelon_int")

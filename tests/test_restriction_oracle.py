@@ -104,8 +104,8 @@ def _ref_restrict_monomial(pe, le, p_pows, l_pows):
     return prod
 
 
-def _ref_condition_rows(a, b, conics, reduced):
-    cols = quotient_monomials(a, b) if reduced else monomials(a, b)
+def _ref_condition_rows(a, b, conics):
+    cols = quotient_monomials(a, b)
     rows = []
     for C in conics:
         p_forms, l_forms = _ref_chart_forms(C.q.coords, C.m.coords)
@@ -271,15 +271,12 @@ def _random_biform(rng, a, b, density):
 @pytest.mark.parametrize("a, b, x, seed", [(2, 2, 3, 41), (3, 3, 4, 42), (4, 4, 6, 43)])
 def test_condition_rows_match_reference(a, b, x, seed):
     conics = random_smooth_conics(SplitMix64(seed), x, height=10)
-    for reduced in (False, True):
-        cm = condition_matrix(a, b, conics, reduced=reduced)
-        assert cm.rows == _ref_condition_rows(a, b, conics, reduced)
+    assert condition_matrix(a, b, conics).rows == _ref_condition_rows(a, b, conics)
 
 
 def test_condition_rows_match_reference_on_twistor_fibers(spec3):
     fibers = twistor_circle_samples(spec3, 28)
-    cm = condition_matrix(3, 3, fibers, reduced=True)
-    assert cm.rows == _ref_condition_rows(3, 3, fibers, True)
+    assert condition_matrix(3, 3, fibers).rows == _ref_condition_rows(3, 3, fibers)
 
 
 def test_restrict_to_conic_matches_reference():
