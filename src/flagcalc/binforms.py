@@ -184,34 +184,6 @@ def triple_gcd(forms) -> BinaryForm:
     return g.normalized()
 
 
-def bf_div_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Quotient f / g when g divides f exactly."""
-    if g.is_zero():
-        raise PreconditionError("division by the zero form")
-    if f.is_zero():
-        if f.degree < g.degree:
-            raise PreconditionError("degree of divisor exceeds degree of dividend")
-        return zero_form(f.degree - g.degree)
-    uf, ug = list(f.coeffs), list(g.coeffs)
-    ef, eg = _pdeg(uf), _pdeg(ug)
-    sf, sg = f.degree - ef, g.degree - eg
-    if sf < sg:
-        raise PreconditionError("form does not divide: s-multiplicity deficit")
-    q, r = _pdivmod(uf[: ef + 1], ug[: eg + 1])
-    if _pdeg(r) >= 0:
-        raise PreconditionError("form does not divide exactly")
-    q = q + [ZERO] * max(ef - eg - _pdeg(q), 0)
-    return BinaryForm(q[: ef - eg + 1] + [ZERO] * (sf - sg))
-
-
-def bf_divides(g: BinaryForm, f: BinaryForm) -> bool:
-    try:
-        bf_div_exact(f, g)
-        return True
-    except PreconditionError:
-        return False
-
-
 def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
     """Resultant of forms of positive degrees m and n, as the (m+n)-square
     Sylvester determinant of their coefficient sequences."""

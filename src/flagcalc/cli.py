@@ -139,6 +139,8 @@ def _cmd_chow(args):
 def _cmd_mk_surface(args):
     if (args.conics is None) == (args.random is None):
         raise UsageError("give exactly one of --conics FILE or --random X")
+    if args.random is not None and args.random < 0:
+        raise UsageError("--random must be nonnegative")
     rng = SplitMix64(args.seed)
     if args.conics:
         conics = serialize.conics_from_json(_load_json(args.conics))
@@ -208,6 +210,10 @@ def _cmd_census(args):
 
 
 def _cmd_dim_report(args):
+    if args.x < 0:
+        raise UsageError("--x must be nonnegative")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     expected = linsys.expected_system_dimension(args.a, args.b, args.x)
     guaranteed = linsys.independence_guaranteed(args.a, args.b, args.x)
     observed = []

@@ -338,22 +338,6 @@ def conics_disjoint(C1: Conic, C2: Conic) -> bool:
     return bool(w)
 
 
-def conics_meet_bruteforce(C1: Conic, C2: Conic) -> bool:
-    """Independent oracle: solve the five linear conditions directly.
-
-    Computes the solution spaces of {p.m1 = p.m2 = 0} and
-    {q1.l = q2.l = 0} by exact nullspace and decides whether p.l = 0 is
-    solvable there.
-    """
-    from . import linalg
-
-    p_space = linalg.nullspace([list(C1.m.coords), list(C2.m.coords)])
-    l_space = linalg.nullspace([list(C1.q.coords), list(C2.q.coords)])
-    if len(p_space) >= 2 or len(l_space) >= 2:
-        return True
-    return not dot(p_space[0], l_space[0])
-
-
 def curve_bidegree(curve: FlagCurve):
     """Intersection numbers (d1, d2) of the curve with the two plane classes.
 

@@ -1,4 +1,5 @@
-"""Exact arithmetic in Q(i), the field of Gaussian rationals."""
+"""Exact arithmetic in Q(i), the field of Gaussian rationals, and in its
+ring of integers Z[i]."""
 
 from __future__ import annotations
 
@@ -129,6 +130,33 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     return None
+
+
+class GaussianInt:
+    """re + im*i with int parts: the ring flag.pull builds condition rows
+    over.  A right factor may be an int, as the chart's unset entries are."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int = 0):
+        self.re, self.im = re, im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __add__(self, o):
+        return GaussianInt(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return GaussianInt(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return GaussianInt(-self.re, -self.im)
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return GaussianInt(self.re * o, self.im * o)
+        return GaussianInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
 
 ZERO = GaussianRational(0)

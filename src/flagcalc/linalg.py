@@ -1,21 +1,22 @@
-"""Exact linear algebra over Q(i), and its certified shadow over F_p.
+"""Exact linear algebra over Q(i) on Gaussian-integer rows, and its
+certified shadow over F_p.
 
-Rows are cleared to Gaussian-integer pairs, then reduced by fraction-free
-Bareiss condensation: every intermediate entry is a minor of the scaled
-matrix, so all divisions are exact integer divisions and no rational
-arithmetic happens inside the elimination loop.  Pivots are chosen by
-smallest digit size with row order as the tie break, which keeps the whole
-pipeline deterministic.
+Rows are Gaussian-integer (re, im) pairs; clear_rows, which scales each
+Q(i) row by the lcm of its denominators, is the one way in from Q(i).  They
+are reduced by fraction-free Bareiss condensation: every intermediate
+entry is a minor of the matrix, so all divisions are exact integer
+divisions and no rational arithmetic happens inside the elimination loop.
+Pivots are chosen by smallest digit size with row order as the tie break,
+which keeps the whole pipeline deterministic.
 
-The prime PRIME = 2^61 - 31 is 1 (mod 4), and sending i to I_MOD, a square
-root of -1, maps every Gaussian rational whose denominators PRIME does not
-divide into F_p (gaussian_mod_p takes the prime and the image of i, so the
-census uses it with its own).  The map is a ring homomorphism, so a minor
-that is nonzero mod p is nonzero over Q(i): the rank over F_p never
-exceeds the rank over Q(i).  echelon_mod_p is used only where that
-one-sided bound, together with a matching bound the other way, proves the
-exact answer; for a kernel that bound is annihilates, the exact product of
-every row with every basis vector.
+The prime PRIME = 2^61 - 31 is 1 (mod 4).  Sending i to I_MOD, a square
+root of -1, maps Z[i] onto F_p and extends to every Gaussian rational
+whose denominators PRIME does not divide (gaussian_mod_p takes the prime
+and the image of i, so the census uses it with its own).  The map is a ring
+homomorphism, so the rank over F_p never exceeds the exact rank.
+echelon_mod_p is used only where a matching bound the other way proves
+the exact answer; for a kernel that bound is annihilates, the exact
+product of every row with every basis vector.
 """
 
 from __future__ import annotations
@@ -117,18 +118,6 @@ def echelon_int(rows: list[list[Pair]], ncols: int):
     return pivots, sign
 
 
-def rank_int(rows: list[list[Pair]], ncols: int) -> int:
-    pivots, _ = echelon_int(rows, ncols)
-    return len(pivots)
-
-
-def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    rows, _ = clear_rows(matrix)
-    return rank_int(rows, len(matrix[0]))
-
-
 def det(matrix) -> GaussianRational:
     """Determinant of a square matrix of GaussianRational entries."""
     n = len(matrix)
@@ -145,23 +134,14 @@ def det(matrix) -> GaussianRational:
     return GaussianRational(Fraction(sign * vr) / scale, Fraction(sign * vi) / scale)
 
 
-def nullspace(matrix, ncols: int | None = None) -> list[list[GaussianRational]]:
-    """Basis of the right kernel, one vector per free column.
+def nullspace(rows: list[list[Pair]], ncols: int) -> list[list[GaussianRational]]:
+    """Basis of the right kernel of Gaussian-integer rows, one vector per
+    free column.
 
     The basis vector attached to a free column has a 1 there and support on
     the pivot columns only, so the output is canonical for a fixed matrix.
     """
-    if not matrix:
-        if ncols is None:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [GaussianRational(0)] * ncols
-            v[j] = GaussianRational(1)
-            basis.append(v)
-        return basis
-    ncols = len(matrix[0]) if ncols is None else ncols
-    rows, _ = clear_rows(matrix)
+    rows = [list(row) for row in rows]  # echelon_int works in place
     pivots, _ = echelon_int(rows, ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
@@ -185,26 +165,17 @@ def nullspace(matrix, ncols: int | None = None) -> list[list[GaussianRational]]:
     return basis
 
 
-def nullity(matrix, ncols: int | None = None) -> int:
-    if not matrix:
-        if ncols is None:
-            raise PreconditionError("nullity of an empty matrix needs ncols")
-        return ncols
-    ncols = len(matrix[0]) if ncols is None else ncols
-    return ncols - rank(matrix)
+def annihilates(rows: list[list[Pair]], vectors) -> bool:
+    """Whether every Gaussian-integer row times every vector over Q(i) is
+    exactly 0.
 
-
-def annihilates(rows, vectors) -> bool:
-    """Whether every row times every vector is exactly 0 over Q(i).
-
-    Both sides are cleared to Z[i] first; scaling a row or a vector by a
-    nonzero integer does not change whether a product vanishes.
+    The vectors are cleared to Z[i] first; scaling a vector by a nonzero
+    integer does not change whether a product vanishes.
     """
-    irows, _ = clear_rows(rows)
     ivecs, _ = clear_rows(vectors)
     for v in ivecs:
         support = [(j, vr, vi) for j, (vr, vi) in enumerate(v) if vr or vi]
-        for row in irows:
+        for row in rows:
             sr = si = 0
             for j, vr, vi in support:
                 ar, ai = row[j]

@@ -3,14 +3,15 @@
 Sections of the (a, b) polarization on the flag threefold are represented
 by their canonical coefficients on the quotient monomial basis (monomials
 not divisible by p0*l0).  A conic imposes the a+b+1 coefficients of the
-restriction map as linear conditions.  The conditions are first built and
-eliminated over F_p (linalg.PRIME), whose rank bounds the exact rank from
-below.  A dimension is returned from F_p only when the row count bounds it
-from the other side.  Otherwise surface_family, the one exact elimination
-here, decides: it eliminates the exact rows independent mod p by
-fraction-free Bareiss and proves the kernel complete by multiplying every
-exact row of every conic with every basis vector; when the proof fails it
-eliminates all rows.  Every dimension and basis reported here is exact.
+restriction map as linear conditions.  They are built once, exactly, as
+Gaussian-integer rows (condition_matrix).  Their reductions mod
+linalg.PRIME are eliminated first, and the rank mod p bounds the exact
+rank from below.  A dimension is returned from F_p only when the row
+count bounds it from the other side.  Otherwise, and for every kernel
+basis, the exact rows independent mod p are eliminated by fraction-free
+Bareiss and the kernel is proved complete by multiplying every row of
+every conic with every basis vector; when the proof fails all rows are
+eliminated.  Every dimension and basis reported here is exact.
 """
 
 from __future__ import annotations
@@ -20,19 +21,21 @@ from math import comb
 
 from . import linalg
 from .binforms import BinaryForm, bf_gcd
-from .biforms import BiForm, monomials, quotient_monomials
+from .biforms import BiForm, quotient_monomials
 from .errors import EmptySystemError, FlagcalcError, PreconditionError
 from .flag import (
     Conic,
     FlagPoint,
     conic_param,
     contains_conic,
+    cross,
+    line_basis,
     power_table,
     pull,
     restrict_to_curve,
 )
-from .gaussian import ONE, ZERO, GaussianRational, gaussian_sqrt
-from .sampling import SplitMix64, random_flag_point
+from .gaussian import GaussianInt, GaussianRational, gaussian_sqrt
+from .sampling import SplitMix64
 
 
 def h0_flag(a: int, b: int) -> int:
@@ -67,83 +70,76 @@ class ConditionMatrix:
     """Linear conditions imposed by conics on the (a, b) coefficient space.
 
     One block of a+b+1 rows per conic; one column per quotient monomial
-    (not divisible by p0*l0) in the fixed descending-lex order.  A
-    coefficient vector lies in the kernel exactly when the corresponding
-    form vanishes on every conic.
+    (not divisible by p0*l0) in the fixed descending-lex order.  Entries
+    are Gaussian integers as (re, im) pairs.  A coefficient vector lies in
+    the kernel exactly when the corresponding form vanishes on every conic.
     """
 
     bidegree: tuple[int, int]
     conics: list[Conic]
     columns: list
-    rows: list[list[GaussianRational]]
+    rows: list[list[linalg.Pair]]
 
 
 def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     """Assemble the containment conditions for a list of smooth conics;
-    the kernel is exactly the linear system through them."""
-    conics = _checked(conics)
+    the kernel is exactly the linear system through them.
+
+    Each conic's q and m are cleared to Gaussian integers, scaled by the
+    lcms lam and mu of their denominators, and the chart of conic_param is
+    pulled over Z[i].  Its p-forms scale by mu and its l-forms by lam*mu,
+    so the conic's block is its block of Q(i) restriction coefficients
+    times the nonzero integer mu^(a+b) lam^b, with the same kernel.
+    """
+    conics = list(conics)
+    if not all(C.is_smooth for C in conics):
+        raise PreconditionError("condition matrix requires smooth conics")
+    if len(set(conics)) != len(conics):
+        raise PreconditionError("conics must be pairwise distinct")
     cols = quotient_monomials(a, b)
-    rows = _condition_rows(a, b, cols, _charts(conics), ONE, ZERO, lambda seq: seq)
+    cleared, _ = linalg.clear_rows([c for C in conics for c in (C.q.coords, C.m.coords)])
+    points = [[GaussianInt(re, im) for re, im in row] for row in cleared]
+    one = (GaussianInt(1),)
+    rows = []
+    for q, m in zip(points[::2], points[1::2]):
+        v1, v2 = line_basis(m)
+        l1, l2 = cross(q, v1), cross(q, v2)
+        p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
+        l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+        # the p side of a column depends only on pe, so it is pulled once
+        p_sides = {}
+        block = [[(0, 0)] * len(cols) for _ in range(a + b + 1)]
+        for j, (pe, le) in enumerate(cols):
+            if pe not in p_sides:
+                p_sides[pe] = pull({pe: one}, p_tables)
+            for k, c in enumerate(pull({le: p_sides[pe]}, l_tables)):
+                if c:
+                    block[k][j] = (c.re, c.im)
+        rows.extend(block)
     return ConditionMatrix((a, b), conics, cols, rows)
 
 
-def condition_rows_mod_p(a: int, b: int, conics):
-    """The rows of condition_matrix(a, b, conics) reduced mod linalg.PRIME;
-    None when the prime divides a denominator of a chart coefficient.
-
-    The exact charts are mapped into F_p and pulled by the same kernel, so
-    the rows are the images of the exact rows by construction.
-    """
+def _pivot_rows(cm: ConditionMatrix) -> list[int]:
+    """The rows of cm independent mod linalg.PRIME (i sent to I_MOD), whose
+    reductions are images of the exact rows by construction."""
     p, i = linalg.PRIME, linalg.I_MOD
-    charts = []
-    for seqs in _charts(_checked(conics)):
-        mapped = tuple([[linalg.gaussian_mod_p(z, p, i) for z in seq] for seq in side] for side in seqs)
-        if any(None in seq for side in mapped for seq in side):
-            return None
-        charts.append(mapped)
-    cols = quotient_monomials(a, b)
-    return _condition_rows(a, b, cols, charts, 1, 0, lambda seq: [x % p for x in seq])
+    rows = [[(re + i * im) % p for re, im in row] for row in cm.rows]
+    return linalg.echelon_mod_p(rows, len(cm.columns))[0]
 
 
-def _checked(conics) -> list[Conic]:
-    conics = list(conics)
-    for C in conics:
-        if not C.is_smooth:
-            raise PreconditionError("condition matrix requires smooth conics")
-    if len(set(conics)) != len(conics):
-        raise PreconditionError("conics must be pairwise distinct")
-    return conics
-
-
-def _charts(conics):
-    """Per conic, the coefficient sequences of the p- and l-forms of
-    conic_param(C)."""
-    charts = []
-    for C in conics:
-        curve = conic_param(C)
-        charts.append(([f.coeffs for f in curve.p_forms], [f.coeffs for f in curve.l_forms]))
-    return charts
-
-
-def _condition_rows(a, b, cols, charts, one, zero, norm):
-    """a+b+1 rows per chart, the coefficient sequences of the p- and
-    l-forms of one conic's parametrization, over the ring of one and zero;
-    norm brings each pulled sequence back to normal form."""
-    rows = []
-    for p_seqs, l_seqs in charts:
-        p_tables = [[norm(t) for t in power_table(seq, a)] for seq in p_seqs]
-        l_tables = [[norm(t) for t in power_table(seq, b)] for seq in l_seqs]
-        # the p side of a column depends only on pe, so it is pulled once
-        p_sides = {}
-        block = [[zero] * len(cols) for _ in range(a + b + 1)]
-        for j, (pe, le) in enumerate(cols):
-            if pe not in p_sides:
-                p_sides[pe] = norm(pull({pe: (one,)}, p_tables))
-            for k, c in enumerate(norm(pull({le: p_sides[pe]}, l_tables))):
-                if c:
-                    block[k][j] = c
-        rows.extend(block)
-    return rows
+def _certified_kernel(cm: ConditionMatrix, pivots: list[int]):
+    """The reduced-echelon kernel of cm from the pivot rows alone, proved
+    by linalg.annihilates on every row (a block of a+b+1 rows times a
+    vector is that surface's restriction to the conic); when the proof
+    fails (p divides a minor the rank needs), from all rows, proved again.
+    """
+    ncols = len(cm.columns)
+    kernel = linalg.nullspace([cm.rows[r] for r in pivots], ncols=ncols)
+    if not linalg.annihilates(cm.rows, kernel):
+        kernel = linalg.nullspace(cm.rows, ncols=ncols)
+        if not linalg.annihilates(cm.rows, kernel):
+            raise FlagcalcError("the exact kernel of the condition matrix fails its certificate")
+    return kernel
 
 
 def system_dimension(a: int, b: int, conics) -> int:
@@ -153,16 +149,15 @@ def system_dimension(a: int, b: int, conics) -> int:
     The rank mod p bounds the exact rank from below, so the nullity mod p
     bounds the dimension from above; the row count bounds it from below
     by expected_system_dimension.  When the two bounds meet, that is the
-    answer; otherwise the certified kernel of surface_family decides.
+    answer; otherwise the size of the certified kernel is.
     """
-    conics = list(conics)
-    ncols = h0_flag(a, b)
-    rows = condition_rows_mod_p(a, b, conics)
-    if rows is not None:
-        nullity = ncols - len(linalg.echelon_mod_p(rows, ncols)[0])
-        if nullity == max(ncols - len(rows), 0):
-            return nullity
-    return surface_family(a, b, conics).dimension
+    cm = condition_matrix(a, b, conics)
+    ncols = len(cm.columns)
+    pivots = _pivot_rows(cm)
+    nullity = ncols - len(pivots)
+    if nullity == max(ncols - len(cm.rows), 0):
+        return nullity
+    return len(_certified_kernel(cm, pivots))
 
 
 def expected_system_dimension(a: int, b: int, x: int) -> int:
@@ -192,26 +187,12 @@ class SurfaceFamily:
 def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     """The linear system of (a, b) surfaces through the conics, with the
     reduced-echelon kernel basis of the condition matrix: one vector per
-    free column, which is unique for the kernel.
-
-    Exact elimination runs only on the rows that are independent mod p.
-    Their kernel contains the system; linalg.annihilates on every exact
-    row of every conic proves the converse (a block of a+b+1 rows times a
-    basis vector is that surface's restriction to the conic), so the basis
-    is the one the full matrix gives.  If the proof fails (p divides a
-    minor the rank needs), all rows are eliminated and proved again.
+    free column, which is unique for the kernel.  Exact elimination runs
+    only on the rows that are independent mod p, and a certificate proves
+    that loses nothing.
     """
     cm = condition_matrix(a, b, conics)
-    ncols = len(cm.columns)
-    mod_p = condition_rows_mod_p(a, b, cm.conics)
-    kernel = None
-    if mod_p is not None:
-        pivots, _ = linalg.echelon_mod_p(mod_p, ncols)
-        kernel = linalg.nullspace([cm.rows[r] for r in pivots], ncols=ncols)
-    if kernel is None or not linalg.annihilates(cm.rows, kernel):
-        kernel = linalg.nullspace(cm.rows, ncols=ncols)
-        if not linalg.annihilates(cm.rows, kernel):
-            raise FlagcalcError("the exact kernel of the condition matrix fails its certificate")
+    kernel = _certified_kernel(cm, _pivot_rows(cm))
     basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
     return SurfaceFamily((a, b), cm.conics, basis)
 
@@ -309,47 +290,3 @@ def _exact_root(g: BinaryForm):
         x = (-beta + r) / (2 * gamma)
         return (GaussianRational(1), x)
     return None
-
-
-def evaluation_rank_oracle(a: int, b: int, seed: int = 0xE7A1, extra: int = 5) -> int:
-    """Rank of the evaluation matrix of all (a, b) monomials at random flag
-    points, an independent check of h0_flag.
-
-    Ranks above h0_flag(a, b) are impossible because incidence multiples
-    vanish at every flag point, and a rank mod p of h0_flag(a, b) proves
-    the exact rank is at least that.  A lower rank mod p is a degenerate
-    sample (or an unlucky prime) and is resampled; when every attempt
-    falls short, FlagcalcError says how many were used.
-    """
-    attempts = 4
-    target = h0_flag(a, b)
-    cols = monomials(a, b)
-    rng = SplitMix64(seed)
-    best = 0
-    for _ in range(attempts):
-        rows = [_eval_row_mod_p(random_flag_point(rng, height=3), a, b, cols)
-                for _ in range(target + extra)]
-        best = max(best, len(linalg.echelon_mod_p(rows, len(cols))[0]))
-        if best == target:
-            return target
-    raise FlagcalcError(
-        f"evaluation rank of ({a}, {b}) stayed at {best} < h0 = {target} "
-        f"after {attempts} attempts of {target + extra} points"
-    )
-
-
-def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
-    """The values mod p of the monomials at fp; a zero row, which can only
-    lower the rank, when p divides a coordinate denominator."""
-    p = linalg.PRIME
-    xs = [linalg.gaussian_mod_p(z, p, linalg.I_MOD) for z in fp.p.coords + fp.l.coords]
-    if None in xs:
-        return [0] * len(cols)
-    pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]
-    row = []
-    for pe, le in cols:
-        v = 1
-        for i in range(3):
-            v = v * pows[i][pe[i]] * pows[3 + i][le[i]] % p
-        row.append(v)
-    return row

@@ -1,0 +1,131 @@
+"""Independent oracles the tests check flagcalc against.
+
+None of these is on a path the package runs: each decides a fact that the
+package decides another way (exact rank against the certified mod-p rank,
+exact division against the gcd, solving the five linear conditions against
+the disjointness criterion, point evaluation against the h0 formula).
+"""
+
+from flagcalc import linalg
+from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, zero_form
+from flagcalc.biforms import monomials
+from flagcalc.errors import FlagcalcError, PreconditionError
+from flagcalc.flag import Conic, FlagPoint, dot
+from flagcalc.linsys import h0_flag
+from flagcalc.sampling import SplitMix64, random_flag_point
+
+
+# Exact rank by fraction-free Bareiss.
+
+def rank_int(rows, ncols: int) -> int:
+    """Rank of Gaussian-integer pair rows, which are left unchanged."""
+    pivots, _ = linalg.echelon_int([list(row) for row in rows], ncols)
+    return len(pivots)
+
+
+def rank(matrix) -> int:
+    if not matrix:
+        return 0
+    rows, _ = linalg.clear_rows(matrix)
+    return rank_int(rows, len(matrix[0]))
+
+
+def nullity(matrix, ncols: int | None = None) -> int:
+    if not matrix:
+        if ncols is None:
+            raise PreconditionError("nullity of an empty matrix needs ncols")
+        return ncols
+    ncols = len(matrix[0]) if ncols is None else ncols
+    return ncols - rank(matrix)
+
+
+# Exact division of binary forms.
+
+def bf_div_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """Quotient f / g when g divides f exactly."""
+    if g.is_zero():
+        raise PreconditionError("division by the zero form")
+    if f.is_zero():
+        if f.degree < g.degree:
+            raise PreconditionError("degree of divisor exceeds degree of dividend")
+        return zero_form(f.degree - g.degree)
+    uf, ug = list(f.coeffs), list(g.coeffs)
+    ef, eg = _pdeg(uf), _pdeg(ug)
+    sf, sg = f.degree - ef, g.degree - eg
+    if sf < sg:
+        raise PreconditionError("form does not divide: s-multiplicity deficit")
+    q, r = _pdivmod(uf[: ef + 1], ug[: eg + 1])
+    if _pdeg(r) >= 0:
+        raise PreconditionError("form does not divide exactly")
+    q = q + [ZERO] * max(ef - eg - _pdeg(q), 0)
+    return BinaryForm(q[: ef - eg + 1] + [ZERO] * (sf - sg))
+
+
+def bf_divides(g: BinaryForm, f: BinaryForm) -> bool:
+    try:
+        bf_div_exact(f, g)
+        return True
+    except PreconditionError:
+        return False
+
+
+# Whether two conics meet, by solving their linear conditions.
+
+def conics_meet_bruteforce(C1: Conic, C2: Conic) -> bool:
+    """Solve the five linear conditions directly.
+
+    Computes the solution spaces of {p.m1 = p.m2 = 0} and
+    {q1.l = q2.l = 0} by exact nullspace and decides whether p.l = 0 is
+    solvable there.
+    """
+    p_space = linalg.nullspace(linalg.clear_rows([C1.m.coords, C2.m.coords])[0], 3)
+    l_space = linalg.nullspace(linalg.clear_rows([C1.q.coords, C2.q.coords])[0], 3)
+    if len(p_space) >= 2 or len(l_space) >= 2:
+        return True
+    return not dot(p_space[0], l_space[0])
+
+
+# h0 of the flag as the rank of monomial values at random flag points.
+
+def evaluation_rank_oracle(a: int, b: int, seed: int = 0xE7A1, extra: int = 5) -> int:
+    """Rank of the evaluation matrix of all (a, b) monomials at random flag
+    points, an independent check of h0_flag.
+
+    Ranks above h0_flag(a, b) are impossible because incidence multiples
+    vanish at every flag point, and a rank mod p of h0_flag(a, b) proves
+    the exact rank is at least that.  A lower rank mod p is a degenerate
+    sample (or an unlucky prime) and is resampled; when every attempt
+    falls short, FlagcalcError says how many were used.
+    """
+    attempts = 4
+    target = h0_flag(a, b)
+    cols = monomials(a, b)
+    rng = SplitMix64(seed)
+    best = 0
+    for _ in range(attempts):
+        rows = [_eval_row_mod_p(random_flag_point(rng, height=3), a, b, cols)
+                for _ in range(target + extra)]
+        best = max(best, len(linalg.echelon_mod_p(rows, len(cols))[0]))
+        if best == target:
+            return target
+    raise FlagcalcError(
+        f"evaluation rank of ({a}, {b}) stayed at {best} < h0 = {target} "
+        f"after {attempts} attempts of {target + extra} points"
+    )
+
+
+def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
+    """The values mod p of the monomials at fp; a zero row, which can only
+    lower the rank, when p divides a coordinate denominator."""
+    p = linalg.PRIME
+    xs = [linalg.gaussian_mod_p(z, p, linalg.I_MOD) for z in fp.p.coords + fp.l.coords]
+    if None in xs:
+        return [0] * len(cols)
+    pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]
+    row = []
+    for pe, le in cols:
+        v = 1
+        for i in range(3):
+            v = v * pows[i][pe[i]] * pows[3 + i][le[i]] % p
+        row.append(v)
+    return row

@@ -20,7 +20,6 @@ from flagcalc.biforms import BiForm, proportionality, reduce_mod_incidence
 from flagcalc.cli import main as cli_main
 from flagcalc.flag import (
     conics_disjoint,
-    conics_meet_bruteforce,
     contains_conic,
     is_j_invariant,
     j_conic,
@@ -36,7 +35,7 @@ from flagcalc.invariants import (
     ruling_curve_bound,
     surface_pair_intersection_bidegree,
 )
-from flagcalc.linsys import evaluation_rank_oracle, h0_flag, system_dimension
+from flagcalc.linsys import h0_flag, system_dimension
 from flagcalc.ruled import twistor_ruled_surface
 from flagcalc.sampling import (
     SplitMix64,
@@ -48,6 +47,7 @@ from flagcalc.sampling import (
 from flagcalc.serialize import biform_from_json, biform_to_json, conic_from_json, conic_to_json
 
 from census_oracle import census_by_points
+from oracles import conics_meet_bruteforce, evaluation_rank_oracle
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))

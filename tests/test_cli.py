@@ -164,6 +164,37 @@ def test_dim_report(capsys):
     assert doc["all_match_expected"] is True
 
 
+def _refuse_work(monkeypatch):
+    from flagcalc import cli
+
+    def work(*args, **kwargs):
+        raise AssertionError("a refused request did work")
+
+    for name in ("random_smooth_conics", "SplitMix64"):
+        monkeypatch.setattr(cli, name, work)
+
+
+def test_dim_report_negative_x_usage_exit(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    code, doc = run(capsys, "dim-report", "--a", "2", "--b", "2", "--x", "-1")
+    assert code == 2
+    assert doc == {"code": "usage", "message": "--x must be nonnegative"}
+
+
+def test_dim_report_zero_trials_usage_exit(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    code, doc = run(capsys, "dim-report", "--a", "2", "--b", "2", "--x", "1", "--trials", "0")
+    assert code == 2
+    assert doc == {"code": "usage", "message": "--trials must be at least 1"}
+
+
+def test_mk_surface_negative_random_usage_exit(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    code, doc = run(capsys, "mk-surface", "--a", "2", "--b", "2", "--random", "-2")
+    assert code == 2
+    assert doc == {"code": "usage", "message": "--random must be nonnegative"}
+
+
 def test_mk_surface_from_conics_file(capsys, tmp_path):
     conics = tmp_path / "conics.json"
     conics.write_text(

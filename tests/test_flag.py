@@ -10,7 +10,6 @@ from flagcalc.flag import (
     ProjPoint,
     conic_param,
     conics_disjoint,
-    conics_meet_bruteforce,
     contains_conic,
     curve_bidegree,
     is_j_invariant,
@@ -22,6 +21,8 @@ from flagcalc.flag import (
 )
 from flagcalc.gaussian import GaussianRational as GR, I
 from flagcalc.sampling import SplitMix64, random_proj_point, random_smooth_conic
+
+from oracles import conics_meet_bruteforce
 
 
 def test_proj_point_canonical():

@@ -7,7 +7,6 @@ from flagcalc.flag import Conic, contains_conic
 from flagcalc.linsys import (
     condition_matrix,
     conic_singularity_witness,
-    evaluation_rank_oracle,
     expected_system_dimension,
     h0_flag,
     h0_hirzebruch,
@@ -17,6 +16,8 @@ from flagcalc.linsys import (
     system_dimension,
 )
 from flagcalc.sampling import SplitMix64, random_smooth_conics
+
+from oracles import evaluation_rank_oracle, rank
 
 
 def test_h0_flag_values():
@@ -127,7 +128,7 @@ def test_family_basis_linearly_independent():
     from flagcalc.gaussian import GaussianRational as GR
 
     rows = [[F.terms.get(key, GR(0)) for key in cols] for F in fam.basis]
-    assert linalg.rank(rows) == len(fam.basis)
+    assert rank(rows) == len(fam.basis)
 
 
 def test_empty_system_reported():

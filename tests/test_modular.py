@@ -1,12 +1,12 @@
 """Differential oracle for the certified mod-p interpolation path.
 
-system_dimension and surface_family eliminate over F_p first and fall back
-to exact Bareiss elimination whenever the modular answer is not proved.
-Exact Bareiss on the full condition matrix (linalg.nullity and
-linalg.nullspace of condition_matrix) is the oracle here: the tests pin the
-modular path to it, and force the fallbacks (a prime that loses rank, a
-coordinate denominator divisible by the prime, a pivot row dropped) to show
-they stay exact.
+system_dimension and surface_family eliminate the reductions of the exact
+condition rows over F_p first and fall back to exact Bareiss elimination
+whenever the modular answer is not proved.  Exact Bareiss on the full
+condition matrix (the rank oracle and linalg.nullspace of
+condition_matrix) is the oracle here: the tests pin the modular path to
+it, and force the fallbacks (a prime that loses rank, a chart that
+vanishes mod the prime, a pivot row dropped) to show they stay exact.
 """
 
 import json
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagcalc import linalg
+from flagcalc import linalg, linsys
 from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm
 from flagcalc.errors import FlagcalcError, PreconditionError
@@ -22,8 +22,6 @@ from flagcalc.flag import Conic, twistor_fiber_of
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.linsys import (
     condition_matrix,
-    condition_rows_mod_p,
-    evaluation_rank_oracle,
     expected_system_dimension,
     h0_flag,
     surface_family,
@@ -32,6 +30,8 @@ from flagcalc.linsys import (
 from flagcalc.ruled import twistor_circle_samples, twistor_ruled_surface
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
 from flagcalc.serialize import biform_to_json
+
+from oracles import evaluation_rank_oracle, rank_int
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
@@ -49,7 +49,7 @@ def fibers28():
 
 def _exact_nullity(a, b, conics):
     cm = condition_matrix(a, b, conics)
-    return linalg.nullity(cm.rows, ncols=len(cm.columns))
+    return len(cm.columns) - rank_int(cm.rows, len(cm.columns))
 
 
 def _exact_basis_json(a, b, conics):
@@ -68,6 +68,11 @@ def _reduce(z, p, i):
     re = z.re.numerator * pow(z.re.denominator, -1, p)
     im = z.im.numerator * pow(z.im.denominator, -1, p)
     return (re + i * im) % p
+
+
+def _rows_mod_p(a, b, conics):
+    p, i = linalg.PRIME, linalg.I_MOD
+    return [[_reduce(GR(*z), p, i) for z in row] for row in condition_matrix(a, b, conics).rows]
 
 
 def _is_prime(n):
@@ -99,6 +104,19 @@ class _Spy:
     def __call__(self, rows, *args, **kwargs):
         self.rows.append(len(rows))
         return self.fn(rows, *args, **kwargs)
+
+
+def _verdicts(monkeypatch):
+    """The verdicts of the linalg.annihilates calls from here on."""
+    verdicts = []
+    annihilates = linalg.annihilates
+
+    def record(rows, vectors):
+        verdicts.append(annihilates(rows, vectors))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "annihilates", record)
+    return verdicts
 
 
 def _twins(shift):
@@ -140,22 +158,29 @@ def test_echelon_mod_p_matches_bareiss_rank():
             coeffs = [rng.int_in(-3, 3) for _ in range(rank)]
             rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(ncols)])
         pivot_rows, pivot_cols = linalg.echelon_mod_p(rows, ncols)
-        exact = linalg.rank_int([[(x, 0) for x in row] for row in rows], ncols)
+        exact = rank_int([[(x, 0) for x in row] for row in rows], ncols)
         assert len(pivot_rows) == len(pivot_cols) == exact
         assert pivot_rows == sorted(pivot_rows)
         assert len(set(pivot_cols)) == len(pivot_cols)
         # the pivot rows alone have the full rank, and every row before a
         # pivot row that is not one is dependent on its predecessors
         sub = [[(x, 0) for x in rows[r]] for r in pivot_rows]
-        assert linalg.rank_int(sub, ncols) == exact
+        assert rank_int(sub, ncols) == exact
         for r in range(nrows):
             if r not in pivot_rows:
                 head = [[(x, 0) for x in rows[k]] for k in range(r + 1)]
-                assert linalg.rank_int(head, ncols) == sum(k < r for k in pivot_rows)
+                assert rank_int(head, ncols) == sum(k < r for k in pivot_rows)
 
 
-def test_mod_p_rows_are_reductions_of_exact_rows():
-    p, i = linalg.PRIME, linalg.I_MOD
+def test_mod_p_rows_are_reductions_of_exact_rows(monkeypatch):
+    received = []
+    echelon = linalg.echelon_mod_p
+
+    def record(rows, ncols):
+        received.append(rows)
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(linalg, "echelon_mod_p", record)
     rng = SplitMix64(91)
     nonreal = []
     for _ in range(3):
@@ -166,9 +191,10 @@ def test_mod_p_rows_are_reductions_of_exact_rows():
         (3, 2, nonreal),
         (1, 3, [Conic((0, 1, GR(2, 3)), (1, GR(0, -1), 0))]),
     ]:
-        cm = condition_matrix(a, b, conics)
-        expected = [[_reduce(z, p, i) for z in row] for row in cm.rows]
-        assert condition_rows_mod_p(a, b, conics) == expected
+        for call in (system_dimension, surface_family):
+            received.clear()
+            call(a, b, conics)
+            assert received == [_rows_mod_p(a, b, conics)]
 
 
 def test_system_dimension_matches_bareiss_on_grid():
@@ -216,9 +242,9 @@ def test_rank_loss_mod_p_falls_back_to_bareiss(monkeypatch):
     a, b = 2, 2
     exact = _exact_nullity(a, b, conics)
     assert exact == expected_system_dimension(a, b, 4)
-    rows = condition_rows_mod_p(a, b, conics)
+    rows = _rows_mod_p(a, b, conics)
     assert len(rows) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0]) == a + b + 1
-    # the bounds do not meet, so system_dimension takes surface_family's
+    # the bounds do not meet, so system_dimension takes the certified
     # kernel: the pivot rows fail the certificate, all rows follow
     spy = _Spy(monkeypatch, "echelon_int")
     assert system_dimension(a, b, conics) == exact
@@ -240,15 +266,8 @@ def test_dropped_pivot_row_fails_certificate(monkeypatch):
         assert pivot_rows == list(range(len(rows)))  # every row is independent
         return pivot_rows[1:], pivot_cols[1:]
 
-    verdicts = []
-    annihilates = linalg.annihilates
-
-    def record(rows, vectors):
-        verdicts.append(annihilates(rows, vectors))
-        return verdicts[-1]
-
     monkeypatch.setattr(linalg, "echelon_mod_p", drop_first)
-    monkeypatch.setattr(linalg, "annihilates", record)
+    verdicts = _verdicts(monkeypatch)
     spy = _Spy(monkeypatch, "nullspace")
     assert _family_json(a, b, conics) == want
     assert spy.rows == [3 * (a + b + 1) - 1, 3 * (a + b + 1)]
@@ -270,7 +289,7 @@ def test_small_prime_falls_back_to_bareiss(monkeypatch):
     want = _exact_basis_json(a, b, conics)
     monkeypatch.setattr(linalg, "PRIME", 5)
     monkeypatch.setattr(linalg, "I_MOD", 2)
-    rows = condition_rows_mod_p(a, b, conics)
+    rows = _rows_mod_p(a, b, conics)
     nullity_p = h0_flag(a, b) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0])
     assert nullity_p > exact == max(h0_flag(a, b) - len(rows), 0)
     spy = _Spy(monkeypatch, "echelon_int")
@@ -283,15 +302,47 @@ def test_small_prime_falls_back_to_bareiss(monkeypatch):
 
 def test_denominator_divisible_by_prime_takes_exact_path(monkeypatch):
     p = linalg.PRIME
-    conics = [Conic((1, GR(Fraction(1, p)), 2), (1, 1, 1))] + _twins(1)[2:]
     a, b = 2, 3
-    assert condition_rows_mod_p(a, b, conics) is None
+    general = _twins(1)[2:]
+    # q = (1, 1/p, 2) clears to (p, 1, 2p): its rows mod p are those of
+    # another smooth conic, a valid image of the exact rows
+    conics = [Conic((1, GR(Fraction(1, p)), 2), (1, 1, 1))] + general
+    exact = _exact_nullity(a, b, conics)
+    assert system_dimension(a, b, conics) == exact == expected_system_dimension(a, b, 3)
+    assert _family_json(a, b, conics) == _exact_basis_json(a, b, conics)
+    # m = (1, 1/p, 0) clears to (p, 1, 0), whose chart (-1, p, 0), (0, 0, p)
+    # vanishes mod p but for its first point: the block keeps one row mod p,
+    # the pivot rows' kernel fails its certificate and all rows follow
+    conics = [Conic((1, 1, 1), (1, GR(Fraction(1, p)), 0))] + general
     exact = _exact_nullity(a, b, conics)
     want = _exact_basis_json(a, b, conics)
-    spy = _Spy(monkeypatch, "echelon_mod_p")
-    assert system_dimension(a, b, conics) == exact == expected_system_dimension(a, b, 3)
+    assert exact == expected_system_dimension(a, b, 3)
+    verdicts = _verdicts(monkeypatch)
+    spy = _Spy(monkeypatch, "nullspace")
+    assert system_dimension(a, b, conics) == exact
     assert _family_json(a, b, conics) == want
-    assert spy.rows == []
+    n = 3 * (a + b + 1)
+    assert spy.rows == [n - (a + b), n] * 2
+    assert verdicts == [False, True] * 2
+
+
+def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
+    calls = []
+    for module, name in ((linsys, "condition_matrix"), (linalg, "echelon_mod_p")):
+        fn = getattr(module, name)
+        count = lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+        monkeypatch.setattr(module, name, count)
+    spy = _Spy(monkeypatch, "nullspace")
+    meet = random_smooth_conics(SplitMix64(17), 3, height=10)
+    for a, b, conics, bareiss in [(2, 2, meet, []), (3, 3, fibers28, [63])]:
+        for call in (system_dimension, surface_family):
+            calls.clear()
+            spy.rows.clear()
+            call(a, b, conics)
+            assert calls == ["condition_matrix", "echelon_mod_p"], (call.__name__, a)
+            # the bounds meet on the three conics and not on the 28 fibers
+            if call is system_dimension:
+                assert spy.rows == bareiss
 
 
 def test_rank_oracle_names_attempts_when_short():
