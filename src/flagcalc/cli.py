@@ -194,6 +194,8 @@ def _cmd_mk_ruled(args):
 
 
 def _cmd_census(args):
+    if args.limit < 0:
+        raise UsageError("--limit must be nonnegative")
     F = serialize.biform_from_json(_load_json(args.surface))
     S = fpcensus.reduce_mod_p(F, args.prime)
     census = fpcensus.conic_census(S)

@@ -225,10 +225,12 @@ def _pm_pairing(forms, const_triple) -> BinaryForm:
 
 # The restriction kernel.  A coefficient sequence follows the BinaryForm
 # convention (entry k multiplies s^(d-k) t^k) and may hold elements of any
-# ring with + and *: GaussianRational for exact restriction, int for the
-# ruled certificate and the mod-p census.  Empty slots hold the int 0.
+# ring with + and *: GaussianRational for exact restriction, GaussianInt for
+# condition rows, int for the ruled certificate and the census's p side, and
+# forms in q for the census's l side.  Empty slots hold the int 0.
 
-def _conv(u, v):
+def conv(u, v):
+    """The coefficient sequence of the product of two forms."""
     out = [0] * (len(u) + len(v) - 1)
     for i, x in enumerate(u):
         if x:
@@ -246,7 +248,7 @@ def power_table(seq, n: int):
     coefficient sequence seq."""
     out = [(1,), seq]
     for _ in range(n - 1):
-        out.append(_conv(out[-1], seq))
+        out.append(conv(out[-1], seq))
     return out[: n + 1]
 
 
@@ -264,9 +266,9 @@ def pull(terms, tables):
         for i in range(3):
             if e[i]:
                 t = tables[i][e[i]]
-                mono = t if mono is None else _conv(mono, t)
+                mono = t if mono is None else conv(mono, t)
         if mono is not None:
-            seq = _conv(seq, mono)
+            seq = conv(seq, mono)
         if out is None:
             out = list(seq)
             continue

@@ -2,19 +2,21 @@
 
 A desk-scale scan: reduce a surface mod an odd prime p, enumerate every
 pair (q, m) in P2(F_p) x P2(F_p) with q.m != 0, and keep the pairs whose
-conic L_{q,m} lies on the reduced surface.  The containment test calls the
-characteristic-zero pipeline's own chart rule (flag.line_basis, flag.cross,
-flag.dot) and restriction kernel (flag.pull) over Z, reducing mod p where
-each stage ends, so reductions of rational witnesses are found whenever
-their reductions stay smooth.  Results are mod-p evidence only; a conic
-over F_p need not lift.
+conic L_{q,m} lies on the reduced surface.  Per m, the characteristic-zero
+pipeline's own chart rule (flag.line_basis, flag.cross) and restriction
+kernel (flag.pull) expand the restriction once, with q left symbolic, into
+a+b+1 forms of degree b in q; each pair is then one short dot product per
+form mod p.  Reductions of rational witnesses are found whenever their
+reductions stay smooth.  Results are mod-p evidence only; a conic over F_p
+need not lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .biforms import BiForm
+from .biforms import BiForm, monomials
 from .errors import PreconditionError
 from .flag import cross, dot, l_groups, line_basis, power_table, pull
 from .linalg import gaussian_mod_p
@@ -96,28 +98,66 @@ def conic_census(S: FpSurface) -> list[FpConic]:
     return sorted(scan_pairs(S, pts, pts))
 
 
-def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
-    """The pairs (q, m) with q.m != 0 mod p whose conic lies on S.
+class _QForm(dict):
+    """A form in the coordinates of q, as {exponent triple: int}."""
 
-    The p side of the restriction is pulled once per m, the l side once
-    per pair.  Any representatives of the projective points may be given.
+    def __add__(self, other):
+        out = _QForm(self)
+        for e, c in other.items():
+            out[e] = out.get(e, 0) + c
+        return out
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _QForm({e: c * other for e, c in self.items()})
+        out = _QForm()
+        for e, c in self.items():
+            for f, d in other.items():
+                g = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
+                out[g] = out.get(g, 0) + c * d
+        return out
+
+    __rmul__ = __mul__
+
+
+_Q = tuple(_QForm({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
+    """The pairs (q, m) with q.m != 0 mod p whose conic lies on S, m by m.
+    Any representatives of the projective points may be given.
+
+    The l-forms q x v1 and q x v2 are linear in q, so per m the restriction
+    is pulled once into a+b+1 forms of degree b in q, the rows of K_m.  A
+    pair is a hit when K_m times the degree-b monomials of q vanishes mod p.
     """
     p = S.p
     a, b = S.bidegree
     groups = l_groups(S.terms)
+    exps = [le for _, le in monomials(0, b)]
+    q_monos = [[q[0] ** f[0] * q[1] ** f[1] * q[2] ** f[2] % p for f in exps] for q in q_points]
     hits: list[FpConic] = []
     for m in m_points:
-        v1, v2 = line_basis(m)
+        v1, v2 = line_basis([c % p for c in m])  # a chart pivot that is a unit mod p
         p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
         p_side = {le: [x % p for x in pull(g, p_tables)] for le, g in groups.items()}
-        for q in q_points:
-            if not dot(q, m) % p:
-                continue
-            l1 = [x % p for x in cross(q, v1)]
-            l2 = [x % p for x in cross(q, v2)]
-            l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
-            if not any(x % p for x in pull(p_side, l_tables)):
-                hits.append((q, m))
+        l1, l2 = cross(_Q, v1), cross(_Q, v2)
+        l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+        K = []
+        for c in pull(p_side, l_tables):  # ints when b = 0
+            row = [c.get(f, 0) % p for f in exps] if isinstance(c, dict) else [c % p]
+            if any(row):
+                K.append(row)
+        for q, mono in zip(q_points, q_monos):
+            if dot(q, m) % p:
+                for row in K:
+                    if sum(map(mul, row, mono)) % p:
+                        break
+                else:
+                    hits.append((q, m))
     return hits
 
 

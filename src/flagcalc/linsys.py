@@ -28,6 +28,7 @@ from .flag import (
     FlagPoint,
     conic_param,
     contains_conic,
+    conv,
     cross,
     line_basis,
     power_table,
@@ -106,13 +107,16 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
         l1, l2 = cross(q, v1), cross(q, v2)
         p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
         l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
-        # the p side of a column depends only on pe, so it is pulled once
-        p_sides = {}
+        # a column's p side depends only on pe and its l side only on le,
+        # so each is pulled once and a column is one product
+        p_sides, l_sides = {}, {}
         block = [[(0, 0)] * len(cols) for _ in range(a + b + 1)]
         for j, (pe, le) in enumerate(cols):
             if pe not in p_sides:
                 p_sides[pe] = pull({pe: one}, p_tables)
-            for k, c in enumerate(pull({le: p_sides[pe]}, l_tables)):
+            if le not in l_sides:
+                l_sides[le] = pull({le: one}, l_tables)
+            for k, c in enumerate(conv(p_sides[pe], l_sides[le])):
                 if c:
                     block[k][j] = (c.re, c.im)
         rows.extend(block)

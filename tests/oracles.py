@@ -3,14 +3,15 @@
 None of these is on a path the package runs: each decides a fact that the
 package decides another way (exact rank against the certified mod-p rank,
 exact division against the gcd, solving the five linear conditions against
-the disjointness criterion, point evaluation against the h0 formula).
+the disjointness criterion, point evaluation against the h0 formula, one
+restriction per pair against the census's one expansion per m).
 """
 
 from flagcalc import linalg
 from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, zero_form
 from flagcalc.biforms import monomials
 from flagcalc.errors import FlagcalcError, PreconditionError
-from flagcalc.flag import Conic, FlagPoint, dot
+from flagcalc.flag import Conic, FlagPoint, cross, dot, l_groups, line_basis, power_table, pull
 from flagcalc.linsys import h0_flag
 from flagcalc.sampling import SplitMix64, random_flag_point
 
@@ -129,3 +130,31 @@ def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
             v = v * pows[i][pe[i]] * pows[3 + i][le[i]] % p
         row.append(v)
     return row
+
+
+# The census scan, one full restriction per pair.
+
+def reference_scan_pairs(S, m_points, q_points):
+    """The pairs (q, m) with q.m != 0 mod p whose conic lies on the reduced
+    surface S, in the order m, then q.
+
+    The p side of the restriction is pulled once per m, the l side once
+    per pair.  Any representatives of the projective points may be given.
+    """
+    p = S.p
+    a, b = S.bidegree
+    groups = l_groups(S.terms)
+    hits = []
+    for m in m_points:
+        v1, v2 = line_basis([c % p for c in m])  # a chart pivot that is a unit mod p
+        p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
+        p_side = {le: [x % p for x in pull(g, p_tables)] for le, g in groups.items()}
+        for q in q_points:
+            if not dot(q, m) % p:
+                continue
+            l1 = [x % p for x in cross(q, v1)]
+            l2 = [x % p for x in cross(q, v2)]
+            l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+            if not any(x % p for x in pull(p_side, l_tables)):
+                hits.append((q, m))
+    return hits

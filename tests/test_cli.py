@@ -195,6 +195,21 @@ def test_mk_surface_negative_random_usage_exit(capsys, monkeypatch):
     assert doc == {"code": "usage", "message": "--random must be nonnegative"}
 
 
+def test_census_negative_limit_usage_exit(capsys, monkeypatch, tmp_path):
+    from flagcalc import fpcensus
+
+    def work(*args, **kwargs):
+        raise AssertionError("a refused request did work")
+
+    for name in ("reduce_mod_p", "conic_census", "max_disjoint_subset"):
+        monkeypatch.setattr(fpcensus, name, work)
+    surf = tmp_path / "s.json"
+    surf.write_text(json.dumps({"bidegree": [1, 1], "terms": [{"p": [1, 0, 0], "l": [0, 1, 0], "c": "1"}]}))
+    code, doc = run(capsys, "census", "--surface", str(surf), "--prime", "5", "--limit", "-1")
+    assert code == 2
+    assert doc == {"code": "usage", "message": "--limit must be nonnegative"}
+
+
 def test_mk_surface_from_conics_file(capsys, tmp_path):
     conics = tmp_path / "conics.json"
     conics.write_text(

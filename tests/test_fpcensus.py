@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from flagcalc import serialize
 from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm, incidence_form
 from flagcalc.errors import PreconditionError
-from flagcalc.flag import contains_conic, twistor_fiber_of
+from flagcalc.flag import contains_conic, dot, twistor_fiber_of
 from flagcalc.fpcensus import (
     conic_census,
     conics_meet_fp,
@@ -19,8 +22,10 @@ from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.ruled import twistor_ruled_surface
 
 from census_oracle import census_by_points
+from oracles import reference_scan_pairs
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
+SURFACES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "surfaces"
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +189,19 @@ def test_census_scale_invariance(ruled2):
             assert scan_pairs(S, [m2], [q2]) == [(q2, m2)]
 
 
+def test_scan_pairs_takes_unreduced_representatives(ruled2):
+    # m = (10, 6, 2) is the point (0, 1, 2) of P2(F_5); a chart pivoted on
+    # its first integer coordinate, 10 = 0 mod 5, is no chart of the line
+    p = 5
+    S = reduce_mod_p(ruled2.surface, p)
+    pts = proj_points(p)
+    for m in [(0, 0, 1), (0, 1, 2), (1, 2, 4)]:
+        lifted = [tuple(c + p * k for k, c in enumerate(x)) for x in pts]
+        m_lifted = tuple(c + p * (2 - k) for k, c in enumerate(m))
+        got = [(pts[lifted.index(q)], m) for q, _ in scan_pairs(S, [m_lifted], lifted)]
+        assert got == scan_pairs(S, [m], pts)
+
+
 def test_max_disjoint_greedy_flagged():
     p = 5
     S = reduce_mod_p(incidence_form(), p)
@@ -191,3 +209,94 @@ def test_max_disjoint_greedy_flagged():
     r = max_disjoint_subset(census, p, limit=24)
     assert not r.exact
     assert r.size >= 1
+
+
+def _reference_census(S):
+    pts = proj_points(S.p)
+    return sorted(reference_scan_pairs(S, pts, pts))
+
+
+def _linear(group, n):
+    """The (1,0) form p.n or the (0,1) form l.n."""
+    F = BiForm((1, 0) if group == "p" else (0, 1))
+    for i, c in enumerate(n):
+        e = tuple(int(k == i) for k in range(3))
+        pe, le = (e, (0, 0, 0)) if group == "p" else ((0, 0, 0), e)
+        F = F + BiForm.monomial(pe, le, GR(c))
+    return F
+
+
+def _all_conics_through(group, n, p):
+    """Every conic with m = n (group "p") or with q = n (group "l")."""
+    n = tuple(c % p for c in n)
+    return [(x, n) if group == "p" else (n, x) for x in proj_points(p) if dot(x, n) % p]
+
+
+@pytest.mark.parametrize("name, p", [
+    ("ruled_d2_00", 7), ("ruled_d2_00", 13), ("ruled_d3_01", 7), ("ruled_d3_01", 13),
+    ("dense22_00", 5), ("dense22_00", 13), ("dense22_02", 5), ("dense22_02", 13),
+    ("ruled_d4_00", 11),
+])
+def test_census_matches_reference_scan_and_points(name, p):
+    # the benchmark's census fixtures, read only: p = 1 (mod 3), where
+    # ruling fibers degenerate, and the nonreal surfaces at p = 1 (mod 4)
+    F = serialize.biform_from_json(json.loads((SURFACES / f"{name}.json").read_text()))
+    S = reduce_mod_p(F, p)
+    census = conic_census(S)
+    assert census
+    assert census == _reference_census(S)
+    assert census == census_by_points(S)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("group", ["p", "l"])
+def test_census_linear_factor_takes_every_q_or_every_m(group, p):
+    # (p.n) G vanishes on every point of the line n, so it holds every
+    # conic with m = n whatever q is (the expansion for m = n is zero);
+    # (l.n) G vanishes on every line through n, so it holds every conic
+    # with q = n.  At p = 3 a conic has too few points for the point oracle.
+    n = (1, 2, 3) if group == "p" else (1, 4, 1)
+    G = BiForm.monomial((0, 1, 0), (0, 0, 2), GR(1)) + BiForm.monomial((1, 0, 0), (1, 1, 0), GR(3))
+    S = reduce_mod_p(_linear(group, n) * G, p)
+    census = conic_census(S)
+    assert set(_all_conics_through(group, n, p)) <= set(census)
+    assert census == _reference_census(S)
+    if p + 1 > sum(S.bidegree):
+        assert census == census_by_points(S)
+
+
+@pytest.mark.parametrize("group", ["p", "l"])
+def test_census_degree_zero_sides(group):
+    # (p.n1)(p.n2) holds the conics with m = n1 or n2 and (l.n1)(l.n2)
+    # those with q = n1 or n2: b = 0 and a = 0
+    p, n1, n2 = 7, (1, 0, 2), (0, 1, 3)
+    S = reduce_mod_p(_linear(group, n1) * _linear(group, n2), p)
+    assert sum(S.bidegree) == 2 and 0 in S.bidegree
+    census = conic_census(S)
+    assert census == sorted(_all_conics_through(group, n1, p) + _all_conics_through(group, n2, p))
+    assert census == _reference_census(S)
+    assert census == census_by_points(S)
+
+
+def test_census_at_p_3_matches_reference(ruled2):
+    # p + 1 <= a + b: a conic has too few F_3-points for the point oracle,
+    # and the census still decides by all a + b + 1 coefficients
+    S = reduce_mod_p(ruled2.surface, 3)
+    census = conic_census(S)
+    assert census == _reference_census(S)
+    assert ((1, 0, 0), (1, 0, 0)) in census
+
+
+def test_census_of_the_ruling_at_p_29(ruled2):
+    # a prime above 20: every fiber that reduces to a smooth conic is in
+    # the census, and the point-evaluation oracle, run on every pair,
+    # accepts exactly the census
+    p = 29
+    S = reduce_mod_p(ruled2.surface, p)
+    census = conic_census(S)
+    params = [(1, t, t * t % p) for t in range(p)] + [(0, 0, 1)]
+    smooth = [q for q in params if dot(q, q) % p]
+    assert len(smooth) == p + 1  # no fiber degenerates, as p = 2 (mod 3)
+    for q in smooth:
+        assert (q, q) in census
+    assert census == census_by_points(S)
