@@ -1,10 +1,10 @@
 """flagcalc: exact computation with curves and surfaces in the flag threefold.
 
 Everything runs over Q(i) with no floating point: scalars are Gaussian
-rationals and surfaces are sparse bihomogeneous forms.  Determinants and
-resultants come from fraction-free elimination; interpolation ranks and
-kernels are taken mod a 61-bit prime where a one-sided bound proves them
-exact, and from fraction-free elimination otherwise.
+rationals and surfaces are sparse bihomogeneous forms.  The ruling
+resultant is an integer Bezout determinant; interpolation ranks and kernels
+are taken mod a 61-bit prime where a one-sided bound proves them exact, and
+from fraction-free elimination otherwise.
 """
 
 from .binforms import BinaryForm, bf_gcd

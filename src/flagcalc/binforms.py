@@ -1,4 +1,4 @@
-"""Binary forms in (s, t) over Q(i): evaluation, gcd, Sylvester resultants.
+"""Binary forms in (s, t) over Q(i): evaluation, arithmetic and gcd.
 
 A form of degree d is stored as the tuple of its d+1 coefficients, where
 ``coeffs[k]`` multiplies s^(d-k) * t^k.  Dehomogenizing at s = 1 maps the
@@ -182,21 +182,3 @@ def triple_gcd(forms) -> BinaryForm:
     for f in nz[1:]:
         g = bf_gcd(g, f)
     return g.normalized()
-
-
-def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
-    """Resultant of forms of positive degrees m and n, as the (m+n)-square
-    Sylvester determinant of their coefficient sequences."""
-    from . import linalg
-
-    m, n = f.degree, g.degree
-    if m < 1 or n < 1:
-        raise PreconditionError("resultant needs both degrees >= 1")
-    size = m + n
-    rows = []
-    for r in range(n):
-        rows.append([ZERO] * r + list(f.coeffs) + [ZERO] * (size - m - 1 - r))
-    for r in range(m):
-        rows.append([ZERO] * r + list(g.coeffs) + [ZERO] * (size - n - 1 - r))
-    return linalg.det(rows)
-

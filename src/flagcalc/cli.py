@@ -175,6 +175,8 @@ def _cmd_check_conic(args):
 
 
 def _cmd_mk_ruled(args):
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     forms = serialize.forms_from_json(_load_json(args.forms))
     spec = ruled.twistor_ruled_surface(forms, seed=args.seed)
     samples = ruled.twistor_circle_samples(spec, args.samples)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import PreconditionError
 from .gaussian import GaussianRational
 
 Pair = tuple[int, int]
@@ -116,22 +115,6 @@ def echelon_int(rows: list[list[Pair]], ncols: int):
         pivots.append((k, c))
         k += 1
     return pivots, sign
-
-
-def det(matrix) -> GaussianRational:
-    """Determinant of a square matrix of GaussianRational entries."""
-    n = len(matrix)
-    if n == 0:
-        return GaussianRational(1)
-    if any(len(row) != n for row in matrix):
-        raise PreconditionError("determinant of a non-square matrix")
-    rows, scale = clear_rows(matrix)
-    pivots, sign = echelon_int(rows, n)
-    if len(pivots) < n:
-        return GaussianRational(0)
-    pr, pc = pivots[-1]
-    vr, vi = rows[pr][pc]
-    return GaussianRational(Fraction(sign * vr) / scale, Fraction(sign * vi) / scale)
 
 
 def nullspace(rows: list[list[Pair]], ncols: int) -> list[list[GaussianRational]]:

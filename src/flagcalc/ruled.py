@@ -7,37 +7,39 @@ the two pencils
 
     P(s, t) = p . f(s, t)      and      L(s, t) = l . f(s, t),
 
-a bihomogeneous form of bidegree (a, a) with real coefficients.  At every
-real parameter (including infinity) the swept conic is a twistor fiber, so
-the surface contains infinitely many of them; the affine parameter k maps
-to (s, t) = (k, 1) and infinity to (1, 0).
+a bihomogeneous form of bidegree (a, a) with real coefficients, taken as
+the a x a Bezout determinant of P and L over Z.  At every real parameter
+(including infinity) the swept conic is a twistor fiber, so the surface
+contains infinitely many of them; the affine parameter k maps to
+(s, t) = (k, 1) and infinity to (1, 0).
 
-Containment of the whole one-parameter family is certified by sampling:
-on a fixed coordinate chart the coefficients of the restriction are
-polynomials in the parameter of explicitly bounded degree, so vanishing at
-bound + 1 distinct rational parameters proves identical vanishing, and the
-three charts cover the parameter line because the triple is gcd-free.
+Every containment test here restricts the integer-cleared surface along
+one integer chart of a fiber (_on_surface).  Containment of the whole
+family is certified by sampling: on a fixed chart the coefficients of the
+restriction are polynomials in the parameter of explicitly bounded degree,
+so vanishing at bound + 1 distinct rational parameters proves identical
+vanishing, and the three charts cover the parameter line because the
+triple is gcd-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
-from .binforms import BinaryForm, _pdeg, _pdivmod, triple_gcd
+from .binforms import BinaryForm, _pdeg, _pdivmod, bf_gcd, triple_gcd
 from .biforms import BiForm
 from .errors import PreconditionError
 from .flag import (
     Conic,
     conics_disjoint,
-    contains_conic,
     cross,
     j_pullback,
     line_basis,
     power_table,
     pull_terms,
-    restrict_to_conic,
     twistor_fiber_of,
 )
 from .gaussian import GaussianRational
@@ -87,19 +89,18 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
     surface = _parameter_resultant(forms)
     if surface.is_zero():
         raise PreconditionError("the parameter resultant vanishes identically")
-    if any(not c.is_real() for c in surface.terms.values()):
-        raise PreconditionError("resultant unexpectedly has nonreal coefficients")
-    # Swapping the two coefficient blocks of the Sylvester matrix shows
-    # j*S = (-1)^a S; with real coefficients the sign cannot be scaled away
-    # for odd a, so exact j-invariance is recorded as proportionality.
+    # j swaps P and L, and Bez(L, P) = -Bez(P, L), so j*S = (-1)^a S; with
+    # real coefficients the sign cannot be scaled away for odd a, so exact
+    # j-invariance is recorded as proportionality.
     expected = surface if a % 2 == 0 else -surface
     if j_pullback(surface) != expected:
         raise PreconditionError("resultant lost its j-symmetry")
 
+    int_terms = _integer_terms(surface)
     witness_params = []
     for s, t in _sample_parameters(a + 3):
         C = _fiber_at(forms, s, t)
-        if not contains_conic(surface, C):
+        if not _on_surface(int_terms, (a, a), _cleared(C.m.coords)):
             raise PreconditionError("a sampled twistor fiber escapes the surface")
         witness_params.append(((s, t), C))
 
@@ -123,62 +124,55 @@ def _sample_parameters(n: int):
 
 
 def _parameter_resultant(forms) -> BiForm:
-    """Resultant of p.f and l.f in the parameter, as a 2a x 2a Sylvester
-    determinant whose entries are linear biforms."""
+    """Resultant of P = p.f and L = l.f in the parameter for real forms f,
+    as (-1)^(a(a+1)/2) / den^(2a) times the a x a Bezout determinant of the
+    forms cleared to integers by the lcm den of their denominators.
+
+    With P_k, L_k the coefficients of s^(a-k) t^k, the (1, 1) biform entry
+    B[i][j] sums P_(j+k+1) L_(i-k) - P_(i-k) L_(j+k+1) over 0 <= k <=
+    min(i, a-1-j); the determinant expands over the 2^a column subsets.
+    """
     a = forms[0].degree
-    p_row: list[BiForm] = []
-    l_row: list[BiForm] = []
-    for k in range(a + 1):
-        pterms = {}
-        lterms = {}
-        for i in range(3):
-            c = forms[i].coeffs[k]
-            if c:
-                e = [0, 0, 0]
-                e[i] = 1
-                pterms[(tuple(e), (0, 0, 0))] = c
-                lterms[((0, 0, 0), tuple(e))] = c
-        p_row.append(BiForm((1, 0), pterms))
-        l_row.append(BiForm((0, 1), lterms))
-    n = 2 * a
-    zero_p = BiForm((1, 0))
-    zero_l = BiForm((0, 1))
-    rows = []
-    for r in range(a):
-        rows.append([zero_p] * r + p_row + [zero_p] * (n - a - 1 - r))
-    for r in range(a):
-        rows.append([zero_l] * r + l_row + [zero_l] * (n - a - 1 - r))
-    return _poly_det(rows, a)
+    den = lcm(*(c.re.denominator for g in forms for c in g.coeffs))
+    f = [[int(c.re * den) for c in g.coeffs] for g in forms]
+    unit = [tuple(int(u == v) for v in range(3)) for u in range(3)]
 
+    def entry(i, j):
+        ks = range(min(i, a - 1 - j) + 1)
+        out = {}
+        for u in range(3):
+            for v in range(3):
+                c = sum(f[u][j + k + 1] * f[v][i - k] - f[u][i - k] * f[v][j + k + 1] for k in ks)
+                if c:
+                    out[(unit[u], unit[v])] = c
+        return out
 
-def _poly_det(rows, a: int) -> BiForm:
-    n = len(rows)
-    memo: dict = {}
+    rows = [[entry(i, j) for j in range(a)] for i in range(a)]
 
-    def minor(depth: int, cols: tuple) -> BiForm:
+    @cache
+    def minor(cols: tuple) -> dict:
+        """Determinant of the last len(cols) rows on the columns cols."""
         if len(cols) == 1:
-            return rows[depth][cols[0]]
-        key = (depth, cols)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        acc = None
+            return rows[-1][cols[0]]
+        acc: dict = {}
+        row = rows[a - len(cols)]
         for pos, c in enumerate(cols):
-            entry = rows[depth][c]
-            if entry.is_zero():
-                continue
-            sub = minor(depth + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            p_count = max(0, a - depth)
-            acc = BiForm((p_count, len(cols) - p_count))
-        memo[key] = acc
+            if row[c]:
+                sub = minor(cols[:pos] + cols[pos + 1 :])
+                sign = -1 if pos % 2 else 1
+                for (pe1, le1), c1 in row[c].items():
+                    c1 *= sign
+                    for (pe2, le2), c2 in sub.items():
+                        key = (
+                            (pe1[0] + pe2[0], pe1[1] + pe2[1], pe1[2] + pe2[2]),
+                            (le1[0] + le2[0], le1[1] + le2[1], le1[2] + le2[2]),
+                        )
+                        acc[key] = acc.get(key, 0) + c1 * c2
         return acc
 
-    return minor(0, tuple(range(n)))
+    scale = Fraction((-1) ** (a * (a + 1) // 2), den ** (2 * a))
+    det = minor(tuple(range(a)))
+    return BiForm((a, a), {k: GaussianRational(c * scale) for k, c in det.items()})
 
 
 def _check_birational(forms, seed: int):
@@ -186,7 +180,6 @@ def _check_birational(forms, seed: int):
     random image point must be a single reduced parameter, read off as the
     degree of the gcd of the 2x2 minors against that point."""
     rng = SplitMix64(seed)
-    a = forms[0].degree
     for _ in range(3):
         t = GaussianRational(Fraction(rng.int_in(-999, 999), rng.int_in(1, 97)))
         q0 = tuple(f.evaluate(t, 1) for f in forms)
@@ -199,8 +192,6 @@ def _check_birational(forms, seed: int):
             raise PreconditionError("parametrization has constant image")
         g = minors[0]
         for mf in minors[1:]:
-            from .binforms import bf_gcd
-
             g = bf_gcd(g, mf)
         if g.degree != 1:
             raise PreconditionError(
@@ -280,14 +271,7 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
     """
     a, b = surface.bidegree
     bound = a * forms[0].degree + b * 2 * forms[0].degree
-    # Real forms and a real surface let the chart run over Z: clearing
-    # denominators scales m and the restriction by nonzero constants, which
-    # changes neither the chart's pivot test nor whether the restriction
-    # vanishes.
-    coeffs = [c for f in forms for c in f.coeffs] + list(surface.terms.values())
-    if any(not c.is_real() for c in coeffs):
-        raise PreconditionError("the certificate needs real forms and a real surface")
-    int_terms = dict(zip(surface.terms, _cleared(surface.terms.values())))
+    int_terms = _integer_terms(surface)
     charts = []
     for i in range(3):
         if forms[i].is_zero():
@@ -299,11 +283,7 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
             k += 1
             if not m[i]:
                 continue
-            v1, v2 = line_basis(m, pivot=i)
-            l1, l2 = cross(m, v1), cross(m, v2)
-            p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
-            l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
-            if any(pull_terms(int_terms, p_tables, l_tables)):
+            if not _on_surface(int_terms, (a, b), m, pivot=i):
                 return {
                     "passed": False,
                     "degree_bound": bound,
@@ -317,7 +297,7 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
     for _ in range(5):
         t = GaussianRational(Fraction(rng.int_in(-500, 500), rng.int_in(1, 60)))
         C = _fiber_at(forms, t, GaussianRational(1))
-        if not restrict_to_conic(surface, C).is_zero():
+        if not _on_surface(int_terms, (a, b), _cleared(C.m.coords)):
             return {"passed": False, "degree_bound": bound, "failed_probe": str(t.re)}
         probes.append(str(t.re))
     return {"passed": True, "degree_bound": bound, "charts": charts, "probe_parameters": probes}
@@ -326,8 +306,30 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
 def _cleared(values):
     """Real rationals times the lcm of their denominators, as ints."""
     values = list(values)
+    if any(not c.is_real() for c in values):
+        raise PreconditionError("the integer chart needs real coefficients")
     den = lcm(*(c.re.denominator for c in values))
     return [int(c.re * den) for c in values]
+
+
+def _integer_terms(surface: BiForm) -> dict:
+    return dict(zip(surface.terms, _cleared(surface.terms.values())))
+
+
+def _on_surface(int_terms, bidegree, m, pivot=None) -> bool:
+    """Whether the surface with integer terms int_terms contains the
+    twistor fiber L_{m, m} over the integer triple m.
+
+    Clearing denominators scales m and the restriction by nonzero
+    constants, so the answer over Z is the answer over Q; any chart with
+    m[pivot] != 0 parametrizes the whole conic, so every one agrees.
+    """
+    a, b = bidegree
+    v1, v2 = line_basis(m, pivot=pivot)
+    l1, l2 = cross(m, v1), cross(m, v2)
+    p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
+    l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+    return not any(pull_terms(int_terms, p_tables, l_tables))
 
 
 def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
@@ -354,8 +356,9 @@ def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
             if (C_inf.q.coords, C_inf.m.coords) not in seen:
                 break
     out.append(C_inf)
+    int_terms = _integer_terms(spec.surface)
     for idx, C in enumerate(out):
-        if not contains_conic(spec.surface, C):
+        if not _on_surface(int_terms, spec.surface.bidegree, _cleared(C.m.coords)):
             raise PreconditionError("sampled fiber escapes the surface")
         for D in out[:idx]:
             if not conics_disjoint(C, D):

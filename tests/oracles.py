@@ -4,19 +4,23 @@ None of these is on a path the package runs: each decides a fact that the
 package decides another way (exact rank against the certified mod-p rank,
 exact division against the gcd, solving the five linear conditions against
 the disjointness criterion, point evaluation against the h0 formula, one
-restriction per pair against the census's one expansion per m).
+restriction per pair against the census's one expansion per m, the 2a x 2a
+Sylvester determinant against the a x a Bezout determinant of a ruling).
 """
+
+from fractions import Fraction
 
 from flagcalc import linalg
 from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, zero_form
-from flagcalc.biforms import monomials
+from flagcalc.biforms import BiForm, monomials
 from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import Conic, FlagPoint, cross, dot, l_groups, line_basis, power_table, pull
+from flagcalc.gaussian import GaussianRational
 from flagcalc.linsys import h0_flag
 from flagcalc.sampling import SplitMix64, random_flag_point
 
 
-# Exact rank by fraction-free Bareiss.
+# Exact rank and determinant by fraction-free Bareiss.
 
 def rank_int(rows, ncols: int) -> int:
     """Rank of Gaussian-integer pair rows, which are left unchanged."""
@@ -38,6 +42,101 @@ def nullity(matrix, ncols: int | None = None) -> int:
         return ncols
     ncols = len(matrix[0]) if ncols is None else ncols
     return ncols - rank(matrix)
+
+
+def det(matrix) -> GaussianRational:
+    """Determinant of a square matrix of GaussianRational entries."""
+    n = len(matrix)
+    if n == 0:
+        return GaussianRational(1)
+    if any(len(row) != n for row in matrix):
+        raise PreconditionError("determinant of a non-square matrix")
+    rows, scale = linalg.clear_rows(matrix)
+    pivots, sign = linalg.echelon_int(rows, n)
+    if len(pivots) < n:
+        return GaussianRational(0)
+    pr, pc = pivots[-1]
+    vr, vi = rows[pr][pc]
+    return GaussianRational(Fraction(sign * vr) / scale, Fraction(sign * vi) / scale)
+
+
+# Resultants as Sylvester determinants.
+
+def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> GaussianRational:
+    """Resultant of forms of positive degrees m and n, as the (m+n)-square
+    Sylvester determinant of their coefficient sequences."""
+    m, n = f.degree, g.degree
+    if m < 1 or n < 1:
+        raise PreconditionError("resultant needs both degrees >= 1")
+    size = m + n
+    rows = []
+    for r in range(n):
+        rows.append([ZERO] * r + list(f.coeffs) + [ZERO] * (size - m - 1 - r))
+    for r in range(m):
+        rows.append([ZERO] * r + list(g.coeffs) + [ZERO] * (size - n - 1 - r))
+    return det(rows)
+
+
+def reference_parameter_resultant(forms) -> BiForm:
+    """Resultant of p.f and l.f in the parameter, as the 2a x 2a Sylvester
+    determinant whose entries are linear biforms, expanded by cofactors."""
+    a = forms[0].degree
+    p_row: list[BiForm] = []
+    l_row: list[BiForm] = []
+    for k in range(a + 1):
+        pterms = {}
+        lterms = {}
+        for i in range(3):
+            c = forms[i].coeffs[k]
+            if c:
+                e = [0, 0, 0]
+                e[i] = 1
+                pterms[(tuple(e), (0, 0, 0))] = c
+                lterms[((0, 0, 0), tuple(e))] = c
+        p_row.append(BiForm((1, 0), pterms))
+        l_row.append(BiForm((0, 1), lterms))
+    n = 2 * a
+    zero_p = BiForm((1, 0))
+    zero_l = BiForm((0, 1))
+    rows = []
+    for r in range(a):
+        rows.append([zero_p] * r + p_row + [zero_p] * (n - a - 1 - r))
+    for r in range(a):
+        rows.append([zero_l] * r + l_row + [zero_l] * (n - a - 1 - r))
+    return _poly_det(rows, a)
+
+
+def _poly_det(rows, a: int) -> BiForm:
+    """Memoised cofactor expansion along the rows; a minor with no nonzero
+    entry in its first row is the zero form of the bidegree its remaining
+    p- and l-rows give."""
+    n = len(rows)
+    memo: dict = {}
+
+    def minor(depth: int, cols: tuple) -> BiForm:
+        if len(cols) == 1:
+            return rows[depth][cols[0]]
+        key = (depth, cols)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        acc = None
+        for pos, c in enumerate(cols):
+            entry = rows[depth][c]
+            if entry.is_zero():
+                continue
+            sub = minor(depth + 1, cols[:pos] + cols[pos + 1 :])
+            term = entry * sub
+            if pos % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        if acc is None:
+            p_count = max(0, a - depth)
+            acc = BiForm((p_count, len(cols) - p_count))
+        memo[key] = acc
+        return acc
+
+    return minor(0, tuple(range(n)))
 
 
 # Exact division of binary forms.

@@ -15,7 +15,7 @@ import json
 import time
 from fractions import Fraction
 
-from flagcalc.binforms import BinaryForm, bf_gcd, sylvester_resultant
+from flagcalc.binforms import BinaryForm, bf_gcd
 from flagcalc.biforms import BiForm, proportionality, reduce_mod_incidence
 from flagcalc.cli import main as cli_main
 from flagcalc.flag import (
@@ -47,7 +47,7 @@ from flagcalc.sampling import (
 from flagcalc.serialize import biform_from_json, biform_to_json, conic_from_json, conic_to_json
 
 from census_oracle import census_by_points
-from oracles import conics_meet_bruteforce, evaluation_rank_oracle
+from oracles import conics_meet_bruteforce, evaluation_rank_oracle, sylvester_resultant
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))

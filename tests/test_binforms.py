@@ -3,14 +3,13 @@ import pytest
 from flagcalc.binforms import (
     BinaryForm,
     bf_gcd,
-    sylvester_resultant,
     zero_form,
 )
 from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianRational as GR, I
 from flagcalc.sampling import SplitMix64, random_binary_form
 
-from oracles import bf_div_exact, bf_divides
+from oracles import bf_div_exact, bf_divides, sylvester_resultant
 
 
 def test_eval_examples():

@@ -210,6 +210,39 @@ def test_census_negative_limit_usage_exit(capsys, monkeypatch, tmp_path):
     assert doc == {"code": "usage", "message": "--limit must be nonnegative"}
 
 
+def test_mk_ruled_zero_samples_usage_exit(capsys, monkeypatch):
+    from flagcalc import ruled
+
+    def work(*args, **kwargs):
+        raise AssertionError("a refused request did work")
+
+    monkeypatch.setattr(ruled, "twistor_ruled_surface", work)
+    # the forms file does not exist, so reading it would give another message
+    code, doc = run(capsys, "mk-ruled", "--forms", "/nope.json", "--samples", "0")
+    assert code == 2
+    assert doc == {"code": "usage", "message": "--samples must be at least 1"}
+
+
+def test_mk_ruled_dense_sextic(capsys, tmp_path):
+    # a dense seeded degree-6 triple: 2^6 Bezout minors and a certificate of
+    # degree bound 3 * 6^2
+    forms = {
+        "forms": [
+            ["-5", "-3", "3", "-5", "-3", "1", "5"],
+            ["4", "-1", "4", "-3", "5", "-2", "-3"],
+            ["0", "3", "-4", "-4", "-5", "-1", "3"],
+        ]
+    }
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps(forms))
+    code, doc = run(capsys, "mk-ruled", "--forms", str(path))
+    assert code == 0
+    assert doc["bidegree"] == [6, 6]
+    assert doc["certificate"]["passed"] is True
+    assert doc["certificate"]["degree_bound"] == 108
+    assert len(doc["samples"]) == 5
+
+
 def test_mk_surface_from_conics_file(capsys, tmp_path):
     conics = tmp_path / "conics.json"
     conics.write_text(

@@ -1,3 +1,7 @@
+import dataclasses
+import glob
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,12 +17,18 @@ from flagcalc.flag import (
 )
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.ruled import (
+    _parameter_resultant,
     _real_root_count,
     smoothness_profile,
     twistor_circle_samples,
     twistor_ruled_surface,
 )
 from flagcalc.sampling import SplitMix64
+from flagcalc.serialize import forms_from_json
+
+from oracles import reference_parameter_resultant
+
+FORMS_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "forms")
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
@@ -54,7 +64,7 @@ def test_bidegree_and_reality(spec2, spec3):
 
 
 def test_j_symmetry_signs(spec2, spec3):
-    # block swap of the Sylvester matrix gives j*S = (-1)^a S exactly
+    # j swaps P and L, and Bez(L, P) = -Bez(P, L): j*S = (-1)^a S exactly
     assert j_pullback(spec2.surface) == spec2.surface
     assert j_pullback(spec3.surface) == -spec3.surface
     assert is_j_invariant(spec2.surface)
@@ -68,6 +78,38 @@ def test_certificates_pass(spec2, spec3):
     assert spec3.certificate["degree_bound"] == 27
     for chart in spec2.certificate["charts"]:
         assert chart["samples"] == spec2.certificate["degree_bound"] + 1
+
+
+def test_resultant_matches_sylvester_oracle_on_fixtures():
+    paths = sorted(glob.glob(os.path.join(FORMS_DIR, "*.json")))
+    assert len(paths) == 13
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            forms = forms_from_json(json.load(fh))
+        assert _parameter_resultant(forms) == reference_parameter_resultant(forms), path
+
+
+def test_resultant_matches_sylvester_oracle_on_random_rational_triples():
+    # the sign (-1)^(a(a+1)/2) is -1 at a = 2 and 5 and +1 at a = 3 and 4,
+    # so both parities are pinned, with the den^(2a) scale from the
+    # rational coefficients
+    rng = SplitMix64(0xB3207)
+    for a, count in ((2, 3), (3, 3), (4, 2), (5, 1)):
+        for _ in range(count):
+            forms = tuple(
+                BinaryForm([Fraction(rng.int_in(-9, 9), rng.int_in(1, 9)) for _ in range(a + 1)])
+                for _ in range(3)
+            )
+            expected = reference_parameter_resultant(forms)
+            assert not expected.is_zero()
+            assert _parameter_resultant(forms) == expected
+
+
+def test_circle_samples_reject_perturbed_surface(spec2):
+    # p0^2 l0^2 restricts to p0^2 p1^2 on the fiber over (0, 0, 1)
+    bumped = spec2.surface + BiForm.monomial((2, 0, 0), (2, 0, 0))
+    with pytest.raises(PreconditionError, match="sampled fiber escapes the surface"):
+        twistor_circle_samples(dataclasses.replace(spec2, surface=bumped), 3)
 
 
 def test_witness_params_verified(spec2):
