@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import traceback
+from fractions import Fraction
 
 from . import fpcensus, invariants, linsys, ruled, serialize
 from .errors import FlagcalcError, PreconditionError, SchemaError
@@ -92,8 +93,10 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -188,8 +191,7 @@ def _cmd_mk_ruled(args):
         "irreducible": "unverified",
         "certificate": spec.certificate,
         "witness_params": [
-            [serialize.frac_str(s.re), serialize.frac_str(t.re)]
-            for (s, t), _ in spec.witness_params
+            [serialize.frac_str(Fraction(x)) for x in st] for st in spec.witness_params
         ],
         "samples": [serialize.conic_to_json(c) for c in samples],
     }
@@ -257,7 +259,10 @@ def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
         d = os.path.dirname(os.path.abspath(out_path))
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".flagcalc-")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=d, prefix=".flagcalc-")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .gaussian import GaussianRational
+from .gaussian import ZERO, GaussianRational
 
 Pair = tuple[int, int]
 
@@ -123,6 +123,10 @@ def nullspace(rows: list[list[Pair]], ncols: int) -> list[list[GaussianRational]
 
     The basis vector attached to a free column has a 1 there and support on
     the pivot columns only, so the output is canonical for a fixed matrix.
+    With d the last pivot before the free column, d is the minor on the
+    pivot rows and columns before it, so by Cramer's rule d times the
+    vector is in Z[i]: back-substitution divides exactly in Z[i], and each
+    entry is divided by d once at the end.
     """
     rows = [list(row) for row in rows]  # echelon_int works in place
     pivots, _ = echelon_int(rows, ncols)
@@ -131,20 +135,19 @@ def nullspace(rows: list[list[Pair]], ncols: int) -> list[list[GaussianRational]
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        v = [GaussianRational(0)] * ncols
-        v[fc] = GaussianRational(1)
-        for pr, pc in reversed(pivots):
-            if pc > fc:
-                continue
-            acc = GaussianRational(0)
-            row = rows[pr]
-            for j in range(pc + 1, ncols):
+        before = [(rows[pr], pc) for pr, pc in pivots if pc < fc]
+        d = before[-1][0][before[-1][1]] if before else (1, 0)
+        w = {fc: d}  # d times the basis vector, on its support
+        for row, pc in reversed(before):
+            sr = si = 0
+            for j, (wr, wi) in w.items():
                 ar, ai = row[j]
-                if (ar or ai) and v[j]:
-                    acc = acc + GaussianRational(ar, ai) * v[j]
-            if acc:
-                v[pc] = -acc / GaussianRational(*row[pc])
-        basis.append(v)
+                sr += ar * wr - ai * wi
+                si += ar * wi + ai * wr
+            if sr or si:
+                w[pc] = _gi_div((-sr, -si), row[pc])
+        d = GaussianRational(*d)
+        basis.append([GaussianRational(*w[j]) / d if j in w else ZERO for j in range(ncols)])
     return basis
 
 

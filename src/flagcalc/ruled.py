@@ -13,20 +13,23 @@ the a x a Bezout determinant of P and L over Z.  At every real parameter
 contains infinitely many of them; the affine parameter k maps to
 (s, t) = (k, 1) and infinity to (1, 0).
 
-Every containment test here restricts the integer-cleared surface along
-one integer chart of a fiber (_on_surface).  Containment of the whole
-family is certified by sampling: on a fixed chart the coefficients of the
-restriction are polynomials in the parameter of explicitly bounded degree,
-so vanishing at bound + 1 distinct rational parameters proves identical
-vanishing, and the three charts cover the parameter line because the
-triple is gcd-free.
+The ruling is cleared to integers once, and each fiber is handled as the
+integer triple m = f(s, t) at integers (s, t); a rational parameter n/d is
+the homogeneous evaluation f(n, d).  Every containment test restricts the
+integer-cleared surface along one integer chart of a fiber (_on_surface),
+and a Conic over Q(i) is built only for the samples that are returned.
+Containment of the whole family is certified by sampling: on a fixed chart
+the coefficients of the restriction are polynomials in the parameter of
+explicitly bounded degree, so vanishing at bound + 1 distinct parameters
+proves identical vanishing, and the three charts cover the parameter line
+because the triple is gcd-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import lcm
 
 from .binforms import BinaryForm, _pdeg, _pdivmod, bf_gcd, triple_gcd
@@ -34,15 +37,15 @@ from .biforms import BiForm
 from .errors import PreconditionError
 from .flag import (
     Conic,
-    conics_disjoint,
+    conv,
     cross,
+    dot,
     j_pullback,
     line_basis,
     power_table,
     pull_terms,
     twistor_fiber_of,
 )
-from .gaussian import GaussianRational
 from .linsys import SingularWitness, conic_singularity_witness
 from .sampling import SplitMix64
 
@@ -56,7 +59,7 @@ class RuledSurfaceSpec:
     forms: tuple[BinaryForm, BinaryForm, BinaryForm]
     degree: int
     surface: BiForm
-    witness_params: list
+    witness_params: list  # integer parameters (s, t) of the checked fibers
     certificate: dict
 
 
@@ -77,16 +80,15 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
     a = degrees.pop()
     if a < 2:
         raise PreconditionError("the construction needs degree a >= 2")
-    for f in forms:
-        if any(not c.is_real() for c in f.coeffs):
-            raise PreconditionError("the forms must have real coefficients")
-    g = triple_gcd(forms)
-    if g.degree > 0:
+    if any(not c.is_real() for g in forms for c in g.coeffs):
+        raise PreconditionError("the forms must have real coefficients")
+    if triple_gcd(forms).degree > 0:
         raise PreconditionError("the forms share a common factor")
-    _check_birational(forms, seed)
-    _positivity_certificate(forms)
+    f, den = _integer_ruling(forms)
+    _check_birational(f, seed)
+    _positivity_certificate(f)
 
-    surface = _parameter_resultant(forms)
+    surface = _parameter_resultant(f, den)
     if surface.is_zero():
         raise PreconditionError("the parameter resultant vanishes identically")
     # j swaps P and L, and Bez(L, P) = -Bez(P, L), so j*S = (-1)^a S; with
@@ -97,12 +99,10 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
         raise PreconditionError("resultant lost its j-symmetry")
 
     int_terms = _integer_terms(surface)
-    witness_params = []
-    for s, t in _sample_parameters(a + 3):
-        C = _fiber_at(forms, s, t)
-        if not _on_surface(int_terms, (a, a), _cleared(C.m.coords)):
+    witness_params = [(k, 1) for k in range(a + 2)] + [(1, 0)]
+    for s, t in witness_params:
+        if not _on_surface(int_terms, (a, a), _at(f, s, t)):
             raise PreconditionError("a sampled twistor fiber escapes the surface")
-        witness_params.append(((s, t), C))
 
     certificate = containment_certificate(forms, surface, seed=seed)
     if not certificate["passed"]:
@@ -110,31 +110,30 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
     return RuledSurfaceSpec(forms, a, surface, witness_params, certificate)
 
 
-def _fiber_at(forms, s, t) -> Conic:
-    q = tuple(f.evaluate(s, t) for f in forms)
-    if not any(q):
-        raise PreconditionError("parameter hits a base point of the triple")
-    return twistor_fiber_of(q)
+def _integer_ruling(forms):
+    """The ruling cleared to integers: the coefficient rows of den * f, for
+    the lcm den of the denominators of the real forms f, and den."""
+    den = lcm(*(c.re.denominator for g in forms for c in g.coeffs))
+    return [[int(c.re * den) for c in g.coeffs] for g in forms], den
 
 
-def _sample_parameters(n: int):
-    params = [(GaussianRational(k), GaussianRational(1)) for k in range(n - 1)]
-    params.append((GaussianRational(1), GaussianRational(0)))
-    return params
+def _at(f, s, t) -> tuple:
+    """The integer triple f(s, t) of the integer ruling f at integers (s, t)."""
+    a = len(f[0]) - 1
+    mono = [s ** (a - k) * t**k for k in range(a + 1)]
+    return tuple(sum(c * x for c, x in zip(row, mono)) for row in f)
 
 
-def _parameter_resultant(forms) -> BiForm:
+def _parameter_resultant(f, den) -> BiForm:
     """Resultant of P = p.f and L = l.f in the parameter for real forms f,
-    as (-1)^(a(a+1)/2) / den^(2a) times the a x a Bezout determinant of the
-    forms cleared to integers by the lcm den of their denominators.
+    given as the integer ruling den * f, as (-1)^(a(a+1)/2) / den^(2a)
+    times the a x a Bezout determinant of that integer ruling.
 
     With P_k, L_k the coefficients of s^(a-k) t^k, the (1, 1) biform entry
     B[i][j] sums P_(j+k+1) L_(i-k) - P_(i-k) L_(j+k+1) over 0 <= k <=
     min(i, a-1-j); the determinant expands over the 2^a column subsets.
     """
-    a = forms[0].degree
-    den = lcm(*(c.re.denominator for g in forms for c in g.coeffs))
-    f = [[int(c.re * den) for c in g.coeffs] for g in forms]
+    a = len(f[0]) - 1
     unit = [tuple(int(u == v) for v in range(3)) for u in range(3)]
 
     def entry(i, j):
@@ -172,27 +171,26 @@ def _parameter_resultant(forms) -> BiForm:
 
     scale = Fraction((-1) ** (a * (a + 1) // 2), den ** (2 * a))
     det = minor(tuple(range(a)))
-    return BiForm((a, a), {k: GaussianRational(c * scale) for k, c in det.items()})
+    return BiForm((a, a), {k: c * scale for k, c in det.items()})
 
 
-def _check_birational(forms, seed: int):
-    """Probabilistic birationality probe: the fiber of t -> f(t) over a
-    random image point must be a single reduced parameter, read off as the
-    degree of the gcd of the 2x2 minors against that point."""
+def _check_birational(f, seed: int):
+    """Probabilistic birationality probe on the integer ruling f: the fiber
+    of t -> f(t) over a random image point must be a single reduced
+    parameter, read off as the degree of the gcd of the 2x2 minors against
+    that point."""
     rng = SplitMix64(seed)
     for _ in range(3):
-        t = GaussianRational(Fraction(rng.int_in(-999, 999), rng.int_in(1, 97)))
-        q0 = tuple(f.evaluate(t, 1) for f in forms)
+        n, d = rng.int_in(-999, 999), rng.int_in(1, 97)
+        q0 = _at(f, n, d)
         minors = []
         for x, y in ((0, 1), (0, 2), (1, 2)):
-            mf = forms[x].scale(q0[y]) - forms[y].scale(q0[x])
-            if not mf.is_zero():
-                minors.append(mf)
+            mf = [u * q0[y] - v * q0[x] for u, v in zip(f[x], f[y])]
+            if any(mf):
+                minors.append(BinaryForm(mf))
         if not minors:
             raise PreconditionError("parametrization has constant image")
-        g = minors[0]
-        for mf in minors[1:]:
-            g = bf_gcd(g, mf)
+        g = reduce(bf_gcd, minors)
         if g.degree != 1:
             raise PreconditionError(
                 "parametrization is not birational onto its image "
@@ -234,27 +232,19 @@ def _real_root_count(u) -> int:
     return variations(at_minus) - variations(at_plus)
 
 
-def _positivity_certificate(forms):
-    """Certify f(s,t).f(s,t) > 0 on the whole real parameter circle.
+def _positivity_certificate(f):
+    """Certify f(s,t).f(s,t) > 0 on the whole real parameter circle, for
+    the integer ruling f.
 
     Sturm root counting on sum f_i(x, 1)^2 handles the affine line; the
     value at (1, 0) handles infinity.
     """
-    a = forms[0].degree
-    u = [Fraction(0)] * (2 * a + 1)
-    for f in forms:
-        asc = [c.re for c in reversed(f.coeffs)]
-        for i, ci in enumerate(asc):
-            if not ci:
-                continue
-            for j, cj in enumerate(asc):
-                if cj:
-                    u[i + j] += ci * cj
+    u = [Fraction(sum(c)) for c in zip(*(conv(row[::-1], row[::-1]) for row in f))]
     if _pdeg(u) < 0:
         raise PreconditionError("triple is identically zero")
     if _real_root_count(u) != 0:
         raise PreconditionError("f.f vanishes at a real parameter")
-    if not sum(f.coeffs[0].re ** 2 for f in forms):
+    if not sum(row[0] ** 2 for row in f):
         raise PreconditionError("f.f vanishes at the parameter at infinity")
 
 
@@ -264,22 +254,23 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
     On the chart with pivot coordinate i, the parametrization of the swept
     conic is polynomial in the parameter: p-entries have parameter degree a
     and l-entries 2a, so each coefficient of the restriction has degree at
-    most D = a*a + a*2a.  Vanishing at D + 1 distinct rational parameters
+    most D = a*a + a*2a.  Vanishing at D + 1 distinct integer parameters
     (skipping the finitely many where the chart degenerates) therefore
     proves identical vanishing; the charts with f_i not identically zero
     cover the parameter line because the triple is gcd-free.
     """
+    f, _ = _integer_ruling(forms)
     a, b = surface.bidegree
     bound = a * forms[0].degree + b * 2 * forms[0].degree
     int_terms = _integer_terms(surface)
     charts = []
     for i in range(3):
-        if forms[i].is_zero():
+        if not any(f[i]):
             continue
         count = 0
         k = 0
         while count <= bound:
-            m = tuple(_cleared(f.evaluate(k, 1) for f in forms))
+            m = _at(f, k, 1)
             k += 1
             if not m[i]:
                 continue
@@ -295,25 +286,21 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
     rng = SplitMix64(seed ^ 0xC0FFEE)
     probes = []
     for _ in range(5):
-        t = GaussianRational(Fraction(rng.int_in(-500, 500), rng.int_in(1, 60)))
-        C = _fiber_at(forms, t, GaussianRational(1))
-        if not _on_surface(int_terms, (a, b), _cleared(C.m.coords)):
-            return {"passed": False, "degree_bound": bound, "failed_probe": str(t.re)}
-        probes.append(str(t.re))
+        n, d = rng.int_in(-500, 500), rng.int_in(1, 60)
+        t = str(Fraction(n, d))
+        if not _on_surface(int_terms, (a, b), _at(f, n, d)):
+            return {"passed": False, "degree_bound": bound, "failed_probe": t}
+        probes.append(t)
     return {"passed": True, "degree_bound": bound, "charts": charts, "probe_parameters": probes}
 
 
-def _cleared(values):
-    """Real rationals times the lcm of their denominators, as ints."""
-    values = list(values)
+def _integer_terms(surface: BiForm) -> dict:
+    """The terms of a real surface times the lcm of their denominators."""
+    values = surface.terms.values()
     if any(not c.is_real() for c in values):
         raise PreconditionError("the integer chart needs real coefficients")
     den = lcm(*(c.re.denominator for c in values))
-    return [int(c.re * den) for c in values]
-
-
-def _integer_terms(surface: BiForm) -> dict:
-    return dict(zip(surface.terms, _cleared(surface.terms.values())))
+    return {k: int(c.re * den) for k, c in surface.terms.items()}
 
 
 def _on_surface(int_terms, bidegree, m, pivot=None) -> bool:
@@ -337,33 +324,31 @@ def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
     parameters on the real circle (affine integers, then infinity)."""
     if n < 1:
         raise PreconditionError("need n >= 1 samples")
-    out: list[Conic] = []
-    seen = set()
+    f, _ = _integer_ruling(spec.forms)
+    ms: list[tuple] = []
+
+    def fresh(m):
+        # For real u and m, conics_disjoint's (m x u).(m x u) vanishes exactly
+        # when the fibers over u and m coincide, and it is nonzero exactly
+        # when they are disjoint: distinct fibers never meet.
+        return all(dot(w, w) for w in (cross(m, u) for u in ms))
+
     k = 0
-    while len(out) < n - 1:
-        C = _fiber_at(spec.forms, GaussianRational(k), GaussianRational(1))
+    while len(ms) < n - 1:
+        m = _at(f, k, 1)
         k += 1
-        key = (C.q.coords, C.m.coords)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(C)
-    C_inf = _fiber_at(spec.forms, GaussianRational(1), GaussianRational(0))
-    if (C_inf.q.coords, C_inf.m.coords) in seen:
-        while True:
-            C_inf = _fiber_at(spec.forms, GaussianRational(k), GaussianRational(1))
-            k += 1
-            if (C_inf.q.coords, C_inf.m.coords) not in seen:
-                break
-    out.append(C_inf)
+        if fresh(m):
+            ms.append(m)
+    m = _at(f, 1, 0)
+    while not fresh(m):
+        m = _at(f, k, 1)
+        k += 1
+    ms.append(m)
     int_terms = _integer_terms(spec.surface)
-    for idx, C in enumerate(out):
-        if not _on_surface(int_terms, spec.surface.bidegree, _cleared(C.m.coords)):
+    for m in ms:
+        if not _on_surface(int_terms, spec.surface.bidegree, m):
             raise PreconditionError("sampled fiber escapes the surface")
-        for D in out[:idx]:
-            if not conics_disjoint(C, D):
-                raise PreconditionError("sampled fibers are not disjoint")
-    return out
+    return [twistor_fiber_of(m) for m in ms]
 
 
 def smoothness_profile(spec: RuledSurfaceSpec, fibers: int = 6) -> dict:

@@ -5,7 +5,9 @@ package decides another way (exact rank against the certified mod-p rank,
 exact division against the gcd, solving the five linear conditions against
 the disjointness criterion, point evaluation against the h0 formula, one
 restriction per pair against the census's one expansion per m, the 2a x 2a
-Sylvester determinant against the a x a Bezout determinant of a ruling).
+Sylvester determinant against the a x a Bezout determinant of a ruling,
+Q(i) back-substitution against the fraction-free kernel, ruling fibers
+over Q(i) against the integer triples of the ruling).
 """
 
 from fractions import Fraction
@@ -14,7 +16,19 @@ from flagcalc import linalg
 from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, zero_form
 from flagcalc.biforms import BiForm, monomials
 from flagcalc.errors import FlagcalcError, PreconditionError
-from flagcalc.flag import Conic, FlagPoint, cross, dot, l_groups, line_basis, power_table, pull
+from flagcalc.flag import (
+    Conic,
+    FlagPoint,
+    conics_disjoint,
+    contains_conic,
+    cross,
+    dot,
+    l_groups,
+    line_basis,
+    power_table,
+    pull,
+    twistor_fiber_of,
+)
 from flagcalc.gaussian import GaussianRational
 from flagcalc.linsys import h0_flag
 from flagcalc.sampling import SplitMix64, random_flag_point
@@ -58,6 +72,33 @@ def det(matrix) -> GaussianRational:
     pr, pc = pivots[-1]
     vr, vi = rows[pr][pc]
     return GaussianRational(Fraction(sign * vr) / scale, Fraction(sign * vi) / scale)
+
+
+def reference_nullspace(rows, ncols: int) -> list[list[GaussianRational]]:
+    """The kernel basis linalg.nullspace returns, by back-substitution over
+    Q(i) on the Bareiss echelon form, one division per pivot."""
+    rows = [list(row) for row in rows]
+    pivots, _ = linalg.echelon_int(rows, ncols)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        v = [GaussianRational(0)] * ncols
+        v[fc] = GaussianRational(1)
+        for pr, pc in reversed(pivots):
+            if pc > fc:
+                continue
+            acc = GaussianRational(0)
+            row = rows[pr]
+            for j in range(pc + 1, ncols):
+                ar, ai = row[j]
+                if (ar or ai) and v[j]:
+                    acc = acc + GaussianRational(ar, ai) * v[j]
+            if acc:
+                v[pc] = -acc / GaussianRational(*row[pc])
+        basis.append(v)
+    return basis
 
 
 # Resultants as Sylvester determinants.
@@ -137,6 +178,42 @@ def _poly_det(rows, a: int) -> BiForm:
         return acc
 
     return minor(0, tuple(range(n)))
+
+
+# Ruling fibers over Q(i): evaluate the forms, take the canonical point.
+
+def _fiber_at(forms, s, t) -> Conic:
+    """The twistor fiber of the ruling f over f(s, t), for Q(i) scalars s, t."""
+    q = tuple(f.evaluate(s, t) for f in forms)
+    if not any(q):
+        raise PreconditionError("parameter hits a base point of the triple")
+    return twistor_fiber_of(q)
+
+
+def reference_circle_samples(forms, surface: BiForm, n: int) -> list[Conic]:
+    """n distinct twistor fibers at the parameters 0, 1, 2, ... and then
+    infinity (or the next unused integer when infinity repeats a fiber),
+    each checked by restriction over Q(i) and every pair by
+    conics_disjoint."""
+    one = GaussianRational(1)
+    out: list[Conic] = []
+    k = 0
+    while len(out) < n - 1:
+        C = _fiber_at(forms, GaussianRational(k), one)
+        k += 1
+        if C not in out:
+            out.append(C)
+    C = _fiber_at(forms, one, GaussianRational(0))
+    while C in out:
+        C = _fiber_at(forms, GaussianRational(k), one)
+        k += 1
+    out.append(C)
+    for idx, C in enumerate(out):
+        if not contains_conic(surface, C):
+            raise PreconditionError("sampled fiber escapes the surface")
+        if not all(conics_disjoint(C, D) for D in out[:idx]):
+            raise PreconditionError("sampled fibers are not disjoint")
+    return out
 
 
 # Exact division of binary forms.

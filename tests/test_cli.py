@@ -1,7 +1,12 @@
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 from flagcalc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 VERONESE_FORMS = {"forms": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 
@@ -153,6 +158,28 @@ def test_missing_file_usage_exit(capsys):
     assert code == 2
 
 
+def test_directory_input_usage_exit(capsys, tmp_path):
+    code, doc = run(capsys, "check-conic", "--surface", str(tmp_path), "--conic", str(tmp_path))
+    assert code == 2
+    assert doc["code"] == "usage" and doc["message"].startswith("cannot read ")
+
+
+def test_non_utf8_input_usage_exit(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"forms": ["\xe9"]}')
+    code, doc = run(capsys, "mk-ruled", "--forms", str(bad))
+    assert code == 2
+    assert doc == {"code": "usage", "message": f"{bad}: not UTF-8 text"}
+
+
+def test_out_in_missing_directory_usage_exit(capsys, tmp_path):
+    out = tmp_path / "missing" / "h0.json"
+    code, doc = run(capsys, "--out", str(out), "h0", "--a", "1", "--b", "1")
+    assert code == 2
+    assert doc["code"] == "usage" and doc["message"].startswith(f"cannot write {out}")
+    assert not out.parent.exists()
+
+
 def test_dim_report(capsys):
     code, doc = run(
         capsys, "dim-report", "--a", "2", "--b", "2", "--x", "1", "--trials", "3", "--seed", "5"
@@ -268,3 +295,21 @@ def test_internal_failure_traceback_goes_to_stderr(capsys, monkeypatch):
     assert code == 4
     assert json.loads(captured.out) == {"code": "internal", "message": "RuntimeError: boom"}
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+
+def test_mk_ruled_catalog_outputs_unchanged(capsys, monkeypatch):
+    # every mk-ruled request of the benchmark catalog, digested as the
+    # benchmark's own checks do, against the digest recorded there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    path = ROOT / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    catalog = json.loads((ROOT / "perfbench" / "catalog.json").read_text(encoding="utf-8"))
+    requests = [r for r in catalog["requests"].values() if r["argv"][0] == "mk-ruled"]
+    assert len(requests) == 16
+    monkeypatch.chdir(ROOT)  # the catalog's paths are relative to the repository
+    for req in requests:
+        code, doc = run(capsys, *req["argv"])
+        assert code == 0, req["argv"]
+        assert checks.digest("mk-ruled", doc) == req["digest"], req["argv"]

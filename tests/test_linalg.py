@@ -2,8 +2,9 @@ from fractions import Fraction
 
 from flagcalc import linalg
 from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.sampling import SplitMix64
 
-from oracles import det, nullity, rank
+from oracles import det, nullity, rank, reference_nullspace
 
 
 def _mat(rows):
@@ -68,6 +69,46 @@ def test_nullspace_of_empty_matrix():
 
 def test_nullspace_full_rank():
     assert linalg.nullspace([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], 2) == []
+
+
+def test_nullspace_matches_qi_back_substitution():
+    # rank-deficient Z[i] matrices (products of n x r and r x c factors)
+    # whose column 1 is (2 - i) times column 0, so it is free between two
+    # pivots, and with one random column zeroed, which can make column 0 free
+    rng = SplitMix64(0x5EED)
+
+    def gi():
+        return (rng.int_in(-9, 9), rng.int_in(-9, 9))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    checked = 0
+    for n, r, c in ((3, 2, 5), (4, 2, 6), (5, 3, 7), (6, 4, 8), (7, 5, 9)):
+        for _ in range(4):
+            left = [[gi() for _ in range(r)] for _ in range(n)]
+            right = [[gi() for _ in range(c)] for _ in range(r)]
+            rows = [
+                [
+                    (sum(mul(u[k], right[k][j])[0] for k in range(r)),
+                     sum(mul(u[k], right[k][j])[1] for k in range(r)))
+                    for j in range(c)
+                ]
+                for u in left
+            ]
+            zero = rng.int_in(0, c - 1)
+            for row in rows:
+                row[1] = mul(row[0], (2, -1))
+                row[zero] = (0, 0)
+            kernel = linalg.nullspace(rows, c)
+            assert kernel == reference_nullspace(rows, c)
+            assert len(kernel) >= c - r and linalg.annihilates(rows, kernel)
+            checked += 1
+    free0 = [[(0, 0), (2, 1), (4, 2), (1, 0)], [(0, 0), (0, 3), (0, 6), (1, -1)]]
+    kernel = linalg.nullspace(free0, 4)
+    assert kernel == reference_nullspace(free0, 4)
+    assert kernel[0] == [GR(1), GR(0), GR(0), GR(0)]
+    assert checked == 20
 
 
 def test_nullity():

@@ -20,12 +20,13 @@ from flagcalc.gaussian import ONE, ZERO, GaussianRational as GR
 from flagcalc.linsys import condition_matrix, surface_through_conics
 from flagcalc.ruled import (
     DEFAULT_RULED_SEED,
-    _fiber_at,
     containment_certificate,
     twistor_circle_samples,
     twistor_ruled_surface,
 )
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
+
+from oracles import _fiber_at
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))

@@ -17,6 +17,7 @@ from flagcalc.flag import (
 )
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.ruled import (
+    _integer_ruling,
     _parameter_resultant,
     _real_root_count,
     smoothness_profile,
@@ -26,7 +27,7 @@ from flagcalc.ruled import (
 from flagcalc.sampling import SplitMix64
 from flagcalc.serialize import forms_from_json
 
-from oracles import reference_parameter_resultant
+from oracles import _fiber_at, reference_circle_samples, reference_parameter_resultant
 
 FORMS_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "forms")
 
@@ -86,7 +87,9 @@ def test_resultant_matches_sylvester_oracle_on_fixtures():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             forms = forms_from_json(json.load(fh))
-        assert _parameter_resultant(forms) == reference_parameter_resultant(forms), path
+        assert _parameter_resultant(*_integer_ruling(forms)) == reference_parameter_resultant(
+            forms
+        ), path
 
 
 def test_resultant_matches_sylvester_oracle_on_random_rational_triples():
@@ -102,7 +105,7 @@ def test_resultant_matches_sylvester_oracle_on_random_rational_triples():
             )
             expected = reference_parameter_resultant(forms)
             assert not expected.is_zero()
-            assert _parameter_resultant(forms) == expected
+            assert _parameter_resultant(*_integer_ruling(forms)) == expected
 
 
 def test_circle_samples_reject_perturbed_surface(spec2):
@@ -113,9 +116,65 @@ def test_circle_samples_reject_perturbed_surface(spec2):
 
 
 def test_witness_params_verified(spec2):
-    for (s, t), C in spec2.witness_params:
+    assert spec2.witness_params == [(0, 1), (1, 1), (2, 1), (3, 1), (1, 0)]
+    for s, t in spec2.witness_params:
+        C = _fiber_at(spec2.forms, GR(s), GR(t))
         assert C.is_twistor_fiber()
         assert contains_conic(spec2.surface, C)
+
+
+def test_integer_fibers_match_qi_oracle_on_fixtures():
+    # the integer triples f(k, 1) and f(1, 0) give the same samples as the
+    # Q(i) fibers, checked there by restriction and conics_disjoint
+    for path in sorted(glob.glob(os.path.join(FORMS_DIR, "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            spec = twistor_ruled_surface(forms_from_json(json.load(fh)))
+        for s, t in spec.witness_params:
+            assert contains_conic(spec.surface, _fiber_at(spec.forms, GR(s), GR(t))), path
+        expected = reference_circle_samples(spec.forms, spec.surface, 9)
+        assert twistor_circle_samples(spec, 9) == expected, path
+
+
+@pytest.mark.parametrize(
+    "forms, repeated",
+    [
+        # t(s-t)(s-2t), s(s-t)(s-2t), t^3: the node is at k = 1 and k = 2
+        ((BinaryForm([0, 1, -3, 2]), BinaryForm([1, -3, 2, 0]), BinaryForm([0, 0, 0, 1])), 2),
+        # st(s-t), t^2(s-t), s^3: the node is at k = 1 and infinity
+        ((BinaryForm([0, 1, -1, 0]), BinaryForm([0, 0, 1, -1]), BinaryForm([1, 0, 0, 0])), None),
+    ],
+)
+def test_circle_samples_skip_the_second_branch_of_a_node(forms, repeated):
+    spec = twistor_ruled_surface(forms)
+    samples = twistor_circle_samples(spec, 6)
+    assert len(set(samples)) == 6
+    assert samples == reference_circle_samples(forms, spec.surface, 6)
+    node = _fiber_at(forms, GR(1), GR(1))
+    if repeated is None:
+        assert _fiber_at(forms, GR(1), GR(0)) == node
+        assert samples[-1] == _fiber_at(forms, GR(5), GR(1))
+    else:
+        assert _fiber_at(forms, GR(repeated), GR(1)) == node
+        assert samples[2] == _fiber_at(forms, GR(3), GR(1))
+
+
+def test_rational_ruling_matches_its_integer_multiple():
+    # denominators 2, 3 and 7 in every form; 42 times the ruling is integral
+    rational = (
+        BinaryForm([Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7)]),
+        BinaryForm([Fraction(3, 7), Fraction(1, 2), Fraction(1, 3), 0]),
+        BinaryForm([0, Fraction(-1, 3), Fraction(2, 7), Fraction(3, 2)]),
+    )
+    integral = tuple(f.scale(42) for f in rational)
+    assert all(c.re.denominator == 1 for f in integral for c in f.coeffs)
+    spec_q = twistor_ruled_surface(rational)
+    spec_z = twistor_ruled_surface(integral)
+    assert spec_q.certificate["passed"]
+    assert spec_q.certificate == spec_z.certificate
+    assert spec_q.witness_params == spec_z.witness_params
+    assert twistor_circle_samples(spec_q, 7) == twistor_circle_samples(spec_z, 7)
+    assert proportionality(spec_q.surface, spec_z.surface) is not None
+    assert spec_q.surface != spec_z.surface
 
 
 def test_parameter_fiber_containment(spec2):
