@@ -50,7 +50,10 @@ class ProjPoint:
         self.coords = tuple(c / pivot for c in raw)
 
     def conjugate(self) -> "ProjPoint":
-        return ProjPoint(tuple(c.conjugate() for c in self.coords))
+        # the pivot 1 conjugates to 1, so the conjugate is already canonical
+        out = ProjPoint.__new__(ProjPoint)
+        out.coords = tuple(c.conjugate() for c in self.coords)
+        return out
 
     def is_real(self) -> bool:
         return all(c.is_real() for c in self.coords)
@@ -180,6 +183,8 @@ def line_basis(m, pivot: int | None = None):
     when m_i = 0.  Works over any coefficient ring: the unset entries are
     the int 0.
     """
+    if not any(m):
+        raise PreconditionError("(0, 0, 0) is not a projective point")
     i = pivot if pivot is not None else next(idx for idx in range(3) if m[idx])
     if not m[i]:
         raise PreconditionError("chart pivot coordinate vanishes")
@@ -191,15 +196,6 @@ def line_basis(m, pivot: int | None = None):
     return tuple(v1), tuple(v2)
 
 
-def parametrize_conic_pair(q, m):
-    """Degree-1 form triples sweeping L_{q,m} from raw coordinate triples."""
-    v1, v2 = line_basis(m)
-    p_forms = tuple(BinaryForm([v1[c], v2[c]]) for c in range(3))
-    l1, l2 = cross(q, v1), cross(q, v2)
-    l_forms = tuple(BinaryForm([l1[c], l2[c]]) for c in range(3))
-    return p_forms, l_forms
-
-
 def conic_param(C: Conic) -> FlagCurve:
     """Injective degree-1 parametrization of a smooth conic.
 
@@ -208,8 +204,12 @@ def conic_param(C: Conic) -> FlagCurve:
     """
     if not C.is_smooth:
         raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
-    p_forms, l_forms = parametrize_conic_pair(C.q.coords, C.m.coords)
-    curve = FlagCurve(p_forms, l_forms)
+    v1, v2 = line_basis(C.m.coords)
+    l1, l2 = cross(C.q.coords, v1), cross(C.q.coords, v2)
+    curve = FlagCurve(
+        tuple(BinaryForm([v1[c], v2[c]]) for c in range(3)),
+        tuple(BinaryForm([l1[c], l2[c]]) for c in range(3)),
+    )
     assert _pm_pairing(curve.p_forms, C.m.coords).is_zero()
     assert _pm_pairing(curve.l_forms, C.q.coords).is_zero()
     return curve
@@ -226,8 +226,8 @@ def _pm_pairing(forms, const_triple) -> BinaryForm:
 # The restriction kernel.  A coefficient sequence follows the BinaryForm
 # convention (entry k multiplies s^(d-k) t^k) and may hold elements of any
 # ring with + and *: GaussianRational for exact restriction, GaussianInt for
-# condition rows, int for the ruled certificate and the census's p side, and
-# forms in q for the census's l side.  Empty slots hold the int 0.
+# condition rows, and int for the ruled certificate and the census's chart
+# monomials.  Empty slots hold the int 0.
 
 def conv(u, v):
     """The coefficient sequence of the product of two forms."""

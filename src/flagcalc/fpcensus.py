@@ -2,23 +2,25 @@
 
 A desk-scale scan: reduce a surface mod an odd prime p, enumerate every
 pair (q, m) in P2(F_p) x P2(F_p) with q.m != 0, and keep the pairs whose
-conic L_{q,m} lies on the reduced surface.  Per m, the characteristic-zero
-pipeline's own chart rule (flag.line_basis, flag.cross) and restriction
-kernel (flag.pull) expand the restriction once, with q left symbolic, into
-a+b+1 forms of degree b in q; each pair is then one short dot product per
-form mod p.  Reductions of rational witnesses are found whenever their
-reductions stay smooth.  Results are mod-p evidence only; a conic over F_p
-need not lift.
+conic L_{q,m} lies on the reduced surface.  Along every conic l = q x p,
+so the surface is expanded once, over the integers mod p, into
+G(p, q) = S(p, q x p).  Per m, the characteristic-zero pipeline's chart
+rule (flag.line_basis) turns G into a+b+1 forms of degree b in q; each
+pair is then one short dot product per form mod p.  Reductions of
+rational witnesses are found whenever their reductions stay smooth.
+Results are mod-p evidence only; a conic over F_p need not lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import comb
 from operator import mul
 
 from .biforms import BiForm, monomials
 from .errors import PreconditionError
-from .flag import cross, dot, l_groups, line_basis, power_table, pull
+from .flag import conv, dot, line_basis, power_table
 from .linalg import gaussian_mod_p
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -98,57 +100,54 @@ def conic_census(S: FpSurface) -> list[FpConic]:
     return sorted(scan_pairs(S, pts, pts))
 
 
-class _QForm(dict):
-    """A form in the coordinates of q, as {exponent triple: int}."""
-
-    def __add__(self, other):
-        out = _QForm(self)
-        for e, c in other.items():
-            out[e] = out.get(e, 0) + c
-        return out
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _QForm({e: c * other for e, c in self.items()})
-        out = _QForm()
-        for e, c in self.items():
-            for f, d in other.items():
-                g = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
-                out[g] = out.get(g, 0) + c * d
-        return out
-
-    __rmul__ = __mul__
+_L_OF_QP = ((1, 2), (2, 0), (0, 1))  # l = q x p: l_i = q_j p_k - q_k p_j
 
 
-_Q = tuple(_QForm({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+def conic_expansion(S: FpSurface) -> dict:
+    """G(p, q) = S(p, q x p) mod p, of bidegree (a+b, b): the restriction
+    of S to every conic L_{q,m} at once, as {alpha: row} for the nonzero
+    rows, where row holds the coefficients of p^alpha q^f for the degree-b
+    exponents f in the order of biforms.monomials(0, b).  Each l_i^n is
+    expanded by the binomial theorem.
+    """
+    col = {f: n for n, (_, f) in enumerate(monomials(0, S.bidegree[1]))}
+    G: dict = {}
+    for (pe, le), c in S.terms.items():
+        for rs in product(*(range(n + 1) for n in le)):
+            alpha, qe, coef = list(pe), [0, 0, 0], c
+            for (j, k), n, r in zip(_L_OF_QP, le, rs):
+                # the term C(n, r) (q_j p_k)^(n-r) (-q_k p_j)^r of l_i^n
+                coef *= (-1) ** r * comb(n, r)
+                qe[j], qe[k] = qe[j] + n - r, qe[k] + r
+                alpha[j], alpha[k] = alpha[j] + r, alpha[k] + n - r
+            row = G.setdefault(tuple(alpha), [0] * len(col))
+            f = col[tuple(qe)]
+            row[f] = (row[f] + coef) % S.p
+    return {alpha: row for alpha, row in G.items() if any(row)}
 
 
 def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
     """The pairs (q, m) with q.m != 0 mod p whose conic lies on S, m by m.
     Any representatives of the projective points may be given.
 
-    The l-forms q x v1 and q x v2 are linear in q, so per m the restriction
-    is pulled once into a+b+1 forms of degree b in q, the rows of K_m.  A
-    pair is a hit when K_m times the degree-b monomials of q vanishes mod p.
+    Per m, the chart p = s v1 + t v2 makes each p^alpha a form in (s, t),
+    and row k of the matrix K_m is the sum over alpha of its coefficient k
+    times G_alpha.  A pair is a hit when K_m times q's monomials is 0 mod p.
     """
     p = S.p
     a, b = S.bidegree
-    groups = l_groups(S.terms)
+    G = conic_expansion(S)
+    cols = list(zip(*G.values()))  # per q-monomial, its coefficient at each alpha
     exps = [le for _, le in monomials(0, b)]
     q_monos = [[q[0] ** f[0] * q[1] ** f[1] * q[2] ** f[2] % p for f in exps] for q in q_points]
     hits: list[FpConic] = []
     for m in m_points:
         v1, v2 = line_basis([c % p for c in m])  # a chart pivot that is a unit mod p
-        p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
-        p_side = {le: [x % p for x in pull(g, p_tables)] for le, g in groups.items()}
-        l1, l2 = cross(_Q, v1), cross(_Q, v2)
-        l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+        T = [power_table((v1[c], v2[c]), a + b) for c in range(3)]
+        p_monos = [conv(conv(T[0][e[0]], T[1][e[1]]), T[2][e[2]]) for e in G]
         K = []
-        for c in pull(p_side, l_tables):  # ints when b = 0
-            row = [c.get(f, 0) % p for f in exps] if isinstance(c, dict) else [c % p]
+        for at_k in zip(*p_monos):
+            row = [sum(map(mul, at_k, col)) % p for col in cols]
             if any(row):
                 K.append(row)
         for q, mono in zip(q_points, q_monos):
@@ -169,7 +168,8 @@ def conics_meet_fp(c1: FpConic, c2: FpConic, p: int) -> bool:
         raise PreconditionError("conics must be distinct")
     if q1 == q2 or m1 == m2:
         return True
-    return dot(cross(m1, m2), cross(q1, q2)) % p == 0
+    # (m1 x m2).(q1 x q2), expanded by the Binet-Cauchy identity
+    return (dot(m1, q1) * dot(m2, q2) - dot(m1, q2) * dot(m2, q1)) % p == 0
 
 
 @dataclass

@@ -4,10 +4,10 @@ None of these is on a path the package runs: each decides a fact that the
 package decides another way (exact rank against the certified mod-p rank,
 exact division against the gcd, solving the five linear conditions against
 the disjointness criterion, point evaluation against the h0 formula, one
-restriction per pair against the census's one expansion per m, the 2a x 2a
-Sylvester determinant against the a x a Bezout determinant of a ruling,
-Q(i) back-substitution against the fraction-free kernel, ruling fibers
-over Q(i) against the integer triples of the ruling).
+restriction per pair against the census's one expansion per surface, the
+2a x 2a Sylvester determinant against the a x a Bezout determinant of a
+ruling, Q(i) back-substitution against the fraction-free kernel, ruling
+fibers over Q(i) against the integer triples of the ruling).
 """
 
 from fractions import Fraction

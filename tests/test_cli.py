@@ -297,19 +297,27 @@ def test_internal_failure_traceback_goes_to_stderr(capsys, monkeypatch):
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
 
-def test_mk_ruled_catalog_outputs_unchanged(capsys, monkeypatch):
-    # every mk-ruled request of the benchmark catalog, digested as the
-    # benchmark's own checks do, against the digest recorded there
+def _assert_catalog_outputs_unchanged(capsys, monkeypatch, command, count):
+    # every request of the benchmark catalog for one command, digested as
+    # the benchmark's own checks do, against the digest recorded there
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
     path = ROOT / "perfbench" / "checks.py"
     spec = importlib.util.spec_from_file_location("perfbench_checks", path)
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
     catalog = json.loads((ROOT / "perfbench" / "catalog.json").read_text(encoding="utf-8"))
-    requests = [r for r in catalog["requests"].values() if r["argv"][0] == "mk-ruled"]
-    assert len(requests) == 16
+    requests = [r for r in catalog["requests"].values() if r["argv"][0] == command]
+    assert len(requests) == count
     monkeypatch.chdir(ROOT)  # the catalog's paths are relative to the repository
     for req in requests:
         code, doc = run(capsys, *req["argv"])
         assert code == 0, req["argv"]
-        assert checks.digest("mk-ruled", doc) == req["digest"], req["argv"]
+        assert checks.digest(command, doc) == req["digest"], req["argv"]
+
+
+def test_mk_ruled_catalog_outputs_unchanged(capsys, monkeypatch):
+    _assert_catalog_outputs_unchanged(capsys, monkeypatch, "mk-ruled", 16)
+
+
+def test_census_catalog_outputs_unchanged(capsys, monkeypatch):
+    _assert_catalog_outputs_unchanged(capsys, monkeypatch, "census", 17)

@@ -15,6 +15,7 @@ from flagcalc.flag import (
     is_j_invariant,
     j_conic,
     j_pullback,
+    line_basis,
     restrict_to_conic,
     restrict_to_curve,
     twistor_fiber_of,
@@ -31,6 +32,25 @@ def test_proj_point_canonical():
     assert p == ProjPoint((0, -3, -6))
     with pytest.raises(PreconditionError):
         ProjPoint((0, 0, 0))
+
+
+@pytest.mark.parametrize("raw", [
+    (GR(3, 1), 2, GR(0, 5)),  # pivot at position 0
+    (0, GR(1, -2), GR(4, 1)),  # pivot at position 1
+    (0, 0, GR(2, 7)),  # pivot at position 2: the point (0, 0, 1), which is real
+])
+def test_conjugate_is_the_canonical_conjugate(raw):
+    x = ProjPoint(raw)
+    want = ProjPoint(tuple(c.conjugate() for c in x.coords))
+    got = x.conjugate()
+    assert got == want and hash(got) == hash(want)
+    assert got.conjugate() == x
+    assert got.is_real() == x.is_real() == (raw[:2] == (0, 0))
+
+
+def test_line_basis_rejects_the_zero_triple():
+    with pytest.raises(PreconditionError, match=r"\(0, 0, 0\) is not a projective point"):
+        line_basis((0, 0, 0))
 
 
 def test_flag_point_incidence_enforced():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,11 +7,12 @@ import pytest
 
 from flagcalc import serialize
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, incidence_form
+from flagcalc.biforms import BiForm, incidence_form, monomials
 from flagcalc.errors import PreconditionError
-from flagcalc.flag import contains_conic, dot, twistor_fiber_of
+from flagcalc.flag import contains_conic, cross, dot, twistor_fiber_of
 from flagcalc.fpcensus import (
     conic_census,
+    conic_expansion,
     conics_meet_fp,
     max_disjoint_subset,
     proj_points,
@@ -300,3 +302,61 @@ def test_census_of_the_ruling_at_p_29(ruled2):
     for q in smooth:
         assert (q, q) in census
     assert census == census_by_points(S)
+
+
+def test_scan_pairs_rejects_m_that_vanishes_mod_p(ruled2):
+    S = reduce_mod_p(ruled2.surface, 5)
+    with pytest.raises(PreconditionError, match=r"\(0, 0, 0\) is not a projective point"):
+        scan_pairs(S, [(5, 10, 15)], proj_points(5))
+
+
+def _dense(bidegree, rng, p):
+    """A biform with a random nonzero residue on every monomial."""
+    return BiForm(bidegree, {key: GR(rng.randrange(1, p)) for key in monomials(*bidegree)})
+
+
+def _ev(e, x, p):
+    return pow(x[0], e[0], p) * pow(x[1], e[1], p) * pow(x[2], e[2], p)
+
+
+@pytest.mark.parametrize("bidegree", [(1, 3), (3, 1), (2, 2), (4, 4), (2, 0), (0, 2)])
+@pytest.mark.parametrize("p", [7, 11])
+def test_conic_expansion_matches_point_evaluation(bidegree, p):
+    # G(x, y) = S(x, y x x) at random points of F_p^3; the exponents pin
+    # G's bidegree (a+b, b), which an a/b swap would break
+    a, b = bidegree
+    rng = random.Random(97 * a + 13 * b + p)
+    S = reduce_mod_p(_dense(bidegree, rng, p), p)
+    G = conic_expansion(S)
+    exps = [f for _, f in monomials(0, b)]
+    assert G and all(sum(alpha) == a + b and len(row) == len(exps) for alpha, row in G.items())
+    for _ in range(25):
+        x, y = [rng.randrange(p) for _ in range(3)], [rng.randrange(p) for _ in range(3)]
+        l = cross(y, x)
+        want = sum(c * _ev(pe, x, p) * _ev(le, l, p) for (pe, le), c in S.terms.items())
+        got = sum(
+            _ev(alpha, x, p) * c * _ev(f, y, p)
+            for alpha, row in G.items()
+            for c, f in zip(row, exps)
+        )
+        assert got % p == want % p
+
+
+@pytest.mark.parametrize("bidegree", [(1, 3), (3, 1)])
+@pytest.mark.parametrize("p", [5, 7])
+def test_census_of_dense_unbalanced_surfaces_matches_reference(bidegree, p):
+    # a dense surface through the conic (q0, m0): every term vanishes on it
+    # (p.m0 and l.q0 do, and p.l on every conic), so a != b is exercised
+    # on a census that is not empty
+    a, b = bidegree
+    rng = random.Random(31 * a + b + p)
+    q0, m0 = (1, 2, 3), (1, 1, 0)
+    F = (
+        _linear("p", m0) * _dense((a - 1, b), rng, p)
+        + _linear("l", q0) * _dense((a, b - 1), rng, p)
+        + incidence_form() * _dense((a - 1, b - 1), rng, p)
+    )
+    S = reduce_mod_p(F, p)
+    census = conic_census(S)
+    assert (q0, m0) in census
+    assert census == _reference_census(S)
