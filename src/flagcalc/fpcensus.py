@@ -1,40 +1,32 @@
-"""Brute-force conic census over small prime fields.
+"""Conic census over small prime fields, one point q at a time.
 
-A desk-scale scan: reduce a surface mod an odd prime p, enumerate every
-pair (q, m) in P2(F_p) x P2(F_p) with q.m != 0, and keep the pairs whose
-conic L_{q,m} lies on the reduced surface.  Along every conic l = q x p,
-so the surface is expanded once, over the integers mod p, into
-G(p, q) = S(p, q x p).  Per m, the characteristic-zero pipeline's chart
-rule (flag.line_basis) turns G into a+b+1 forms of degree b in q; each
-pair is then one short dot product per form mod p.  Reductions of
-rational witnesses are found whenever their reductions stay smooth.
-Results are mod-p evidence only; a conic over F_p need not lift.
+Reduce a surface mod an odd prime p and list the pairs (q, m) with q.m != 0
+whose conic L_{q,m} lies on it.  Along every conic l = q x p, so the
+surface is expanded once, mod p, into G(p, q) = S(p, q x p), and L_{q,m}
+lies on S exactly when the line m lies in the plane curve G_q = G(., q).
+Such a line meets each coordinate line in a zero of G_q, so O(p) values of
+G_q give the candidate lines, O(p^3) dot products in all, and the chart
+rule (flag.line_basis) decides each candidate exactly.  Results are mod-p
+evidence only; a conic over F_p need not lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
+from math import comb, isqrt
 from operator import mul
 
 from .biforms import BiForm, monomials
 from .errors import PreconditionError
-from .flag import conv, dot, line_basis, power_table
+from .flag import conv, cross, dot, line_basis, power_table
 from .linalg import gaussian_mod_p
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 
 def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
 
 
 def sqrt_minus_one(p: int) -> int:
@@ -94,7 +86,7 @@ def proj_points(p: int) -> list[tuple[int, int, int]]:
 def conic_census(S: FpSurface) -> list[FpConic]:
     """All smooth conics over F_p contained in the reduced surface, sorted.
 
-    Scans the (p^2+p+1)^2 canonical pairs.
+    Searches the lines of G_q for each of the p^2+p+1 points q.
     """
     pts = proj_points(S.p)
     return sorted(scan_pairs(S, pts, pts))
@@ -126,38 +118,75 @@ def conic_expansion(S: FpSurface) -> dict:
     return {alpha: row for alpha, row in G.items() if any(row)}
 
 
-def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
-    """The pairs (q, m) with q.m != 0 mod p whose conic lies on S, m by m.
-    Any representatives of the projective points may be given.
+def _canonical(x, p: int):
+    """The representative of a point of P2(F_p) with first nonzero entry 1."""
+    x = [c % p for c in x]
+    lead = next((c for c in x if c), 0)
+    if not lead:
+        raise PreconditionError("(0, 0, 0) is not a projective point")
+    return tuple(c * pow(lead, -1, p) % p for c in x)
 
-    Per m, the chart p = s v1 + t v2 makes each p^alpha a form in (s, t),
-    and row k of the matrix K_m is the sum over alpha of its coefficient k
-    times G_alpha.  A pair is a hit when K_m times q's monomials is 0 mod p.
+
+def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
+    """The pairs (q, m) with q.m != 0 mod p whose conic lies on S, as the
+    given tuples, ordered by m as in m_points, then by q.  Any
+    representatives of the projective points may be given.
+
+    A line in G_q is r0 x r1 for zeros r0, r1 of G_q on {x0 = 0}, {x1 = 0},
+    or joins (0, 0, 1) to a zero on {x2 = 0}.  Row k of K_m, in the chart
+    p = s v1 + t v2 of m, sums coefficient k of p^alpha times G_alpha; a
+    candidate m is a hit when K_m times q's monomials is 0 mod p.
     """
     p = S.p
     a, b = S.bidegree
     G = conic_expansion(S)
     cols = list(zip(*G.values()))  # per q-monomial, its coefficient at each alpha
     exps = [le for _, le in monomials(0, b)]
-    q_monos = [[q[0] ** f[0] * q[1] ** f[1] * q[2] ** f[2] % p for f in exps] for q in q_points]
-    hits: list[FpConic] = []
-    for m in m_points:
-        v1, v2 = line_basis([c % p for c in m])  # a chart pivot that is a unit mod p
+    m_at: dict = {}
+    for i, m in enumerate(m_points):
+        m_at.setdefault(_canonical(m, p), []).append(i)
+
+    def weights(x):  # G(x, q) is weights(x) times q's monomials
+        xa = [x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] % p for e in G]
+        return [sum(map(mul, xa, col)) % p for col in cols]
+
+    def chart_rows(m):
+        v1, v2 = line_basis(m)
         T = [power_table((v1[c], v2[c]), a + b) for c in range(3)]
         p_monos = [conv(conv(T[0][e[0]], T[1][e[1]]), T[2][e[2]]) for e in G]
-        K = []
-        for at_k in zip(*p_monos):
-            row = [sum(map(mul, at_k, col)) % p for col in cols]
-            if any(row):
-                K.append(row)
-        for q, mono in zip(q_points, q_monos):
-            if dot(q, m) % p:
-                for row in K:
-                    if sum(map(mul, row, mono)) % p:
-                        break
-                else:
-                    hits.append((q, m))
-    return hits
+        rows = ([sum(map(mul, at_k, col)) % p for col in cols] for at_k in zip(*p_monos))
+        return [row for row in rows if any(row)]
+
+    e2 = (0, 0, 1)
+    axes = [[(x, weights(x)) for x in axis] for axis in (
+        [(0, 1, z) for z in range(p)] + [e2],
+        [(1, 0, z) for z in range(p)] + [e2],
+        [(1, y, 0) for y in range(p)] + [(0, 1, 0)],
+    )]
+    K_of: dict = {}
+    found = []
+    for j, q in enumerate(q_points):
+        mono = [q[0] ** f[0] * q[1] ** f[1] * q[2] ** f[2] % p for f in exps]
+        Z0, Z1, Z2 = [], [], []
+        for Z, axis in zip((Z0, Z1, Z2), axes):
+            Z.extend(x for x, w in axis if not sum(map(mul, w, mono)) % p)
+            if not Z:  # every line meets every coordinate line
+                break
+        if not Z2:
+            continue
+        cands = [cross(r0, r1) for r0 in Z0 if r0 != e2 for r1 in Z1 if r1 != e2]
+        if e2 in Z0:
+            cands.extend(cross(e2, r2) for r2 in Z2)
+        for m in cands:
+            if dot(q, m) % p and any(not dot(r2, m) % p for r2 in Z2):
+                m = _canonical(m, p)
+                if m in m_at:
+                    if m not in K_of:
+                        K_of[m] = chart_rows(m)
+                    if not any(sum(map(mul, row, mono)) % p for row in K_of[m]):
+                        found.extend((i, j) for i in m_at[m])
+    found.sort()
+    return [(q_points[j], m_points[i]) for i, j in found]
 
 
 def conics_meet_fp(c1: FpConic, c2: FpConic, p: int) -> bool:

@@ -48,12 +48,6 @@ def miyaoka_conic_bound(a: int, b: int) -> tuple[Fraction, int]:
     return value, value.numerator // value.denominator
 
 
-def miyaoka_conic_bound_diagonal(a: int) -> Fraction:
-    """The a = b specialization 24(a^2 - a + 1)(a - 1)a / (2a - 1)^2."""
-    _require_general_type(a, a)
-    return Fraction(24 * (a * a - a + 1) * (a - 1) * a, (2 * a - 1) ** 2)
-
-
 def ruling_curve_bound(a: int, b: int) -> tuple[Fraction, int]:
     """Ceiling on the number of bidegree (1,0) curves on a smooth (a, b)
     surface: 2a(a^2(3b-1) + a(3b^2-4b+3) - (b-3)b) / (1+a)^2, with floor."""

@@ -1,4 +1,4 @@
-"""Deterministic seeded sampling for points, conics, and forms.
+"""Deterministic seeded sampling for points and conics.
 
 Every source of randomness in the package flows through SplitMix64, a
 64-bit generator with a one-line state transition.  Fixing the seed fixes
@@ -55,18 +55,6 @@ def random_proj_point(rng: SplitMix64, height: int = 9, real: bool = False):
             return ProjPoint(coords)
 
 
-def random_flag_point(rng: SplitMix64, height: int = 4):
-    """A random incident pair, built as (p, p x r) for random p and r."""
-    from .flag import FlagPoint, ProjPoint, cross
-
-    while True:
-        p = random_proj_point(rng, height)
-        r = random_proj_point(rng, height)
-        l = cross(p.coords, r.coords)
-        if any(l):
-            return FlagPoint(p, ProjPoint(l))
-
-
 def random_smooth_conic(rng: SplitMix64, height: int = 9):
     """A conic L_{q,m} with q.m != 0, coordinates of bounded height."""
     from .flag import Conic, dot
@@ -90,16 +78,3 @@ def random_smooth_conics(rng: SplitMix64, count: int, height: int = 9):
             out.append(c)
     return out
 
-
-def random_binary_form(rng: SplitMix64, degree: int, height: int = 9, real: bool = False):
-    from .binforms import BinaryForm
-    from .gaussian import GaussianRational
-
-    while True:
-        if real:
-            coeffs = [GaussianRational(rng.int_in(-height, height)) for _ in range(degree + 1)]
-        else:
-            coeffs = [random_gaussian_rational(rng, height) for _ in range(degree + 1)]
-        f = BinaryForm(coeffs)
-        if not f.is_zero():
-            return f

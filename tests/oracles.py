@@ -7,10 +7,13 @@ the disjointness criterion, point evaluation against the h0 formula, one
 restriction per pair against the census's one expansion per surface, the
 2a x 2a Sylvester determinant against the a x a Bezout determinant of a
 ruling, Q(i) back-substitution against the fraction-free kernel, ruling
-fibers over Q(i) against the integer triples of the ruling).
+fibers over Q(i) against the integer triples of the ruling, the pair loop
+against the census's search by q, the a = b closed form against the conic
+ceiling).  The seeded samplers below them are used by tests only.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from flagcalc import linalg
 from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, zero_form
@@ -19,8 +22,10 @@ from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import (
     Conic,
     FlagPoint,
+    ProjPoint,
     conics_disjoint,
     contains_conic,
+    conv,
     cross,
     dot,
     l_groups,
@@ -29,9 +34,40 @@ from flagcalc.flag import (
     pull,
     twistor_fiber_of,
 )
+from flagcalc.fpcensus import conic_expansion
 from flagcalc.gaussian import GaussianRational
+from flagcalc.invariants import _require_general_type
 from flagcalc.linsys import h0_flag
-from flagcalc.sampling import SplitMix64, random_flag_point
+from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_proj_point
+
+
+# Seeded samplers that only tests use.
+
+def random_flag_point(rng: SplitMix64, height: int = 4) -> FlagPoint:
+    """A random incident pair, built as (p, p x r) for random p and r."""
+    while True:
+        p = random_proj_point(rng, height)
+        r = random_proj_point(rng, height)
+        l = cross(p.coords, r.coords)
+        if any(l):
+            return FlagPoint(p, ProjPoint(l))
+
+
+def random_binary_form(rng: SplitMix64, degree: int, height: int = 9, real: bool = False):
+    while True:
+        if real:
+            coeffs = [GaussianRational(rng.int_in(-height, height)) for _ in range(degree + 1)]
+        else:
+            coeffs = [random_gaussian_rational(rng, height) for _ in range(degree + 1)]
+        f = BinaryForm(coeffs)
+        if not f.is_zero():
+            return f
+
+
+def miyaoka_conic_bound_diagonal(a: int) -> Fraction:
+    """The a = b specialization 24(a^2 - a + 1)(a - 1)a / (2a - 1)^2."""
+    _require_general_type(a, a)
+    return Fraction(24 * (a * a - a + 1) * (a - 1) * a, (2 * a - 1) ** 2)
 
 
 # Exact rank and determinant by fraction-free Bareiss.
@@ -308,7 +344,8 @@ def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
     return row
 
 
-# The census scan, one full restriction per pair.
+# The census scan: one full restriction per pair, and the pair loop over
+# one expansion per surface.
 
 def reference_scan_pairs(S, m_points, q_points):
     """The pairs (q, m) with q.m != 0 mod p whose conic lies on the reduced
@@ -333,4 +370,39 @@ def reference_scan_pairs(S, m_points, q_points):
             l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
             if not any(x % p for x in pull(p_side, l_tables)):
                 hits.append((q, m))
+    return hits
+
+
+def pairwise_scan_pairs(S, m_points, q_points):
+    """The pairs (q, m) with q.m != 0 mod p whose conic lies on the reduced
+    surface S, in the order m, then q, by a test of every pair.
+
+    Per m, the chart p = s v1 + t v2 makes each p^alpha of the expansion
+    G(p, q) = S(p, q x p) a form in (s, t), and row k of the matrix K_m is
+    the sum over alpha of its coefficient k times G_alpha.  A pair is a hit
+    when K_m times q's monomials is 0 mod p.
+    """
+    p = S.p
+    a, b = S.bidegree
+    G = conic_expansion(S)
+    cols = list(zip(*G.values()))  # per q-monomial, its coefficient at each alpha
+    exps = [le for _, le in monomials(0, b)]
+    q_monos = [[q[0] ** f[0] * q[1] ** f[1] * q[2] ** f[2] % p for f in exps] for q in q_points]
+    hits = []
+    for m in m_points:
+        v1, v2 = line_basis([c % p for c in m])  # a chart pivot that is a unit mod p
+        T = [power_table((v1[c], v2[c]), a + b) for c in range(3)]
+        p_monos = [conv(conv(T[0][e[0]], T[1][e[1]]), T[2][e[2]]) for e in G]
+        K = []
+        for at_k in zip(*p_monos):
+            row = [sum(map(mul, at_k, col)) % p for col in cols]
+            if any(row):
+                K.append(row)
+        for q, mono in zip(q_points, q_monos):
+            if dot(q, m) % p:
+                for row in K:
+                    if sum(map(mul, row, mono)) % p:
+                        break
+                else:
+                    hits.append((q, m))
     return hits

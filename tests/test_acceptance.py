@@ -39,7 +39,6 @@ from flagcalc.linsys import h0_flag, system_dimension
 from flagcalc.ruled import twistor_ruled_surface
 from flagcalc.sampling import (
     SplitMix64,
-    random_binary_form,
     random_gaussian_rational,
     random_smooth_conic,
     random_smooth_conics,
@@ -47,7 +46,12 @@ from flagcalc.sampling import (
 from flagcalc.serialize import biform_from_json, biform_to_json, conic_from_json, conic_to_json
 
 from census_oracle import census_by_points
-from oracles import conics_meet_bruteforce, evaluation_rank_oracle, sylvester_resultant
+from oracles import (
+    conics_meet_bruteforce,
+    evaluation_rank_oracle,
+    random_binary_form,
+    sylvester_resultant,
+)
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))

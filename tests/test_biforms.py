@@ -13,7 +13,9 @@ from flagcalc.biforms import (
 from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.linsys import h0_flag
-from flagcalc.sampling import SplitMix64, random_flag_point, random_gaussian_rational
+from flagcalc.sampling import SplitMix64, random_gaussian_rational
+
+from oracles import random_flag_point
 
 
 def _random_biform(rng, a, b, height=5, density=3):

@@ -7,9 +7,9 @@ from flagcalc.binforms import (
 )
 from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianRational as GR, I
-from flagcalc.sampling import SplitMix64, random_binary_form
+from flagcalc.sampling import SplitMix64
 
-from oracles import bf_div_exact, bf_divides, sylvester_resultant
+from oracles import bf_div_exact, bf_divides, random_binary_form, sylvester_resultant
 
 
 def test_eval_examples():

@@ -321,3 +321,18 @@ def test_mk_ruled_catalog_outputs_unchanged(capsys, monkeypatch):
 
 def test_census_catalog_outputs_unchanged(capsys, monkeypatch):
     _assert_catalog_outputs_unchanged(capsys, monkeypatch, "census", 17)
+
+
+def test_trace_probes_resolve():
+    # the benchmark's tracer, loaded read only: a span or dunder it wraps
+    # that no longer exists would make that per-layer metric read absent
+    path = ROOT / "perfbench" / "trace_boot.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace_boot", path)
+    trace_boot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_boot)
+    for name, modname, attr in trace_boot.SPANS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), name
+    for layer, modname, clsname, dunders in trace_boot.DUNDERS:
+        cls = getattr(importlib.import_module(modname), clsname)
+        for dunder in dunders:
+            assert dunder in cls.__dict__, f"{layer}.{dunder}"

@@ -24,7 +24,7 @@ from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.ruled import twistor_ruled_surface
 
 from census_oracle import census_by_points
-from oracles import reference_scan_pairs
+from oracles import pairwise_scan_pairs, reference_scan_pairs
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 SURFACES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "surfaces"
@@ -360,3 +360,108 @@ def test_census_of_dense_unbalanced_surfaces_matches_reference(bidegree, p):
     census = conic_census(S)
     assert (q0, m0) in census
     assert census == _reference_census(S)
+
+
+# The search by q against the pair loop it replaced, the restriction per
+# pair and the point evaluation.
+
+BIDEGREES = [(a, b) for a in range(4) for b in range(4) if a + b >= 2]
+
+
+def _random_form(rng, bidegree, p, density):
+    """A random nonzero residue on each monomial kept with the given odds."""
+    keys = monomials(*bidegree)
+    kept = [k for k in keys if rng.random() < density] or keys[:1]
+    return BiForm(bidegree, {k: GR(rng.randrange(1, p)) for k in kept})
+
+
+def _random_point(rng, p):
+    while True:
+        x = tuple(rng.randrange(p) for _ in range(3))
+        if any(x):
+            return x
+
+
+def _random_surface(rng, bidegree, p):
+    """A dense or sparse (a, b) surface, alone or with a part that puts
+    conics on it: a (1,0) divisor (every q for one m), a (0,1) divisor
+    (G_q = 0 at one q), a dense (1,1) factor that is not the incidence form,
+    or three terms that vanish on one chosen conic."""
+    a, b = bidegree
+    density = rng.choice([1.0, 0.3])
+    kinds = ["plain"] + ["p"] * (a > 0) + ["l"] * (b > 0) + ["pl", "conic"] * (a > 0 < b)
+    kind = rng.choice(kinds)
+    if kind == "plain":
+        return _random_form(rng, bidegree, p, density)
+    if kind == "p":
+        return _linear("p", _random_point(rng, p)) * _random_form(rng, (a - 1, b), p, density)
+    if kind == "l":
+        return _linear("l", _random_point(rng, p)) * _random_form(rng, (a, b - 1), p, density)
+    if kind == "pl":
+        return _random_form(rng, (1, 1), p, 1.0) * _random_form(rng, (a - 1, b - 1), p, density)
+    q0, m0 = _random_point(rng, p), _random_point(rng, p)
+    while not dot(q0, m0) % p:
+        m0 = _random_point(rng, p)
+    return (
+        _linear("p", m0) * _random_form(rng, (a - 1, b), p, density)
+        + _linear("l", q0) * _random_form(rng, (a, b - 1), p, density)
+        + incidence_form() * _random_form(rng, (a - 1, b - 1), p, density)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_census_matches_pair_loop_on_random_surfaces(p):
+    # two seeded surfaces per bidegree; the restriction per pair and the
+    # point evaluation cost O(p^4) restrictions, so they run up to p = 7
+    rng = random.Random(2203 + p)
+    pts = proj_points(p)
+    nonempty = 0
+    for bidegree in BIDEGREES:
+        for _ in range(2):
+            S = reduce_mod_p(_random_surface(rng, bidegree, p), p)
+            census = conic_census(S)
+            nonempty += bool(census)
+            assert census == sorted(pairwise_scan_pairs(S, pts, pts)), (bidegree, S.terms)
+            if p <= 7:
+                assert census == _reference_census(S), (bidegree, S.terms)
+                if p + 1 > sum(bidegree):
+                    assert census == census_by_points(S), (bidegree, S.terms)
+    assert nonempty >= len(BIDEGREES)
+
+
+@pytest.mark.parametrize("name", sorted(f.stem for f in SURFACES.glob("*.json")))
+def test_census_of_fixtures_at_p_29_matches_pair_loop(name):
+    p = 29
+    F = serialize.biform_from_json(json.loads((SURFACES / f"{name}.json").read_text()))
+    try:
+        S = reduce_mod_p(F, p)
+    except PreconditionError:
+        assert name == "dense22_01"  # its denominator is divisible by 29
+        return
+    pts = proj_points(p)
+    census = conic_census(S)
+    assert census and census == sorted(pairwise_scan_pairs(S, pts, pts))
+
+
+def test_scan_pairs_contract_on_subsets(ruled2):
+    # several m and q at once, unreduced representatives c + p k, a point
+    # given twice and an m on no hit: the hits come back as the given
+    # tuples, by m in the given order, then by q, as the restriction per
+    # pair returns them.  The (1,0) factor puts every q on the line n.
+    p, n = 7, (1, 2, 3)
+    S = reduce_mod_p(_linear("p", n) * ruled2.surface, p)
+    census = conic_census(S)
+    hit_ms = sorted({m for _, m in census} - {n})
+    idle = next(m for m in proj_points(p) if m not in hit_ms + [n])
+    rng = random.Random(5)
+
+    def lift(x):
+        return tuple(c + p * rng.randrange(-3, 4) for c in x)
+
+    m_points = [lift(m) for m in [hit_ms[2], idle, n, hit_ms[0], hit_ms[2], hit_ms[1]]]
+    q_points = [lift(q) for q in proj_points(p) if rng.random() < 0.7]
+    q_points += [q_points[3], lift(census[0][0]), lift(hit_ms[0])]
+    got = scan_pairs(S, m_points, q_points)
+    assert len(got) > 30 and len({m for _, m in got}) == 5
+    assert got == reference_scan_pairs(S, m_points, q_points)
+    assert got == pairwise_scan_pairs(S, m_points, q_points)

@@ -8,12 +8,13 @@ from flagcalc.invariants import (
     c2,
     chow_triple,
     miyaoka_conic_bound,
-    miyaoka_conic_bound_diagonal,
     ruling_curve_bound,
     surface_invariant_report,
     surface_pair_intersection_bidegree,
     uniqueness_threshold,
 )
+
+from oracles import miyaoka_conic_bound_diagonal
 
 
 def test_conic_bound_values():

@@ -227,7 +227,7 @@ def test_surface_nonzero_off_sampled_fibers(spec2):
     # a random flag point away from the sampled conics does not lie on the
     # surface, so the resultant is not spuriously zero and the samples are
     # proper subvarieties
-    from flagcalc.sampling import random_flag_point
+    from oracles import random_flag_point
 
     rng = SplitMix64(271828)
     samples = twistor_circle_samples(spec2, 5)
