@@ -5,103 +5,77 @@ rationals and surfaces are sparse bihomogeneous forms.  The ruling
 resultant is an integer Bezout determinant; interpolation ranks and kernels
 are taken mod a 61-bit prime where a one-sided bound proves them exact, and
 from fraction-free elimination otherwise.
-"""
 
-from .binforms import BinaryForm, bf_gcd
-from .biforms import BiForm, incidence_form, reduce_mod_incidence
-from .errors import (
-    DegenerateConicError,
-    EmptySystemError,
-    FlagcalcError,
-    PreconditionError,
-    SchemaError,
-)
-from .flag import (
-    Conic,
-    FlagCurve,
-    FlagPoint,
-    ProjPoint,
-    conic_param,
-    conics_disjoint,
-    contains_conic,
-    curve_bidegree,
-    is_j_invariant,
-    j_conic,
-    j_pullback,
-    restrict_to_conic,
-    twistor_fiber_of,
-)
-from .gaussian import GaussianRational
-from .invariants import (
-    c1_squared,
-    c2,
-    chow_triple,
-    miyaoka_conic_bound,
-    ruling_curve_bound,
-    surface_invariant_report,
-    surface_pair_intersection_bidegree,
-)
-from .linsys import (
-    condition_matrix,
-    conic_singularity_witness,
-    h0_flag,
-    h0_hirzebruch,
-    surface_family,
-    surface_through_conics,
-    system_dimension,
-)
-from .ruled import (
-    RuledSurfaceSpec,
-    smoothness_profile,
-    twistor_circle_samples,
-    twistor_ruled_surface,
-)
-from .sampling import SplitMix64
+Public names load on first use: importing the package runs no submodule,
+and the first lookup of ``flagcalc.BiForm`` imports ``flagcalc.biforms``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryForm",
-    "BiForm",
-    "Conic",
-    "DegenerateConicError",
-    "EmptySystemError",
-    "FlagCurve",
-    "FlagPoint",
-    "FlagcalcError",
-    "GaussianRational",
-    "PreconditionError",
-    "ProjPoint",
-    "RuledSurfaceSpec",
-    "SchemaError",
-    "SplitMix64",
-    "bf_gcd",
-    "c1_squared",
-    "c2",
-    "chow_triple",
-    "condition_matrix",
-    "conic_param",
-    "conic_singularity_witness",
-    "conics_disjoint",
-    "contains_conic",
-    "curve_bidegree",
-    "h0_flag",
-    "h0_hirzebruch",
-    "incidence_form",
-    "is_j_invariant",
-    "j_conic",
-    "j_pullback",
-    "miyaoka_conic_bound",
-    "reduce_mod_incidence",
-    "restrict_to_conic",
-    "ruling_curve_bound",
-    "smoothness_profile",
-    "surface_family",
-    "surface_invariant_report",
-    "surface_pair_intersection_bidegree",
-    "surface_through_conics",
-    "system_dimension",
-    "twistor_circle_samples",
-    "twistor_fiber_of",
-    "twistor_ruled_surface",
-]
+# submodule -> the public names it defines (PEP 562 lazy loading)
+_EXPORTS = {
+    "binforms": ("BinaryForm", "bf_gcd"),
+    "biforms": ("BiForm", "incidence_form", "reduce_mod_incidence"),
+    "errors": (
+        "DegenerateConicError",
+        "EmptySystemError",
+        "FlagcalcError",
+        "PreconditionError",
+        "SchemaError",
+    ),
+    "flag": (
+        "Conic",
+        "FlagCurve",
+        "FlagPoint",
+        "ProjPoint",
+        "conic_param",
+        "conics_disjoint",
+        "contains_conic",
+        "curve_bidegree",
+        "is_j_invariant",
+        "j_conic",
+        "j_pullback",
+        "restrict_to_conic",
+        "twistor_fiber_of",
+    ),
+    "gaussian": ("GaussianRational",),
+    "invariants": (
+        "c1_squared",
+        "c2",
+        "chow_triple",
+        "miyaoka_conic_bound",
+        "ruling_curve_bound",
+        "surface_invariant_report",
+        "surface_pair_intersection_bidegree",
+    ),
+    "linsys": (
+        "condition_matrix",
+        "conic_singularity_witness",
+        "h0_flag",
+        "h0_hirzebruch",
+        "surface_family",
+        "surface_through_conics",
+        "system_dimension",
+    ),
+    "ruled": (
+        "RuledSurfaceSpec",
+        "smoothness_profile",
+        "twistor_circle_samples",
+        "twistor_ruled_surface",
+    ),
+    "sampling": ("SplitMix64",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

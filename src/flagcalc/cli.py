@@ -13,14 +13,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-import traceback
-from fractions import Fraction
 
-from . import fpcensus, invariants, linsys, ruled, serialize
 from .errors import FlagcalcError, PreconditionError, SchemaError
-from .flag import is_j_invariant, restrict_to_conic
-from .sampling import SplitMix64, random_smooth_conics
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,7 +66,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mk-ruled", help="bidegree (a,a) surface ruled by twistor fibers")
     p.add_argument("--forms", required=True, help="JSON file with three real binary forms")
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=ruled.DEFAULT_RULED_SEED)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("census", help="mod-p conic census of a surface")
     p.add_argument("--surface", required=True)
@@ -102,6 +96,8 @@ def _load_json(path):
 
 
 def _cmd_bound(args):
+    from . import invariants, serialize
+
     conic, conic_floor = invariants.miyaoka_conic_bound(args.a, args.b)
     ruling, ruling_floor = invariants.ruling_curve_bound(args.a, args.b)
     return {
@@ -114,6 +110,8 @@ def _cmd_bound(args):
 
 
 def _cmd_chern(args):
+    from . import invariants
+
     report = invariants.surface_invariant_report(args.a, args.b).as_dict()
     a, b = args.a, args.b
     if a != b:
@@ -125,6 +123,8 @@ def _cmd_chern(args):
 
 
 def _cmd_h0(args):
+    from . import linsys
+
     if args.side == "flag":
         value = linsys.h0_flag(args.a, args.b)
     else:
@@ -133,6 +133,8 @@ def _cmd_h0(args):
 
 
 def _cmd_chow(args):
+    from . import invariants
+
     classes = [c.strip() for c in args.classes.split(",")]
     if len(classes) != 3:
         raise UsageError("--classes needs exactly three entries")
@@ -140,6 +142,9 @@ def _cmd_chow(args):
 
 
 def _cmd_mk_surface(args):
+    from . import linsys, serialize
+    from .sampling import SplitMix64, random_smooth_conics
+
     if (args.conics is None) == (args.random is None):
         raise UsageError("give exactly one of --conics FILE or --random X")
     if args.random is not None and args.random < 0:
@@ -164,6 +169,9 @@ def _cmd_mk_surface(args):
 
 
 def _cmd_check_conic(args):
+    from . import serialize
+    from .flag import restrict_to_conic
+
     F = serialize.biform_from_json(_load_json(args.surface))
     C = serialize.conic_from_json(_load_json(args.conic))
     restriction = restrict_to_conic(F, C)
@@ -178,10 +186,16 @@ def _cmd_check_conic(args):
 
 
 def _cmd_mk_ruled(args):
+    from fractions import Fraction
+
+    from . import ruled, serialize
+    from .flag import is_j_invariant
+
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     forms = serialize.forms_from_json(_load_json(args.forms))
-    spec = ruled.twistor_ruled_surface(forms, seed=args.seed)
+    seed = ruled.DEFAULT_RULED_SEED if args.seed is None else args.seed
+    spec = ruled.twistor_ruled_surface(forms, seed=seed)
     samples = ruled.twistor_circle_samples(spec, args.samples)
     return {
         "bidegree": list(spec.surface.bidegree),
@@ -198,6 +212,8 @@ def _cmd_mk_ruled(args):
 
 
 def _cmd_census(args):
+    from . import fpcensus, serialize
+
     if args.limit < 0:
         raise UsageError("--limit must be nonnegative")
     F = serialize.biform_from_json(_load_json(args.surface))
@@ -216,6 +232,9 @@ def _cmd_census(args):
 
 
 def _cmd_dim_report(args):
+    from . import linsys
+    from .sampling import SplitMix64, random_smooth_conics
+
     if args.x < 0:
         raise UsageError("--x must be nonnegative")
     if args.trials < 1:
@@ -258,6 +277,8 @@ _HANDLERS = {
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
+        import tempfile
+
         d = os.path.dirname(os.path.abspath(out_path))
         try:
             fd, tmp = tempfile.mkstemp(dir=d, prefix=".flagcalc-")
@@ -289,6 +310,8 @@ def main(argv=None) -> int:
         _emit({"code": "precondition", "message": str(exc)}, None)
         return EXIT_PRECONDITION
     except Exception as exc:
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         message = str(exc) if isinstance(exc, FlagcalcError) else f"{type(exc).__name__}: {exc}"
         _emit({"code": "internal", "message": message}, None)

@@ -12,10 +12,10 @@ evidence only; a conic over F_p need not lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .biforms import BiForm, monomials
 from .errors import PreconditionError
@@ -39,8 +39,7 @@ def sqrt_minus_one(p: int) -> int:
     raise PreconditionError("unreachable: no square root of -1 found")
 
 
-@dataclass
-class FpSurface:
+class FpSurface(NamedTuple):
     """A biform with coefficients reduced into F_p."""
 
     p: int
@@ -201,8 +200,7 @@ def conics_meet_fp(c1: FpConic, c2: FpConic, p: int) -> bool:
     return (dot(m1, q1) * dot(m2, q2) - dot(m1, q2) * dot(m2, q1)) % p == 0
 
 
-@dataclass
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     size: int
     exact: bool
 

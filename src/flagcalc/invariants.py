@@ -8,8 +8,8 @@ All values are exact integers or rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError
 
@@ -98,8 +98,7 @@ def uniqueness_threshold(a: int, b: int) -> int:
     return a * a + a * b + b * b
 
 
-@dataclass
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     bidegree: tuple[int, int]
     canonical_bidegree: tuple[int, int]
     conic_self_intersection: int
@@ -133,8 +132,11 @@ def surface_invariant_report(a: int, b: int) -> SurfaceInvariants:
 
     The canonical class is O_S(a-2, b-2); a smooth conic on S has
     self-intersection 2-a-b, a (1,0) curve has -a and a (0,1) curve -b.
-    chi(O_S) = (c1^2 + c2)/12 is an integer for every bidegree.
+    chi(O_S) = (c1^2 + c2)/12 is an integer for every bidegree.  A surface
+    needs a, b >= 0 and a + b >= 1.
     """
+    if a < 0 or b < 0 or a + b < 1:
+        raise PreconditionError("a surface needs bidegree a, b >= 0 with a + b >= 1")
     k1, k2 = c1_squared(a, b), c2(a, b)
     return SurfaceInvariants(
         bidegree=(a, b),

@@ -16,8 +16,8 @@ eliminated.  Every dimension and basis reported here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from . import linalg
 from .binforms import BinaryForm, bf_gcd
@@ -66,8 +66,7 @@ def h0_hirzebruch(side: str, a: int, b: int) -> int:
     raise PreconditionError("side must be 'X' or 'Y'")
 
 
-@dataclass
-class ConditionMatrix:
+class ConditionMatrix(NamedTuple):
     """Linear conditions imposed by conics on the (a, b) coefficient space.
 
     One block of a+b+1 rows per conic; one column per quotient monomial
@@ -175,13 +174,12 @@ def independence_guaranteed(a: int, b: int, x: int) -> bool:
     return 1 <= a <= b and 0 <= x <= a * (a - 1) // 2
 
 
-@dataclass
-class SurfaceFamily:
+class SurfaceFamily(NamedTuple):
     """A basis of the linear system of (a, b) surfaces through conics."""
 
     bidegree: tuple[int, int]
     prescribed: list[Conic]
-    basis: list[BiForm] = field(default_factory=list)
+    basis: list[BiForm]
 
     @property
     def dimension(self) -> int:
@@ -227,8 +225,7 @@ def family_member(family: SurfaceFamily, seed: int) -> BiForm:
     return member
 
 
-@dataclass
-class SingularWitness:
+class SingularWitness(NamedTuple):
     """Certificate that {F = 0} is singular somewhere along a conic.
 
     gcd is the common factor of the six restricted partial derivatives of F

@@ -27,10 +27,10 @@ because the triple is gcd-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import lcm
+from typing import NamedTuple
 
 from .binforms import BinaryForm, _pdeg, _pdivmod, bf_gcd, triple_gcd
 from .biforms import BiForm
@@ -52,8 +52,7 @@ from .sampling import SplitMix64
 DEFAULT_RULED_SEED = 0x52D
 
 
-@dataclass
-class RuledSurfaceSpec:
+class RuledSurfaceSpec(NamedTuple):
     """A constructed ruled surface together with its verification data."""
 
     forms: tuple[BinaryForm, BinaryForm, BinaryForm]

@@ -1,8 +1,13 @@
 import hashlib
 import importlib.util
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from flagcalc.cli import main
 
@@ -55,6 +60,18 @@ def test_chern(capsys):
     assert doc["c1_squared"] == 18
     assert doc["c2"] == 90
     assert doc["euler_characteristic"] == "9"
+
+
+def test_chern_refuses_bidegrees_without_a_surface(capsys):
+    for a, b in ((-2, 1), (0, 0), (1, -1)):
+        code, doc = run(capsys, "chern", "--a", str(a), "--b", str(b))
+        assert code == 3, (a, b)
+        assert doc["code"] == "precondition"
+    # (1, 0) and (0, 1) surfaces are the Hirzebruch surface F1
+    for a, b in ((1, 0), (0, 1)):
+        code, doc = run(capsys, "chern", "--a", str(a), "--b", str(b))
+        assert code == 0, (a, b)
+        assert (doc["c1_squared"], doc["c2"]) == (8, 4)
 
 
 def test_h0(capsys):
@@ -192,13 +209,14 @@ def test_dim_report(capsys):
 
 
 def _refuse_work(monkeypatch):
-    from flagcalc import cli
+    # linsys binds SplitMix64 when it is first imported, so load it unpatched
+    from flagcalc import linsys, sampling  # noqa: F401
 
     def work(*args, **kwargs):
         raise AssertionError("a refused request did work")
 
     for name in ("random_smooth_conics", "SplitMix64"):
-        monkeypatch.setattr(cli, name, work)
+        monkeypatch.setattr(sampling, name, work)
 
 
 def test_dim_report_negative_x_usage_exit(capsys, monkeypatch):
@@ -336,3 +354,99 @@ def test_trace_probes_resolve():
         cls = getattr(importlib.import_module(modname), clsname)
         for dunder in dunders:
             assert dunder in cls.__dict__, f"{layer}.{dunder}"
+
+
+# A request as the console script runs it: a fresh interpreter, no bytecode
+# written, PYTHONPATH=src and no FLAGCALC_* variables.
+def _fresh_run(*args):
+    env = {
+        "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+        "PYTHONPATH": str(ROOT / "src"),
+        "LC_ALL": "C.UTF-8",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-B", *args],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _modules_after(code, *argv):
+    # the child writes the names in sys.modules to stderr after the code ran
+    report = "; sys.stderr.write(' '.join(sys.modules))"
+    return set(_fresh_run("-c", "import sys; " + code + report, *argv).stderr.split())
+
+
+def _modules_after_request(*argv):
+    return _modules_after("from flagcalc.cli import main; main(sys.argv[1:])", *argv)
+
+
+def test_census_request_imports_only_what_it_runs():
+    loaded = _modules_after_request(
+        "census", "--surface", "perfbench/fixtures/surfaces/ruled_d2_00.json", "--prime", "5"
+    )
+    assert {"flagcalc.fpcensus", "flagcalc.serialize"} <= loaded
+    unused = {"flagcalc.linsys", "flagcalc.ruled", "flagcalc.invariants", "flagcalc.sampling"}
+    assert not loaded & (unused | {"dataclasses", "inspect"})
+
+
+def test_h0_request_imports_only_what_it_runs():
+    loaded = _modules_after_request("h0", "--a", "1", "--b", "1")
+    assert not loaded & {"flagcalc.fpcensus", "flagcalc.ruled"}
+
+
+def test_no_module_imports_dataclasses():
+    pattern = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.MULTILINE)
+    for path in sorted((ROOT / "src" / "flagcalc").glob("*.py")):
+        assert not pattern.search(path.read_text(encoding="utf-8")), path.name
+
+
+def test_package_names_load_on_first_use():
+    import flagcalc
+
+    for name in flagcalc.__all__:
+        obj = getattr(flagcalc, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(flagcalc.__all__) <= set(vars(flagcalc))  # cached after first use
+    star = {}
+    exec("from flagcalc import *", star)
+    assert set(star) - {"__builtins__"} == set(flagcalc.__all__)
+    assert all(star[name] is getattr(flagcalc, name) for name in flagcalc.__all__)
+    from flagcalc import BiForm
+    from flagcalc.biforms import BiForm as defined
+
+    assert BiForm is defined
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flagcalc.no_such_name
+
+    def own(loaded):
+        return {m for m in loaded if m == "flagcalc" or m.startswith("flagcalc.")}
+
+    assert own(_modules_after("import flagcalc")) == {"flagcalc"}
+    assert own(_modules_after("import flagcalc.cli")) == {
+        "flagcalc", "flagcalc.cli", "flagcalc.errors"
+    }
+
+
+def test_trace_attributes_lazily_imported_requests(tmp_path):
+    # the benchmark's tracer, run read only, must still see the layers a
+    # request imports inside its handler
+    requests = {
+        "census": (
+            ["census", "--surface", "perfbench/fixtures/surfaces/ruled_d2_00.json",
+             "--prime", "5"],
+            ["fpcensus.conic_census", "fpcensus.max_disjoint"],
+        ),
+        "ruled": (
+            ["mk-ruled", "--forms", "perfbench/fixtures/forms/d2_02.json", "--samples", "3"],
+            ["ruled.resultant"],
+        ),
+    }
+    for rid, (argv, spans) in requests.items():
+        out = tmp_path / f"{rid}.json"
+        _fresh_run("perfbench/trace_boot.py", str(out), rid, "--", *argv)
+        agg = json.loads(out.read_text(encoding="utf-8"))["agg"]
+        for name in spans:
+            assert agg.get(name, [0])[0] >= 1, (rid, name)
+        assert sum(v[0] for k, v in agg.items() if k.startswith("serialize.")) >= 1, rid

@@ -1,4 +1,3 @@
-import dataclasses
 import glob
 import json
 import os
@@ -112,7 +111,7 @@ def test_circle_samples_reject_perturbed_surface(spec2):
     # p0^2 l0^2 restricts to p0^2 p1^2 on the fiber over (0, 0, 1)
     bumped = spec2.surface + BiForm.monomial((2, 0, 0), (2, 0, 0))
     with pytest.raises(PreconditionError, match="sampled fiber escapes the surface"):
-        twistor_circle_samples(dataclasses.replace(spec2, surface=bumped), 3)
+        twistor_circle_samples(spec2._replace(surface=bumped), 3)
 
 
 def test_witness_params_verified(spec2):
