@@ -13,12 +13,8 @@ either way.
 
 import argparse
 
-from flagcalc.linsys import (
-    expected_system_dimension,
-    h0_flag,
-    independence_guaranteed,
-    system_dimension,
-)
+from flagcalc.invariants import h0_flag
+from flagcalc.linsys import expected_system_dimension, independence_guaranteed, system_dimension
 from flagcalc.sampling import SplitMix64, random_smooth_conics
 
 

@@ -25,13 +25,10 @@ _EXPORTS = {
     ),
     "flag": (
         "Conic",
-        "FlagCurve",
         "FlagPoint",
         "ProjPoint",
-        "conic_param",
         "conics_disjoint",
         "contains_conic",
-        "curve_bidegree",
         "is_j_invariant",
         "j_conic",
         "j_pullback",
@@ -43,6 +40,8 @@ _EXPORTS = {
         "c1_squared",
         "c2",
         "chow_triple",
+        "h0_flag",
+        "h0_hirzebruch",
         "miyaoka_conic_bound",
         "ruling_curve_bound",
         "surface_invariant_report",
@@ -51,8 +50,6 @@ _EXPORTS = {
     "linsys": (
         "condition_matrix",
         "conic_singularity_witness",
-        "h0_flag",
-        "h0_hirzebruch",
         "surface_family",
         "surface_through_conics",
         "system_dimension",

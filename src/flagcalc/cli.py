@@ -123,12 +123,12 @@ def _cmd_chern(args):
 
 
 def _cmd_h0(args):
-    from . import linsys
+    from . import invariants
 
     if args.side == "flag":
-        value = linsys.h0_flag(args.a, args.b)
+        value = invariants.h0_flag(args.a, args.b)
     else:
-        value = linsys.h0_hirzebruch(args.side, args.a, args.b)
+        value = invariants.h0_hirzebruch(args.side, args.a, args.b)
     return {"a": args.a, "b": args.b, "side": args.side, "h0": value}
 
 

@@ -3,8 +3,15 @@
 The module provides points of F, the bidegree (1,1) curves
 L_{q,m} = {p.m = 0, q.l = 0} (smooth conics when q.m != 0, twistor fibers
 when m is the conjugate of q), the anti-holomorphic involution
-j(p, l) = (conj l, conj p) acting on curves and on surfaces, restriction of
-surfaces to conics, and bidegrees of rational parametrized curves.
+j(p, l) = (conj l, conj p) acting on curves and on surfaces, and
+restriction of surfaces to conics.
+
+Containment has one path.  A surface is pulled back through one chart of
+the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
+(chart_tables), by one kernel (pull) over the ring its inputs lie in:
+restrict_to_conic clears the surface and the conic to Z[i], the condition
+rows clear the conic, the ruled certificate runs over Z and the census
+over F_p.
 
 Projective points are kept in canonical form (first nonzero coordinate
 equal to 1) so equality and hashing are exact.
@@ -12,10 +19,13 @@ equal to 1) so equality and hashing are exact.
 
 from __future__ import annotations
 
-from .binforms import BinaryForm, triple_gcd, zero_form
+from fractions import Fraction
+
+from .binforms import BinaryForm, zero_form
 from .biforms import BiForm, proportionality as _proportionality
 from .errors import DegenerateConicError, PreconditionError
-from .gaussian import GaussianRational
+from .gaussian import ZERO, GaussianInt, GaussianRational
+from .linalg import clear_rows
 
 
 def dot(u, v):
@@ -134,46 +144,6 @@ def j_conic(C: Conic) -> Conic:
     return Conic(C.m.conjugate(), C.q.conjugate())
 
 
-class FlagCurve:
-    """A rational curve in F given by two triples of binary forms.
-
-    p_forms parametrizes the point component and l_forms the line component;
-    the incidence pairing p(s,t).l(s,t) must vanish identically.
-    """
-
-    __slots__ = ("p_forms", "l_forms")
-
-    def __init__(self, p_forms, l_forms):
-        self.p_forms = _validate_triple(p_forms, "p")
-        self.l_forms = _validate_triple(l_forms, "l")
-        pairing = _triple_pairing(self.p_forms, self.l_forms)
-        if not pairing.is_zero():
-            raise PreconditionError("parametrization is not incident: p.l != 0")
-
-    def point_at(self, s, t) -> FlagPoint:
-        p = tuple(f.evaluate(s, t) for f in self.p_forms)
-        l = tuple(f.evaluate(s, t) for f in self.l_forms)
-        return FlagPoint(p, l)
-
-
-def _validate_triple(forms, label):
-    forms = tuple(f if isinstance(f, BinaryForm) else BinaryForm(f) for f in forms)
-    if len(forms) != 3:
-        raise PreconditionError(f"{label}-triple needs exactly 3 forms")
-    if len({f.degree for f in forms}) != 1:
-        raise PreconditionError(f"{label}-triple forms must share one degree")
-    if all(f.is_zero() for f in forms):
-        raise PreconditionError(f"{label}-triple is identically zero")
-    return forms
-
-
-def _triple_pairing(p_forms, l_forms) -> BinaryForm:
-    acc = zero_form(p_forms[0].degree + l_forms[0].degree)
-    for f, g in zip(p_forms, l_forms):
-        acc = acc + f * g
-    return acc
-
-
 def line_basis(m, pivot: int | None = None):
     """Two independent points spanning the line {p : p.m = 0}.
 
@@ -196,38 +166,11 @@ def line_basis(m, pivot: int | None = None):
     return tuple(v1), tuple(v2)
 
 
-def conic_param(C: Conic) -> FlagCurve:
-    """Injective degree-1 parametrization of a smooth conic.
-
-    p(s,t) spans the line {p.m = 0} and l(s,t) = q x p(s,t); the three
-    defining equations p.m = 0, q.l = 0, p.l = 0 then hold identically.
-    """
-    if not C.is_smooth:
-        raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
-    v1, v2 = line_basis(C.m.coords)
-    l1, l2 = cross(C.q.coords, v1), cross(C.q.coords, v2)
-    curve = FlagCurve(
-        tuple(BinaryForm([v1[c], v2[c]]) for c in range(3)),
-        tuple(BinaryForm([l1[c], l2[c]]) for c in range(3)),
-    )
-    assert _pm_pairing(curve.p_forms, C.m.coords).is_zero()
-    assert _pm_pairing(curve.l_forms, C.q.coords).is_zero()
-    return curve
-
-
-def _pm_pairing(forms, const_triple) -> BinaryForm:
-    d = forms[0].degree
-    acc = zero_form(d)
-    for f, c in zip(forms, const_triple):
-        acc = acc + f.scale(c)
-    return acc
-
-
 # The restriction kernel.  A coefficient sequence follows the BinaryForm
 # convention (entry k multiplies s^(d-k) t^k) and may hold elements of any
-# ring with + and *: GaussianRational for exact restriction, GaussianInt for
-# condition rows, and int for the ruled certificate and the census's chart
-# monomials.  Empty slots hold the int 0.
+# ring with + and *: GaussianInt for restriction to a conic and condition
+# rows, and int for the ruled certificate and the census's chart monomials.
+# Empty slots hold the int 0.
 
 def conv(u, v):
     """The coefficient sequence of the product of two forms."""
@@ -294,26 +237,46 @@ def pull_terms(terms, p_tables, l_tables):
     return pull(p_side, l_tables)
 
 
-def substitute_forms(F: BiForm, p_forms, l_forms) -> BinaryForm:
-    """Pull a biform back along a parametrized curve, giving a binary form."""
-    a, b = F.bidegree
-    if F.is_zero():
-        return zero_form(a * p_forms[0].degree + b * l_forms[0].degree)
-    p_tables = [power_table(f.coeffs, a) for f in p_forms]
-    l_tables = [power_table(f.coeffs, b) for f in l_forms]
-    return BinaryForm(pull_terms(F.terms, p_tables, l_tables))
+def chart_tables(q, m, a: int, b: int, pivot: int | None = None):
+    """Power tables, to degrees a and b, of the p- and l-forms of the chart
+    of L_{q,m}: p = s v1 + t v2 with v1, v2 = line_basis(m, pivot), and
+    l = q x p.  The one chart rule, over the ring of q and m."""
+    v1, v2 = line_basis(m, pivot)
+    l1, l2 = cross(q, v1), cross(q, v2)
+    p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
+    l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+    return p_tables, l_tables
 
 
-def restrict_to_curve(F: BiForm, curve: FlagCurve) -> BinaryForm:
-    return substitute_forms(F, curve.p_forms, curve.l_forms)
+def substitute_forms(terms, bidegree, q, m, pivot: int | None = None) -> list:
+    """The a+b+1 restriction coefficients of the nonzero form sum c p^pe l^le
+    ({(pe, le): c} = terms, of bidegree (a, b)) along the chart of L_{q,m}.
+    The coefficients, q and m may lie in any ring; an empty slot is the int 0."""
+    return pull_terms(terms, *chart_tables(q, m, *bidegree, pivot))
 
 
 def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
-    """Binary form of degree a+b: F pulled back along the conic.
+    """Binary form of degree a+b: F pulled back along the chart of the conic.
 
-    Identically zero exactly when L_{q,m} lies on the surface {F = 0}.
+    Identically zero exactly when L_{q,m} lies on the surface {F = 0}.  F, q
+    and m are cleared to Gaussian integers by the lcms k, lam and mu of
+    their denominators.  The chart's p-forms then scale by mu and its
+    l-forms by lam*mu, so the restriction over Z[i] is k mu^(a+b) lam^b
+    times the exact one, and is divided back.
     """
-    return restrict_to_curve(F, conic_param(C))
+    if not C.is_smooth:
+        raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
+    a, b = F.bidegree
+    if F.is_zero():
+        return zero_form(a + b)
+    (coeffs,), k = clear_rows([list(F.terms.values())])
+    (q,), lam = clear_rows([C.q.coords])
+    (m,), mu = clear_rows([C.m.coords])
+    coeffs, q, m = ([GaussianInt(re, im) for re, im in row] for row in (coeffs, q, m))
+    out = substitute_forms(dict(zip(F.terms, coeffs)), (a, b), q, m)
+    den = int(k * mu ** (a + b) * lam**b)
+    return BinaryForm([GaussianRational(Fraction(z.re, den), Fraction(z.im, den)) if z else ZERO
+                       for z in out])
 
 
 def contains_conic(F: BiForm, C: Conic) -> bool:
@@ -338,20 +301,6 @@ def conics_disjoint(C1: Conic, C2: Conic) -> bool:
         return False
     w = dot(cross(C1.m.coords, C2.m.coords), cross(C1.q.coords, C2.q.coords))
     return bool(w)
-
-
-def curve_bidegree(curve: FlagCurve):
-    """Intersection numbers (d1, d2) of the curve with the two plane classes.
-
-    d1 is the degree of the pairing of the gcd-reduced p-triple with a
-    general constant line, which is the formal degree of the reduced
-    triple; symmetrically for d2.
-    """
-    return _pairing_degree(curve.p_forms), _pairing_degree(curve.l_forms)
-
-
-def _pairing_degree(forms) -> int:
-    return forms[0].degree - triple_gcd(forms).degree
 
 
 def j_pullback(F: BiForm) -> BiForm:

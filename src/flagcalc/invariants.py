@@ -1,17 +1,46 @@
 """Closed-form invariants of smooth surfaces of bidegree (a, b) in the flag.
 
-Chern numbers, the Miyaoka-type ceiling on pairwise disjoint smooth conics
-(hence on twistor fibers), the matching ceiling for bidegree (1,0) ruling
-curves, triple products of the two hyperplane classes, and adjunction data.
-All values are exact integers or rationals.
+Section counts h0 on the flag and on its linear sections, Chern numbers,
+the Miyaoka-type ceiling on pairwise disjoint smooth conics (hence on
+twistor fibers), the matching ceiling for bidegree (1,0) ruling curves,
+triple products of the two hyperplane classes, and adjunction data.  All
+values are exact integers or rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .errors import PreconditionError
+
+
+def h0_flag(a: int, b: int) -> int:
+    """dim H^0 of the (a, b) polarization on the flag threefold.
+
+    Counts bidegree (a, b) monomials minus multiples of the incidence form:
+    ((a+1)(a+2)(b+1)(b+2) - a(a+1)b(b+1)) / 4.
+    """
+    if a < 0 or b < 0:
+        raise PreconditionError("h0 requires nonnegative bidegree")
+    return ((a + 1) * (a + 2) * (b + 1) * (b + 2) - a * (a + 1) * b * (b + 1)) // 4
+
+
+def h0_hirzebruch(side: str, a: int, b: int) -> int:
+    """Sections of O(a, b) on a linear section of the flag.
+
+    Side "X" is a surface of bidegree (1,0) and "Y" one of bidegree (0,1);
+    both are Hirzebruch surfaces of type 1, giving a(b+1) + C(b+2, 2) and
+    the a <-> b mirror respectively.
+    """
+    if a < 0 or b < 0:
+        raise PreconditionError("h0 requires nonnegative bidegree")
+    if side == "X":
+        return a * (b + 1) + comb(b + 2, 2)
+    if side == "Y":
+        return b * (a + 1) + comb(a + 2, 2)
+    raise PreconditionError("side must be 'X' or 'Y'")
 
 
 def c1_squared(a: int, b: int) -> int:

@@ -16,7 +16,6 @@ eliminated.  Every dimension and basis reported here is exact.
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
 from . import linalg
@@ -26,44 +25,17 @@ from .errors import EmptySystemError, FlagcalcError, PreconditionError
 from .flag import (
     Conic,
     FlagPoint,
-    conic_param,
+    chart_tables,
     contains_conic,
     conv,
     cross,
     line_basis,
-    power_table,
     pull,
-    restrict_to_curve,
+    restrict_to_conic,
 )
 from .gaussian import GaussianInt, GaussianRational, gaussian_sqrt
+from .invariants import h0_flag
 from .sampling import SplitMix64
-
-
-def h0_flag(a: int, b: int) -> int:
-    """dim H^0 of the (a, b) polarization on the flag threefold.
-
-    Counts bidegree (a, b) monomials minus multiples of the incidence form:
-    ((a+1)(a+2)(b+1)(b+2) - a(a+1)b(b+1)) / 4.
-    """
-    if a < 0 or b < 0:
-        raise PreconditionError("h0 requires nonnegative bidegree")
-    return ((a + 1) * (a + 2) * (b + 1) * (b + 2) - a * (a + 1) * b * (b + 1)) // 4
-
-
-def h0_hirzebruch(side: str, a: int, b: int) -> int:
-    """Sections of O(a, b) on a linear section of the flag.
-
-    Side "X" is a surface of bidegree (1,0) and "Y" one of bidegree (0,1);
-    both are Hirzebruch surfaces of type 1, giving a(b+1) + C(b+2, 2) and
-    the a <-> b mirror respectively.
-    """
-    if a < 0 or b < 0:
-        raise PreconditionError("h0 requires nonnegative bidegree")
-    if side == "X":
-        return a * (b + 1) + comb(b + 2, 2)
-    if side == "Y":
-        return b * (a + 1) + comb(a + 2, 2)
-    raise PreconditionError("side must be 'X' or 'Y'")
 
 
 class ConditionMatrix(NamedTuple):
@@ -86,8 +58,8 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     the kernel is exactly the linear system through them.
 
     Each conic's q and m are cleared to Gaussian integers, scaled by the
-    lcms lam and mu of their denominators, and the chart of conic_param is
-    pulled over Z[i].  Its p-forms scale by mu and its l-forms by lam*mu,
+    lcms lam and mu of their denominators, and its chart (flag.chart_tables)
+    is pulled over Z[i].  Its p-forms scale by mu and its l-forms by lam*mu,
     so the conic's block is its block of Q(i) restriction coefficients
     times the nonzero integer mu^(a+b) lam^b, with the same kernel.
     """
@@ -102,10 +74,7 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     one = (GaussianInt(1),)
     rows = []
     for q, m in zip(points[::2], points[1::2]):
-        v1, v2 = line_basis(m)
-        l1, l2 = cross(q, v1), cross(q, v2)
-        p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
-        l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
+        p_tables, l_tables = chart_tables(q, m, a, b)
         # a column's p side depends only on pe and its l side only on le,
         # so each is pulled once and a column is one product
         p_sides, l_sides = {}, {}
@@ -205,8 +174,12 @@ def surface_through_conics(a: int, b: int, conics, seed: int) -> BiForm:
 
 
 def family_member(family: SurfaceFamily, seed: int) -> BiForm:
-    """A seeded pseudo-random nonzero combination of the family's basis,
-    checked against every prescribed conic."""
+    """A seeded pseudo-random nonzero combination of the family's basis.
+
+    It contains every prescribed conic without a check of its own: the
+    basis of surface_family is certified by linalg.annihilates to kill
+    every condition row, so every combination of it does too.
+    """
     if not family.basis:
         raise EmptySystemError("the linear system through these conics is empty")
     a, b = family.bidegree
@@ -218,11 +191,7 @@ def family_member(family: SurfaceFamily, seed: int) -> BiForm:
             if c:
                 member = member + F.scale(c)
         if not member.is_zero():
-            break
-    for C in family.prescribed:
-        if not contains_conic(member, C):
-            raise PreconditionError("random member fails containment check")
-    return member
+            return member
 
 
 class SingularWitness(NamedTuple):
@@ -250,26 +219,33 @@ def conic_singularity_witness(F: BiForm, C: Conic):
     """
     if not contains_conic(F, C):
         raise PreconditionError("witness search requires the conic to lie on the surface")
-    curve = conic_param(C)
     restrictions = []
     for group in ("p", "l"):
         for i in range(3):
             d = F.partial(group, i)
             if d.is_zero():
                 continue
-            restrictions.append(restrict_to_curve(d, curve))
+            restrictions.append(restrict_to_conic(d, C))
     nonzero = [r for r in restrictions if not r.is_zero()]
     if not nonzero:
         param = (GaussianRational(1), GaussianRational(0))
-        return SingularWitness(C, None, True, param, curve.point_at(*param))
+        return SingularWitness(C, None, True, param, _chart_point(C, *param))
     g = nonzero[0]
     for r in nonzero[1:]:
         g = bf_gcd(g, r)
         if g.degree == 0:
             return None
     root = _exact_root(g)
-    point = curve.point_at(*root) if root else None
+    point = _chart_point(C, *root) if root else None
     return SingularWitness(C, g, False, root, point)
+
+
+def _chart_point(C: Conic, s, t) -> FlagPoint:
+    """The point of C at the parameter (s, t) of restrict_to_conic's chart:
+    p = s v1 + t v2 and l = q x p."""
+    v1, v2 = line_basis(C.m.coords)
+    p = tuple(s * x + t * y for x, y in zip(v1, v2))
+    return FlagPoint(p, cross(C.q.coords, p))
 
 
 def _exact_root(g: BinaryForm):

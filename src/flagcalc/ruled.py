@@ -41,9 +41,7 @@ from .flag import (
     cross,
     dot,
     j_pullback,
-    line_basis,
-    power_table,
-    pull_terms,
+    substitute_forms,
     twistor_fiber_of,
 )
 from .linsys import SingularWitness, conic_singularity_witness
@@ -310,12 +308,7 @@ def _on_surface(int_terms, bidegree, m, pivot=None) -> bool:
     constants, so the answer over Z is the answer over Q; any chart with
     m[pivot] != 0 parametrizes the whole conic, so every one agrees.
     """
-    a, b = bidegree
-    v1, v2 = line_basis(m, pivot=pivot)
-    l1, l2 = cross(m, v1), cross(m, v2)
-    p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
-    l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
-    return not any(pull_terms(int_terms, p_tables, l_tables))
+    return not any(substitute_forms(int_terms, bidegree, m, m, pivot))
 
 
 def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:

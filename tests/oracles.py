@@ -1,7 +1,9 @@
 """Independent oracles the tests check flagcalc against.
 
 None of these is on a path the package runs: each decides a fact that the
-package decides another way (exact rank against the certified mod-p rank,
+package decides another way (restriction along a Q(i) FlagCurve with
+Fraction arithmetic against restriction over Z[i] through the cleared
+chart, exact rank against the certified mod-p rank,
 exact division against the gcd, solving the five linear conditions against
 the disjointness criterion, point evaluation against the h0 formula, one
 restriction per pair against the census's one expansion per surface, the
@@ -16,15 +18,14 @@ from fractions import Fraction
 from operator import mul
 
 from flagcalc import linalg
-from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, zero_form
+from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, triple_gcd, zero_form
 from flagcalc.biforms import BiForm, monomials
-from flagcalc.errors import FlagcalcError, PreconditionError
+from flagcalc.errors import DegenerateConicError, FlagcalcError, PreconditionError
 from flagcalc.flag import (
     Conic,
     FlagPoint,
     ProjPoint,
     conics_disjoint,
-    contains_conic,
     conv,
     cross,
     dot,
@@ -32,12 +33,12 @@ from flagcalc.flag import (
     line_basis,
     power_table,
     pull,
+    pull_terms,
     twistor_fiber_of,
 )
 from flagcalc.fpcensus import conic_expansion
 from flagcalc.gaussian import GaussianRational
-from flagcalc.invariants import _require_general_type
-from flagcalc.linsys import h0_flag
+from flagcalc.invariants import _require_general_type, h0_flag
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_proj_point
 
 
@@ -68,6 +69,104 @@ def miyaoka_conic_bound_diagonal(a: int) -> Fraction:
     """The a = b specialization 24(a^2 - a + 1)(a - 1)a / (2a - 1)^2."""
     _require_general_type(a, a)
     return Fraction(24 * (a * a - a + 1) * (a - 1) * a, (2 * a - 1) ** 2)
+
+
+# Rational curves in the flag over Q(i): a conic's chart as a FlagCurve of
+# BinaryForm triples, restricted with Q(i) coefficients and no clearing.
+
+class FlagCurve:
+    """A rational curve in F given by two triples of binary forms.
+
+    p_forms parametrizes the point component and l_forms the line component;
+    the incidence pairing p(s,t).l(s,t) must vanish identically.
+    """
+
+    __slots__ = ("p_forms", "l_forms")
+
+    def __init__(self, p_forms, l_forms):
+        self.p_forms = _validate_triple(p_forms, "p")
+        self.l_forms = _validate_triple(l_forms, "l")
+        pairing = _triple_pairing(self.p_forms, self.l_forms)
+        if not pairing.is_zero():
+            raise PreconditionError("parametrization is not incident: p.l != 0")
+
+    def point_at(self, s, t) -> FlagPoint:
+        p = tuple(f.evaluate(s, t) for f in self.p_forms)
+        l = tuple(f.evaluate(s, t) for f in self.l_forms)
+        return FlagPoint(p, l)
+
+
+def _validate_triple(forms, label):
+    forms = tuple(f if isinstance(f, BinaryForm) else BinaryForm(f) for f in forms)
+    if len(forms) != 3:
+        raise PreconditionError(f"{label}-triple needs exactly 3 forms")
+    if len({f.degree for f in forms}) != 1:
+        raise PreconditionError(f"{label}-triple forms must share one degree")
+    if all(f.is_zero() for f in forms):
+        raise PreconditionError(f"{label}-triple is identically zero")
+    return forms
+
+
+def _triple_pairing(p_forms, l_forms) -> BinaryForm:
+    acc = zero_form(p_forms[0].degree + l_forms[0].degree)
+    for f, g in zip(p_forms, l_forms):
+        acc = acc + f * g
+    return acc
+
+
+def conic_param(C: Conic) -> FlagCurve:
+    """Injective degree-1 parametrization of a smooth conic.
+
+    p(s,t) spans the line {p.m = 0} and l(s,t) = q x p(s,t); the three
+    defining equations p.m = 0, q.l = 0, p.l = 0 then hold identically.
+    """
+    if not C.is_smooth:
+        raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
+    v1, v2 = line_basis(C.m.coords)
+    l1, l2 = cross(C.q.coords, v1), cross(C.q.coords, v2)
+    curve = FlagCurve(
+        tuple(BinaryForm([v1[c], v2[c]]) for c in range(3)),
+        tuple(BinaryForm([l1[c], l2[c]]) for c in range(3)),
+    )
+    assert _pm_pairing(curve.p_forms, C.m.coords).is_zero()
+    assert _pm_pairing(curve.l_forms, C.q.coords).is_zero()
+    return curve
+
+
+def _pm_pairing(forms, const_triple) -> BinaryForm:
+    d = forms[0].degree
+    acc = zero_form(d)
+    for f, c in zip(forms, const_triple):
+        acc = acc + f.scale(c)
+    return acc
+
+
+def substitute_curve_forms(F: BiForm, p_forms, l_forms) -> BinaryForm:
+    """Pull a biform back along a parametrized curve, giving a binary form."""
+    a, b = F.bidegree
+    if F.is_zero():
+        return zero_form(a * p_forms[0].degree + b * l_forms[0].degree)
+    p_tables = [power_table(f.coeffs, a) for f in p_forms]
+    l_tables = [power_table(f.coeffs, b) for f in l_forms]
+    return BinaryForm(pull_terms(F.terms, p_tables, l_tables))
+
+
+def restrict_to_curve(F: BiForm, curve: FlagCurve) -> BinaryForm:
+    return substitute_curve_forms(F, curve.p_forms, curve.l_forms)
+
+
+def curve_bidegree(curve: FlagCurve):
+    """Intersection numbers (d1, d2) of the curve with the two plane classes.
+
+    d1 is the degree of the pairing of the gcd-reduced p-triple with a
+    general constant line, which is the formal degree of the reduced
+    triple; symmetrically for d2.
+    """
+    return _pairing_degree(curve.p_forms), _pairing_degree(curve.l_forms)
+
+
+def _pairing_degree(forms) -> int:
+    return forms[0].degree - triple_gcd(forms).degree
 
 
 # Exact rank and determinant by fraction-free Bareiss.
@@ -229,8 +328,8 @@ def _fiber_at(forms, s, t) -> Conic:
 def reference_circle_samples(forms, surface: BiForm, n: int) -> list[Conic]:
     """n distinct twistor fibers at the parameters 0, 1, 2, ... and then
     infinity (or the next unused integer when infinity repeats a fiber),
-    each checked by restriction over Q(i) and every pair by
-    conics_disjoint."""
+    each checked by restriction along its conic_param curve and every pair
+    by conics_disjoint."""
     one = GaussianRational(1)
     out: list[Conic] = []
     k = 0
@@ -245,7 +344,7 @@ def reference_circle_samples(forms, surface: BiForm, n: int) -> list[Conic]:
         k += 1
     out.append(C)
     for idx, C in enumerate(out):
-        if not contains_conic(surface, C):
+        if not restrict_to_curve(surface, conic_param(C)).is_zero():
             raise PreconditionError("sampled fiber escapes the surface")
         if not all(conics_disjoint(C, D) for D in out[:idx]):
             raise PreconditionError("sampled fibers are not disjoint")

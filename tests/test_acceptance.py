@@ -31,11 +31,12 @@ from flagcalc.invariants import (
     c1_squared,
     c2,
     chow_triple,
+    h0_flag,
     miyaoka_conic_bound,
     ruling_curve_bound,
     surface_pair_intersection_bidegree,
 )
-from flagcalc.linsys import h0_flag, system_dimension
+from flagcalc.linsys import system_dimension
 from flagcalc.ruled import twistor_ruled_surface
 from flagcalc.sampling import (
     SplitMix64,

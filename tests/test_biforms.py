@@ -12,7 +12,7 @@ from flagcalc.biforms import (
 )
 from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianRational as GR
-from flagcalc.linsys import h0_flag
+from flagcalc.invariants import h0_flag
 from flagcalc.sampling import SplitMix64, random_gaussian_rational
 
 from oracles import random_flag_point

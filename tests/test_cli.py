@@ -315,9 +315,23 @@ def test_internal_failure_traceback_goes_to_stderr(capsys, monkeypatch):
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
 
-def _assert_catalog_outputs_unchanged(capsys, monkeypatch, command, count):
-    # every request of the benchmark catalog for one command, digested as
-    # the benchmark's own checks do, against the digest recorded there
+def _write_followup(tmp_path, fu, doc):
+    # a check-conic follow-up written as perfbench/run.py writes it, but
+    # into tmp_path: the surface and, when it is a field of doc, the conic
+    surface = tmp_path / "followup_surface.json"
+    surface.write_text(json.dumps(doc[fu["surface"]]), encoding="utf-8")
+    conic = fu["conic"]
+    if not isinstance(conic, str):
+        field, idx = conic
+        conic = tmp_path / "followup_conic.json"
+        conic.write_text(json.dumps(doc[field][idx]), encoding="utf-8")
+    return ["check-conic", "--surface", str(surface), "--conic", str(conic)]
+
+
+def _assert_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path, command, count, followups):
+    # every request of the benchmark catalog for one command and each of
+    # its check-conic follow-ups, digested as the benchmark's own checks
+    # do, against the digests recorded there
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
     path = ROOT / "perfbench" / "checks.py"
     spec = importlib.util.spec_from_file_location("perfbench_checks", path)
@@ -326,19 +340,28 @@ def _assert_catalog_outputs_unchanged(capsys, monkeypatch, command, count):
     catalog = json.loads((ROOT / "perfbench" / "catalog.json").read_text(encoding="utf-8"))
     requests = [r for r in catalog["requests"].values() if r["argv"][0] == command]
     assert len(requests) == count
+    assert sum(len(r.get("followups", [])) for r in requests) == followups
     monkeypatch.chdir(ROOT)  # the catalog's paths are relative to the repository
     for req in requests:
         code, doc = run(capsys, *req["argv"])
         assert code == 0, req["argv"]
         assert checks.digest(command, doc) == req["digest"], req["argv"]
+        for fu in req.get("followups", []):
+            code, fdoc = run(capsys, *_write_followup(tmp_path, fu, doc))
+            assert code == 0, (req["argv"], fu["conic"])
+            assert checks.digest("check-conic", fdoc) == fu["digest"], (req["argv"], fu["conic"])
 
 
-def test_mk_ruled_catalog_outputs_unchanged(capsys, monkeypatch):
-    _assert_catalog_outputs_unchanged(capsys, monkeypatch, "mk-ruled", 16)
+def test_mk_surface_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path):
+    _assert_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path, "mk-surface", 15, 30)
 
 
-def test_census_catalog_outputs_unchanged(capsys, monkeypatch):
-    _assert_catalog_outputs_unchanged(capsys, monkeypatch, "census", 17)
+def test_mk_ruled_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path):
+    _assert_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path, "mk-ruled", 16, 10)
+
+
+def test_census_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path):
+    _assert_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path, "census", 17, 0)
 
 
 def test_trace_probes_resolve():
@@ -393,7 +416,10 @@ def test_census_request_imports_only_what_it_runs():
 
 def test_h0_request_imports_only_what_it_runs():
     loaded = _modules_after_request("h0", "--a", "1", "--b", "1")
-    assert not loaded & {"flagcalc.fpcensus", "flagcalc.ruled"}
+    assert "flagcalc.invariants" in loaded
+    unused = {"flagcalc.fpcensus", "flagcalc.ruled", "flagcalc.linsys", "flagcalc.flag",
+              "flagcalc.gaussian", "flagcalc.linalg"}
+    assert not loaded & unused
 
 
 def test_no_module_imports_dataclasses():

@@ -5,25 +5,27 @@ from flagcalc.biforms import BiForm, incidence_form
 from flagcalc.errors import DegenerateConicError, PreconditionError
 from flagcalc.flag import (
     Conic,
-    FlagCurve,
     FlagPoint,
     ProjPoint,
-    conic_param,
     conics_disjoint,
     contains_conic,
-    curve_bidegree,
     is_j_invariant,
     j_conic,
     j_pullback,
     line_basis,
     restrict_to_conic,
-    restrict_to_curve,
     twistor_fiber_of,
 )
 from flagcalc.gaussian import GaussianRational as GR, I
 from flagcalc.sampling import SplitMix64, random_proj_point, random_smooth_conic
 
-from oracles import conics_meet_bruteforce
+from oracles import (
+    FlagCurve,
+    conic_param,
+    conics_meet_bruteforce,
+    curve_bidegree,
+    restrict_to_curve,
+)
 
 
 def test_proj_point_canonical():

@@ -4,12 +4,11 @@ from flagcalc import linalg
 from flagcalc.biforms import BiForm, incidence_form, reduce_mod_incidence
 from flagcalc.errors import EmptySystemError, PreconditionError
 from flagcalc.flag import Conic, contains_conic
+from flagcalc.invariants import h0_flag, h0_hirzebruch
 from flagcalc.linsys import (
     condition_matrix,
     conic_singularity_witness,
     expected_system_dimension,
-    h0_flag,
-    h0_hirzebruch,
     independence_guaranteed,
     surface_family,
     surface_through_conics,

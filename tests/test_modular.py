@@ -20,10 +20,10 @@ from flagcalc.biforms import BiForm
 from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import Conic, twistor_fiber_of
 from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.invariants import h0_flag
 from flagcalc.linsys import (
     condition_matrix,
     expected_system_dimension,
-    h0_flag,
     surface_family,
     system_dimension,
 )

@@ -1,23 +1,36 @@
 """Differential oracle for the shared restriction kernel.
 
-Every containment fact in flagcalc comes from flag.pull: the condition
-matrices, restriction to a conic, the ruled containment certificate and
-the mod-p census.  The reference code below restricts by its own
-arithmetic, with the chart rule written out separately for Q(i) and for
-F_p, and the tests pin the kernel to it on fixed seeds.
+Every containment fact in flagcalc comes from flag.pull through the one
+chart of flag.chart_tables: the condition matrices and restriction to a
+conic over Z[i], the ruled containment certificate over Z and the mod-p
+census.  The reference code below restricts by its own arithmetic, with
+the chart rule written out separately for Q(i) and for F_p, and the tests
+pin the kernel to it on fixed seeds: the rows, restriction (zero surfaces,
+tall nonreal conics, big-rational members), the members of a certified
+family, the certificate and the census.  The singular-point search is
+pinned to the same search along the Q(i) FlagCurve of tests/oracles.py.
 """
 
+import json
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, monomials, quotient_monomials
+from flagcalc.binforms import BinaryForm, bf_gcd
+from flagcalc.biforms import BiForm, incidence_form, monomials, quotient_monomials
+from flagcalc.cli import main
 from flagcalc.flag import restrict_to_conic
 from flagcalc.fpcensus import conic_census, proj_points, reduce_mod_p
 from flagcalc.gaussian import ONE, ZERO, GaussianRational as GR
-from flagcalc.linsys import condition_matrix, surface_through_conics
+from flagcalc.linsys import (
+    _exact_root,
+    condition_matrix,
+    conic_singularity_witness,
+    family_member,
+    surface_family,
+    surface_through_conics,
+)
 from flagcalc.ruled import (
     DEFAULT_RULED_SEED,
     containment_certificate,
@@ -25,8 +38,9 @@ from flagcalc.ruled import (
     twistor_ruled_surface,
 )
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
+from flagcalc.serialize import biform_to_json
 
-from oracles import _fiber_at
+from oracles import _fiber_at, conic_param, restrict_to_curve
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
@@ -155,6 +169,24 @@ def _ref_certificate(forms, surface, seed=DEFAULT_RULED_SEED):
             return {"passed": False, "degree_bound": bound, "failed_probe": str(t.re)}
         probes.append(str(t.re))
     return {"passed": True, "degree_bound": bound, "charts": charts, "probe_parameters": probes}
+
+
+def _ref_singularity_witness(F, C):
+    """conic_singularity_witness's search run along conic_param(C): the gcd
+    of the restricted partials, whole_conic, and the root and its point."""
+    curve = conic_param(C)
+    partials = [F.partial(group, i) for group in ("p", "l") for i in range(3)]
+    restricted = [restrict_to_curve(d, curve) for d in partials if not d.is_zero()]
+    nonzero = [r for r in restricted if not r.is_zero()]
+    if not nonzero:
+        return None, True, (ONE, ZERO), curve.point_at(ONE, ZERO)
+    g = nonzero[0]
+    for r in nonzero[1:]:
+        g = bf_gcd(g, r)
+        if g.degree == 0:
+            return None
+    root = _exact_root(g)
+    return g, False, root, curve.point_at(*root) if root else None
 
 
 # Reference: the census over F_p with convolutions reduced at every step.
@@ -336,3 +368,86 @@ def test_certificate_matches_reference(spec2, spec3):
     cert = containment_certificate(other, spec2.surface)
     assert not cert["passed"]
     assert cert == _ref_certificate(other, spec2.surface)
+
+
+def test_restrict_to_conic_matches_reference_on_edge_inputs():
+    tall = random_smooth_conics(SplitMix64(78), 4, height=10**6)
+    assert not any(C.q.is_real() and C.m.is_real() for C in tall)
+    for a, b in [(0, 0), (2, 1), (3, 3)]:
+        zero = BiForm((a, b))
+        for C in tall:
+            assert restrict_to_conic(zero, C) == _ref_restrict_to_conic(zero, C)
+            assert restrict_to_conic(zero, C) == BinaryForm([0] * (a + b + 1))
+    # a (3, 3) member: coefficients of well over 64 bits, on its own conics
+    # (contained) and on the tall ones (not)
+    conics = random_smooth_conics(SplitMix64(53), 4, height=10)
+    F = surface_through_conics(3, 3, conics, seed=53)
+    bits = max(max(abs(c.re.numerator), abs(c.im.numerator), c.re.denominator,
+                   c.im.denominator).bit_length() for c in F.terms.values())
+    assert bits > 64
+    for C in conics + tall:
+        r = restrict_to_conic(F, C)
+        assert r == _ref_restrict_to_conic(F, C)
+        assert r.is_zero() == (C in conics)
+
+
+def test_family_members_contain_their_conics(spec3):
+    # family_member has no containment check of its own: the certified
+    # kernel is what puts every prescribed conic on its members
+    cases = [
+        (2, 2, random_smooth_conics(SplitMix64(51), 3, height=10)),
+        (3, 3, random_smooth_conics(SplitMix64(52), 4, height=10)),
+        (3, 3, twistor_circle_samples(spec3, 28)),
+    ]
+    for a, b, conics in cases:
+        family = surface_family(a, b, conics)
+        for seed in (0, 0xA5A5):
+            F = family_member(family, seed)
+            assert not F.is_zero()
+            assert all(_ref_restrict_to_conic(F, C).is_zero() for C in conics)
+
+
+def test_check_conic_on_a_degenerate_conic_exits_3(capsys, tmp_path, dense22):
+    conic = tmp_path / "conic.json"
+    conic.write_text(json.dumps({"q": ["1", "0", "0"], "m": ["0", "1", "2"]}))
+    surface = tmp_path / "surface.json"
+    for F in (BiForm((2, 2)), dense22):
+        surface.write_text(json.dumps(biform_to_json(F)))
+        code = main(["check-conic", "--surface", str(surface), "--conic", str(conic)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "code": "precondition",
+            "message": "cannot parametrize a degenerate conic (q.m = 0)",
+        }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_singularity_witness_matches_curve_oracle(seed):
+    rng = SplitMix64(700 + seed)
+    C = random_smooth_conics(rng, 1, height=8)[0]
+    G = surface_through_conics(1, 1, [C], seed=seed)
+    H = surface_through_conics(1, 0, [], seed=seed)
+    K = surface_through_conics(0, 1, [], seed=seed)
+    # products with a factor through C, and squares, which are singular
+    # along all of C
+    surfaces = [incidence_form() * H, G * H, G * K, incidence_form() * G, G * G,
+                incidence_form() * incidence_form()]
+    kinds = set()
+    for F in surfaces:
+        w = conic_singularity_witness(F, C)
+        ref = _ref_singularity_witness(F, C)
+        assert (w is None) == (ref is None)
+        if w is not None:
+            assert (w.gcd, w.whole_conic, w.parameter, w.point) == ref
+            kinds.add((w.whole_conic, w.point is not None))
+    assert {(True, True), (False, True)} <= kinds
+
+
+def test_singularity_witness_matches_curve_oracle_on_twistor_fibers(spec2, spec3):
+    for spec in (spec2, spec3):
+        for C in twistor_circle_samples(spec, 4):
+            w = conic_singularity_witness(spec.surface, C)
+            ref = _ref_singularity_witness(spec.surface, C)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                assert (w.gcd, w.whole_conic, w.parameter, w.point) == ref
