@@ -286,21 +286,15 @@ def contains_conic(F: BiForm, C: Conic) -> bool:
 
 
 def conics_disjoint(C1: Conic, C2: Conic) -> bool:
-    """Whether two distinct smooth conics have empty intersection.
-
-    When the q's and the m's are both non-proportional, the candidate
-    intersection point is forced: p = m1 x m2 and l = q1 x q2, so the conics
-    meet exactly when (m1 x m2).(q1 x q2) = 0.  When either pair coincides,
-    one of p or l moves in a pencil and a common point always exists.
-    """
+    """Whether two distinct smooth conics are disjoint: exactly when
+    w = (m1 x m2).(q1 x q2) != 0.  If the q's and the m's both differ, a
+    common point must be (m1 x m2, q1 x q2), incident iff w = 0; if either
+    pair coincides, w = 0 and one of p, l moves in a pencil."""
     if not (C1.is_smooth and C2.is_smooth):
         raise DegenerateConicError("disjointness is defined for smooth conics")
     if C1 == C2:
         raise PreconditionError("conics must be distinct")
-    if C1.q == C2.q or C1.m == C2.m:
-        return False
-    w = dot(cross(C1.m.coords, C2.m.coords), cross(C1.q.coords, C2.q.coords))
-    return bool(w)
+    return bool(dot(cross(C1.m.coords, C2.m.coords), cross(C1.q.coords, C2.q.coords)))
 
 
 def j_pullback(F: BiForm) -> BiForm:

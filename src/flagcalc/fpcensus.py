@@ -6,37 +6,23 @@ surface is expanded once, mod p, into G(p, q) = S(p, q x p), and L_{q,m}
 lies on S exactly when the line m lies in the plane curve G_q = G(., q).
 Such a line meets each coordinate line in a zero of G_q, so O(p) values of
 G_q give the candidate lines, O(p^3) dot products in all, and the chart
-rule (flag.line_basis) decides each candidate exactly.  Results are mod-p
-evidence only; a conic over F_p need not lift.
+rule (flag.line_basis) decides each candidate exactly; modp supplies F_p.
+Results are mod-p evidence only; a conic over F_p need not lift.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb, isqrt
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
+from . import modp
 from .biforms import BiForm, monomials
 from .errors import PreconditionError
 from .flag import conv, cross, dot, line_basis, power_table
-from .linalg import gaussian_mod_p
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
-
-
-def _is_odd_prime(p: int) -> bool:
-    return p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
-
-
-def sqrt_minus_one(p: int) -> int:
-    """Smallest positive square root of -1 mod p; needs p = 1 (mod 4)."""
-    if p % 4 != 1:
-        raise PreconditionError("i has no image mod p unless p = 1 (mod 4)")
-    for x in range(2, p):
-        if x * x % p == p - 1:
-            return x
-    raise PreconditionError("unreachable: no square root of -1 found")
 
 
 class FpSurface(NamedTuple):
@@ -53,17 +39,17 @@ def reduce_mod_p(F: BiForm, p: int) -> FpSurface:
 
     Denominators must be units mod p; nonreal coefficients additionally
     need p = 1 (mod 4), in which case i maps to the smallest positive
-    square root of -1.
+    square root of -1 (modp.sqrt_minus_one).
     """
-    if not _is_odd_prime(p):
+    if not modp.is_odd_prime(p):
         raise PreconditionError(f"{p} is not an odd prime")
     has_imag = any(not c.is_real() for c in F.terms.values())
-    i_img = sqrt_minus_one(p) if p % 4 == 1 else None
+    i_img = modp.sqrt_minus_one(p) if p % 4 == 1 else None
     if has_imag and i_img is None:
         raise PreconditionError("nonreal coefficients need p = 1 (mod 4)")
     terms = {}
     for key, c in F.terms.items():
-        v = gaussian_mod_p(c, p, i_img or 0)
+        v = modp.gaussian_mod_p(c, p, i_img or 0)
         if v is None:
             den = next(d for d in (c.re.denominator, c.im.denominator) if d % p == 0)
             raise PreconditionError(f"denominator {den} is divisible by {p}")
@@ -117,15 +103,6 @@ def conic_expansion(S: FpSurface) -> dict:
     return {alpha: row for alpha, row in G.items() if any(row)}
 
 
-def _canonical(x, p: int):
-    """The representative of a point of P2(F_p) with first nonzero entry 1."""
-    x = [c % p for c in x]
-    lead = next((c for c in x if c), 0)
-    if not lead:
-        raise PreconditionError("(0, 0, 0) is not a projective point")
-    return tuple(c * pow(lead, -1, p) % p for c in x)
-
-
 def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
     """The pairs (q, m) with q.m != 0 mod p whose conic lies on S, as the
     given tuples, ordered by m as in m_points, then by q.  Any
@@ -143,7 +120,7 @@ def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
     exps = [le for _, le in monomials(0, b)]
     m_at: dict = {}
     for i, m in enumerate(m_points):
-        m_at.setdefault(_canonical(m, p), []).append(i)
+        m_at.setdefault(modp.canonical(m, p), []).append(i)
 
     def weights(x):  # G(x, q) is weights(x) times q's monomials
         xa = [x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] % p for e in G]
@@ -178,7 +155,7 @@ def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
             cands.extend(cross(e2, r2) for r2 in Z2)
         for m in cands:
             if dot(q, m) % p and any(not dot(r2, m) % p for r2 in Z2):
-                m = _canonical(m, p)
+                m = modp.canonical(m, p)
                 if m in m_at:
                     if m not in K_of:
                         K_of[m] = chart_rows(m)
@@ -189,15 +166,12 @@ def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
 
 
 def conics_meet_fp(c1: FpConic, c2: FpConic, p: int) -> bool:
-    """Mod-p version of the disjointness criterion."""
+    """Whether the conics meet mod p: (m1 x m2).(q1 x q2) = 0, as in flag.conics_disjoint."""
     q1, m1 = c1
     q2, m2 = c2
     if q1 == q2 and m1 == m2:
         raise PreconditionError("conics must be distinct")
-    if q1 == q2 or m1 == m2:
-        return True
-    # (m1 x m2).(q1 x q2), expanded by the Binet-Cauchy identity
-    return (dot(m1, q1) * dot(m2, q2) - dot(m1, q2) * dot(m2, q1)) % p == 0
+    return dot(cross(m1, m2), cross(q1, q2)) % p == 0
 
 
 class IndependenceResult(NamedTuple):

@@ -9,11 +9,13 @@ values are exact integers or rationals.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def h0_flag(a: int, b: int) -> int:
@@ -69,6 +71,8 @@ def miyaoka_conic_bound(a: int, b: int) -> tuple[Fraction, int]:
     since a count of curves is an integer, the floor is the operative bound.
     The same ceiling applies to twistor fibers, which are disjoint conics.
     """
+    from fractions import Fraction
+
     _require_general_type(a, b)
     num = 2 * (a + b - 2) * (
         3 * a * a * b - a * a + 3 * a * b * b - 4 * a * b + 3 * a - b * b + 3 * b
@@ -80,6 +84,8 @@ def miyaoka_conic_bound(a: int, b: int) -> tuple[Fraction, int]:
 def ruling_curve_bound(a: int, b: int) -> tuple[Fraction, int]:
     """Ceiling on the number of bidegree (1,0) curves on a smooth (a, b)
     surface: 2a(a^2(3b-1) + a(3b^2-4b+3) - (b-3)b) / (1+a)^2, with floor."""
+    from fractions import Fraction
+
     _require_general_type(a, b)
     num = 2 * a * (a * a * (3 * b - 1) + a * (3 * b * b - 4 * b + 3) - (b - 3) * b)
     value = Fraction(num, (1 + a) ** 2)
@@ -164,6 +170,8 @@ def surface_invariant_report(a: int, b: int) -> SurfaceInvariants:
     chi(O_S) = (c1^2 + c2)/12 is an integer for every bidegree.  A surface
     needs a, b >= 0 and a + b >= 1.
     """
+    from fractions import Fraction
+
     if a < 0 or b < 0 or a + b < 1:
         raise PreconditionError("a surface needs bidegree a, b >= 0 with a + b >= 1")
     k1, k2 = c1_squared(a, b), c2(a, b)

@@ -1,5 +1,4 @@
-"""Exact linear algebra over Q(i) on Gaussian-integer rows, and its
-certified shadow over F_p.
+"""Exact linear algebra over Q(i) on Gaussian-integer rows.
 
 Rows are Gaussian-integer (re, im) pairs; clear_rows, which scales each
 Q(i) row by the lcm of its denominators, is the one way in from Q(i).  They
@@ -8,15 +7,6 @@ entry is a minor of the matrix, so all divisions are exact integer
 divisions and no rational arithmetic happens inside the elimination loop.
 Pivots are chosen by smallest digit size with row order as the tie break,
 which keeps the whole pipeline deterministic.
-
-The prime PRIME = 2^61 - 31 is 1 (mod 4).  Sending i to I_MOD, a square
-root of -1, maps Z[i] onto F_p and extends to every Gaussian rational
-whose denominators PRIME does not divide (gaussian_mod_p takes the prime
-and the image of i, so the census uses it with its own).  The map is a ring
-homomorphism, so the rank over F_p never exceeds the exact rank.
-echelon_mod_p is used only where a matching bound the other way proves
-the exact answer; for a kernel that bound is annihilates, the exact
-product of every row with every basis vector.
 """
 
 from __future__ import annotations
@@ -27,9 +17,6 @@ from fractions import Fraction
 from .gaussian import ZERO, GaussianRational
 
 Pair = tuple[int, int]
-
-PRIME = 2305843009213693921  # 2^61 - 31
-I_MOD = 583529827753931384  # I_MOD^2 = -1 (mod PRIME)
 
 
 def _gi_div(a: Pair, b: Pair) -> Pair:
@@ -170,47 +157,3 @@ def annihilates(rows: list[list[Pair]], vectors) -> bool:
             if sr or si:
                 return False
     return True
-
-
-def gaussian_mod_p(z: GaussianRational, p: int, i_img: int) -> int | None:
-    """The image of z in F_p when i maps to i_img, a square root of -1
-    mod p; None when p divides one of its denominators."""
-    v = 0
-    for part, unit in ((z.re, 1), (z.im, i_img)):
-        if part:
-            den = part.denominator
-            if den % p == 0:
-                return None
-            v += unit * part.numerator * pow(den, -1, p)
-    return v % p
-
-
-def echelon_mod_p(rows: list[list[int]], ncols: int):
-    """Row echelon form over F_p (p = PRIME) of integer rows, built greedily
-    in row order; the rows are not modified.
-
-    Returns (pivot_rows, pivot_cols): the indices of the rows that are
-    independent of the rows before them, in increasing order, and the
-    column each of them pivots on.  Their number is the rank mod p.
-    """
-    p = PRIME
-    reduced: dict[int, list[int]] = {}  # pivot column -> row with 1 there
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    for r, row in enumerate(rows):
-        if len(pivot_cols) == ncols:
-            break
-        v = [x % p for x in row]
-        for c in range(ncols):
-            x = v[c]
-            if not x:
-                continue
-            prow = reduced.get(c)
-            if prow is None:
-                inv = pow(x, -1, p)
-                reduced[c] = [y * inv % p for y in v]
-                pivot_rows.append(r)
-                pivot_cols.append(c)
-                break
-            v[c:] = [(y - x * z) % p for y, z in zip(v[c:], prow[c:])]
-    return pivot_rows, pivot_cols

@@ -5,8 +5,8 @@ by their canonical coefficients on the quotient monomial basis (monomials
 not divisible by p0*l0).  A conic imposes the a+b+1 coefficients of the
 restriction map as linear conditions.  They are built once, exactly, as
 Gaussian-integer rows (condition_matrix).  Their reductions mod
-linalg.PRIME are eliminated first, and the rank mod p bounds the exact
-rank from below.  A dimension is returned from F_p only when the row
+modp.PRIME are eliminated first (modp.echelon), and the rank mod p bounds
+the exact rank from below.  A dimension is returned from F_p only when the row
 count bounds it from the other side.  Otherwise, and for every kernel
 basis, the exact rows independent mod p are eliminated by fraction-free
 Bareiss and the kernel is proved complete by multiplying every row of
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import linalg
+from . import linalg, modp
 from .binforms import BinaryForm, bf_gcd
 from .biforms import BiForm, quotient_monomials
 from .errors import EmptySystemError, FlagcalcError, PreconditionError
@@ -92,11 +92,8 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
 
 
 def _pivot_rows(cm: ConditionMatrix) -> list[int]:
-    """The rows of cm independent mod linalg.PRIME (i sent to I_MOD), whose
-    reductions are images of the exact rows by construction."""
-    p, i = linalg.PRIME, linalg.I_MOD
-    rows = [[(re + i * im) % p for re, im in row] for row in cm.rows]
-    return linalg.echelon_mod_p(rows, len(cm.columns))[0]
+    """The rows of cm independent mod modp.PRIME (images of the exact rows)."""
+    return modp.echelon(modp.reduce_rows(cm.rows), len(cm.columns))[0]
 
 
 def _certified_kernel(cm: ConditionMatrix, pivots: list[int]):

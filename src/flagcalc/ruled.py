@@ -44,7 +44,6 @@ from .flag import (
     substitute_forms,
     twistor_fiber_of,
 )
-from .linsys import SingularWitness, conic_singularity_witness
 from .sampling import SplitMix64
 
 DEFAULT_RULED_SEED = 0x52D
@@ -350,6 +349,8 @@ def smoothness_profile(spec: RuledSurfaceSpec, fibers: int = 6) -> dict:
     inconclusive; it has no vocabulary for certifying smoothness, which for
     these ruled surfaces of degree >= 2 would be wrong.
     """
+    from .linsys import SingularWitness, conic_singularity_witness
+
     samples = twistor_circle_samples(spec, fibers)
     entries = []
     found = False

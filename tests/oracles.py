@@ -5,7 +5,8 @@ package decides another way (restriction along a Q(i) FlagCurve with
 Fraction arithmetic against restriction over Z[i] through the cleared
 chart, exact rank against the certified mod-p rank,
 exact division against the gcd, solving the five linear conditions against
-the disjointness criterion, point evaluation against the h0 formula, one
+the disjointness criterion, the Binet-Cauchy expansion against the mod-p
+meet test's cross products, point evaluation against the h0 formula, one
 restriction per pair against the census's one expansion per surface, the
 2a x 2a Sylvester determinant against the a x a Bezout determinant of a
 ruling, Q(i) back-substitution against the fraction-free kernel, ruling
@@ -17,7 +18,7 @@ ceiling).  The seeded samplers below them are used by tests only.
 from fractions import Fraction
 from operator import mul
 
-from flagcalc import linalg
+from flagcalc import linalg, modp
 from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, triple_gcd, zero_form
 from flagcalc.biforms import BiForm, monomials
 from flagcalc.errors import DegenerateConicError, FlagcalcError, PreconditionError
@@ -397,6 +398,19 @@ def conics_meet_bruteforce(C1: Conic, C2: Conic) -> bool:
     return not dot(p_space[0], l_space[0])
 
 
+def binet_cauchy_meet_fp(c1, c2, p: int) -> bool:
+    """Whether two distinct conics over F_p meet, with a repeated q or m
+    taken as a meeting and (m1 x m2).(q1 x q2) expanded by the
+    Binet-Cauchy identity otherwise."""
+    q1, m1 = c1
+    q2, m2 = c2
+    if q1 == q2 and m1 == m2:
+        raise PreconditionError("conics must be distinct")
+    if q1 == q2 or m1 == m2:
+        return True
+    return (dot(m1, q1) * dot(m2, q2) - dot(m1, q2) * dot(m2, q1)) % p == 0
+
+
 # h0 of the flag as the rank of monomial values at random flag points.
 
 def evaluation_rank_oracle(a: int, b: int, seed: int = 0xE7A1, extra: int = 5) -> int:
@@ -417,7 +431,7 @@ def evaluation_rank_oracle(a: int, b: int, seed: int = 0xE7A1, extra: int = 5) -
     for _ in range(attempts):
         rows = [_eval_row_mod_p(random_flag_point(rng, height=3), a, b, cols)
                 for _ in range(target + extra)]
-        best = max(best, len(linalg.echelon_mod_p(rows, len(cols))[0]))
+        best = max(best, len(modp.echelon(rows, len(cols))[0]))
         if best == target:
             return target
     raise FlagcalcError(
@@ -429,8 +443,8 @@ def evaluation_rank_oracle(a: int, b: int, seed: int = 0xE7A1, extra: int = 5) -
 def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
     """The values mod p of the monomials at fp; a zero row, which can only
     lower the rank, when p divides a coordinate denominator."""
-    p = linalg.PRIME
-    xs = [linalg.gaussian_mod_p(z, p, linalg.I_MOD) for z in fp.p.coords + fp.l.coords]
+    p = modp.PRIME
+    xs = [modp.gaussian_mod_p(z, p, modp.I_MOD) for z in fp.p.coords + fp.l.coords]
     if None in xs:
         return [0] * len(cols)
     pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]

@@ -364,6 +364,10 @@ def test_census_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path):
     _assert_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path, "census", 17, 0)
 
 
+def test_dim_report_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path):
+    _assert_catalog_outputs_unchanged(capsys, monkeypatch, tmp_path, "dim-report", 36, 0)
+
+
 def test_trace_probes_resolve():
     # the benchmark's tracer, loaded read only: a span or dunder it wraps
     # that no longer exists would make that per-layer metric read absent
@@ -418,8 +422,23 @@ def test_h0_request_imports_only_what_it_runs():
     loaded = _modules_after_request("h0", "--a", "1", "--b", "1")
     assert "flagcalc.invariants" in loaded
     unused = {"flagcalc.fpcensus", "flagcalc.ruled", "flagcalc.linsys", "flagcalc.flag",
-              "flagcalc.gaussian", "flagcalc.linalg"}
+              "flagcalc.gaussian", "flagcalc.linalg", "flagcalc.modp"}
+    assert not loaded & (unused | {"fractions", "decimal", "numbers"})
+
+
+def test_mk_ruled_request_imports_only_what_it_runs():
+    loaded = _modules_after_request(
+        "mk-ruled", "--forms", "perfbench/fixtures/forms/d2_02.json", "--samples", "3"
+    )
+    assert {"flagcalc.ruled", "flagcalc.serialize"} <= loaded
+    unused = {"flagcalc.linsys", "flagcalc.invariants", "flagcalc.fpcensus", "flagcalc.modp"}
     assert not loaded & unused
+
+
+def test_modp_imports_only_errors():
+    loaded = _modules_after("import flagcalc.modp")
+    own = {m for m in loaded if m == "flagcalc" or m.startswith("flagcalc.")}
+    assert own == {"flagcalc", "flagcalc.modp", "flagcalc.errors"}
 
 
 def test_no_module_imports_dataclasses():

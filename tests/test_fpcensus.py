@@ -18,13 +18,13 @@ from flagcalc.fpcensus import (
     proj_points,
     reduce_mod_p,
     scan_pairs,
-    sqrt_minus_one,
 )
 from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.modp import sqrt_minus_one
 from flagcalc.ruled import twistor_ruled_surface
 
 from census_oracle import census_by_points
-from oracles import pairwise_scan_pairs, reference_scan_pairs
+from oracles import binet_cauchy_meet_fp, pairwise_scan_pairs, reference_scan_pairs
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 SURFACES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "surfaces"
@@ -142,6 +142,35 @@ def test_max_disjoint_trivial_cases():
     assert conics_meet_fp(c1, c2, 5)
     r = max_disjoint_subset([c1, c2], 5)
     assert r.size == 1 and r.exact
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_conics_meet_fp_matches_binet_cauchy(p):
+    # random smooth conics over F_p, and pairs sharing their q or their m,
+    # against the expansion with explicit repeated-q and repeated-m branches
+    rng = random.Random(4099 + p)
+    pts = proj_points(p)
+    conics = []
+    while len(conics) < 40:
+        q, m = rng.choice(pts), rng.choice(pts)
+        if dot(q, m) % p and (q, m) not in conics:
+            conics.append((q, m))
+    pairs = [tuple(rng.sample(conics, 2)) for _ in range(400)]
+    for q, m in conics:
+        pairs.extend(((q, m), c) for c in conics if (c[0] == q) != (c[1] == m))
+    shared = sum(c1[0] == c2[0] or c1[1] == c2[1] for c1, c2 in pairs)
+    assert shared >= 20
+    for c1, c2 in pairs:
+        meet = conics_meet_fp(c1, c2, p)
+        assert meet == binet_cauchy_meet_fp(c1, c2, p), (c1, c2)
+        if c1[0] == c2[0] or c1[1] == c2[1]:
+            assert meet
+        # any representatives of the four points give the same answer
+        u, v = rng.randrange(1, p), rng.randrange(1, p)
+        scaled = (tuple(u * x + p for x in c2[0]), tuple(v * x for x in c2[1]))
+        assert conics_meet_fp(c1, scaled, p) == meet
+    with pytest.raises(PreconditionError):
+        conics_meet_fp(conics[0], conics[0], p)
 
 
 def test_max_disjoint_pairwise_disjoint_family(ruled2):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagcalc import linalg, linsys
+from flagcalc import linalg, linsys, modp
 from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm
 from flagcalc.errors import FlagcalcError, PreconditionError
@@ -64,14 +64,14 @@ def _family_json(a, b, conics):
 
 
 def _reduce(z, p, i):
-    # independent of linalg.gaussian_mod_p: Fraction pieces, inverted one by one
+    # independent of modp.gaussian_mod_p: Fraction pieces, inverted one by one
     re = z.re.numerator * pow(z.re.denominator, -1, p)
     im = z.im.numerator * pow(z.im.denominator, -1, p)
     return (re + i * im) % p
 
 
 def _rows_mod_p(a, b, conics):
-    p, i = linalg.PRIME, linalg.I_MOD
+    p, i = modp.PRIME, modp.I_MOD
     return [[_reduce(GR(*z), p, i) for z in row] for row in condition_matrix(a, b, conics).rows]
 
 
@@ -131,7 +131,7 @@ def _twins(shift):
 
 
 def test_prime_constants():
-    p, i = linalg.PRIME, linalg.I_MOD
+    p, i = modp.PRIME, modp.I_MOD
     assert p == 2**61 - 31
     assert _is_prime(p)
     assert not _is_prime(p + 2) and not _is_prime(561)  # a Carmichael number
@@ -140,13 +140,13 @@ def test_prime_constants():
 
 
 def test_gaussian_mod_p():
-    p, i = linalg.PRIME, linalg.I_MOD
+    p, i = modp.PRIME, modp.I_MOD
     z = GR(Fraction(3, 7), Fraction(-5, 11))
-    assert linalg.gaussian_mod_p(z, p, i) == _reduce(z, p, i)
-    assert linalg.gaussian_mod_p(GR(0), p, i) == 0
-    assert linalg.gaussian_mod_p(GR(0, 1), p, i) == i
-    assert linalg.gaussian_mod_p(GR(Fraction(1, p)), p, i) is None
-    assert linalg.gaussian_mod_p(GR(1, Fraction(2, 3 * p)), p, i) is None
+    assert modp.gaussian_mod_p(z, p, i) == _reduce(z, p, i)
+    assert modp.gaussian_mod_p(GR(0), p, i) == 0
+    assert modp.gaussian_mod_p(GR(0, 1), p, i) == i
+    assert modp.gaussian_mod_p(GR(Fraction(1, p)), p, i) is None
+    assert modp.gaussian_mod_p(GR(1, Fraction(2, 3 * p)), p, i) is None
 
 
 def test_echelon_mod_p_matches_bareiss_rank():
@@ -157,7 +157,7 @@ def test_echelon_mod_p_matches_bareiss_rank():
         for _ in range(nrows):
             coeffs = [rng.int_in(-3, 3) for _ in range(rank)]
             rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(ncols)])
-        pivot_rows, pivot_cols = linalg.echelon_mod_p(rows, ncols)
+        pivot_rows, pivot_cols = modp.echelon(rows, ncols)
         exact = rank_int([[(x, 0) for x in row] for row in rows], ncols)
         assert len(pivot_rows) == len(pivot_cols) == exact
         assert pivot_rows == sorted(pivot_rows)
@@ -174,13 +174,13 @@ def test_echelon_mod_p_matches_bareiss_rank():
 
 def test_mod_p_rows_are_reductions_of_exact_rows(monkeypatch):
     received = []
-    echelon = linalg.echelon_mod_p
+    echelon = modp.echelon
 
     def record(rows, ncols):
         received.append(rows)
         return echelon(rows, ncols)
 
-    monkeypatch.setattr(linalg, "echelon_mod_p", record)
+    monkeypatch.setattr(modp, "echelon", record)
     rng = SplitMix64(91)
     nonreal = []
     for _ in range(3):
@@ -238,12 +238,12 @@ def test_surface_family_probe_eliminates_pivot_rows_only(monkeypatch, fibers28):
 
 def test_rank_loss_mod_p_falls_back_to_bareiss(monkeypatch):
     # the twin conics coincide mod p, so the rank mod p drops by a+b+1
-    conics = _twins(linalg.PRIME)
+    conics = _twins(modp.PRIME)
     a, b = 2, 2
     exact = _exact_nullity(a, b, conics)
     assert exact == expected_system_dimension(a, b, 4)
     rows = _rows_mod_p(a, b, conics)
-    assert len(rows) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0]) == a + b + 1
+    assert len(rows) - len(modp.echelon(rows, h0_flag(a, b))[0]) == a + b + 1
     # the bounds do not meet, so system_dimension takes the certified
     # kernel: the pivot rows fail the certificate, all rows follow
     spy = _Spy(monkeypatch, "echelon_int")
@@ -259,14 +259,14 @@ def test_dropped_pivot_row_fails_certificate(monkeypatch):
     a, b = 2, 2
     conics = random_smooth_conics(SplitMix64(17), 3, height=10)
     want = _exact_basis_json(a, b, conics)
-    echelon = linalg.echelon_mod_p
+    echelon = modp.echelon
 
     def drop_first(rows, ncols):
         pivot_rows, pivot_cols = echelon(rows, ncols)
         assert pivot_rows == list(range(len(rows)))  # every row is independent
         return pivot_rows[1:], pivot_cols[1:]
 
-    monkeypatch.setattr(linalg, "echelon_mod_p", drop_first)
+    monkeypatch.setattr(modp, "echelon", drop_first)
     verdicts = _verdicts(monkeypatch)
     spy = _Spy(monkeypatch, "nullspace")
     assert _family_json(a, b, conics) == want
@@ -287,10 +287,10 @@ def test_small_prime_falls_back_to_bareiss(monkeypatch):
     a, b = 2, 2
     exact = _exact_nullity(a, b, conics)
     want = _exact_basis_json(a, b, conics)
-    monkeypatch.setattr(linalg, "PRIME", 5)
-    monkeypatch.setattr(linalg, "I_MOD", 2)
+    monkeypatch.setattr(modp, "PRIME", 5)
+    monkeypatch.setattr(modp, "I_MOD", 2)
     rows = _rows_mod_p(a, b, conics)
-    nullity_p = h0_flag(a, b) - len(linalg.echelon_mod_p(rows, h0_flag(a, b))[0])
+    nullity_p = h0_flag(a, b) - len(modp.echelon(rows, h0_flag(a, b))[0])
     assert nullity_p > exact == max(h0_flag(a, b) - len(rows), 0)
     spy = _Spy(monkeypatch, "echelon_int")
     assert system_dimension(a, b, conics) == exact
@@ -301,7 +301,7 @@ def test_small_prime_falls_back_to_bareiss(monkeypatch):
 
 
 def test_denominator_divisible_by_prime_takes_exact_path(monkeypatch):
-    p = linalg.PRIME
+    p = modp.PRIME
     a, b = 2, 3
     general = _twins(1)[2:]
     # q = (1, 1/p, 2) clears to (p, 1, 2p): its rows mod p are those of
@@ -328,7 +328,7 @@ def test_denominator_divisible_by_prime_takes_exact_path(monkeypatch):
 
 def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
     calls = []
-    for module, name in ((linsys, "condition_matrix"), (linalg, "echelon_mod_p")):
+    for module, name in ((linsys, "condition_matrix"), (modp, "echelon")):
         fn = getattr(module, name)
         count = lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
         monkeypatch.setattr(module, name, count)
@@ -339,7 +339,7 @@ def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
             calls.clear()
             spy.rows.clear()
             call(a, b, conics)
-            assert calls == ["condition_matrix", "echelon_mod_p"], (call.__name__, a)
+            assert calls == ["condition_matrix", "echelon"], (call.__name__, a)
             # the bounds meet on the three conics and not on the 28 fibers
             if call is system_dimension:
                 assert spy.rows == bareiss
