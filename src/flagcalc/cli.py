@@ -1,18 +1,21 @@
 """Command-line front end: stable JSON in, stable JSON out.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 precondition
-violation, 4 internal failure.  Errors are emitted as {"code", "message"}
-JSON; an internal failure also prints its traceback to stderr.  For a
-fixed subcommand, arguments, and seed the output bytes are identical
-across runs.
+Usage: flagcalc [--out FILE] COMMAND [--name value | --name=value ...].
+Options take full names only, the last of a repeated option wins, and -h or
+--help prints the option table.  Exit codes: 0 success, 2 usage or malformed
+input, 3 precondition violation, 4 internal failure.  Errors are emitted as
+{"code", "message"} JSON; an internal failure also prints its traceback to
+stderr.  For a fixed subcommand, arguments, and seed the output bytes are
+identical across runs.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import FlagcalcError, PreconditionError, SchemaError
 
@@ -24,63 +27,6 @@ EXIT_INTERNAL = 4
 
 class UsageError(FlagcalcError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="flagcalc", description=__doc__)
-    parser.add_argument("--out", help="write the JSON result to this path (atomic)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="disjoint-conic and ruling-curve ceilings")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    p = sub.add_parser("chern", help="Chern numbers and adjunction data")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    p = sub.add_parser("h0", help="section counts on the flag or its linear sections")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--side", choices=["flag", "X", "Y"], default="flag")
-
-    p = sub.add_parser("chow", help="triple products of the hyperplane classes")
-    p.add_argument("--classes", required=True, help="comma list, e.g. H1,H2,H1")
-
-    p = sub.add_parser("mk-surface", help="surface through prescribed conics")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--conics", help="JSON file with a list of conics")
-    p.add_argument("--random", type=int, default=None, help="sample this many conics")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("check-conic", help="containment of a conic in a surface")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--conic", required=True)
-
-    p = sub.add_parser("mk-ruled", help="bidegree (a,a) surface ruled by twistor fibers")
-    p.add_argument("--forms", required=True, help="JSON file with three real binary forms")
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("census", help="mod-p conic census of a surface")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--limit", type=int, default=24, help="exact max-disjoint search cap")
-
-    p = sub.add_parser("dim-report", help="observed vs expected interpolation dimensions")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-
-    return parser
 
 
 def _load_json(path):
@@ -261,17 +207,99 @@ def _cmd_dim_report(args):
     }
 
 
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "chern": _cmd_chern,
-    "h0": _cmd_h0,
-    "chow": _cmd_chow,
-    "mk-surface": _cmd_mk_surface,
-    "check-conic": _cmd_check_conic,
-    "mk-ruled": _cmd_mk_ruled,
-    "census": _cmd_census,
-    "dim-report": _cmd_dim_report,
+class _Help(Exception):
+    """The text that -h or --help asked for."""
+
+
+REQUIRED = object()
+_INT = (int, REQUIRED, "")
+_GLOBAL = {"out": (str, None, "write the JSON result to this path (atomic)")}
+
+# command -> (handler, help line, {option: (int, str or a tuple of choices;
+# default or REQUIRED; help)}), in the order --help lists them
+COMMANDS = {
+    "bound": (_cmd_bound, "disjoint-conic and ruling-curve ceilings", {"a": _INT, "b": _INT}),
+    "chern": (_cmd_chern, "Chern numbers and adjunction data", {"a": _INT, "b": _INT}),
+    "h0": (_cmd_h0, "section counts on the flag or its linear sections",
+           {"a": _INT, "b": _INT, "side": (("flag", "X", "Y"), "flag", "")}),
+    "chow": (_cmd_chow, "triple products of the hyperplane classes",
+             {"classes": (str, REQUIRED, "comma list, e.g. H1,H2,H1")}),
+    "mk-surface": (_cmd_mk_surface, "surface through prescribed conics", {
+        "a": _INT, "b": _INT, "conics": (str, None, "JSON file with a list of conics"),
+        "random": (int, None, "sample this many conics"), "seed": (int, 0, "")}),
+    "check-conic": (_cmd_check_conic, "containment of a conic in a surface",
+                    {"surface": (str, REQUIRED, ""), "conic": (str, REQUIRED, "")}),
+    "mk-ruled": (_cmd_mk_ruled, "bidegree (a,a) surface ruled by twistor fibers", {
+        "forms": (str, REQUIRED, "JSON file with three real binary forms"),
+        "samples": (int, 5, ""),
+        "seed": (int, None, "certificate seed, ruled.DEFAULT_RULED_SEED if omitted")}),
+    "census": (_cmd_census, "mod-p conic census of a surface", {
+        "surface": (str, REQUIRED, ""), "prime": _INT,
+        "limit": (int, 24, "exact max-disjoint search cap")}),
+    "dim-report": (_cmd_dim_report, "observed vs expected interpolation dimensions", {
+        "a": _INT, "b": _INT, "x": _INT, "trials": (int, 5, ""), "seed": (int, 0, "")}),
 }
+
+
+def _value(label, kind, text):
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(f"argument {label}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"argument {label}: invalid {kind.__name__} value: {text!r}") from None
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """out, command and each of the command's options, defaults filled in.
+    A token after an option is its value unless it starts with "--"; an
+    option still REQUIRED is refused before an unknown token is."""
+    args = SimpleNamespace(out=None, command=None)
+    table, extras, i = _GLOBAL, [], 0
+    while i < len(argv):
+        tok, i = argv[i], i + 1
+        name, eq, text = tok[2:].partition("=") if tok.startswith("--") else ("", "", "")
+        if tok in ("-h", "--help"):
+            raise _Help(_help_text(args.command))
+        if name in table:
+            if not eq:
+                if i == len(argv) or argv[i].startswith("--"):
+                    raise UsageError(f"argument --{name}: expected one argument")
+                text, i = argv[i], i + 1
+            setattr(args, name, _value(f"--{name}", table[name][0], text))
+        elif args.command is None and not tok.startswith("-"):
+            args.command, table = _value("command", tuple(COMMANDS), tok), COMMANDS[tok][2]
+            vars(args).update((n, default) for n, (_, default, _) in table.items())
+        else:
+            extras.append(tok)
+    missing = [f"--{n}" for n, v in vars(args).items() if v is REQUIRED]
+    if args.command is None or missing:
+        missing = ", ".join(missing or ["command"])
+        raise UsageError(f"the following arguments are required: {missing}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _help_text(command) -> str:
+    """The --help text of the program (command None) or of one command."""
+    if command is None:
+        table = _GLOBAL
+        about = "commands (COMMAND --help lists its options):\n"
+        about += "".join(f"  {c:<13}{h}\n" for c, (_, h, _) in COMMANDS.items())
+    else:
+        _, about, table = COMMANDS[command]
+        about += "\n"
+    text = f"usage: flagcalc [--out FILE] {command or 'COMMAND'} [--name value ...]\n\n"
+    text += about + "\noptions:\n"
+    for name, (kind, default, note) in table.items():
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+        said = {REQUIRED: "required", None: ""}.get(default, f"default {default}")
+        text += f"  {'--' + name + ' ' + meta:<21}{'; '.join(filter(None, (said, note)))}\n"
+    return text + f"  {'-h, --help':<21}show this help\n"
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -297,11 +325,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        # called as the program: what start-up loaded lives until exit, so
+        # no collection, in the run or at shutdown, needs to walk it
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        payload = _HANDLERS[args.command](args)
+        args = parse_args(argv)
+        payload = COMMANDS[args.command][0](args)
         _emit(payload, args.out)
+        return EXIT_OK
+    except _Help as exc:
+        sys.stdout.write(str(exc))
         return EXIT_OK
     except (UsageError, SchemaError) as exc:
         _emit({"code": "usage", "message": str(exc)}, None)

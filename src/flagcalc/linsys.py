@@ -63,6 +63,8 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     so the conic's block is its block of Q(i) restriction coefficients
     times the nonzero integer mu^(a+b) lam^b, with the same kernel.
     """
+    if a < 0 or b < 0:
+        raise PreconditionError("h0 requires nonnegative bidegree")
     conics = list(conics)
     if not all(C.is_smooth for C in conics):
         raise PreconditionError("condition matrix requires smooth conics")

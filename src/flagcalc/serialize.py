@@ -22,10 +22,16 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _integer(x) -> int:
+    if isinstance(x, (bool, float)):  # int() reads JSON true as 1 and 1.9 as 1
+        raise SchemaError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def parse_frac(s) -> Fraction:
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(s if isinstance(s, str) else _integer(s))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a rational number: {s!r}") from exc
 
 
@@ -37,7 +43,7 @@ def gr_from_json(obj) -> GaussianRational:
     if isinstance(obj, str):
         return GaussianRational(parse_frac(obj))
     if isinstance(obj, int):
-        return GaussianRational(obj)
+        return GaussianRational(_integer(obj))
     if isinstance(obj, dict):
         return GaussianRational(parse_frac(obj.get("re", 0)), parse_frac(obj.get("im", 0)))
     raise SchemaError(f"not a scalar: {obj!r}")
@@ -88,9 +94,9 @@ def biform_from_json(obj) -> BiForm:
         a, b = obj["bidegree"]
         terms = {}
         for t in obj["terms"]:
-            key = (tuple(int(e) for e in t["p"]), tuple(int(e) for e in t["l"]))
+            key = (tuple(map(_integer, t["p"])), tuple(map(_integer, t["l"])))
             terms[key] = gr_from_json(t["c"])
-        return BiForm((int(a), int(b)), terms)
+        return BiForm((_integer(a), _integer(b)), terms)
     except SchemaError:
         raise
     except Exception as exc:

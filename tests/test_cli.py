@@ -48,6 +48,80 @@ def test_unknown_flag_usage(capsys):
     assert code == 2
 
 
+COMMAND_CHOICES = (
+    "'bound', 'chern', 'h0', 'chow', 'mk-surface', 'check-conic', 'mk-ruled', 'census', "
+    "'dim-report'"
+)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["nope"], f"argument command: invalid choice: 'nope' (choose from {COMMAND_CHOICES})"),
+    (["bound", "--a"], "argument --a: expected one argument"),
+    (["--out"], "argument --out: expected one argument"),
+    (["bound", "--a", "--b", "3"], "argument --a: expected one argument"),
+    (["bound", "--a", "x", "--b", "3"], "argument --a: invalid int value: 'x'"),
+    (["bound", "--a=", "--b", "3"], "argument --a: invalid int value: ''"),
+    (["h0", "--a", "1", "--b", "1", "--side", "Z"],
+     "argument --side: invalid choice: 'Z' (choose from 'flag', 'X', 'Y')"),
+    (["bound", "--zzz", "1"], "the following arguments are required: --a, --b"),
+    (["bound", "--a", "3", "--zzz", "1"], "the following arguments are required: --b"),
+    (["h0", "--a", "1", "--b", "1", "--out", "f"], "unrecognized arguments: --out f"),
+    (["h0", "--a", "1", "--b", "1", "extra"], "unrecognized arguments: extra"),
+    (["--zzz", "h0", "--a", "1", "--b", "1"], "unrecognized arguments: --zzz"),
+    (["dim-report", "--a", "1", "--b", "1", "--x", "0", "--tri", "1"],
+     "unrecognized arguments: --tri 1"),
+    (["dim-report", "--a", "1", "--b", "1", "--x", "-1"], "--x must be nonnegative"),
+])
+def test_usage_errors_keep_their_wording(capsys, argv, message):
+    code, doc = run(capsys, *argv)
+    assert (code, doc) == (2, {"code": "usage", "message": message})
+
+
+def test_accepted_syntax_and_defaults(capsys):
+    from flagcalc.cli import parse_args
+
+    for argv in (["h0", "--a=2", "--b", "2"], ["h0", "--a", "1", "--a", "2", "--b", "2"]):
+        code, doc = run(capsys, *argv)
+        assert (code, doc["h0"]) == (0, 27), argv
+    assert vars(parse_args(["--out=o.json", "bound", "--a", "3", "--b=-1"])) == {
+        "out": "o.json", "command": "bound", "a": 3, "b": -1}
+    defaults = {
+        "chern --a 3 --b 3": {"a": 3, "b": 3},
+        "h0 --a 1 --b 1": {"a": 1, "b": 1, "side": "flag"},
+        "chow --classes H1,H2,H1": {"classes": "H1,H2,H1"},
+        "mk-surface --a 1 --b 1": {"a": 1, "b": 1, "conics": None, "random": None, "seed": 0},
+        "check-conic --surface s --conic c": {"surface": "s", "conic": "c"},
+        "mk-ruled --forms f": {"forms": "f", "samples": 5, "seed": None},
+        "census --surface s --prime 5": {"surface": "s", "prime": 5, "limit": 24},
+        "dim-report --a 1 --b 1 --x 0": {"a": 1, "b": 1, "x": 0, "trials": 5, "seed": 0},
+    }
+    for line, options in defaults.items():
+        argv = line.split()
+        assert vars(parse_args(argv)) == {"out": None, "command": argv[0], **options}, line
+
+
+def test_help_comes_from_the_option_table(capsys):
+    from flagcalc.cli import COMMANDS, REQUIRED
+
+    for flag in ("--help", "-h"):
+        assert main([flag]) == 0
+        text = capsys.readouterr().out
+        assert "--out" in text
+        for command, (_, about, _) in COMMANDS.items():
+            assert f"  {command}" in text and about in text, command
+    for command, (_, about, options) in COMMANDS.items():
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert about in text
+        for name, (_, default, _) in options.items():
+            line = next(row for row in text.splitlines() if row.startswith(f"  --{name} "))
+            if default is REQUIRED:
+                assert "required" in line, (command, name)
+            elif default is not None:
+                assert f"default {default}" in line, (command, name)
+
+
 def test_chow(capsys):
     code, doc = run(capsys, "chow", "--classes", "H1,H2,H1")
     assert code == 0
@@ -100,6 +174,21 @@ def test_mk_surface_empty_prescription(capsys):
     assert code == 0
     assert doc["dimension"] == 8
     assert doc["prescribed"] == []
+
+
+@pytest.mark.parametrize("source", ["--random", "--conics"])
+def test_mk_surface_negative_bidegree_precondition_exit(capsys, tmp_path, source):
+    from flagcalc.sampling import SplitMix64, random_smooth_conics
+    from flagcalc.serialize import conic_to_json
+
+    value = "1"
+    if source == "--conics":
+        value = str(tmp_path / "conics.json")
+        conics = random_smooth_conics(SplitMix64(5), 1, height=10)
+        Path(value).write_text(json.dumps([conic_to_json(c) for c in conics]))
+    code, doc = run(capsys, "mk-surface", "--a", "-1", "--b", "2", source, value)
+    assert code == 3
+    assert doc == {"code": "precondition", "message": "h0 requires nonnegative bidegree"}
 
 
 def test_mk_ruled_check_conic_census_pipeline(capsys, tmp_path):
@@ -307,7 +396,7 @@ def test_internal_failure_traceback_goes_to_stderr(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "h0", broken)
+    monkeypatch.setitem(cli.COMMANDS, "h0", (broken, *cli.COMMANDS["h0"][1:]))
     code = main(["h0", "--a", "1", "--b", "1"])
     captured = capsys.readouterr()
     assert code == 4
@@ -424,6 +513,16 @@ def test_h0_request_imports_only_what_it_runs():
     unused = {"flagcalc.fpcensus", "flagcalc.ruled", "flagcalc.linsys", "flagcalc.flag",
               "flagcalc.gaussian", "flagcalc.linalg", "flagcalc.modp"}
     assert not loaded & (unused | {"fractions", "decimal", "numbers"})
+    assert not loaded & {"argparse", "gettext", "locale"}
+
+
+def test_main_freezes_start_up_only_as_the_program():
+    h0 = ("h0", "--a", "1", "--b", "1")
+    report = "; sys.stderr.write(str(gc.get_freeze_count()))"
+    for call, frozen in (("main()", True), ("main(sys.argv[1:])", False)):
+        code = "import gc, sys; from flagcalc.cli import main; " + call + report
+        count = int(_fresh_run("-c", code, *h0).stderr)
+        assert (count > 0) == frozen, call
 
 
 def test_mk_ruled_request_imports_only_what_it_runs():
@@ -441,10 +540,18 @@ def test_modp_imports_only_errors():
     assert own == {"flagcalc", "flagcalc.modp", "flagcalc.errors"}
 
 
+def _modules_importing(name):
+    pattern = re.compile(rf"^\s*(import|from)\s+{name}\b", re.MULTILINE)
+    paths = sorted((ROOT / "src" / "flagcalc").glob("*.py"))
+    return [p.name for p in paths if pattern.search(p.read_text(encoding="utf-8"))]
+
+
 def test_no_module_imports_dataclasses():
-    pattern = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.MULTILINE)
-    for path in sorted((ROOT / "src" / "flagcalc").glob("*.py")):
-        assert not pattern.search(path.read_text(encoding="utf-8")), path.name
+    assert _modules_importing("dataclasses") == []
+
+
+def test_no_module_imports_argparse():
+    assert _modules_importing("argparse") == []
 
 
 def test_package_names_load_on_first_use():

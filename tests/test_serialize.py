@@ -84,3 +84,22 @@ def test_biform_schema_errors():
         biform_from_json({"terms": []})
     with pytest.raises(SchemaError):
         biform_from_json({"bidegree": [1, 1], "terms": [{"p": [1, 0], "l": [1, 0, 0], "c": "1"}]})
+
+
+@pytest.mark.parametrize("doc", [
+    {"bidegree": [1.9, 1], "terms": [{"p": [1.7, 0, 0], "l": [True, 0, 0], "c": "1"}]},
+    {"bidegree": [1.0, 1], "terms": [{"p": [1, 0, 0], "l": [1, 0, 0], "c": "1"}]},
+    {"bidegree": [1, True], "terms": [{"p": [1, 0, 0], "l": [1, 0, 0], "c": "1"}]},
+    {"bidegree": [1, 1], "terms": [{"p": [1, 0, 0], "l": [1.0, 0, 0], "c": "1"}]},
+    {"bidegree": [1, 1], "terms": [{"p": [1, 0, 0], "l": [1, 0, 0], "c": {"re": 1.5}}]},
+])
+def test_biform_refuses_json_floats_and_booleans(doc):
+    with pytest.raises(SchemaError):
+        biform_from_json(doc)
+
+
+@pytest.mark.parametrize("obj", [True, False, 1.5, 2.0, {"re": 1.5}, {"im": 2.0}, {"re": True}])
+def test_scalar_refuses_json_floats_and_booleans(obj):
+    with pytest.raises(SchemaError):
+        gr_from_json(obj)
+    assert gr_from_json({"re": 3, "im": "1/2"}) == GR(3, Fraction(1, 2))
