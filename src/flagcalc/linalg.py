@@ -133,8 +133,14 @@ def nullspace(rows: list[list[Pair]], ncols: int) -> list[list[GaussianRational]
                 si += ar * wi + ai * wr
             if sr or si:
                 w[pc] = _gi_div((-sr, -si), row[pc])
-        d = GaussianRational(*d)
-        basis.append([GaussianRational(*w[j]) / d if j in w else ZERO for j in range(ncols)])
+        # x / d = x conj(d) / N with N = |d|^2, one Fraction per part
+        dr, di = d
+        n = dr * dr + di * di
+        vec = [ZERO] * ncols
+        for j, (wr, wi) in w.items():
+            re, im = Fraction(wr * dr + wi * di, n), Fraction(wi * dr - wr * di, n)
+            vec[j] = GaussianRational(re, im)
+        basis.append(vec)
     return basis
 
 

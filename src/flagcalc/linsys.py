@@ -8,14 +8,22 @@ Gaussian-integer rows (condition_matrix).  Their reductions mod
 modp.PRIME are eliminated first (modp.echelon), and the rank mod p bounds
 the exact rank from below.  A dimension is returned from F_p only when the row
 count bounds it from the other side.  Otherwise, and for every kernel
-basis, the exact rows independent mod p are eliminated by fraction-free
-Bareiss and the kernel is proved complete by multiplying every row of
-every conic with every basis vector; when the proof fails all rows are
-eliminated.  Every dimension and basis reported here is exact.
+basis, the kernel of the rows independent mod p is found in this order:
+  1. their images in F_p, with i sent to I_MOD and to -I_MOD, are fully
+     reduced (modp.rref);
+  2. the real and imaginary parts of each kernel entry are read back from
+     the two images (modp.reconstruct);
+  3. the certificate multiplies every row of every conic with every basis
+     vector exactly, which proves the kernel complete;
+  4. when the images disagree, an entry does not reconstruct or the
+     certificate fails, the rows are eliminated by fraction-free Bareiss
+     and certified again, and all rows when that fails too.
+Every dimension and basis reported here is exact.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg, modp
@@ -33,7 +41,7 @@ from .flag import (
     pull,
     restrict_to_conic,
 )
-from .gaussian import GaussianInt, GaussianRational, gaussian_sqrt
+from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, gaussian_sqrt
 from .invariants import h0_flag
 from .sampling import SplitMix64
 
@@ -95,17 +103,70 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
 
 def _pivot_rows(cm: ConditionMatrix) -> list[int]:
     """The rows of cm independent mod modp.PRIME (images of the exact rows)."""
-    return modp.echelon(modp.reduce_rows(cm.rows), len(cm.columns))[0]
+    return modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), len(cm.columns))[0]
+
+
+def _fp_kernel(rows: list[list[linalg.Pair]], ncols: int):
+    """The reduced-echelon kernel of Gaussian-integer rows read back from
+    F_p, or None when the two images disagree or an entry does not
+    reconstruct.
+
+    The rows are reduced to echelon form mod p twice, with i sent to I_MOD
+    and to -I_MOD; a kernel entry re + i im maps to k1 = re + I_MOD im and
+    k2 = re - I_MOD im, so re = (k1 + k2)/2 and im = (k1 - k2)/(2 I_MOD)
+    mod p, each read back by modp.reconstruct.  The vector of a free column
+    f has 1 at f and support on the pivot columns before f, the form
+    linalg.nullspace gives; the caller proves it.
+    """
+    p, i = modp.PRIME, modp.I_MOD
+    _, cols, red1 = modp.rref(modp.reduce_rows(rows, i), ncols)
+    _, cols2, red2 = modp.rref(modp.reduce_rows(rows, p - i), ncols)
+    if set(cols) != set(cols2):
+        return None
+    conj = dict(zip(cols2, red2))
+    pivots = sorted((c, r1, conj[c]) for c, r1 in zip(cols, red1))
+    half = (p + 1) // 2
+    im_scale = pow(2 * i, -1, p)
+    kernel = []
+    for f in range(ncols):
+        if f in conj:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for c, r1, r2 in pivots:
+            if c > f:
+                break
+            k1, k2 = -r1[f], -r2[f]
+            if not (k1 or k2):
+                continue
+            re = modp.reconstruct((k1 + k2) * half, p)
+            im = modp.reconstruct((k1 - k2) * im_scale, p)
+            if re is None or im is None:
+                return None
+            v[c] = GaussianRational(Fraction(*re), Fraction(*im))
+        kernel.append(v)
+    return kernel
 
 
 def _certified_kernel(cm: ConditionMatrix, pivots: list[int]):
     """The reduced-echelon kernel of cm from the pivot rows alone, proved
     by linalg.annihilates on every row (a block of a+b+1 rows times a
-    vector is that surface's restriction to the conic); when the proof
-    fails (p divides a minor the rank needs), from all rows, proved again.
+    vector is that surface's restriction to the conic).  The kernel is read
+    back from F_p first (_fp_kernel).  When that fails, or its proof does,
+    the pivot rows are eliminated exactly by Bareiss and proved; when that
+    proof fails too (p divides a minor the rank needs), all rows are,
+    and proved again.
+
+    The F_p kernel has ncols - rank_p vectors, and rank_p is at most the
+    exact rank, so once proved it spans the exact kernel; a kernel has one
+    basis of that form, so it is the one Bareiss would give.
     """
     ncols = len(cm.columns)
-    kernel = linalg.nullspace([cm.rows[r] for r in pivots], ncols=ncols)
+    rows = [cm.rows[r] for r in pivots]
+    kernel = _fp_kernel(rows, ncols)
+    if kernel is not None and linalg.annihilates(cm.rows, kernel):
+        return kernel
+    kernel = linalg.nullspace(rows, ncols=ncols)
     if not linalg.annihilates(cm.rows, kernel):
         kernel = linalg.nullspace(cm.rows, ncols=ncols)
         if not linalg.annihilates(cm.rows, kernel):

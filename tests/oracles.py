@@ -3,7 +3,8 @@
 None of these is on a path the package runs: each decides a fact that the
 package decides another way (restriction along a Q(i) FlagCurve with
 Fraction arithmetic against restriction over Z[i] through the cleared
-chart, exact rank against the certified mod-p rank,
+chart, exact rank against the certified mod-p rank, one entry at a time
+against the packed rows of the mod-p echelon,
 exact division against the gcd, solving the five linear conditions against
 the disjointness criterion, the Binet-Cauchy expansion against the mod-p
 meet test's cross products, point evaluation against the h0 formula, one
@@ -235,6 +236,54 @@ def reference_nullspace(rows, ncols: int) -> list[list[GaussianRational]]:
                 v[pc] = -acc / GaussianRational(*row[pc])
         basis.append(v)
     return basis
+
+
+# Row echelon forms over F_p on lists, one entry at a time.
+
+def _reduced_mod_p(rows, ncols: int):
+    """The greedy row-order elimination of modp.echelon on lists:
+    (pivot_rows, {pivot column: its row with 1 there}), p = modp.PRIME
+    read at call time."""
+    p = modp.PRIME
+    reduced: dict[int, list[int]] = {}
+    pivot_rows: list[int] = []
+    for r, row in enumerate(rows):
+        if len(reduced) == ncols:
+            break
+        v = [x % p for x in row]
+        for c in range(ncols):
+            x = v[c]
+            if not x:
+                continue
+            prow = reduced.get(c)
+            if prow is None:
+                inv = pow(x, -1, p)
+                reduced[c] = [y * inv % p for y in v]
+                pivot_rows.append(r)
+                break
+            v[c:] = [(y - x * z) % p for y, z in zip(v[c:], prow[c:])]
+    return pivot_rows, reduced
+
+
+def reference_echelon(rows, ncols: int):
+    """What modp.echelon returns: (pivot_rows, pivot_cols)."""
+    pivot_rows, reduced = _reduced_mod_p(rows, ncols)
+    return pivot_rows, list(reduced)
+
+
+def reference_rref(rows, ncols: int):
+    """What modp.rref returns, by Gauss-Jordan back-substitution on lists:
+    each pivot row, from the last pivot column down, has the later pivot
+    rows subtracted at their columns."""
+    p = modp.PRIME
+    pivot_rows, reduced = _reduced_mod_p(rows, ncols)
+    for c in sorted(reduced, reverse=True):
+        v = reduced[c]
+        for c2 in reduced:
+            x = v[c2]
+            if c2 > c and x:
+                v[:] = [(y - x * z) % p for y, z in zip(v, reduced[c2])]
+    return pivot_rows, list(reduced), list(reduced.values())
 
 
 # Resultants as Sylvester determinants.

@@ -1,12 +1,24 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from flagcalc import modp
 from flagcalc.errors import PreconditionError
-from flagcalc.modp import I_MOD, PRIME, canonical, echelon, is_odd_prime, sqrt_minus_one
+from flagcalc.modp import (
+    I_MOD,
+    PRIME,
+    canonical,
+    echelon,
+    is_odd_prime,
+    reconstruct,
+    rref,
+    sqrt_minus_one,
+)
 from flagcalc.sampling import SplitMix64
 
-from oracles import rank_int
+from oracles import rank_int, reference_echelon, reference_rref
 
 
 def _sieve(n):
@@ -81,3 +93,80 @@ def test_echelon_pivot_columns_in_row_order():
             before = pivot_rows[:k]
             assert rank(before + [r], c) == rank(before, c)
             assert rank(before + [r], c + 1) == rank(before, c + 1) + 1
+
+
+def _random_matrix(rng, nrows, ncols, rank, height):
+    """nrows random combinations of rank random rows, then a zero row and
+    a copy of an earlier row put in at random places."""
+    basis = [[rng.randint(-height, height) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randint(-3, 3) for _ in range(rank)]
+        rows.append([sum(c * v[j] for c, v in zip(coeffs, basis) if c) for j in range(ncols)])
+    rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    return rows
+
+
+@pytest.mark.parametrize("p", [PRIME, 5, 13], ids=["PRIME", "5", "13"])
+def test_packed_echelon_and_rref_match_list_oracle(monkeypatch, p):
+    # 5 and 13 are small enough that random rows lose rank mod p, and make
+    # entries reach p and beyond; at PRIME the entries have up to 90 bits
+    monkeypatch.setattr(modp, "PRIME", p)
+    rng = random.Random(p)
+    height = 2**88 if p == PRIME else 9
+    checked = 0
+    for ncols in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 125):
+        for nrows, rank in [
+            (ncols // 2, ncols // 2),  # fewer rows than columns, full rank
+            (ncols + 3, ncols // 3),  # more rows than columns, rank deficient
+            (min(ncols, 40), min(ncols, 40)),
+            (ncols // 4 + 2, 0),  # zero rows only
+        ]:
+            rows = _random_matrix(rng, nrows, ncols, rank, height)
+            want = reference_rref(rows, ncols)
+            assert rref(rows, ncols) == want, (ncols, nrows, rank)
+            assert echelon(rows, ncols) == reference_echelon(rows, ncols) == want[:2]
+            checked += 1
+    assert checked == 44
+
+
+def test_rref_is_reduced_and_spans_the_rows():
+    rng = random.Random(7)
+    rows = _random_matrix(rng, 30, 20, 12, 50)
+    pivot_rows, pivot_cols, reduced = rref(rows, 20)
+    assert len(pivot_rows) == len(reduced) == 12
+    for k, (c, row) in enumerate(zip(pivot_cols, reduced)):
+        assert all(x == 0 for x in row[:c]) and row[c] == 1
+        assert all(row[c2] == 0 for c2 in pivot_cols if c2 != c), k
+    # every input row is the combination of the reduced rows given by its
+    # entries on the pivot columns
+    for row in rows:
+        combo = [sum(row[c] * r[j] for c, r in zip(pivot_cols, reduced)) % PRIME for j in range(20)]
+        assert combo == [x % PRIME for x in row]
+
+
+def test_reconstruct_round_trips_inside_the_bound_at_1009():
+    p = 1009
+    bound = isqrt(p // 2)
+    assert bound == 22
+    small = {}
+    for d in range(1, bound + 1):
+        for n in range(-bound, bound + 1):
+            small.setdefault(n * pow(d, -1, p) % p, Fraction(n, d))
+    for n, d in ((f.numerator, f.denominator) for f in small.values()):
+        assert reconstruct(n * pow(d, -1, p), p) == (n, d)
+    # every other residue is no fraction inside the bound
+    for u in range(p):
+        got = reconstruct(u, p)
+        assert (got is None) == (u not in small), u
+    assert reconstruct(23, p) is None and reconstruct(pow(23, -1, p), p) is None
+    assert reconstruct(-(p - 1) // 2, p) == (1, 2)
+
+
+def test_reconstruct_at_the_interpolation_prime():
+    bound = isqrt(PRIME // 2)
+    for n, d in [(0, 1), (1, 1), (-7, 3), (bound, bound - 1), (-bound, 1), (1, bound)]:
+        assert reconstruct(n * pow(d, -1, PRIME), PRIME) == (n, d)
+    assert reconstruct(bound + 1, PRIME) is None
+    assert reconstruct(pow(bound + 1, -1, PRIME), PRIME) is None

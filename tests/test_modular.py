@@ -1,12 +1,14 @@
 """Differential oracle for the certified mod-p interpolation path.
 
 system_dimension and surface_family eliminate the reductions of the exact
-condition rows over F_p first and fall back to exact Bareiss elimination
-whenever the modular answer is not proved.  Exact Bareiss on the full
-condition matrix (the rank oracle and linalg.nullspace of
-condition_matrix) is the oracle here: the tests pin the modular path to
-it, and force the fallbacks (a prime that loses rank, a chart that
-vanishes mod the prime, a pivot row dropped) to show they stay exact.
+condition rows over F_p first, read kernels back from F_p, and fall back to
+exact Bareiss elimination whenever the modular answer is not proved.
+Exact Bareiss on the full condition matrix (the rank oracle and
+linalg.nullspace of condition_matrix) is the oracle here: the tests pin
+the modular path to it, and force the fallbacks (a prime that loses rank,
+a chart that vanishes mod the prime, a pivot row dropped, a kernel that
+does not reconstruct or reconstructs wrong, conjugate images with other
+pivots) to show they stay exact.
 """
 
 import json
@@ -16,7 +18,7 @@ import pytest
 
 from flagcalc import linalg, linsys, modp
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm
+from flagcalc.biforms import BiForm, proportionality, reduce_mod_incidence
 from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import Conic, twistor_fiber_of
 from flagcalc.gaussian import GaussianRational as GR
@@ -35,6 +37,8 @@ from oracles import evaluation_rank_oracle, rank_int
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
+# the quartic ruling of perfbench/fixtures/forms/d4_00.json
+QUARTIC = (BinaryForm([1, 0, 1, 0, 0]), BinaryForm([0, 1, 0, 0, 0]), BinaryForm([0, 0, 0, 0, 1]))
 
 
 @pytest.fixture(scope="module")
@@ -106,22 +110,27 @@ class _Spy:
         return self.fn(rows, *args, **kwargs)
 
 
+def _record(monkeypatch, module, name):
+    """Wraps module.name and records the result of each call from here on."""
+    results = []
+    fn = getattr(module, name)
+
+    def record(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, record)
+    return results
+
+
 def _verdicts(monkeypatch):
     """The verdicts of the linalg.annihilates calls from here on."""
-    verdicts = []
-    annihilates = linalg.annihilates
-
-    def record(rows, vectors):
-        verdicts.append(annihilates(rows, vectors))
-        return verdicts[-1]
-
-    monkeypatch.setattr(linalg, "annihilates", record)
-    return verdicts
+    return _record(monkeypatch, linalg, "annihilates")
 
 
 def _twins(shift):
-    """Two disjoint integer conics that coincide mod shift, plus two
-    general ones."""
+    """Two disjoint conics that coincide mod shift, plus two general
+    integer ones."""
     return [
         Conic((1, 2, 3), (1, 1, 1)),
         Conic((1, 2 + shift, 3), (1, 1 + shift, 1)),
@@ -230,9 +239,12 @@ def test_surface_family_basis_matches_full_nullspace(a, b, x, seed):
 
 def test_surface_family_probe_eliminates_pivot_rows_only(monkeypatch, fibers28):
     spy = _Spy(monkeypatch, "nullspace")
+    verdicts = _verdicts(monkeypatch)
     got = _family_json(3, 3, fibers28)
-    # 63 independent rows of 196 reach exact elimination
-    assert spy.rows == [63]
+    # the kernel of the 63 rows of 196 independent mod p is read back from
+    # F_p and proved: Bareiss never runs
+    assert spy.rows == []
+    assert verdicts == [True]
     assert got == _exact_basis_json(3, 3, fibers28)
 
 
@@ -334,15 +346,97 @@ def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
         monkeypatch.setattr(module, name, count)
     spy = _Spy(monkeypatch, "nullspace")
     meet = random_smooth_conics(SplitMix64(17), 3, height=10)
-    for a, b, conics, bareiss in [(2, 2, meet, []), (3, 3, fibers28, [63])]:
+    # the bounds meet on the three conics, whose kernel does not reconstruct
+    # from one prime; on the 28 fibers they do not meet, and the kernel
+    # comes from F_p without Bareiss
+    for a, b, conics, bareiss in [(2, 2, meet, [15]), (3, 3, fibers28, [])]:
         for call in (system_dimension, surface_family):
             calls.clear()
             spy.rows.clear()
             call(a, b, conics)
             assert calls == ["condition_matrix", "echelon"], (call.__name__, a)
-            # the bounds meet on the three conics and not on the 28 fibers
-            if call is system_dimension:
-                assert spy.rows == bareiss
+            assert spy.rows == (bareiss if call is surface_family else [])
+
+
+def test_nonreal_kernel_is_read_back_from_both_images(monkeypatch):
+    # small nonreal conics give a kernel with small nonreal entries: their
+    # imaginary parts come from the difference of the two images
+    i = GR(0, 1)
+    conics = [Conic((1, i, 2), (2, 1, i)), Conic((1, 1 + i, -1), (i, 2, 1))]
+    spy = _Spy(monkeypatch, "nullspace")
+    for a, b, x in [(1, 1, 1), (2, 2, 2)]:
+        want = _exact_basis_json(a, b, conics[:x])
+        spy.rows.clear()
+        basis = surface_family(a, b, conics[:x]).basis
+        assert spy.rows == []
+        assert json.dumps([biform_to_json(F) for F in basis]) == want
+        assert any(c.im for F in basis for c in F.terms.values())
+
+
+def test_unreconstructed_kernel_falls_back_to_bareiss(monkeypatch):
+    # the random (3,3) kernel through four conics has entries of hundreds of
+    # bits, far past the bound sqrt(p/2) of one prime
+    a, b = 3, 3
+    conics = random_smooth_conics(SplitMix64(42), 4, height=10)
+    want = _exact_basis_json(a, b, conics)
+    images = _record(monkeypatch, modp, "rref")
+    fractions = _record(monkeypatch, modp, "reconstruct")
+    verdicts = _verdicts(monkeypatch)
+    spy = _Spy(monkeypatch, "nullspace")
+    assert _family_json(a, b, conics) == want
+    assert len(images) == 2 and set(images[0][1]) == set(images[1][1])
+    assert fractions[-1] is None
+    assert spy.rows == [4 * (a + b + 1)]
+    assert verdicts == [True]
+
+
+def test_wrong_reconstruction_fails_certificate(monkeypatch, fibers28):
+    want = _exact_basis_json(3, 3, fibers28)
+    reconstruct = modp.reconstruct
+
+    def off_by_one(u, p):
+        got = reconstruct(u, p)
+        return None if got is None else (got[0] + got[1], got[1])
+
+    monkeypatch.setattr(modp, "reconstruct", off_by_one)
+    verdicts = _verdicts(monkeypatch)
+    spy = _Spy(monkeypatch, "nullspace")
+    assert _family_json(3, 3, fibers28) == want
+    assert verdicts == [False, True]
+    assert spy.rows == [63]
+
+
+def test_conjugate_images_with_other_pivots_fall_back_to_bareiss(monkeypatch):
+    # z = I_MOD + i maps to 2 I_MOD with i -> I_MOD and to 0 with i -> -I_MOD,
+    # so the second conic is a twin of the first only in the second image:
+    # it keeps its a+b+1 pivots in the first and loses them in the second
+    a, b = 2, 2
+    z = GR(modp.I_MOD, 1)
+    conics = _twins(z)
+    assert all(C.is_smooth for C in conics)
+    want = _exact_basis_json(a, b, conics)
+    images = _record(monkeypatch, modp, "rref")
+    fractions = _record(monkeypatch, modp, "reconstruct")
+    spy = _Spy(monkeypatch, "nullspace")
+    assert _family_json(a, b, conics) == want
+    assert [len(cols) for _, cols, _ in images] == [20, 15]
+    assert fractions == []
+    assert spy.rows == [20]
+
+
+@pytest.mark.parametrize("forms, n, ratio", [(CUBIC, 28, 3), (QUARTIC, 49, 6)], ids=["28", "49"])
+def test_uniqueness_probe_is_the_bezout_surface(monkeypatch, forms, n, ratio):
+    # a^2+ab+b^2+1 fibers of a ruling leave one (a,a) surface: the ruled
+    # surface itself, built by the Bezout determinant, whose canonical form
+    # mod the incidence form is proportional to the family's basis vector
+    spec = twistor_ruled_surface(forms)
+    a = spec.degree
+    assert n == 3 * a * a + 1
+    spy = _Spy(monkeypatch, "nullspace")
+    fam = surface_family(a, a, twistor_circle_samples(spec, n))
+    assert spy.rows == []  # read back from F_p
+    assert fam.dimension == 1
+    assert proportionality(reduce_mod_incidence(spec.surface), fam.basis[0]) == ratio
 
 
 def test_rank_oracle_names_attempts_when_short():
