@@ -308,17 +308,17 @@ def _emit(payload: dict, out_path: str | None) -> None:
         import tempfile
 
         d = os.path.dirname(os.path.abspath(out_path))
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=d, prefix=".flagcalc-")
-        except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
-        try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, out_path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except BaseException as exc:
+            if tmp and os.path.exists(tmp):
                 os.unlink(tmp)
+            if isinstance(exc, OSError):
+                raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
             raise
     else:
         sys.stdout.write(text)

@@ -7,6 +7,8 @@ lies on S exactly when the line m lies in the plane curve G_q = G(., q).
 Such a line meets each coordinate line in a zero of G_q, so O(p) values of
 G_q give the candidate lines, O(p^3) dot products in all, and the chart
 rule (flag.line_basis) decides each candidate exactly; modp supplies F_p.
+Every q runs over proj_points and every hit m is made canonical
+(modp.canonical), so each conic is listed once, as canonical points.
 Results are mod-p evidence only; a conic over F_p need not lift.
 """
 
@@ -68,15 +70,6 @@ def proj_points(p: int) -> list[tuple[int, int, int]]:
     return pts
 
 
-def conic_census(S: FpSurface) -> list[FpConic]:
-    """All smooth conics over F_p contained in the reduced surface, sorted.
-
-    Searches the lines of G_q for each of the p^2+p+1 points q.
-    """
-    pts = proj_points(S.p)
-    return sorted(scan_pairs(S, pts, pts))
-
-
 _L_OF_QP = ((1, 2), (2, 0), (0, 1))  # l = q x p: l_i = q_j p_k - q_k p_j
 
 
@@ -103,24 +96,21 @@ def conic_expansion(S: FpSurface) -> dict:
     return {alpha: row for alpha, row in G.items() if any(row)}
 
 
-def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
-    """The pairs (q, m) with q.m != 0 mod p whose conic lies on S, as the
-    given tuples, ordered by m as in m_points, then by q.  Any
-    representatives of the projective points may be given.
+def conic_census(S: FpSurface) -> list[FpConic]:
+    """All smooth conics over F_p contained in the reduced surface, as the
+    sorted canonical pairs (q, m) with q.m != 0 mod p.
 
-    A line in G_q is r0 x r1 for zeros r0, r1 of G_q on {x0 = 0}, {x1 = 0},
-    or joins (0, 0, 1) to a zero on {x2 = 0}.  Row k of K_m, in the chart
-    p = s v1 + t v2 of m, sums coefficient k of p^alpha times G_alpha; a
-    candidate m is a hit when K_m times q's monomials is 0 mod p.
+    For each of the p^2+p+1 points q, a line in G_q is r0 x r1 for zeros
+    r0, r1 of G_q on {x0 = 0}, {x1 = 0}, or joins (0, 0, 1) to a zero on
+    {x2 = 0}.  Row k of K_m, in the chart p = s v1 + t v2 of m, sums
+    coefficient k of p^alpha times G_alpha; a candidate m is a hit when
+    K_m times q's monomials is 0 mod p.
     """
     p = S.p
     a, b = S.bidegree
     G = conic_expansion(S)
     cols = list(zip(*G.values()))  # per q-monomial, its coefficient at each alpha
     exps = [le for _, le in monomials(0, b)]
-    m_at: dict = {}
-    for i, m in enumerate(m_points):
-        m_at.setdefault(modp.canonical(m, p), []).append(i)
 
     def weights(x):  # G(x, q) is weights(x) times q's monomials
         xa = [x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] % p for e in G]
@@ -141,7 +131,7 @@ def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
     )]
     K_of: dict = {}
     found = []
-    for j, q in enumerate(q_points):
+    for q in proj_points(p):
         mono = [q[0] ** f[0] * q[1] ** f[1] * q[2] ** f[2] % p for f in exps]
         Z0, Z1, Z2 = [], [], []
         for Z, axis in zip((Z0, Z1, Z2), axes):
@@ -156,13 +146,11 @@ def scan_pairs(S: FpSurface, m_points, q_points) -> list[FpConic]:
         for m in cands:
             if dot(q, m) % p and any(not dot(r2, m) % p for r2 in Z2):
                 m = modp.canonical(m, p)
-                if m in m_at:
-                    if m not in K_of:
-                        K_of[m] = chart_rows(m)
-                    if not any(sum(map(mul, row, mono)) % p for row in K_of[m]):
-                        found.extend((i, j) for i in m_at[m])
-    found.sort()
-    return [(q_points[j], m_points[i]) for i, j in found]
+                if m not in K_of:
+                    K_of[m] = chart_rows(m)
+                if not any(sum(map(mul, row, mono)) % p for row in K_of[m]):
+                    found.append((q, m))
+    return sorted(found)
 
 
 def conics_meet_fp(c1: FpConic, c2: FpConic, p: int) -> bool:

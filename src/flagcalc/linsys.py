@@ -4,20 +4,23 @@ Sections of the (a, b) polarization on the flag threefold are represented
 by their canonical coefficients on the quotient monomial basis (monomials
 not divisible by p0*l0).  A conic imposes the a+b+1 coefficients of the
 restriction map as linear conditions.  They are built once, exactly, as
-Gaussian-integer rows (condition_matrix).  Their reductions mod
-modp.PRIME are eliminated first (modp.echelon), and the rank mod p bounds
-the exact rank from below.  A dimension is returned from F_p only when the row
-count bounds it from the other side.  Otherwise, and for every kernel
-basis, the kernel of the rows independent mod p is found in this order:
-  1. their images in F_p, with i sent to I_MOD and to -I_MOD, are fully
-     reduced (modp.rref);
+Gaussian-integer rows (condition_matrix).  Their image mod modp.PRIME,
+with i sent to I_MOD, is eliminated first, and the rank mod p bounds the
+exact rank from below.  A dimension is returned from F_p only when the row
+count bounds it from the other side, after the forward pass alone
+(modp.echelon).  Otherwise, and for every kernel basis, the kernel is found
+in this order:
+  1. the image of the rows is fully reduced (modp.rref), whose forward pass
+     picks the pivot rows, those independent mod p (system_dimension passes
+     only the pivot rows its own forward pass picked); the image of the
+     pivot rows with i sent to -I_MOD is the only second elimination;
   2. the real and imaginary parts of each kernel entry are read back from
      the two images (modp.reconstruct);
   3. the certificate multiplies every row of every conic with every basis
      vector exactly, which proves the kernel complete;
   4. when the images disagree, an entry does not reconstruct or the
-     certificate fails, the rows are eliminated by fraction-free Bareiss
-     and certified again, and all rows when that fails too.
+     certificate fails, the pivot rows are eliminated by fraction-free
+     Bareiss and certified again, and all rows when that fails too.
 Every dimension and basis reported here is exact.
 """
 
@@ -101,25 +104,20 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     return ConditionMatrix((a, b), conics, cols, rows)
 
 
-def _pivot_rows(cm: ConditionMatrix) -> list[int]:
-    """The rows of cm independent mod modp.PRIME (images of the exact rows)."""
-    return modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), len(cm.columns))[0]
-
-
-def _fp_kernel(rows: list[list[linalg.Pair]], ncols: int):
+def _fp_kernel(rows: list[list[linalg.Pair]], cols, red1, ncols: int):
     """The reduced-echelon kernel of Gaussian-integer rows read back from
     F_p, or None when the two images disagree or an entry does not
     reconstruct.
 
-    The rows are reduced to echelon form mod p twice, with i sent to I_MOD
-    and to -I_MOD; a kernel entry re + i im maps to k1 = re + I_MOD im and
+    cols and red1 are the pivot columns and reduced rows of the rows' image
+    with i sent to I_MOD (modp.rref); the image with i sent to -I_MOD is
+    reduced here.  A kernel entry re + i im maps to k1 = re + I_MOD im and
     k2 = re - I_MOD im, so re = (k1 + k2)/2 and im = (k1 - k2)/(2 I_MOD)
     mod p, each read back by modp.reconstruct.  The vector of a free column
     f has 1 at f and support on the pivot columns before f, the form
     linalg.nullspace gives; the caller proves it.
     """
     p, i = modp.PRIME, modp.I_MOD
-    _, cols, red1 = modp.rref(modp.reduce_rows(rows, i), ncols)
     _, cols2, red2 = modp.rref(modp.reduce_rows(rows, p - i), ncols)
     if set(cols) != set(cols2):
         return None
@@ -148,22 +146,24 @@ def _fp_kernel(rows: list[list[linalg.Pair]], ncols: int):
     return kernel
 
 
-def _certified_kernel(cm: ConditionMatrix, pivots: list[int]):
-    """The reduced-echelon kernel of cm from the pivot rows alone, proved
-    by linalg.annihilates on every row (a block of a+b+1 rows times a
-    vector is that surface's restriction to the conic).  The kernel is read
-    back from F_p first (_fp_kernel).  When that fails, or its proof does,
-    the pivot rows are eliminated exactly by Bareiss and proved; when that
-    proof fails too (p divides a minor the rank needs), all rows are,
-    and proved again.
+def _certified_kernel(cm: ConditionMatrix, rows: list[list[linalg.Pair]]):
+    """The reduced-echelon kernel of cm from the given rows (all of cm's,
+    or its pivot rows) alone, proved by linalg.annihilates on every row (a
+    block of a+b+1 rows times a vector is that surface's restriction to the
+    conic).  One reduction of the rows' image picks the pivot rows, and the
+    kernel is read back from F_p first (_fp_kernel).  When that fails, or
+    its proof does, the pivot rows are eliminated exactly by Bareiss and
+    proved; when that proof fails too (p divides a minor the rank needs),
+    all rows are, and proved again.
 
     The F_p kernel has ncols - rank_p vectors, and rank_p is at most the
     exact rank, so once proved it spans the exact kernel; a kernel has one
     basis of that form, so it is the one Bareiss would give.
     """
     ncols = len(cm.columns)
-    rows = [cm.rows[r] for r in pivots]
-    kernel = _fp_kernel(rows, ncols)
+    pivots, cols, red1 = modp.rref(modp.reduce_rows(rows, modp.I_MOD), ncols)
+    rows = [rows[r] for r in pivots]
+    kernel = _fp_kernel(rows, cols, red1, ncols)
     if kernel is not None and linalg.annihilates(cm.rows, kernel):
         return kernel
     kernel = linalg.nullspace(rows, ncols=ncols)
@@ -185,11 +185,11 @@ def system_dimension(a: int, b: int, conics) -> int:
     """
     cm = condition_matrix(a, b, conics)
     ncols = len(cm.columns)
-    pivots = _pivot_rows(cm)
+    pivots, _ = modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), ncols)
     nullity = ncols - len(pivots)
     if nullity == max(ncols - len(cm.rows), 0):
         return nullity
-    return len(_certified_kernel(cm, pivots))
+    return len(_certified_kernel(cm, [cm.rows[r] for r in pivots]))
 
 
 def expected_system_dimension(a: int, b: int, x: int) -> int:
@@ -223,7 +223,7 @@ def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     that loses nothing.
     """
     cm = condition_matrix(a, b, conics)
-    kernel = _certified_kernel(cm, _pivot_rows(cm))
+    kernel = _certified_kernel(cm, cm.rows)
     basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
     return SurfaceFamily((a, b), cm.conics, basis)
 

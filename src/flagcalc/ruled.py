@@ -11,7 +11,9 @@ a bihomogeneous form of bidegree (a, a) with real coefficients, taken as
 the a x a Bezout determinant of P and L over Z.  At every real parameter
 (including infinity) the swept conic is a twistor fiber, so the surface
 contains infinitely many of them; the affine parameter k maps to
-(s, t) = (k, 1) and infinity to (1, 0).
+(s, t) = (k, 1) and infinity to (1, 0).  The sum of squares f.f never
+vanishes there, because a real parameter where it did would be a common
+root of the f_i: the trivial gcd is the positivity certificate.
 
 The ruling is cleared to integers once, and each fiber is handled as the
 integer triple m = f(s, t) at integers (s, t); a rational parameter n/d is
@@ -32,12 +34,11 @@ from functools import cache, reduce
 from math import lcm
 from typing import NamedTuple
 
-from .binforms import BinaryForm, _pdeg, _pdivmod, bf_gcd, triple_gcd
+from .binforms import BinaryForm, bf_gcd, triple_gcd
 from .biforms import BiForm
 from .errors import PreconditionError
 from .flag import (
     Conic,
-    conv,
     cross,
     dot,
     j_pullback,
@@ -76,13 +77,9 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
     a = degrees.pop()
     if a < 2:
         raise PreconditionError("the construction needs degree a >= 2")
-    if any(not c.is_real() for g in forms for c in g.coeffs):
-        raise PreconditionError("the forms must have real coefficients")
-    if triple_gcd(forms).degree > 0:
-        raise PreconditionError("the forms share a common factor")
     f, den = _integer_ruling(forms)
+    _positivity_certificate(forms)
     _check_birational(f, seed)
-    _positivity_certificate(f)
 
     surface = _parameter_resultant(f, den)
     if surface.is_zero():
@@ -109,6 +106,8 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
 def _integer_ruling(forms):
     """The ruling cleared to integers: the coefficient rows of den * f, for
     the lcm den of the denominators of the real forms f, and den."""
+    if any(not c.is_real() for g in forms for c in g.coeffs):
+        raise PreconditionError("the forms must have real coefficients")
     den = lcm(*(c.re.denominator for g in forms for c in g.coeffs))
     return [[int(c.re * den) for c in g.coeffs] for g in forms], den
 
@@ -194,54 +193,16 @@ def _check_birational(f, seed: int):
             )
 
 
-# Sturm-sequence positivity of sum f_i^2 on the real parameter line.
+def _positivity_certificate(forms):
+    """Certify f(s,t).f(s,t) > 0 on the whole real parameter circle for the
+    real forms f.
 
-def _fderiv(u):
-    return [i * u[i] for i in range(1, len(u))] or [Fraction(0)]
-
-
-def _real_root_count(u) -> int:
-    """Number of distinct real roots, by Sturm sign variations at -inf/+inf."""
-    d = _pdeg(u)
-    if d <= 0:
-        return 0
-    chain = [u[: d + 1], _fderiv(u[: d + 1])]
-    while _pdeg(chain[-1]) >= 0:
-        r = _pdivmod(chain[-2], chain[-1])[1]
-        if _pdeg(r) < 0:
-            break
-        chain.append([-c for c in r])
-
-    def variations(signs):
-        signs = [s for s in signs if s]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-    at_plus = []
-    at_minus = []
-    for p in chain:
-        dp = _pdeg(p)
-        if dp < 0:
-            continue
-        lead = 1 if p[dp] > 0 else -1
-        at_plus.append(lead)
-        at_minus.append(lead if dp % 2 == 0 else -lead)
-    return variations(at_minus) - variations(at_plus)
-
-
-def _positivity_certificate(f):
-    """Certify f(s,t).f(s,t) > 0 on the whole real parameter circle, for
-    the integer ruling f.
-
-    Sturm root counting on sum f_i(x, 1)^2 handles the affine line; the
-    value at (1, 0) handles infinity.
+    A sum of real squares vanishes only where every f_i does, and a common
+    real root (s0, t0), infinity included, is a common linear factor
+    t0 s - s0 t; so a trivial gcd is the certificate.
     """
-    u = [Fraction(sum(c)) for c in zip(*(conv(row[::-1], row[::-1]) for row in f))]
-    if _pdeg(u) < 0:
-        raise PreconditionError("triple is identically zero")
-    if _real_root_count(u) != 0:
-        raise PreconditionError("f.f vanishes at a real parameter")
-    if not sum(row[0] ** 2 for row in f):
-        raise PreconditionError("f.f vanishes at the parameter at infinity")
+    if triple_gcd(forms).degree > 0:
+        raise PreconditionError("the forms share a common factor")
 
 
 def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SEED) -> dict:

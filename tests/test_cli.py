@@ -286,6 +286,15 @@ def test_out_in_missing_directory_usage_exit(capsys, tmp_path):
     assert not out.parent.exists()
 
 
+def test_out_naming_a_directory_usage_exit(capsys, tmp_path):
+    out = tmp_path / "h0.json"
+    out.mkdir()
+    code, doc = run(capsys, "--out", str(out), "h0", "--a", "1", "--b", "1")
+    assert code == 2
+    assert doc == {"code": "usage", "message": f"cannot write {out}: Is a directory"}
+    assert [p.name for p in tmp_path.iterdir()] == ["h0.json"]  # no .flagcalc-* left
+
+
 def test_dim_report(capsys):
     code, doc = run(
         capsys, "dim-report", "--a", "2", "--b", "2", "--x", "1", "--trials", "3", "--seed", "5"
@@ -464,8 +473,12 @@ def test_trace_probes_resolve():
     spec = importlib.util.spec_from_file_location("perfbench_trace_boot", path)
     trace_boot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace_boot)
+    # each target is defined where it is probed, so no alias or re-export
+    # of a deleted function can keep its probe alive
     for name, modname, attr in trace_boot.SPANS:
-        assert callable(getattr(importlib.import_module(modname), attr, None)), name
+        fn = getattr(importlib.import_module(modname), attr, None)
+        assert callable(fn), name
+        assert (fn.__module__, fn.__qualname__) == (modname, attr), name
     for layer, modname, clsname, dunders in trace_boot.DUNDERS:
         cls = getattr(importlib.import_module(modname), clsname)
         for dunder in dunders:

@@ -17,7 +17,6 @@ from flagcalc.fpcensus import (
     max_disjoint_subset,
     proj_points,
     reduce_mod_p,
-    scan_pairs,
 )
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.modp import sqrt_minus_one
@@ -206,33 +205,6 @@ def test_max_disjoint_matches_bruteforce(ruled2):
         assert max_disjoint_subset(census, p).size == best
 
 
-def test_census_scale_invariance(ruled2):
-    # containment over F_p only depends on the projective classes: scaling
-    # q and m by units leaves the restriction's vanishing unchanged, which
-    # is why scanning canonical representatives loses nothing
-    p = 5
-    S = reduce_mod_p(ruled2.surface, p)
-    census = set(conic_census(S))
-    for q, m in list(census)[:4]:
-        for u in (2, 3):
-            q2 = tuple(c * u % p for c in q)
-            m2 = tuple(c * 3 % p for c in m)
-            assert scan_pairs(S, [m2], [q2]) == [(q2, m2)]
-
-
-def test_scan_pairs_takes_unreduced_representatives(ruled2):
-    # m = (10, 6, 2) is the point (0, 1, 2) of P2(F_5); a chart pivoted on
-    # its first integer coordinate, 10 = 0 mod 5, is no chart of the line
-    p = 5
-    S = reduce_mod_p(ruled2.surface, p)
-    pts = proj_points(p)
-    for m in [(0, 0, 1), (0, 1, 2), (1, 2, 4)]:
-        lifted = [tuple(c + p * k for k, c in enumerate(x)) for x in pts]
-        m_lifted = tuple(c + p * (2 - k) for k, c in enumerate(m))
-        got = [(pts[lifted.index(q)], m) for q, _ in scan_pairs(S, [m_lifted], lifted)]
-        assert got == scan_pairs(S, [m], pts)
-
-
 def test_max_disjoint_greedy_flagged():
     p = 5
     S = reduce_mod_p(incidence_form(), p)
@@ -331,12 +303,6 @@ def test_census_of_the_ruling_at_p_29(ruled2):
     for q in smooth:
         assert (q, q) in census
     assert census == census_by_points(S)
-
-
-def test_scan_pairs_rejects_m_that_vanishes_mod_p(ruled2):
-    S = reduce_mod_p(ruled2.surface, 5)
-    with pytest.raises(PreconditionError, match=r"\(0, 0, 0\) is not a projective point"):
-        scan_pairs(S, [(5, 10, 15)], proj_points(5))
 
 
 def _dense(bidegree, rng, p):
@@ -470,27 +436,3 @@ def test_census_of_fixtures_at_p_29_matches_pair_loop(name):
     pts = proj_points(p)
     census = conic_census(S)
     assert census and census == sorted(pairwise_scan_pairs(S, pts, pts))
-
-
-def test_scan_pairs_contract_on_subsets(ruled2):
-    # several m and q at once, unreduced representatives c + p k, a point
-    # given twice and an m on no hit: the hits come back as the given
-    # tuples, by m in the given order, then by q, as the restriction per
-    # pair returns them.  The (1,0) factor puts every q on the line n.
-    p, n = 7, (1, 2, 3)
-    S = reduce_mod_p(_linear("p", n) * ruled2.surface, p)
-    census = conic_census(S)
-    hit_ms = sorted({m for _, m in census} - {n})
-    idle = next(m for m in proj_points(p) if m not in hit_ms + [n])
-    rng = random.Random(5)
-
-    def lift(x):
-        return tuple(c + p * rng.randrange(-3, 4) for c in x)
-
-    m_points = [lift(m) for m in [hit_ms[2], idle, n, hit_ms[0], hit_ms[2], hit_ms[1]]]
-    q_points = [lift(q) for q in proj_points(p) if rng.random() < 0.7]
-    q_points += [q_points[3], lift(census[0][0]), lift(hit_ms[0])]
-    got = scan_pairs(S, m_points, q_points)
-    assert len(got) > 30 and len({m for _, m in got}) == 5
-    assert got == reference_scan_pairs(S, m_points, q_points)
-    assert got == pairwise_scan_pairs(S, m_points, q_points)

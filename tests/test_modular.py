@@ -74,8 +74,10 @@ def _reduce(z, p, i):
     return (re + i * im) % p
 
 
-def _rows_mod_p(a, b, conics):
+def _rows_mod_p(a, b, conics, conjugate=False):
+    # the image of the condition rows with i sent to I_MOD, or to -I_MOD
     p, i = modp.PRIME, modp.I_MOD
+    i = p - i if conjugate else i
     return [[_reduce(GR(*z), p, i) for z in row] for row in condition_matrix(a, b, conics).rows]
 
 
@@ -181,15 +183,18 @@ def test_echelon_mod_p_matches_bareiss_rank():
                 assert rank_int(head, ncols) == sum(k < r for k in pivot_rows)
 
 
+def _eliminations(monkeypatch):
+    """The (name, rows) of each modp.echelon and modp.rref call from here on."""
+    calls = []
+    for name in ("echelon", "rref"):
+        fn = getattr(modp, name)
+        record = lambda rows, ncols, fn=fn, name=name: calls.append((name, rows)) or fn(rows, ncols)
+        monkeypatch.setattr(modp, name, record)
+    return calls
+
+
 def test_mod_p_rows_are_reductions_of_exact_rows(monkeypatch):
-    received = []
-    echelon = modp.echelon
-
-    def record(rows, ncols):
-        received.append(rows)
-        return echelon(rows, ncols)
-
-    monkeypatch.setattr(modp, "echelon", record)
+    received = _eliminations(monkeypatch)
     rng = SplitMix64(91)
     nonreal = []
     for _ in range(3):
@@ -200,10 +205,15 @@ def test_mod_p_rows_are_reductions_of_exact_rows(monkeypatch):
         (3, 2, nonreal),
         (1, 3, [Conic((0, 1, GR(2, 3)), (1, GR(0, -1), 0))]),
     ]:
-        for call in (system_dimension, surface_family):
-            received.clear()
-            call(a, b, conics)
-            assert received == [_rows_mod_p(a, b, conics)]
+        rows = _rows_mod_p(a, b, conics)
+        pivots = modp.echelon(rows, h0_flag(a, b))[0]
+        conj = [_rows_mod_p(a, b, conics, conjugate=True)[r] for r in pivots]
+        received.clear()
+        system_dimension(a, b, conics)
+        assert received == [("echelon", rows)]
+        received.clear()
+        surface_family(a, b, conics)
+        assert received == [("rref", rows), ("rref", conj)]
 
 
 def test_system_dimension_matches_bareiss_on_grid():
@@ -271,18 +281,24 @@ def test_dropped_pivot_row_fails_certificate(monkeypatch):
     a, b = 2, 2
     conics = random_smooth_conics(SplitMix64(17), 3, height=10)
     want = _exact_basis_json(a, b, conics)
-    echelon = modp.echelon
+    rref = modp.rref
+    images = []
 
     def drop_first(rows, ncols):
-        pivot_rows, pivot_cols = echelon(rows, ncols)
+        pivot_rows, pivot_cols, reduced = rref(rows, ncols)
+        images.append(len(rows))
+        if len(images) > 1:  # the conjugate image of the pivot rows
+            return pivot_rows, pivot_cols, reduced
         assert pivot_rows == list(range(len(rows)))  # every row is independent
-        return pivot_rows[1:], pivot_cols[1:]
+        return pivot_rows[1:], pivot_cols[1:], reduced[1:]
 
-    monkeypatch.setattr(modp, "echelon", drop_first)
+    monkeypatch.setattr(modp, "rref", drop_first)
     verdicts = _verdicts(monkeypatch)
     spy = _Spy(monkeypatch, "nullspace")
     assert _family_json(a, b, conics) == want
-    assert spy.rows == [3 * (a + b + 1) - 1, 3 * (a + b + 1)]
+    n = 3 * (a + b + 1)
+    assert images == [n, n - 1]
+    assert spy.rows == [n - 1, n]
     assert verdicts == [False, True]
 
 
@@ -339,22 +355,30 @@ def test_denominator_divisible_by_prime_takes_exact_path(monkeypatch):
 
 
 def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
-    calls = []
-    for module, name in ((linsys, "condition_matrix"), (modp, "echelon")):
-        fn = getattr(module, name)
-        count = lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
-        monkeypatch.setattr(module, name, count)
+    builds = []
+    build = linsys.condition_matrix
+    monkeypatch.setattr(linsys, "condition_matrix", lambda *args: builds.append(1) or build(*args))
+    eliminations = _eliminations(monkeypatch)
     spy = _Spy(monkeypatch, "nullspace")
     meet = random_smooth_conics(SplitMix64(17), 3, height=10)
-    # the bounds meet on the three conics, whose kernel does not reconstruct
-    # from one prime; on the 28 fibers they do not meet, and the kernel
-    # comes from F_p without Bareiss
-    for a, b, conics, bareiss in [(2, 2, meet, [15]), (3, 3, fibers28, [])]:
-        for call in (system_dimension, surface_family):
-            calls.clear()
+    # surface_family reduces the image of every row once and the conjugate
+    # image of the pivot rows.  The bounds meet on the three conics, whose
+    # kernel does not reconstruct from one prime: system_dimension runs the
+    # forward pass alone.  On the 28 fibers (196 rows, 63 independent mod p)
+    # they do not meet, and system_dimension reduces both images of the
+    # pivot rows its forward pass picked; the kernel comes from F_p.
+    for a, b, conics, dimension, family, bareiss in [
+        (2, 2, meet, [("echelon", 15)], [("rref", 15), ("rref", 15)], [15]),
+        (3, 3, fibers28, [("echelon", 196), ("rref", 63), ("rref", 63)],
+         [("rref", 196), ("rref", 63)], []),
+    ]:
+        for call, want in [(system_dimension, dimension), (surface_family, family)]:
+            builds.clear()
+            eliminations.clear()
             spy.rows.clear()
             call(a, b, conics)
-            assert calls == ["condition_matrix", "echelon"], (call.__name__, a)
+            assert builds == [1], (call.__name__, a)
+            assert [(name, len(rows)) for name, rows in eliminations] == want, (call.__name__, a)
             assert spy.rows == (bareiss if call is surface_family else [])
 
 

@@ -18,7 +18,7 @@ from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.ruled import (
     _integer_ruling,
     _parameter_resultant,
-    _real_root_count,
+    containment_certificate,
     smoothness_profile,
     twistor_circle_samples,
     twistor_ruled_surface,
@@ -188,11 +188,31 @@ def test_common_factor_rejected():
         twistor_ruled_surface((BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([1, 0, 0])))
 
 
+# the Veronese ruling with f0 = s^2 + i t^2: its real parts are the Veronese
+NONREAL = (BinaryForm([1, 0, GR(0, 1)]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
+
+
 def test_nonreal_coefficients_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
         twistor_ruled_surface(
             (BinaryForm([GR(0, 1), 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
         )
+    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
+        twistor_ruled_surface(NONREAL)
+
+
+def test_nonreal_forms_rejected_by_certificate(spec2):
+    # the surface holds the ruling of the real parts, not this one
+    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
+        containment_certificate(NONREAL, spec2.surface)
+
+
+def test_nonreal_forms_rejected_by_samplers(spec2):
+    nonreal = spec2._replace(forms=NONREAL)
+    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
+        twistor_circle_samples(nonreal, 3)
+    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
+        smoothness_profile(nonreal, fibers=3)
 
 
 def test_degree_one_rejected():
@@ -263,21 +283,26 @@ def test_smoothness_profile_cubic(spec3):
     assert prof["status"] in ("singular_witness_found", "inconclusive")
 
 
-def test_sturm_root_count():
-    # (x - 1)(x - 3) has two real roots; x^2 + 1 none; x^3 - x three
-    assert _real_root_count([Fraction(3), Fraction(-4), Fraction(1)]) == 2
-    assert _real_root_count([Fraction(1), Fraction(0), Fraction(1)]) == 0
-    assert _real_root_count([Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]) == 3
-    # repeated roots are counted once
-    assert _real_root_count([Fraction(1), Fraction(-2), Fraction(1)]) == 1
-
-
 def test_positivity_check_rejects_real_parameter_zero():
     # f = (s^2 - t^2, st, 0): f.f = (s^2-t^2)^2 + (st)^2 vanishes at no real
     # point, but (s^2-t^2, 0, 0)-style triples with a common real zero of
     # the squared sum must be rejected; build one with f.f(1,1) = 0
     bad = (BinaryForm([1, 0, -1]), BinaryForm([1, -1, 0]), BinaryForm([0, 1, -1]))
-    # each vanishes at (1,1): common real root, caught by the gcd test or
-    # by Sturm depending on which guard fires first
-    with pytest.raises(PreconditionError):
+    # each vanishes at (1,1): a common real root is a common linear factor
+    with pytest.raises(PreconditionError, match="the forms share a common factor"):
+        twistor_ruled_surface(bad)
+
+
+def test_positivity_check_rejects_common_root_at_infinity():
+    # every f_i is divisible by t, so f.f vanishes at (s, t) = (1, 0)
+    bad = (BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]), BinaryForm([0, 1, 1]))
+    with pytest.raises(PreconditionError, match="the forms share a common factor"):
+        twistor_ruled_surface(bad)
+
+
+def test_positivity_check_rejects_common_conjugate_pair():
+    # f.f has no real zero, but the common factor s^2 + t^2 still leaves
+    # the triple with a gcd
+    bad = (BinaryForm([1, 0, 1, 0]), BinaryForm([0, 1, 0, 1]), BinaryForm([1, 1, 1, 1]))
+    with pytest.raises(PreconditionError, match="the forms share a common factor"):
         twistor_ruled_surface(bad)
