@@ -33,6 +33,7 @@ _EXPORTS = {
         "j_conic",
         "j_pullback",
         "restrict_to_conic",
+        "singular_points_on_conic",
         "twistor_fiber_of",
     ),
     "gaussian": ("GaussianRational",),
@@ -49,14 +50,12 @@ _EXPORTS = {
     ),
     "linsys": (
         "condition_matrix",
-        "conic_singularity_witness",
         "surface_family",
         "surface_through_conics",
         "system_dimension",
     ),
     "ruled": (
         "RuledSurfaceSpec",
-        "smoothness_profile",
         "twistor_circle_samples",
         "twistor_ruled_surface",
     ),

@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+# a census costs (p^2+p+1) 3(p+1) evaluations; above this it is refused
+CENSUS_MAX_COST = 3_100_000_000  # p = 1009, about half an hour, still runs
 
 
 class UsageError(FlagcalcError):
@@ -162,6 +164,10 @@ def _cmd_census(args):
 
     if args.limit < 0:
         raise UsageError("--limit must be nonnegative")
+    p = args.prime
+    if (cost := (p * p + p + 1) * 3 * (p + 1)) > CENSUS_MAX_COST:
+        raise PreconditionError(f"a census at p = {p} costs about {cost} evaluations, "
+                                f"over the limit {CENSUS_MAX_COST}")
     F = serialize.biform_from_json(_load_json(args.surface))
     S = fpcensus.reduce_mod_p(F, args.prime)
     census = fpcensus.conic_census(S)

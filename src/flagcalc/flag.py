@@ -3,8 +3,9 @@
 The module provides points of F, the bidegree (1,1) curves
 L_{q,m} = {p.m = 0, q.l = 0} (smooth conics when q.m != 0, twistor fibers
 when m is the conjugate of q), the anti-holomorphic involution
-j(p, l) = (conj l, conj p) acting on curves and on surfaces, and
-restriction of surfaces to conics.
+j(p, l) = (conj l, conj p) acting on curves and on surfaces,
+restriction of surfaces to conics, and the singular points of a surface
+along a conic.
 
 Containment has one path.  A surface is pulled back through one chart of
 the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
@@ -20,9 +21,10 @@ equal to 1) so equality and hashing are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .binforms import BinaryForm, zero_form
-from .biforms import BiForm, proportionality as _proportionality
+from .binforms import BinaryForm, bf_gcd, zero_form
+from .biforms import BiForm, proportionality as _proportionality, reduce_mod_incidence
 from .errors import DegenerateConicError, PreconditionError
 from .gaussian import ZERO, GaussianInt, GaussianRational
 from .linalg import clear_rows
@@ -277,6 +279,28 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
     den = int(k * mu ** (a + b) * lam**b)
     return BinaryForm([GaussianRational(Fraction(z.re, den), Fraction(z.im, den)) if z else ZERO
                        for z in out])
+
+
+def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
+    """The gcd of the fifteen 2x2 minors of [grad F; (l, p)] along C's chart:
+    its roots are the singular points of {F = 0} on C.  A constant means F
+    is smooth along C, the zero form of degree a+b singular along all of C.
+
+    {F = 0} is singular at x exactly when grad F(x) is a multiple of (l, p),
+    the gradient of p.l (then Euler's relation puts x on {F = 0}).  On the
+    flag grad(F + (p.l)G) = grad F + G (l, p), so the minors, and the gcd,
+    do not depend on the representative of F modulo p.l.
+    """
+    a, b = F.bidegree
+    if (a, b) == (0, 0) or reduce_mod_incidence(F).is_zero():
+        raise PreconditionError("the form cuts out no surface of the flag")
+    v1, v2 = line_basis(C.m.coords)
+    l1, l2 = cross(C.q.coords, v1), cross(C.q.coords, v2)
+    dN = [BinaryForm(pair) for pair in (*zip(l1, l2), *zip(v1, v2))]  # (l, p) on C
+    grad = [F.partial(group, i) for group in "pl" for i in range(3)]
+    dF = [zero_form(a + b - 1) if D.is_zero() else restrict_to_conic(D, C) for D in grad]
+    minors = (dF[i] * dN[j] - dF[j] * dN[i] for i in range(6) for j in range(i + 1, 6))
+    return reduce(bf_gcd, [M for M in minors if not M.is_zero()], zero_form(a + b))
 
 
 def contains_conic(F: BiForm, C: Conic) -> bool:

@@ -3,7 +3,6 @@ ring of integers Z[i]."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -163,39 +162,3 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-
-def fraction_sqrt(q: Fraction):
-    """Exact nonnegative square root of a rational, or None."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def gaussian_sqrt(z: GaussianRational):
-    """An exact square root of z inside Q(i), or None when no such root exists.
-
-    Writing z = x + y*i, a root u + v*i requires u^2 = (x + sqrt(x^2+y^2))/2,
-    so existence reduces to two rational square tests.
-    """
-    if z.is_zero():
-        return GaussianRational(0)
-    if not z.im:
-        r = fraction_sqrt(z.re)
-        if r is not None:
-            return GaussianRational(r)
-        r = fraction_sqrt(-z.re)
-        if r is not None:
-            return GaussianRational(0, r)
-        return None
-    n = fraction_sqrt(z.norm())
-    if n is None:
-        return None
-    u2 = (z.re + n) / 2
-    u = fraction_sqrt(u2)
-    if u is None or not u:
-        return None
-    return GaussianRational(u, z.im / (2 * u))

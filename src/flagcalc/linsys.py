@@ -21,7 +21,8 @@ in this order:
   4. when the images disagree, an entry does not reconstruct or the
      certificate fails, the pivot rows are eliminated by fraction-free
      Bareiss and certified again, and all rows when that fails too.
-Every dimension and basis reported here is exact.
+Every dimension and basis reported here is exact.  The singular points of
+a member along a conic are flag.singular_points_on_conic's.
 """
 
 from __future__ import annotations
@@ -30,21 +31,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg, modp
-from .binforms import BinaryForm, bf_gcd
 from .biforms import BiForm, quotient_monomials
 from .errors import EmptySystemError, FlagcalcError, PreconditionError
-from .flag import (
-    Conic,
-    FlagPoint,
-    chart_tables,
-    contains_conic,
-    conv,
-    cross,
-    line_basis,
-    pull,
-    restrict_to_conic,
-)
-from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, gaussian_sqrt
+from .flag import Conic, chart_tables, conv, pull
+from .gaussian import ONE, ZERO, GaussianInt, GaussianRational
 from .invariants import h0_flag
 from .sampling import SplitMix64
 
@@ -252,78 +242,3 @@ def family_member(family: SurfaceFamily, seed: int) -> BiForm:
                 member = member + F.scale(c)
         if not member.is_zero():
             return member
-
-
-class SingularWitness(NamedTuple):
-    """Certificate that {F = 0} is singular somewhere along a conic.
-
-    gcd is the common factor of the six restricted partial derivatives of F
-    (its roots are parameters of singular points); whole_conic means every
-    partial restricts to zero.  parameter/point are filled in when a root
-    of the gcd is exact over Q(i).
-    """
-
-    conic: Conic
-    gcd: BinaryForm | None
-    whole_conic: bool
-    parameter: tuple[GaussianRational, GaussianRational] | None = None
-    point: FlagPoint | None = None
-
-
-def conic_singularity_witness(F: BiForm, C: Conic):
-    """Search for a singular point of {F = 0} on a contained conic.
-
-    All six partials of F are restricted to the conic; a common projective
-    root certifies a singular point.  Returns None when the gcd chain is
-    trivial (no witness on this conic by this test).
-    """
-    if not contains_conic(F, C):
-        raise PreconditionError("witness search requires the conic to lie on the surface")
-    restrictions = []
-    for group in ("p", "l"):
-        for i in range(3):
-            d = F.partial(group, i)
-            if d.is_zero():
-                continue
-            restrictions.append(restrict_to_conic(d, C))
-    nonzero = [r for r in restrictions if not r.is_zero()]
-    if not nonzero:
-        param = (GaussianRational(1), GaussianRational(0))
-        return SingularWitness(C, None, True, param, _chart_point(C, *param))
-    g = nonzero[0]
-    for r in nonzero[1:]:
-        g = bf_gcd(g, r)
-        if g.degree == 0:
-            return None
-    root = _exact_root(g)
-    point = _chart_point(C, *root) if root else None
-    return SingularWitness(C, g, False, root, point)
-
-
-def _chart_point(C: Conic, s, t) -> FlagPoint:
-    """The point of C at the parameter (s, t) of restrict_to_conic's chart:
-    p = s v1 + t v2 and l = q x p."""
-    v1, v2 = line_basis(C.m.coords)
-    p = tuple(s * x + t * y for x, y in zip(v1, v2))
-    return FlagPoint(p, cross(C.q.coords, p))
-
-
-def _exact_root(g: BinaryForm):
-    """A projective root of g over Q(i) when cheaply available."""
-    cs = g.coeffs
-    if not cs[-1]:
-        return (GaussianRational(1), GaussianRational(0))
-    if not cs[0]:
-        return (GaussianRational(0), GaussianRational(1))
-    if g.degree == 1:
-        return (-cs[1], cs[0])
-    if g.degree == 2:
-        alpha, beta, gamma = cs
-        disc = beta * beta - 4 * alpha * gamma
-        r = gaussian_sqrt(disc)
-        if r is None:
-            return None
-        # root of gamma x^2 + beta x + alpha with x = t/s
-        x = (-beta + r) / (2 * gamma)
-        return (GaussianRational(1), x)
-    return None

@@ -25,6 +25,10 @@ the coefficients of the restriction are polynomials in the parameter of
 explicitly bounded degree, so vanishing at bound + 1 distinct parameters
 proves identical vanishing, and the three charts cover the parameter line
 because the triple is gcd-free.
+
+For a >= 2 the surface is singular (only (1,1) surfaces are smooth with
+infinitely many twistor fibers): flag.singular_points_on_conic has degree
+2a - 2 on a generic fiber, where the double curve meets it.
 """
 
 from __future__ import annotations
@@ -302,39 +306,3 @@ def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
             raise PreconditionError("sampled fiber escapes the surface")
     return [twistor_fiber_of(m) for m in ms]
 
-
-def smoothness_profile(spec: RuledSurfaceSpec, fibers: int = 6) -> dict:
-    """Search the sampled twistor fibers for singular points of the surface.
-
-    The report either exhibits singular witnesses or declares the search
-    inconclusive; it has no vocabulary for certifying smoothness, which for
-    these ruled surfaces of degree >= 2 would be wrong.
-    """
-    from .linsys import SingularWitness, conic_singularity_witness
-
-    samples = twistor_circle_samples(spec, fibers)
-    entries = []
-    found = False
-    for C in samples:
-        w: SingularWitness | None = conic_singularity_witness(spec.surface, C)
-        if w is None:
-            entries.append({"conic": C, "witness": None})
-            continue
-        found = True
-        entries.append(
-            {
-                "conic": C,
-                "witness": {
-                    "whole_conic": w.whole_conic,
-                    "gcd_degree": w.gcd.degree if w.gcd is not None else None,
-                    "exact_parameter": w.parameter is not None,
-                },
-            }
-        )
-    return {
-        "bidegree": list(spec.surface.bidegree),
-        "fibers_checked": len(samples),
-        "status": "singular_witness_found" if found else "inconclusive",
-        "certifies_smoothness": False,
-        "fibers": entries,
-    }

@@ -41,16 +41,12 @@ def random_gaussian_rational(rng: SplitMix64, height: int = 9):
     return GaussianRational(rng.int_in(-height, height), rng.int_in(-height, height))
 
 
-def random_proj_point(rng: SplitMix64, height: int = 9, real: bool = False):
+def random_proj_point(rng: SplitMix64, height: int = 9):
     """A projective point with Gaussian-integer coordinates of bounded height."""
     from .flag import ProjPoint
-    from .gaussian import GaussianRational
 
     while True:
-        if real:
-            coords = [GaussianRational(rng.int_in(-height, height)) for _ in range(3)]
-        else:
-            coords = [random_gaussian_rational(rng, height) for _ in range(3)]
+        coords = [random_gaussian_rational(rng, height) for _ in range(3)]
         if any(coords):
             return ProjPoint(coords)
 

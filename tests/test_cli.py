@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from flagcalc.cli import main
+from flagcalc.cli import CENSUS_MAX_COST, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -250,6 +251,23 @@ def test_census_bad_prime(capsys, tmp_path):
     )
     code, doc = run(capsys, "census", "--surface", str(surf), "--prime", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize("prime", [1000003, 2305843009213693951])
+def test_census_refuses_a_large_prime_before_work(capsys, prime):
+    # the cost estimate is refused before the primality test, whose trial
+    # division alone grows as sqrt(p), and before the surface is read
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "census", "--surface", "missing.json", "--prime", str(prime))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    cost = (prime * prime + prime + 1) * 3 * (prime + 1)
+    assert doc["message"] == (f"a census at p = {prime} costs about {cost} evaluations, "
+                              f"over the limit {CENSUS_MAX_COST}")
+
+
+def test_census_cost_limit_admits_every_prime_up_to_1009():
+    assert (1009 * 1009 + 1009 + 1) * 3 * 1010 <= CENSUS_MAX_COST
 
 
 def test_malformed_json_usage_exit(capsys, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc.errors import PreconditionError
-from flagcalc.gaussian import GaussianRational, gaussian_sqrt
+from flagcalc.gaussian import GaussianRational
 
 RAT = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -72,17 +72,3 @@ def test_norm_properties(z):
     assert n.im == 0
     assert n.re >= 0
     assert (n.re == 0) == z.is_zero()
-
-
-@settings(max_examples=60, derandomize=True)
-@given(SCALARS)
-def test_sqrt_of_square(z):
-    r = gaussian_sqrt(z * z)
-    assert r is not None
-    assert r == z or r == -z
-
-
-def test_sqrt_nonsquare():
-    assert gaussian_sqrt(GaussianRational(2)) is None
-    assert gaussian_sqrt(GaussianRational(-1)) == GaussianRational(0, 1)
-    assert gaussian_sqrt(GaussianRational(0, 2)) == GaussianRational(1, 1)

@@ -2,12 +2,12 @@ import pytest
 
 from flagcalc import linalg
 from flagcalc.biforms import BiForm, incidence_form, reduce_mod_incidence
-from flagcalc.errors import EmptySystemError, PreconditionError
-from flagcalc.flag import Conic, contains_conic
+from flagcalc.binforms import BinaryForm
+from flagcalc.errors import DegenerateConicError, EmptySystemError, PreconditionError
+from flagcalc.flag import Conic, contains_conic, restrict_to_conic, singular_points_on_conic
 from flagcalc.invariants import h0_flag, h0_hirzebruch
 from flagcalc.linsys import (
     condition_matrix,
-    conic_singularity_witness,
     expected_system_dimension,
     independence_guaranteed,
     surface_family,
@@ -138,37 +138,40 @@ def test_empty_system_reported():
 
 
 def test_witness_on_product_surface():
-    # F = incidence * G: on any contained conic the gcd chain picks up the
-    # restriction of G, so a witness certificate exists
+    # F = incidence * G vanishes on the whole flag, so it cuts out no surface
+    # and has no singular points to report
     rng = SplitMix64(31)
     C = random_smooth_conics(rng, 1)[0]
     G = surface_through_conics(1, 1, [], seed=8)
-    F = incidence_form() * G
-    w = conic_singularity_witness(F, C)
-    assert w is not None
-    assert not w.whole_conic
-    assert w.gcd is not None and w.gcd.degree >= 1
+    with pytest.raises(PreconditionError, match="the form cuts out no surface of the flag"):
+        singular_points_on_conic(incidence_form() * G, C)
 
 
 def test_witness_square_surface_whole_conic():
     conics = random_smooth_conics(SplitMix64(37), 1)
     G = surface_through_conics(1, 1, conics, seed=2)
-    F = G * G
-    w = conic_singularity_witness(F, conics[0])
-    assert w is not None
-    assert w.whole_conic
-    assert w.point is not None
+    assert singular_points_on_conic(G * G, conics[0]) == BinaryForm([0] * 5)
+    assert singular_points_on_conic(G, conics[0]).degree == 0
 
 
 def test_witness_generic_surface_none():
     conics = random_smooth_conics(SplitMix64(41), 1)
     F = surface_through_conics(2, 2, conics, seed=3)
-    assert conic_singularity_witness(F, conics[0]) is None
+    assert singular_points_on_conic(F, conics[0]) == BinaryForm([1])
 
 
 def test_witness_precondition():
     conics = random_smooth_conics(SplitMix64(43), 1)
+    with pytest.raises(PreconditionError, match="the form cuts out no surface of the flag"):
+        singular_points_on_conic(BiForm.monomial((0, 0, 0), (0, 0, 0)), conics[0])
+    with pytest.raises(DegenerateConicError):
+        singular_points_on_conic(BiForm.monomial((0, 1, 0), (0, 1, 0)), Conic((1, 0, 0), (0, 1, 0)))
+
+
+def test_singular_points_on_a_conic_off_the_surface():
+    # {p1 l1 = 0} is singular along p1 = l1 = 0, which this conic meets once,
+    # at (s, t) = (1, 0) of its chart p = (s, -t, t), l = (t, -t, -s - t)
     F = BiForm.monomial((0, 1, 0), (0, 1, 0))
-    if not contains_conic(F, conics[0]):
-        with pytest.raises(PreconditionError):
-            conic_singularity_witness(F, conics[0])
+    C = Conic((1, 1, 0), (0, 1, 1))
+    assert restrict_to_conic(F, C) == BinaryForm([0, 0, 1])
+    assert singular_points_on_conic(F, C) == BinaryForm([0, 1])

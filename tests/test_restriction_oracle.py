@@ -7,8 +7,9 @@ census.  The reference code below restricts by its own arithmetic, with
 the chart rule written out separately for Q(i) and for F_p, and the tests
 pin the kernel to it on fixed seeds: the rows, restriction (zero surfaces,
 tall nonreal conics, big-rational members), the members of a certified
-family, the certificate and the census.  The singular-point search is
-pinned to the same search along the Q(i) FlagCurve of tests/oracles.py.
+family, the certificate and the census.  The singular points along a
+conic are pinned to the same minors along the Q(i) FlagCurve of
+tests/oracles.py.
 """
 
 import json
@@ -20,13 +21,12 @@ import pytest
 from flagcalc.binforms import BinaryForm, bf_gcd
 from flagcalc.biforms import BiForm, incidence_form, monomials, quotient_monomials
 from flagcalc.cli import main
-from flagcalc.flag import restrict_to_conic
+from flagcalc.errors import PreconditionError
+from flagcalc.flag import restrict_to_conic, singular_points_on_conic
 from flagcalc.fpcensus import conic_census, proj_points, reduce_mod_p
 from flagcalc.gaussian import ONE, ZERO, GaussianRational as GR
 from flagcalc.linsys import (
-    _exact_root,
     condition_matrix,
-    conic_singularity_witness,
     family_member,
     surface_family,
     surface_through_conics,
@@ -171,22 +171,21 @@ def _ref_certificate(forms, surface, seed=DEFAULT_RULED_SEED):
     return {"passed": True, "degree_bound": bound, "charts": charts, "probe_parameters": probes}
 
 
-def _ref_singularity_witness(F, C):
-    """conic_singularity_witness's search run along conic_param(C): the gcd
-    of the restricted partials, whole_conic, and the root and its point."""
+def _ref_singular_points(F, C):
+    """singular_points_on_conic's gcd taken along conic_param(C): the
+    fifteen 2x2 minors of the restricted [grad F; (l, p)], where (l, p) is
+    the curve's own l- and p-forms."""
     curve = conic_param(C)
-    partials = [F.partial(group, i) for group in ("p", "l") for i in range(3)]
-    restricted = [restrict_to_curve(d, curve) for d in partials if not d.is_zero()]
-    nonzero = [r for r in restricted if not r.is_zero()]
-    if not nonzero:
-        return None, True, (ONE, ZERO), curve.point_at(ONE, ZERO)
-    g = nonzero[0]
-    for r in nonzero[1:]:
-        g = bf_gcd(g, r)
-        if g.degree == 0:
-            return None
-    root = _exact_root(g)
-    return g, False, root, curve.point_at(*root) if root else None
+    a, b = F.bidegree
+    grad = [restrict_to_curve(F.partial(group, i), curve) for group in ("p", "l") for i in range(3)]
+    normal = list(curve.l_forms) + list(curve.p_forms)
+    g = None
+    for i in range(6):
+        for j in range(i + 1, 6):
+            minor = grad[i] * normal[j] - grad[j] * normal[i]
+            if not minor.is_zero():
+                g = minor if g is None else bf_gcd(g, minor)
+    return BinaryForm([0] * (a + b + 1)) if g is None else g.normalized()
 
 
 # Reference: the census over F_p with convolutions reduced at every step.
@@ -428,26 +427,23 @@ def test_singularity_witness_matches_curve_oracle(seed):
     G = surface_through_conics(1, 1, [C], seed=seed)
     H = surface_through_conics(1, 0, [], seed=seed)
     K = surface_through_conics(0, 1, [], seed=seed)
-    # products with a factor through C, and squares, which are singular
-    # along all of C
-    surfaces = [incidence_form() * H, G * H, G * K, incidence_form() * G, G * G,
-                incidence_form() * incidence_form()]
+    # products with a factor through C, singular where the other factor
+    # meets C, and a square, singular along all of C
     kinds = set()
-    for F in surfaces:
-        w = conic_singularity_witness(F, C)
-        ref = _ref_singularity_witness(F, C)
-        assert (w is None) == (ref is None)
-        if w is not None:
-            assert (w.gcd, w.whole_conic, w.parameter, w.point) == ref
-            kinds.add((w.whole_conic, w.point is not None))
-    assert {(True, True), (False, True)} <= kinds
+    for F in (G * H, G * K, G * G, G * H * K):
+        g = singular_points_on_conic(F, C)
+        assert g == _ref_singular_points(F, C)
+        kinds.add(g.degree if not g.is_zero() else "whole")
+    assert kinds == {1, 2, "whole"}
+    # multiples of the incidence form vanish on the flag and are refused
+    for F in (incidence_form() * H, incidence_form() * G, incidence_form() * incidence_form()):
+        with pytest.raises(PreconditionError, match="the form cuts out no surface"):
+            singular_points_on_conic(F, C)
 
 
 def test_singularity_witness_matches_curve_oracle_on_twistor_fibers(spec2, spec3):
     for spec in (spec2, spec3):
         for C in twistor_circle_samples(spec, 4):
-            w = conic_singularity_witness(spec.surface, C)
-            ref = _ref_singularity_witness(spec.surface, C)
-            assert (w is None) == (ref is None)
-            if w is not None:
-                assert (w.gcd, w.whole_conic, w.parameter, w.point) == ref
+            g = singular_points_on_conic(spec.surface, C)
+            assert g == _ref_singular_points(spec.surface, C)
+            assert g.degree == 2 * spec.degree - 2

@@ -6,27 +6,29 @@ from fractions import Fraction
 import pytest
 
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, proportionality
+from flagcalc.biforms import BiForm, incidence_form, monomials, proportionality, reduce_mod_incidence
 from flagcalc.errors import PreconditionError
 from flagcalc.flag import (
+    ProjPoint,
     conics_disjoint,
     contains_conic,
     is_j_invariant,
     j_pullback,
+    singular_points_on_conic,
+    twistor_fiber_of,
 )
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.ruled import (
     _integer_ruling,
     _parameter_resultant,
     containment_certificate,
-    smoothness_profile,
     twistor_circle_samples,
     twistor_ruled_surface,
 )
 from flagcalc.sampling import SplitMix64
 from flagcalc.serialize import forms_from_json
 
-from oracles import _fiber_at, reference_circle_samples, reference_parameter_resultant
+from oracles import _fiber_at, rank, reference_circle_samples, reference_parameter_resultant
 
 FORMS_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "forms")
 
@@ -211,8 +213,6 @@ def test_nonreal_forms_rejected_by_samplers(spec2):
     nonreal = spec2._replace(forms=NONREAL)
     with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
         twistor_circle_samples(nonreal, 3)
-    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
-        smoothness_profile(nonreal, fibers=3)
 
 
 def test_degree_one_rejected():
@@ -265,22 +265,66 @@ def test_surface_nonzero_off_sampled_fibers(spec2):
     assert hits >= 15
 
 
-def test_smoothness_profile_finds_witnesses(spec2):
-    prof = smoothness_profile(spec2, fibers=4)
-    assert prof["status"] == "singular_witness_found"
-    assert prof["certifies_smoothness"] is False
-    assert prof["fibers_checked"] == 4
-    # on each twistor fiber the two isotropic points of the swept line are
-    # singular, so every fiber carries a degree-2 witness
-    for entry in prof["fibers"]:
-        assert entry["witness"] is not None
-        assert entry["witness"]["gcd_degree"] == 2
+def _catalog_spec(name):
+    with open(os.path.join(FORMS_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return twistor_ruled_surface(forms_from_json(json.load(fh)))
 
 
-def test_smoothness_profile_cubic(spec3):
-    prof = smoothness_profile(spec3, fibers=3)
-    assert prof["certifies_smoothness"] is False
-    assert prof["status"] in ("singular_witness_found", "inconclusive")
+@pytest.mark.parametrize("name", ["d2_00", "d3_00"])
+def test_singular_gcd_does_not_depend_on_the_representative(name):
+    # S + (p.l)G cuts the flag in the same surface as S
+    spec = _catalog_spec(name)
+    a = spec.degree
+    G = BiForm((a - 1, a - 1), {e: k % 5 - 2 for k, e in enumerate(monomials(a - 1, a - 1))})
+    other = spec.surface + incidence_form() * G
+    assert other != spec.surface
+    assert reduce_mod_incidence(other) == reduce_mod_incidence(spec.surface)
+    for C in twistor_circle_samples(spec, 4):
+        g = singular_points_on_conic(spec.surface, C)
+        assert g.degree == 2 * a - 2
+        assert singular_points_on_conic(other, C) == g
+
+
+# the first sample, at parameter (0, 1), lies over a cusp of the plane
+# curve f (f(s, 1) has zero derivative at s = 0), and the surface is
+# singular along that whole fiber
+WHOLE_FIRST_FIBER = {"d3_01", "d3_03", "d3_04", "d3_05", "d4_00"}
+
+
+def test_catalog_rulings_are_singular_in_2a_minus_2_points_of_a_generic_fiber():
+    paths = sorted(glob.glob(os.path.join(FORMS_DIR, "*.json")))
+    assert len(paths) == 13
+    for path in paths:
+        name = os.path.basename(path)[:-5]
+        spec = _catalog_spec(name)
+        a = spec.degree
+        gcds = [singular_points_on_conic(spec.surface, C) for C in twistor_circle_samples(spec, 4)]
+        if name in WHOLE_FIRST_FIBER:
+            assert gcds[0] == BinaryForm([0] * (2 * a + 1)), name
+            gcds = gcds[1:]
+        assert [g.degree for g in gcds] == [2 * a - 2] * len(gcds), name
+        assert not any(g.is_zero() for g in gcds), name
+
+
+def _jacobian(F, p, l):
+    """The 2 x 6 matrix [grad F; (l, p)] at the flag point (p, l)."""
+    grad = [F.partial(group, i).evaluate(p, l) for group in "pl" for i in range(3)]
+    return [grad, list(l) + list(p)]
+
+
+def test_jacobian_has_rank_one_at_the_roots_of_the_singular_gcd(spec2):
+    # the fiber over m = (0, 0, 1): chart p = (s, t, 0), l = (-t, s, 0)
+    C = twistor_fiber_of(ProjPoint((0, 0, 1)))
+    assert singular_points_on_conic(spec2.surface, C) == BinaryForm([1, 0, 1])  # s^2 + t^2
+
+    def point(t):
+        return (GR(1), t, GR(0)), (-t, GR(1), GR(0))
+
+    for t in (GR(0, 1), GR(0, -1)):
+        p, l = point(t)
+        assert spec2.surface.evaluate(p, l).is_zero()
+        assert rank(_jacobian(spec2.surface, p, l)) == 1
+    assert rank(_jacobian(spec2.surface, *point(GR(2)))) == 2
 
 
 def test_positivity_check_rejects_real_parameter_zero():

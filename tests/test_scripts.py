@@ -37,5 +37,10 @@ def test_dim_grid_has_no_defect_in_the_guaranteed_range():
 def test_ruled_demo_runs():
     lines = _run("ruled_demo.py")
     assert [l.split(":")[0] for l in lines if l.startswith("a=")] == ["a=2", "a=3"]
+    # the four sampled fibers of each ruling; each a = 2 fiber carries the
+    # two singular points where the double curve meets it
+    singular = [l.rsplit(": ", 1)[1] for l in lines if "singular points on the fiber" in l]
+    assert singular[:4] == ["gcd degree 2"] * 4
+    assert len(singular) == 8
     assert any(l.strip().startswith("census mod") for l in lines)
 
