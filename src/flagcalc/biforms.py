@@ -5,6 +5,8 @@ A form of bidegree (a, b) is a map from exponent pairs
 scalars in Q(i).  The monomial order used everywhere (serialization, matrix
 columns, reduction) is descending lexicographic on the concatenated
 exponent tuples, so p0*l0 is the leading monomial of the incidence form.
+The constructor drops zero coefficients, so arithmetic adds into a plain
+dict and returns through it.
 """
 
 from __future__ import annotations
@@ -12,13 +14,9 @@ from __future__ import annotations
 from math import comb
 
 from .errors import PreconditionError
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational, to_gaussian
 
 ExpPair = tuple[tuple[int, int, int], tuple[int, int, int]]
-
-
-def _coerce(c):
-    return c if isinstance(c, GaussianRational) else GaussianRational(c)
 
 
 class BiForm:
@@ -38,7 +36,7 @@ class BiForm:
                 raise PreconditionError(f"exponent tuples must have 3 entries: {key}")
             if sum(pe) != a or sum(le) != b or min(pe) < 0 or min(le) < 0:
                 raise PreconditionError(f"exponents {key} do not match bidegree {(a, b)}")
-            c = _coerce(c)
+            c = to_gaussian(c)
             if c:
                 clean[(pe, le)] = c
         self.terms = clean
@@ -61,11 +59,7 @@ class BiForm:
             raise PreconditionError("cannot add forms of different bidegree")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + c
         return BiForm(self.bidegree, out)
 
     def __sub__(self, other):
@@ -77,28 +71,17 @@ class BiForm:
         return BiForm(self.bidegree, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "BiForm":
-        c = _coerce(c)
+        c = to_gaussian(c)
         if not c:
             return BiForm(self.bidegree)
         return BiForm(self.bidegree, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, BiForm):
-            a = self.bidegree[0] + other.bidegree[0]
-            b = self.bidegree[1] + other.bidegree[1]
             out: dict[ExpPair, GaussianRational] = {}
-            for (pe1, le1), c1 in self.terms.items():
-                for (pe2, le2), c2 in other.terms.items():
-                    key = (
-                        (pe1[0] + pe2[0], pe1[1] + pe2[1], pe1[2] + pe2[2]),
-                        (le1[0] + le2[0], le1[1] + le2[1], le1[2] + le2[2]),
-                    )
-                    s = out.get(key, ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return BiForm((a, b), out)
+            mul_terms(self.terms, other.terms, out)
+            (a1, b1), (a2, b2) = self.bidegree, other.bidegree
+            return BiForm((a1 + a2, b1 + b2), out)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -114,8 +97,8 @@ class BiForm:
     def evaluate(self, p, l) -> GaussianRational:
         """Exact value at coordinate triples p and l."""
         a, b = self.bidegree
-        ppow = [_powers(_coerce(x), a) for x in p]
-        lpow = [_powers(_coerce(x), b) for x in l]
+        ppow = [_powers(to_gaussian(x), a) for x in p]
+        lpow = [_powers(to_gaussian(x), b) for x in l]
         acc = ZERO
         for (pe, le), c in self.terms.items():
             v = c
@@ -129,32 +112,32 @@ class BiForm:
 
     def partial(self, group: str, index: int) -> "BiForm":
         """Partial derivative in p_index (group 'p') or l_index (group 'l')."""
-        a, b = self.bidegree
-        if group == "p":
-            if a == 0:
-                return BiForm((0, b))
-            out = {}
-            for (pe, le), c in self.terms.items():
-                e = pe[index]
-                if e:
-                    npe = list(pe)
-                    npe[index] = e - 1
-                    key = (tuple(npe), le)
-                    out[key] = out.get(key, ZERO) + c * e
-            return BiForm((a - 1, b), out)
-        if group == "l":
-            if b == 0:
-                return BiForm((a, 0))
-            out = {}
-            for (pe, le), c in self.terms.items():
-                f = le[index]
-                if f:
-                    nle = list(le)
-                    nle[index] = f - 1
-                    key = (pe, tuple(nle))
-                    out[key] = out.get(key, ZERO) + c * f
-            return BiForm((a, b - 1), out)
-        raise PreconditionError("group must be 'p' or 'l'")
+        if group not in ("p", "l"):
+            raise PreconditionError("group must be 'p' or 'l'")
+        g = "pl".index(group)
+        bidegree = list(self.bidegree)
+        if not bidegree[g]:
+            return BiForm(bidegree)
+        bidegree[g] -= 1
+        out = {}
+        for key, c in self.terms.items():
+            if e := key[g][index]:
+                new = list(key)
+                new[g] = key[g][:index] + (e - 1,) + key[g][index + 1 :]
+                out[tuple(new)] = c * e
+        return BiForm(bidegree, out)
+
+
+def mul_terms(t1, t2, out) -> None:
+    """Add the product of two sparse forms {(pe, le): c}, over any ring with
+    + and *, into the map out."""
+    for (pe1, le1), c1 in t1.items():
+        for (pe2, le2), c2 in t2.items():
+            key = (
+                (pe1[0] + pe2[0], pe1[1] + pe2[1], pe1[2] + pe2[2]),
+                (le1[0] + le2[0], le1[1] + le2[1], le1[2] + le2[2]),
+            )
+            out[key] = c1 * c2 if (s := out.get(key)) is None else s + c1 * c2
 
 
 def _powers(x: GaussianRational, n: int):
@@ -212,24 +195,15 @@ def reduce_mod_incidence(F: BiForm) -> BiForm:
     for (pe, le), c in F.terms.items():
         k = min(pe[0], le[0])
         if k == 0:
-            s = out.get((pe, le), ZERO) + c
-            if s:
-                out[(pe, le)] = s
-            else:
-                out.pop((pe, le), None)
+            out[(pe, le)] = out.get((pe, le), ZERO) + c
             continue
         base = -c if k % 2 else c
         for alpha in range(k + 1):
-            coeff = base * comb(k, alpha)
             key = (
                 (pe[0] - k, pe[1] + alpha, pe[2] + k - alpha),
                 (le[0] - k, le[1] + alpha, le[2] + k - alpha),
             )
-            s = out.get(key, ZERO) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + base * comb(k, alpha)
     return BiForm((a, b), out)
 
 

@@ -4,16 +4,18 @@ A form of degree d is stored as the tuple of its d+1 coefficients, where
 ``coeffs[k]`` multiplies s^(d-k) * t^k.  Dehomogenizing at s = 1 maps the
 form to the univariate polynomial sum coeffs[k] * x^k; the drop between d
 and the degree of that polynomial counts the multiplicity of s as a factor.
+
+A bare coefficient sequence in that convention is a binary form too, and
+conv and power_table multiply such sequences over any ring with + and *:
+GaussianRational for BinaryForm, GaussianInt for restriction to a conic
+and condition rows, int for the ruled certificate and the census's chart
+monomials.  Empty slots hold the int 0.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .gaussian import ONE, ZERO, GaussianRational
-
-
-def _coerce_scalar(c):
-    return c if isinstance(c, GaussianRational) else GaussianRational(c)
+from .gaussian import ONE, ZERO, GaussianRational, to_gaussian
 
 
 class BinaryForm:
@@ -22,7 +24,7 @@ class BinaryForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(_coerce_scalar(c) for c in coeffs)
+        cs = tuple(to_gaussian(c) for c in coeffs)
         if not cs:
             raise PreconditionError("a binary form needs at least one coefficient")
         self.coeffs = cs
@@ -35,8 +37,8 @@ class BinaryForm:
         return all(c.is_zero() for c in self.coeffs)
 
     def evaluate(self, s, t) -> GaussianRational:
-        s = _coerce_scalar(s)
-        t = _coerce_scalar(t)
+        s = to_gaussian(s)
+        t = to_gaussian(t)
         d = self.degree
         spow = [ONE]
         tpow = [ONE]
@@ -50,7 +52,7 @@ class BinaryForm:
         return acc
 
     def scale(self, c) -> "BinaryForm":
-        c = _coerce_scalar(c)
+        c = to_gaussian(c)
         return BinaryForm(tuple(x * c for x in self.coeffs))
 
     def normalized(self) -> "BinaryForm":
@@ -70,23 +72,14 @@ class BinaryForm:
     def __sub__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        if self.degree != other.degree:
-            raise PreconditionError("cannot subtract binary forms of different degree")
-        return BinaryForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
         return BinaryForm(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [ZERO] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return BinaryForm(out)
+            return BinaryForm(conv(self.coeffs, other.coeffs))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -105,6 +98,29 @@ class BinaryForm:
 
 def zero_form(degree: int) -> BinaryForm:
     return BinaryForm([ZERO] * (degree + 1))
+
+
+def conv(u, v):
+    """The coefficient sequence of the product of two forms."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                if y:
+                    k = i + j
+                    # an empty slot is assigned, not added to, so the int 0
+                    # is never coerced into the coefficient ring
+                    out[k] = out[k] + x * y if out[k] else x * y
+    return out
+
+
+def power_table(seq, n: int):
+    """The coefficient sequences of f^0, f^1, ..., f^n, where f has the
+    coefficient sequence seq."""
+    out = [(1,), seq]
+    for _ in range(n - 1):
+        out.append(conv(out[-1], seq))
+    return out[: n + 1]
 
 
 # Univariate helpers on ascending coefficient lists over Q(i).

@@ -25,6 +25,8 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 # a census costs (p^2+p+1) 3(p+1) evaluations; above this it is refused
 CENSUS_MAX_COST = 3_100_000_000  # p = 1009, about half an hour, still runs
+# the exact max-disjoint search grows about 4x per 8 members; 64 take about 1 s
+CENSUS_MAX_LIMIT = 64
 
 
 class UsageError(FlagcalcError):
@@ -164,6 +166,8 @@ def _cmd_census(args):
 
     if args.limit < 0:
         raise UsageError("--limit must be nonnegative")
+    if args.limit > CENSUS_MAX_LIMIT:
+        raise PreconditionError(f"--limit {args.limit} is over the cap {CENSUS_MAX_LIMIT}")
     p = args.prime
     if (cost := (p * p + p + 1) * 3 * (p + 1)) > CENSUS_MAX_COST:
         raise PreconditionError(f"a census at p = {p} costs about {cost} evaluations, "
@@ -241,7 +245,7 @@ COMMANDS = {
         "seed": (int, None, "certificate seed, ruled.DEFAULT_RULED_SEED if omitted")}),
     "census": (_cmd_census, "mod-p conic census of a surface", {
         "surface": (str, REQUIRED, ""), "prime": _INT,
-        "limit": (int, 24, "exact max-disjoint search cap")}),
+        "limit": (int, 24, f"exact max-disjoint search cap, at most {CENSUS_MAX_LIMIT}")}),
     "dim-report": (_cmd_dim_report, "observed vs expected interpolation dimensions", {
         "a": _INT, "b": _INT, "x": _INT, "trials": (int, 5, ""), "seed": (int, 0, "")}),
 }

@@ -12,7 +12,8 @@ the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
 (chart_tables), by one kernel (pull) over the ring its inputs lie in:
 restrict_to_conic clears the surface and the conic to Z[i], the condition
 rows clear the conic, the ruled certificate runs over Z and the census
-over F_p.
+over F_p.  The kernel works on coefficient sequences of binary forms, which
+binforms.conv and power_table multiply over any of those rings.
 
 Projective points are kept in canonical form (first nonzero coordinate
 equal to 1) so equality and hashing are exact.
@@ -23,10 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .binforms import BinaryForm, bf_gcd, zero_form
+from .binforms import BinaryForm, bf_gcd, conv, power_table, zero_form
 from .biforms import BiForm, proportionality as _proportionality, reduce_mod_incidence
 from .errors import DegenerateConicError, PreconditionError
-from .gaussian import ZERO, GaussianInt, GaussianRational
+from .gaussian import ZERO, GaussianInt, GaussianRational, to_gaussian
 from .linalg import clear_rows
 
 
@@ -43,7 +44,7 @@ def cross(u, v):
 
 
 def _coerce_triple(coords):
-    out = tuple(c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coords)
+    out = tuple(map(to_gaussian, coords))
     if len(out) != 3:
         raise PreconditionError("a projective point needs exactly 3 coordinates")
     return out
@@ -166,35 +167,6 @@ def line_basis(m, pivot: int | None = None):
     v1[j], v1[i] = m[i], -m[j]
     v2[k], v2[i] = m[i], -m[k]
     return tuple(v1), tuple(v2)
-
-
-# The restriction kernel.  A coefficient sequence follows the BinaryForm
-# convention (entry k multiplies s^(d-k) t^k) and may hold elements of any
-# ring with + and *: GaussianInt for restriction to a conic and condition
-# rows, and int for the ruled certificate and the census's chart monomials.
-# Empty slots hold the int 0.
-
-def conv(u, v):
-    """The coefficient sequence of the product of two forms."""
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                if y:
-                    k = i + j
-                    # an empty slot is assigned, not added to, so the int 0
-                    # is never coerced into the coefficient ring
-                    out[k] = out[k] + x * y if out[k] else x * y
-    return out
-
-
-def power_table(seq, n: int):
-    """The coefficient sequences of f^0, f^1, ..., f^n, where f has the
-    coefficient sequence seq."""
-    out = [(1,), seq]
-    for _ in range(n - 1):
-        out.append(conv(out[-1], seq))
-    return out[: n + 1]
 
 
 def pull(terms, tables):

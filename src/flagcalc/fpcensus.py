@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 from . import modp
 from .biforms import BiForm, monomials
+from .binforms import conv, power_table
 from .errors import PreconditionError
-from .flag import conv, cross, dot, line_basis, power_table
+from .flag import cross, dot, line_basis
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
 

@@ -131,6 +131,11 @@ def _coerce(x):
     return None
 
 
+def to_gaussian(x) -> GaussianRational:
+    """x as a GaussianRational; an int or a Fraction is converted."""
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+
 class GaussianInt:
     """re + im*i with int parts: the ring flag.pull builds condition rows
     over.  A right factor may be an int, as the chart's unset entries are."""

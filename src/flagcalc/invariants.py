@@ -147,19 +147,9 @@ class SurfaceInvariants(NamedTuple):
     self_pair_bidegree: tuple[int, int]
 
     def as_dict(self) -> dict:
-        return {
-            "bidegree": list(self.bidegree),
-            "canonical_bidegree": list(self.canonical_bidegree),
-            "conic_self_intersection": self.conic_self_intersection,
-            "ruling_10_self_intersection": self.ruling_10_self_intersection,
-            "ruling_01_self_intersection": self.ruling_01_self_intersection,
-            "c1_squared": self.c1_squared,
-            "c2": self.c2,
-            "euler_characteristic": str(self.euler_characteristic),
-            "general_type": self.general_type,
-            "uniqueness_threshold": self.uniqueness_threshold,
-            "self_pair_bidegree": list(self.self_pair_bidegree),
-        }
+        out = {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
+        out["euler_characteristic"] = str(self.euler_characteristic)
+        return out
 
 
 def surface_invariant_report(a: int, b: int) -> SurfaceInvariants:

@@ -10,10 +10,10 @@ exact rank from below.  A dimension is returned from F_p only when the row
 count bounds it from the other side, after the forward pass alone
 (modp.echelon).  Otherwise, and for every kernel basis, the kernel is found
 in this order:
-  1. the image of the rows is fully reduced (modp.rref), whose forward pass
-     picks the pivot rows, those independent mod p (system_dimension passes
-     only the pivot rows its own forward pass picked); the image of the
-     pivot rows with i sent to -I_MOD is the only second elimination;
+  1. the image of the rows is fully reduced (modp.rref, or system_dimension's
+     own forward pass then modp.back_reduce), whose forward pass picks the
+     pivot rows, those independent mod p; the image of the pivot rows with
+     i sent to -I_MOD is the only second elimination;
   2. the real and imaginary parts of each kernel entry are read back from
      the two images (modp.reconstruct);
   3. the certificate multiplies every row of every conic with every basis
@@ -32,8 +32,9 @@ from typing import NamedTuple
 
 from . import linalg, modp
 from .biforms import BiForm, quotient_monomials
+from .binforms import conv
 from .errors import EmptySystemError, FlagcalcError, PreconditionError
-from .flag import Conic, chart_tables, conv, pull
+from .flag import Conic, chart_tables, pull
 from .gaussian import ONE, ZERO, GaussianInt, GaussianRational
 from .invariants import h0_flag
 from .sampling import SplitMix64
@@ -136,23 +137,22 @@ def _fp_kernel(rows: list[list[linalg.Pair]], cols, red1, ncols: int):
     return kernel
 
 
-def _certified_kernel(cm: ConditionMatrix, rows: list[list[linalg.Pair]]):
-    """The reduced-echelon kernel of cm from the given rows (all of cm's,
-    or its pivot rows) alone, proved by linalg.annihilates on every row (a
-    block of a+b+1 rows times a vector is that surface's restriction to the
-    conic).  One reduction of the rows' image picks the pivot rows, and the
-    kernel is read back from F_p first (_fp_kernel).  When that fails, or
-    its proof does, the pivot rows are eliminated exactly by Bareiss and
-    proved; when that proof fails too (p divides a minor the rank needs),
-    all rows are, and proved again.
+def _certified_kernel(cm: ConditionMatrix, pivots, cols, red1):
+    """The reduced-echelon kernel of cm from its pivot rows alone, proved by
+    linalg.annihilates on every row (a block of a+b+1 rows times a vector
+    is that surface's restriction to the conic).  pivots, cols and red1 are
+    the fully reduced image of cm's rows with i sent to I_MOD, as modp.rref
+    gives them; the kernel is read back from F_p first (_fp_kernel).  When
+    that fails, or its proof does, the pivot rows are eliminated exactly by
+    Bareiss and proved; when that proof fails too (p divides a minor the
+    rank needs), all rows are, and proved again.
 
     The F_p kernel has ncols - rank_p vectors, and rank_p is at most the
     exact rank, so once proved it spans the exact kernel; a kernel has one
     basis of that form, so it is the one Bareiss would give.
     """
     ncols = len(cm.columns)
-    pivots, cols, red1 = modp.rref(modp.reduce_rows(rows, modp.I_MOD), ncols)
-    rows = [rows[r] for r in pivots]
+    rows = [cm.rows[r] for r in pivots]
     kernel = _fp_kernel(rows, cols, red1, ncols)
     if kernel is not None and linalg.annihilates(cm.rows, kernel):
         return kernel
@@ -175,11 +175,11 @@ def system_dimension(a: int, b: int, conics) -> int:
     """
     cm = condition_matrix(a, b, conics)
     ncols = len(cm.columns)
-    pivots, _ = modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), ncols)
+    pivots, cols, normed = modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), ncols)
     nullity = ncols - len(pivots)
     if nullity == max(ncols - len(cm.rows), 0):
         return nullity
-    return len(_certified_kernel(cm, [cm.rows[r] for r in pivots]))
+    return len(_certified_kernel(cm, pivots, cols, modp.back_reduce(cols, normed, ncols)))
 
 
 def expected_system_dimension(a: int, b: int, x: int) -> int:
@@ -213,7 +213,8 @@ def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     that loses nothing.
     """
     cm = condition_matrix(a, b, conics)
-    kernel = _certified_kernel(cm, cm.rows)
+    image = modp.rref(modp.reduce_rows(cm.rows, modp.I_MOD), len(cm.columns))
+    kernel = _certified_kernel(cm, *image)
     basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
     return SurfaceFamily((a, b), cm.conics, basis)
 

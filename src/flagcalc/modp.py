@@ -4,10 +4,10 @@ PRIME = 2^61 - 31 is 1 (mod 4).  Sending i to a square root of -1 mod p
 maps every Gaussian rational whose denominators p does not divide into F_p;
 the map is a ring homomorphism, so a rank mod p never exceeds the exact one.
 
-Row elimination (echelon, and rref, which also back-reduces) works on
-packed rows: a row of F_p entries is one int with a fixed-width slot per
-column, so eliminating against a pivot row is one big-int multiply and
-add.  reconstruct reads a fraction of small height back from its image.
+Row elimination (echelon, back_reduce, and rref, the two in turn) works
+on packed rows: a row of F_p entries is one int with a fixed-width slot
+per column, so eliminating against a pivot row is one big-int multiply
+and add.  reconstruct reads a fraction of small height back from its image.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ def _unpack(packed: int, n: int, nbytes: int, p: int) -> list[int]:
 
 def _forward(rows: list[list[int]], ncols: int, p: int):
     """Greedy row-order elimination mod p on packed rows.  Returns
-    (pivot_rows, normed): normed maps each pivot column c, in the order the
-    pivots were found, to its row over columns c.. with 1 at c.
+    (pivot_rows, pivot_cols, normed), as echelon describes them.
 
     A row is packed once.  Its low slot is the first column not yet
     eliminated: the loop jumps over zero slots by the lowest set bit,
@@ -101,7 +100,7 @@ def _forward(rows: list[list[int]], ncols: int, p: int):
     width = 8 * nbytes
     mask = (1 << width) - 1
     negated: dict[int, int] = {}  # pivot column c -> -(its row) on columns c+1..
-    normed: dict[int, list[int]] = {}
+    normed: list[list[int]] = []
     pivot_rows: list[int] = []
     for r, row in enumerate(rows):
         if len(normed) == ncols:
@@ -121,7 +120,7 @@ def _forward(rows: list[list[int]], ncols: int, p: int):
                 if prow is None:
                     inv = pow(x, -1, p)
                     v = [y * inv % p for y in _unpack(u, ncols - c, nbytes, p)]
-                    normed[c] = v
+                    normed.append([0] * c + v)
                     negated[c] = _pack([-y % p for y in v[1:]], nbytes)
                     pivot_rows.append(r)
                     break
@@ -129,45 +128,50 @@ def _forward(rows: list[list[int]], ncols: int, p: int):
             else:
                 u >>= width
             c += 1
-    return pivot_rows, normed
+    return pivot_rows, list(negated), normed
 
 
 def echelon(rows: list[list[int]], ncols: int):
     """Row echelon form over F_p (p = PRIME) of integer rows of ncols
     entries, built greedily in row order; the rows are not modified.
-    Returns (pivot_rows, pivot_cols): the rows independent of the rows
-    before them, in increasing order, and the column each pivots on; their
-    number is the rank mod p.
+    Returns (pivot_rows, pivot_cols, normed): the rows independent of the
+    rows before them, in increasing order, the column each pivots on, and
+    normed[k] row pivot_rows[k] as the elimination leaves it, over all
+    ncols columns with 0 before pivot_cols[k] and 1 there.  Their number is
+    the rank mod p.
     """
-    pivot_rows, normed = _forward(rows, ncols, PRIME)
-    return pivot_rows, list(normed)
+    return _forward(rows, ncols, PRIME)
 
 
-def rref(rows: list[list[int]], ncols: int):
-    """The fully reduced echelon form over F_p (p = PRIME) of the rows that
-    echelon keeps.  Returns (pivot_rows, pivot_cols, reduced): the first
-    two as echelon gives them, and reduced[k] the row over all ncols
-    columns with 1 at pivot_cols[k] and 0 at every other pivot column.
+def back_reduce(pivot_cols: list[int], normed: list[list[int]], ncols: int) -> list[list[int]]:
+    """The fully reduced rows of an echelon form over F_p (p = PRIME), as
+    echelon gives pivot_cols and normed: reduced[k] has 1 at pivot_cols[k]
+    and 0 at every other pivot column.
 
-    Back-reduction runs from the last pivot column down: a row becomes
-    reduced once the fully reduced rows of the pivot columns after its own
-    are subtracted, each times the row's entry there, which those rows,
-    zero on each other's pivot columns, leave unchanged.
+    It runs from the last pivot column down: a row becomes reduced once the
+    fully reduced rows of the pivot columns after its own are subtracted,
+    each times the row's entry there, which those rows, zero on each
+    other's pivot columns, leave unchanged.
     """
     p = PRIME
-    pivot_rows, normed = _forward(rows, ncols, p)
     nbytes = _slot_bytes(p, ncols)
     negated: dict[int, int] = {}  # pivot column -> -(reduced row), all columns
     reduced: dict[int, list[int]] = {}
-    for c in sorted(normed, reverse=True):
-        v = [0] * c + normed[c]
+    for c, v in sorted(zip(pivot_cols, normed), reverse=True):
         u = _pack(v, nbytes)
         for c2, prow in negated.items():
             if v[c2]:
                 u += v[c2] * prow
         reduced[c] = v = _unpack(u, ncols, nbytes, p)
         negated[c] = _pack([-y % p for y in v], nbytes)
-    return pivot_rows, list(normed), [reduced[c] for c in normed]
+    return [reduced[c] for c in pivot_cols]
+
+
+def rref(rows: list[list[int]], ncols: int):
+    """The fully reduced echelon form over F_p (p = PRIME) of the rows that
+    echelon keeps: (pivot_rows, pivot_cols, back_reduce's reduced rows)."""
+    pivot_rows, pivot_cols, normed = _forward(rows, ncols, PRIME)
+    return pivot_rows, pivot_cols, back_reduce(pivot_cols, normed, ncols)
 
 
 def reconstruct(u: int, p: int):

@@ -39,7 +39,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .binforms import BinaryForm, bf_gcd, triple_gcd
-from .biforms import BiForm
+from .biforms import BiForm, mul_terms
 from .errors import PreconditionError
 from .flag import (
     Conic,
@@ -60,7 +60,7 @@ class RuledSurfaceSpec(NamedTuple):
     forms: tuple[BinaryForm, BinaryForm, BinaryForm]
     degree: int
     surface: BiForm
-    witness_params: list  # integer parameters (s, t) of the checked fibers
+    witness_params: list  # integer parameters (s, t) of fibers the certificate proves
     certificate: dict
 
 
@@ -95,12 +95,7 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
     if j_pullback(surface) != expected:
         raise PreconditionError("resultant lost its j-symmetry")
 
-    int_terms = _integer_terms(surface)
     witness_params = [(k, 1) for k in range(a + 2)] + [(1, 0)]
-    for s, t in witness_params:
-        if not _on_surface(int_terms, (a, a), _at(f, s, t)):
-            raise PreconditionError("a sampled twistor fiber escapes the surface")
-
     certificate = containment_certificate(forms, surface, seed=seed)
     if not certificate["passed"]:
         raise PreconditionError("containment certificate failed")
@@ -156,16 +151,8 @@ def _parameter_resultant(f, den) -> BiForm:
         row = rows[a - len(cols)]
         for pos, c in enumerate(cols):
             if row[c]:
-                sub = minor(cols[:pos] + cols[pos + 1 :])
-                sign = -1 if pos % 2 else 1
-                for (pe1, le1), c1 in row[c].items():
-                    c1 *= sign
-                    for (pe2, le2), c2 in sub.items():
-                        key = (
-                            (pe1[0] + pe2[0], pe1[1] + pe2[1], pe1[2] + pe2[2]),
-                            (le1[0] + le2[0], le1[1] + le2[1], le1[2] + le2[2]),
-                        )
-                        acc[key] = acc.get(key, 0) + c1 * c2
+                entry = {k: -v for k, v in row[c].items()} if pos % 2 else row[c]
+                mul_terms(entry, minor(cols[:pos] + cols[pos + 1 :]), acc)
         return acc
 
     scale = Fraction((-1) ** (a * (a + 1) // 2), den ** (2 * a))

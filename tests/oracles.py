@@ -20,7 +20,16 @@ from fractions import Fraction
 from operator import mul
 
 from flagcalc import linalg, modp
-from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, triple_gcd, zero_form
+from flagcalc.binforms import (
+    ZERO,
+    BinaryForm,
+    _pdeg,
+    _pdivmod,
+    conv,
+    power_table,
+    triple_gcd,
+    zero_form,
+)
 from flagcalc.biforms import BiForm, monomials
 from flagcalc.errors import DegenerateConicError, FlagcalcError, PreconditionError
 from flagcalc.flag import (
@@ -28,12 +37,10 @@ from flagcalc.flag import (
     FlagPoint,
     ProjPoint,
     conics_disjoint,
-    conv,
     cross,
     dot,
     l_groups,
     line_basis,
-    power_table,
     pull,
     pull_terms,
     twistor_fiber_of,
@@ -266,9 +273,9 @@ def _reduced_mod_p(rows, ncols: int):
 
 
 def reference_echelon(rows, ncols: int):
-    """What modp.echelon returns: (pivot_rows, pivot_cols)."""
+    """What modp.echelon returns: (pivot_rows, pivot_cols, normed rows)."""
     pivot_rows, reduced = _reduced_mod_p(rows, ncols)
-    return pivot_rows, list(reduced)
+    return pivot_rows, list(reduced), list(reduced.values())
 
 
 def reference_rref(rows, ncols: int):

@@ -6,11 +6,13 @@ from flagcalc.biforms import (
     BiForm,
     incidence_form,
     monomials,
+    mul_terms,
     proportionality,
     quotient_monomials,
     reduce_mod_incidence,
 )
 from flagcalc.errors import PreconditionError
+from flagcalc.flag import j_pullback
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.invariants import h0_flag
 from flagcalc.sampling import SplitMix64, random_gaussian_rational
@@ -132,6 +134,65 @@ def test_partial_derivative():
     assert d == BiForm.monomial((1, 0, 0), (0, 1, 0), GR(6))
     assert F.partial("p", 1).is_zero()
     assert F.partial("l", 1) == BiForm.monomial((2, 0, 0), (0, 0, 0), GR(3))
+
+
+def test_partial_in_either_group_leaves_no_zero_term():
+    # p0 l1 + p1 l0: d/dp0 keeps one term, d/dp2 none, and the l side is
+    # the p side of the j-pullback pulled back again
+    F = BiForm((1, 1), {((1, 0, 0), (0, 1, 0)): 1, ((0, 1, 0), (1, 0, 0)): 1})
+    assert F.partial("p", 0).terms == {((0, 0, 0), (0, 1, 0)): GR(1)}
+    d = F.partial("p", 2)
+    assert d.terms == {} and d.bidegree == (0, 1)
+    rng = SplitMix64(81)
+    G = _random_biform(rng, 2, 3)
+    for i in range(3):
+        assert G.partial("l", i) == j_pullback(j_pullback(G).partial("p", i))
+        assert all(G.partial("l", i).terms.values())
+    assert BiForm.monomial((0, 0, 0), (1, 0, 0)).partial("p", 0) == BiForm((0, 1))
+    for group in ("q", "", "pl"):
+        with pytest.raises(PreconditionError, match="group must be"):
+            F.partial(group, 0)
+
+
+def test_add_of_the_negative_has_no_terms():
+    F = _random_biform(SplitMix64(82), 2, 2)
+    assert F.terms
+    assert (F + (-F)).terms == {}
+    assert (F - F).terms == {}
+
+
+def test_product_with_cancelling_cross_terms():
+    # (p0 l1 + p1 l0)(p0 l1 - p1 l0) = p0^2 l1^2 - p1^2 l0^2: the cross
+    # terms p0 p1 l0 l1 cancel and leave no key behind
+    u = BiForm((1, 1), {((1, 0, 0), (0, 1, 0)): 1, ((0, 1, 0), (1, 0, 0)): 1})
+    v = BiForm((1, 1), {((1, 0, 0), (0, 1, 0)): 1, ((0, 1, 0), (1, 0, 0)): -1})
+    assert (u * v).terms == {((2, 0, 0), (0, 2, 0)): GR(1), ((0, 2, 0), (2, 0, 0)): GR(-1)}
+
+
+def test_reduce_leaves_no_zero_term_when_terms_cancel():
+    # p0 l0 + p1 l1 reduces to -p2 l2; the p1 l1 terms cancel in the branch
+    # of whichever term comes second
+    p0l0, p1l1 = ((1, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 1, 0))
+    for order in ((p0l0, p1l1), (p1l1, p0l0)):
+        F = BiForm((1, 1), {key: 1 for key in order})
+        assert reduce_mod_incidence(F).terms == {((0, 0, 1), (0, 0, 1)): GR(-1)}
+    # (p1 l1 + p2 l2) times the incidence form, expanded: every term cancels
+    G = BiForm((2, 2), {((1, 1, 0), (1, 1, 0)): 1, ((0, 2, 0), (0, 2, 0)): 1,
+                        ((1, 0, 1), (1, 0, 1)): 1, ((0, 1, 1), (0, 1, 1)): 2,
+                        ((0, 0, 2), (0, 0, 2)): 1})
+    assert reduce_mod_incidence(G).terms == {}
+
+
+def test_mul_terms_over_int_matches_biform_product():
+    rng = SplitMix64(83)
+    for (a1, b1), (a2, b2) in [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((0, 2), (3, 0))]:
+        t1 = {k: rng.int_in(-2, 2) for k in monomials(a1, b1)}
+        t2 = {k: rng.int_in(-2, 2) for k in monomials(a2, b2)}
+        out = {}
+        mul_terms(t1, t2, out)
+        want = BiForm((a1, b1), t1) * BiForm((a2, b2), t2)
+        assert {k: GR(c) for k, c in out.items() if c} == want.terms
+        assert all(type(c) is int for c in out.values())
 
 
 def test_proportionality():

@@ -7,7 +7,7 @@ from flagcalc.binforms import (
 )
 from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianRational as GR, I
-from flagcalc.sampling import SplitMix64
+from flagcalc.sampling import SplitMix64, random_gaussian_rational
 
 from oracles import bf_div_exact, bf_divides, random_binary_form, sylvester_resultant
 
@@ -23,6 +23,19 @@ def test_eval_homogeneity():
     lam = GR(3, 2)
     s, t = GR(2, -1), GR(1, 4)
     assert f.evaluate(lam * s, lam * t) == lam * lam * lam * f.evaluate(s, t)
+
+
+def test_product_and_difference_match_pointwise_values():
+    rng = SplitMix64(2718)
+    for d1, d2 in [(0, 3), (1, 1), (2, 4), (4, 2)]:
+        f, g = random_binary_form(rng, d1), random_binary_form(rng, d2)
+        h = random_binary_form(rng, d1)
+        assert (f * g).degree == d1 + d2
+        assert (f - f).is_zero() and (f - h) == f + (-h)
+        for _ in range(4):
+            s, t = random_gaussian_rational(rng, 6), random_gaussian_rational(rng, 6)
+            assert (f * g).evaluate(s, t) == f.evaluate(s, t) * g.evaluate(s, t)
+            assert (f - h).evaluate(s, t) == f.evaluate(s, t) - h.evaluate(s, t)
 
 
 def test_endpoint_coefficients():

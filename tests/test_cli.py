@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flagcalc.cli import CENSUS_MAX_COST, main
+from flagcalc.cli import CENSUS_MAX_COST, CENSUS_MAX_LIMIT, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -264,6 +264,17 @@ def test_census_refuses_a_large_prime_before_work(capsys, prime):
     cost = (prime * prime + prime + 1) * 3 * (prime + 1)
     assert doc["message"] == (f"a census at p = {prime} costs about {cost} evaluations, "
                               f"over the limit {CENSUS_MAX_COST}")
+
+
+def test_census_refuses_a_search_limit_over_the_cap(capsys):
+    # the exact max-disjoint search grows about 4x per 8 members, so a
+    # larger limit is refused before the surface is read
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "census", "--surface", "missing.json", "--prime", "5", "--limit", "65")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert doc == {"code": "precondition", "message": "--limit 65 is over the cap 64"}
+    assert CENSUS_MAX_LIMIT == 64  # the limit every catalog census request passes
 
 
 def test_census_cost_limit_admits_every_prime_up_to_1009():

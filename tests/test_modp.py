@@ -9,6 +9,7 @@ from flagcalc.errors import PreconditionError
 from flagcalc.modp import (
     I_MOD,
     PRIME,
+    back_reduce,
     canonical,
     echelon,
     is_odd_prime,
@@ -79,12 +80,13 @@ def test_canonical_on_random_representatives():
 def test_echelon_pivot_columns_in_row_order():
     # row pivot_rows[k] reduced by the pivot rows before it starts at
     # pivot_cols[k]: it adds no rank on the columns before that one and
-    # one on the columns up to it
-    assert echelon([[0, 2, 0], [3, 0, 0], [0, 4, 0], [1, 1, 5]], 3) == ([0, 1, 3], [1, 0, 2])
+    # one on the columns up to it, and is returned scaled to 1 there
+    assert echelon([[0, 2, 0], [3, 0, 0], [0, 4, 0], [1, 1, 5]], 3) == (
+        [0, 1, 3], [1, 0, 2], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     rng = SplitMix64(29)
     for nrows, ncols in [(6, 5), (4, 8), (8, 8)]:
         rows = [[rng.int_in(-2, 2) * rng.int_in(0, 1) for _ in range(ncols)] for _ in range(nrows)]
-        pivot_rows, pivot_cols = echelon(rows, ncols)
+        pivot_rows, pivot_cols, _ = echelon(rows, ncols)
 
         def rank(rs, cols):
             return rank_int([[(rows[r][j], 0) for j in range(cols)] for r in rs], cols)
@@ -126,9 +128,22 @@ def test_packed_echelon_and_rref_match_list_oracle(monkeypatch, p):
             rows = _random_matrix(rng, nrows, ncols, rank, height)
             want = reference_rref(rows, ncols)
             assert rref(rows, ncols) == want, (ncols, nrows, rank)
-            assert echelon(rows, ncols) == reference_echelon(rows, ncols) == want[:2]
+            got = echelon(rows, ncols)
+            assert got == reference_echelon(rows, ncols) and got[:2] == want[:2]
             checked += 1
     assert checked == 44
+
+
+def test_back_reduce_of_all_rows_is_rref_of_the_pivot_rows():
+    # the forward pass over all rows leaves the pivot rows as a forward pass
+    # over the pivot rows alone would, so one back-reduction serves both
+    rng = random.Random(11)
+    for nrows, ncols, rank in [(30, 20, 12), (12, 25, 12), (40, 9, 9)]:
+        rows = _random_matrix(rng, nrows, ncols, rank, 2**70)
+        pivot_rows, pivot_cols, normed = echelon(rows, ncols)
+        _, cols, reduced = rref([rows[r] for r in pivot_rows], ncols)
+        assert cols == pivot_cols
+        assert back_reduce(pivot_cols, normed, ncols) == reduced
 
 
 def test_rref_is_reduced_and_spans_the_rows():

@@ -168,7 +168,7 @@ def test_echelon_mod_p_matches_bareiss_rank():
         for _ in range(nrows):
             coeffs = [rng.int_in(-3, 3) for _ in range(rank)]
             rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(ncols)])
-        pivot_rows, pivot_cols = modp.echelon(rows, ncols)
+        pivot_rows, pivot_cols, _ = modp.echelon(rows, ncols)
         exact = rank_int([[(x, 0) for x in row] for row in rows], ncols)
         assert len(pivot_rows) == len(pivot_cols) == exact
         assert pivot_rows == sorted(pivot_rows)
@@ -183,12 +183,14 @@ def test_echelon_mod_p_matches_bareiss_rank():
                 assert rank_int(head, ncols) == sum(k < r for k in pivot_rows)
 
 
-def _eliminations(monkeypatch):
-    """The (name, rows) of each modp.echelon and modp.rref call from here on."""
+def _eliminations(monkeypatch, names=("echelon", "rref")):
+    """The (name, first argument) of each call of the named modp functions
+    from here on: the rows for echelon and rref, the pivot columns for
+    back_reduce."""
     calls = []
-    for name in ("echelon", "rref"):
+    for name in names:
         fn = getattr(modp, name)
-        record = lambda rows, ncols, fn=fn, name=name: calls.append((name, rows)) or fn(rows, ncols)
+        record = lambda first, *rest, fn=fn, name=name: calls.append((name, first)) or fn(first, *rest)
         monkeypatch.setattr(modp, name, record)
     return calls
 
@@ -358,19 +360,23 @@ def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
     builds = []
     build = linsys.condition_matrix
     monkeypatch.setattr(linsys, "condition_matrix", lambda *args: builds.append(1) or build(*args))
-    eliminations = _eliminations(monkeypatch)
+    eliminations = _eliminations(monkeypatch, ("echelon", "back_reduce", "rref"))
     spy = _Spy(monkeypatch, "nullspace")
     meet = random_smooth_conics(SplitMix64(17), 3, height=10)
-    # surface_family reduces the image of every row once and the conjugate
-    # image of the pivot rows.  The bounds meet on the three conics, whose
-    # kernel does not reconstruct from one prime: system_dimension runs the
-    # forward pass alone.  On the 28 fibers (196 rows, 63 independent mod p)
-    # they do not meet, and system_dimension reduces both images of the
-    # pivot rows its forward pass picked; the kernel comes from F_p.
+    # Each rref is a forward pass followed by back_reduce.  surface_family
+    # reduces the image of every row once and the conjugate image of the
+    # pivot rows.  The bounds meet on the three conics, whose kernel does
+    # not reconstruct from one prime: system_dimension runs the forward pass
+    # alone.  On the 28 fibers (196 rows, 63 independent mod p) they do not
+    # meet: system_dimension runs one forward pass over all rows, back-reduces
+    # the 63 pivot rows it leaves, and reduces the conjugate image of those
+    # rows; the kernel comes from F_p.
     for a, b, conics, dimension, family, bareiss in [
-        (2, 2, meet, [("echelon", 15)], [("rref", 15), ("rref", 15)], [15]),
-        (3, 3, fibers28, [("echelon", 196), ("rref", 63), ("rref", 63)],
-         [("rref", 196), ("rref", 63)], []),
+        (2, 2, meet, [("echelon", 15)],
+         [("rref", 15), ("back_reduce", 15), ("rref", 15), ("back_reduce", 15)], [15]),
+        (3, 3, fibers28,
+         [("echelon", 196), ("back_reduce", 63), ("rref", 63), ("back_reduce", 63)],
+         [("rref", 196), ("back_reduce", 63), ("rref", 63), ("back_reduce", 63)], []),
     ]:
         for call, want in [(system_dimension, dimension), (surface_family, family)]:
             builds.clear()
