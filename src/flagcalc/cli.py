@@ -100,7 +100,7 @@ def _cmd_mk_surface(args):
     if args.random is not None and args.random < 0:
         raise UsageError("--random must be nonnegative")
     rng = SplitMix64(args.seed)
-    if args.conics:
+    if args.conics is not None:
         conics = serialize.conics_from_json(_load_json(args.conics))
     else:
         conics = random_smooth_conics(rng, args.random, height=10)
@@ -314,7 +314,7 @@ def _help_text(command) -> str:
 
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
+    if out_path is not None:
         import tempfile
 
         d = os.path.dirname(os.path.abspath(out_path))

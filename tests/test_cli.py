@@ -315,6 +315,20 @@ def test_out_in_missing_directory_usage_exit(capsys, tmp_path):
     assert not out.parent.exists()
 
 
+def test_empty_conics_path_usage_exit(capsys):
+    code, doc = run(capsys, "mk-surface", "--a", "1", "--b", "1", "--conics", "")
+    assert code == 2
+    assert doc["code"] == "usage" and doc["message"].startswith("cannot read ")
+
+
+def test_empty_out_path_usage_exit(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, doc = run(capsys, "--out", "", "h0", "--a", "1", "--b", "1")
+    assert code == 2
+    assert doc["code"] == "usage" and doc["message"].startswith("cannot write ")
+    assert not list(tmp_path.iterdir())  # no .flagcalc-* left
+
+
 def test_out_naming_a_directory_usage_exit(capsys, tmp_path):
     out = tmp_path / "h0.json"
     out.mkdir()

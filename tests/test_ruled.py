@@ -109,13 +109,6 @@ def test_resultant_matches_sylvester_oracle_on_random_rational_triples():
             assert _parameter_resultant(*_integer_ruling(forms)) == expected
 
 
-def test_circle_samples_reject_perturbed_surface(spec2):
-    # p0^2 l0^2 restricts to p0^2 p1^2 on the fiber over (0, 0, 1)
-    bumped = spec2.surface + BiForm.monomial((2, 0, 0), (2, 0, 0))
-    with pytest.raises(PreconditionError, match="sampled fiber escapes the surface"):
-        twistor_circle_samples(spec2._replace(surface=bumped), 3)
-
-
 def test_witness_params_verified(spec2):
     assert spec2.witness_params == [(0, 1), (1, 1), (2, 1), (3, 1), (1, 0)]
     for s, t in spec2.witness_params:

@@ -1,46 +1,60 @@
-"""Smoke test of the scripts under scripts/: each runs to completion in a
-fresh interpreter with src on the path, and prints what its docstring
-promises."""
+"""scripts/paper_facts.py, run once in a fresh interpreter with src on the
+path, reproduces the committed FACTS.json byte for byte, and its rows say
+what the paper claims."""
 
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(name):
+@pytest.fixture(scope="module")
+def stdout():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, str(ROOT / "scripts" / "paper_facts.py")],
+        capture_output=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
 
 
-def test_bound_table_covers_the_diagonal():
-    header, *rows = _run("bound_table.py")
-    assert "3a^2" in header
-    assert [int(r.split()[0]) for r in rows] == list(range(3, 31))
+@pytest.fixture(scope="module")
+def facts(stdout):
+    return json.loads(stdout)
 
 
-def test_dim_grid_has_no_defect_in_the_guaranteed_range():
-    header, *rows = _run("dim_grid.py")
-    assert "guaranteed" in header
-    guaranteed = [r for r in rows if r.split()[6] == "yes"]
+def test_paper_facts_reproduces_facts_json(stdout):
+    assert stdout == (ROOT / "FACTS.json").read_bytes()
+
+
+def test_bounds_cover_the_diagonal_above_three_a_squared(facts):
+    rows = facts["bounds"]
+    assert [r["a"] for r in rows] == list(range(3, 31))
+    assert all(Fraction(r["margin"]) > 0 for r in rows)
+
+
+def test_dimensions_have_no_defect_in_the_guaranteed_range(facts):
+    guaranteed = [r for r in facts["dimensions"] if r["guaranteed"]]
     assert guaranteed
-    assert not [r for r in guaranteed if "<- defect" in r]
+    assert all(r["observed"] == r["expected"] for r in guaranteed)
 
 
-def test_ruled_demo_runs():
-    lines = _run("ruled_demo.py")
-    assert [l.split(":")[0] for l in lines if l.startswith("a=")] == ["a=2", "a=3"]
-    # the four sampled fibers of each ruling; each a = 2 fiber carries the
-    # two singular points where the double curve meets it
-    singular = [l.rsplit(": ", 1)[1] for l in lines if "singular points on the fiber" in l]
-    assert singular[:4] == ["gcd degree 2"] * 4
-    assert len(singular) == 8
-    assert any(l.strip().startswith("census mod") for l in lines)
-
+def test_both_rulings_are_certified_and_singular_on_every_sampled_fiber(facts):
+    rulings = [r for r in facts["ruled"] if r["claim"] == "twistor ruling"]
+    assert [r["a"] for r in rulings] == [2, 3]
+    for r in rulings:
+        a = r["a"]
+        assert r["certificate"]["passed"] is True
+        assert r["certificate"]["degree_bound"] == 3 * a * a
+        # each fiber carries the 2a - 2 points where the double curve meets it
+        assert [f["singular_gcd_degree"] for f in r["fibers"]] == [2 * a - 2] * 4
+    census = [r for r in facts["ruled"] if r["claim"] == "conic census"]
+    assert [r["prime"] for r in census] == [5, 7, 11, 13]
+    assert all(r["evidence"] == "mod-p" for r in census)
