@@ -27,6 +27,13 @@ EXIT_INTERNAL = 4
 CENSUS_MAX_COST = 3_100_000_000  # p = 1009, about half an hour, still runs
 # the exact max-disjoint search grows about 4x per 8 members; 64 take about 1 s
 CENSUS_MAX_LIMIT = 64
+# each sampled fiber is tested against every earlier one: 10,000 take 53 s
+RULED_MAX_SAMPLES = 10_000
+# the ruled build grows about 2.5x per degree: degree 10 takes about 50 s
+RULED_MAX_DEGREE = 10
+# x(a+b+1) condition rows of h0(a,b) cells each; dim-report takes about 7 s
+# on (8,8), x = 43 (532,899 cells) and 38 s on (10,10), x = 80 (2,236,080)
+SYSTEM_MAX_CELLS = 3_000_000
 
 
 class UsageError(FlagcalcError):
@@ -43,6 +50,15 @@ def _load_json(path):
         raise SchemaError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _refuse_large_system(a, b, x, trials=1):
+    from .invariants import h0_flag
+
+    rows, cols = x * (a + b + 1), h0_flag(a, b)
+    if (cells := trials * rows * cols) > SYSTEM_MAX_CELLS:
+        raise PreconditionError(f"the condition rows cost {cells} cells ({trials} x {rows} "
+                                f"rows x {cols} columns), over the limit {SYSTEM_MAX_CELLS}")
 
 
 def _cmd_bound(args):
@@ -62,7 +78,7 @@ def _cmd_bound(args):
 def _cmd_chern(args):
     from . import invariants
 
-    report = invariants.surface_invariant_report(args.a, args.b).as_dict()
+    report = invariants.surface_invariant_report(args.a, args.b)
     a, b = args.a, args.b
     if a != b:
         report["uniqueness_threshold_note"] = (
@@ -102,7 +118,9 @@ def _cmd_mk_surface(args):
     rng = SplitMix64(args.seed)
     if args.conics is not None:
         conics = serialize.conics_from_json(_load_json(args.conics))
+        _refuse_large_system(args.a, args.b, len(conics))
     else:
+        _refuse_large_system(args.a, args.b, args.random)
         conics = random_smooth_conics(rng, args.random, height=10)
     family = linsys.surface_family(args.a, args.b, conics)
     member = linsys.family_member(family, seed=args.seed ^ 0xA5A5)
@@ -136,14 +154,19 @@ def _cmd_check_conic(args):
 
 
 def _cmd_mk_ruled(args):
-    from fractions import Fraction
-
     from . import ruled, serialize
     from .flag import is_j_invariant
 
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if (n := args.samples) > RULED_MAX_SAMPLES:
+        raise PreconditionError(f"--samples {n} costs {n * (n - 1) // 2} fiber-pair tests, "
+                                f"over the cap {RULED_MAX_SAMPLES} samples")
     forms = serialize.forms_from_json(_load_json(args.forms))
+    if (a := max(f.degree for f in forms)) > RULED_MAX_DEGREE:
+        est = 50 * 2.5 ** (min(a, 99) - RULED_MAX_DEGREE)
+        raise PreconditionError(f"a degree-{a} ruling takes about {est:.3g} s to build (2.5x "
+                                f"per degree), over the cap of degree {RULED_MAX_DEGREE}")
     seed = ruled.DEFAULT_RULED_SEED if args.seed is None else args.seed
     spec = ruled.twistor_ruled_surface(forms, seed=seed)
     samples = ruled.twistor_circle_samples(spec, args.samples)
@@ -151,12 +174,12 @@ def _cmd_mk_ruled(args):
         "bidegree": list(spec.surface.bidegree),
         "forms": serialize.forms_to_json(spec.forms),
         "surface": serialize.biform_to_json(spec.surface),
+        # j swaps P and L and Bez(L, P) = -Bez(P, L), so j*S = (-1)^a S: a real
+        # sign cannot be scaled away for odd a, so this is proportionality
         "j_invariant": is_j_invariant(spec.surface),
         "irreducible": "unverified",
         "certificate": spec.certificate,
-        "witness_params": [
-            [serialize.frac_str(Fraction(x)) for x in st] for st in spec.witness_params
-        ],
+        "witness_params": [[f"{k}/1" for k in st] for st in spec.witness_params],
         "samples": [serialize.conic_to_json(c) for c in samples],
     }
 
@@ -195,6 +218,7 @@ def _cmd_dim_report(args):
         raise UsageError("--x must be nonnegative")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    _refuse_large_system(args.a, args.b, args.x, args.trials)
     expected = linsys.expected_system_dimension(args.a, args.b, args.x)
     guaranteed = linsys.independence_guaranteed(args.a, args.b, args.x)
     observed = []

@@ -266,9 +266,8 @@ def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
     a, b = F.bidegree
     if (a, b) == (0, 0) or reduce_mod_incidence(F).is_zero():
         raise PreconditionError("the form cuts out no surface of the flag")
-    v1, v2 = line_basis(C.m.coords)
-    l1, l2 = cross(C.q.coords, v1), cross(C.q.coords, v2)
-    dN = [BinaryForm(pair) for pair in (*zip(l1, l2), *zip(v1, v2))]  # (l, p) on C
+    p_tables, l_tables = chart_tables(C.q.coords, C.m.coords, 1, 1)
+    dN = [BinaryForm(t[1]) for t in (*l_tables, *p_tables)]  # (l, p) on C
     grad = [F.partial(group, i) for group in "pl" for i in range(3)]
     dF = [zero_form(a + b - 1) if D.is_zero() else restrict_to_conic(D, C) for D in grad]
     minors = (dF[i] * dN[j] - dF[j] * dN[i] for i in range(6) for j in range(i + 1, 6))

@@ -10,7 +10,7 @@ values are exact integers or rationals.
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
 
@@ -106,19 +106,11 @@ def chow_triple(c1: str, c2_: str, c3: str) -> int:
 def surface_pair_intersection_bidegree(b1, b2) -> tuple[int, int]:
     """Bidegree of the intersection curve of surfaces of classes b1, b2.
 
-    Expands (a H1 + b H2)(a' H1 + b' H2) and pairs against H1 and H2 with
-    chow_triple, giving d1 = ab' + a'b + bb' and d2 = aa' + ab' + a'b.
+    Pairing (a H1 + b H2)(a' H1 + b' H2) against H1 and H2 with chow_triple
+    gives d1 = ab' + a'b + bb' and d2 = aa' + ab' + a'b.
     """
-    a, b = b1
-    a2, b2_ = b2
-    pair_coeffs = {
-        ("H1", "H1"): a * a2,
-        ("H1", "H2"): a * b2_ + b * a2,
-        ("H2", "H2"): b * b2_,
-    }
-    d1 = sum(c * chow_triple(x, y, "H1") for (x, y), c in pair_coeffs.items())
-    d2 = sum(c * chow_triple(x, y, "H2") for (x, y), c in pair_coeffs.items())
-    return d1, d2
+    (a, b), (a2, b2_) = b1, b2
+    return a * b2_ + a2 * b + b * b2_, a * a2 + a * b2_ + a2 * b
 
 
 def uniqueness_threshold(a: int, b: int) -> int:
@@ -133,48 +125,29 @@ def uniqueness_threshold(a: int, b: int) -> int:
     return a * a + a * b + b * b
 
 
-class SurfaceInvariants(NamedTuple):
-    bidegree: tuple[int, int]
-    canonical_bidegree: tuple[int, int]
-    conic_self_intersection: int
-    ruling_10_self_intersection: int
-    ruling_01_self_intersection: int
-    c1_squared: int
-    c2: int
-    euler_characteristic: Fraction
-    general_type: bool
-    uniqueness_threshold: int
-    self_pair_bidegree: tuple[int, int]
-
-    def as_dict(self) -> dict:
-        out = {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
-        out["euler_characteristic"] = str(self.euler_characteristic)
-        return out
-
-
-def surface_invariant_report(a: int, b: int) -> SurfaceInvariants:
-    """Adjunction and Chern data of a smooth (a, b) surface.
+def surface_invariant_report(a: int, b: int) -> dict:
+    """Adjunction and Chern data of a smooth (a, b) surface, as the JSON
+    object `flagcalc chern` prints.
 
     The canonical class is O_S(a-2, b-2); a smooth conic on S has
     self-intersection 2-a-b, a (1,0) curve has -a and a (0,1) curve -b.
-    chi(O_S) = (c1^2 + c2)/12 is an integer for every bidegree.  A surface
-    needs a, b >= 0 and a + b >= 1.
+    chi(O_S) = (c1^2 + c2)/12 is an integer for every bidegree: c1^2 + c2
+    = 6(ab(a+b) - a^2 - b^2 - 4ab + 3a + 3b), and the bracket is even.  A
+    surface needs a, b >= 0 and a + b >= 1.
     """
-    from fractions import Fraction
-
     if a < 0 or b < 0 or a + b < 1:
         raise PreconditionError("a surface needs bidegree a, b >= 0 with a + b >= 1")
     k1, k2 = c1_squared(a, b), c2(a, b)
-    return SurfaceInvariants(
-        bidegree=(a, b),
-        canonical_bidegree=(a - 2, b - 2),
-        conic_self_intersection=2 - a - b,
-        ruling_10_self_intersection=-a,
-        ruling_01_self_intersection=-b,
-        c1_squared=k1,
-        c2=k2,
-        euler_characteristic=Fraction(k1 + k2, 12),
-        general_type=(a >= 3 and b >= 3),
-        uniqueness_threshold=uniqueness_threshold(a, b),
-        self_pair_bidegree=surface_pair_intersection_bidegree((a, b), (a, b)),
-    )
+    return {
+        "bidegree": [a, b],
+        "canonical_bidegree": [a - 2, b - 2],
+        "conic_self_intersection": 2 - a - b,
+        "ruling_10_self_intersection": -a,
+        "ruling_01_self_intersection": -b,
+        "c1_squared": k1,
+        "c2": k2,
+        "euler_characteristic": str((k1 + k2) // 12),
+        "general_type": a >= 3 and b >= 3,
+        "uniqueness_threshold": uniqueness_threshold(a, b),
+        "self_pair_bidegree": list(surface_pair_intersection_bidegree((a, b), (a, b))),
+    }

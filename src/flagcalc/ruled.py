@@ -41,14 +41,7 @@ from typing import NamedTuple
 from .binforms import BinaryForm, bf_gcd, triple_gcd
 from .biforms import BiForm, mul_terms
 from .errors import PreconditionError
-from .flag import (
-    Conic,
-    cross,
-    dot,
-    j_pullback,
-    substitute_forms,
-    twistor_fiber_of,
-)
+from .flag import Conic, cross, dot, substitute_forms, twistor_fiber_of
 from .sampling import SplitMix64
 
 DEFAULT_RULED_SEED = 0x52D
@@ -88,12 +81,6 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
     surface = _parameter_resultant(f, den)
     if surface.is_zero():
         raise PreconditionError("the parameter resultant vanishes identically")
-    # j swaps P and L, and Bez(L, P) = -Bez(P, L), so j*S = (-1)^a S; with
-    # real coefficients the sign cannot be scaled away for odd a, so exact
-    # j-invariance is recorded as proportionality.
-    expected = surface if a % 2 == 0 else -surface
-    if j_pullback(surface) != expected:
-        raise PreconditionError("resultant lost its j-symmetry")
 
     witness_params = [(k, 1) for k in range(a + 2)] + [(1, 0)]
     certificate = containment_certificate(forms, surface, seed=seed)

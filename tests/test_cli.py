@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from flagcalc.cli import CENSUS_MAX_COST, CENSUS_MAX_LIMIT, main
+from flagcalc.cli import (
+    CENSUS_MAX_COST,
+    CENSUS_MAX_LIMIT,
+    RULED_MAX_DEGREE,
+    RULED_MAX_SAMPLES,
+    SYSTEM_MAX_CELLS,
+    main,
+)
+from flagcalc.invariants import h0_flag
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -281,6 +289,70 @@ def test_census_cost_limit_admits_every_prime_up_to_1009():
     assert (1009 * 1009 + 1009 + 1) * 3 * 1010 <= CENSUS_MAX_COST
 
 
+def _refused(capsys, *argv):
+    t0 = time.perf_counter()
+    code, doc = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, doc["code"]) == (3, "precondition")
+    return doc["message"]
+
+
+def test_mk_ruled_refuses_samples_over_the_cap(capsys):
+    # each sampled fiber is tested against every earlier one, so the count
+    # is refused before the forms are read
+    message = _refused(capsys, "mk-ruled", "--forms", "missing.json", "--samples", "10001")
+    assert message == "--samples 10001 costs 50005000 fiber-pair tests, over the cap 10000 samples"
+
+
+def test_mk_ruled_refuses_a_degree_over_the_cap(capsys, tmp_path):
+    # refused after the forms are read and before the resultant
+    for a, cost in ((11, 125), (2000, 50 * 2.5 ** 89)):
+        forms = tmp_path / f"d{a}.json"
+        forms.write_text(json.dumps({"forms": [[1] + [0] * a, [0] * a + [1], [1] * (a + 1)]}))
+        message = _refused(capsys, "mk-ruled", "--forms", str(forms))
+        assert message == (f"a degree-{a} ruling takes about {cost:.3g} s to build (2.5x per "
+                           f"degree), over the cap of degree {RULED_MAX_DEGREE}")
+
+
+def test_ruled_caps_admit_the_catalog_and_the_planned_rulings():
+    assert RULED_MAX_SAMPLES >= 49  # the catalog's largest --samples
+    assert RULED_MAX_DEGREE >= 6  # degree 5 and 6 rulings are planned fixtures
+
+
+def test_interpolation_refuses_a_system_over_the_cell_limit(capsys, tmp_path):
+    # x(a+b+1) condition rows of h0(a,b) cells, refused before any conic is
+    # sampled; a --conics file is counted right after it is read
+    conics = tmp_path / "conics.json"
+    conics.write_text(json.dumps([{"q": [1, 0, 0], "m": [1, 1, 0]}] * 120))
+    for argv, trials, rows, cols in (
+        (("dim-report", "--a", "9", "--b", "9", "--x", "60", "--trials", "3"), 3, 1140, 1000),
+        (("mk-surface", "--a", "10", "--b", "10", "--random", "120"), 1, 2520, 1331),
+        (("mk-surface", "--a", "10", "--b", "10", "--conics", str(conics)), 1, 2520, 1331),
+    ):
+        message = _refused(capsys, *argv)
+        assert message == (f"the condition rows cost {trials * rows * cols} cells ({trials} x "
+                           f"{rows} rows x {cols} columns), over the limit {SYSTEM_MAX_CELLS}")
+
+
+def test_cell_limit_admits_the_paper_sized_systems():
+    assert 43 * 17 * h0_flag(8, 8) == 731 * 729 <= SYSTEM_MAX_CELLS  # dim-report (8,8), x = 43
+    assert 49 * 9 * h0_flag(4, 4) == 441 * 125 <= SYSTEM_MAX_CELLS  # the 49-fiber (4,4) probe
+
+
+def test_mk_ruled_and_interpolation_refusals_exit_quickly_in_a_fresh_interpreter(tmp_path):
+    forms = tmp_path / "d11.json"
+    forms.write_text(json.dumps({"forms": [[1] + [0] * 11, [0] * 11 + [1], [1] * 12]}))
+    for argv in (
+        ("mk-ruled", "--forms", "missing.json", "--samples", "10001"),
+        ("mk-ruled", "--forms", str(forms)),
+        ("dim-report", "--a", "9", "--b", "9", "--x", "60", "--trials", "3"),
+        ("mk-surface", "--a", "10", "--b", "10", "--random", "120"),
+    ):
+        t0 = time.perf_counter()
+        _fresh_run("-m", "flagcalc.cli", *argv, code=3)
+        assert time.perf_counter() - t0 < 1.0, argv
+
+
 def test_malformed_json_usage_exit(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -530,7 +602,7 @@ def test_trace_probes_resolve():
 
 # A request as the console script runs it: a fresh interpreter, no bytecode
 # written, PYTHONPATH=src and no FLAGCALC_* variables.
-def _fresh_run(*args):
+def _fresh_run(*args, code=0):
     env = {
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
         "PYTHONPATH": str(ROOT / "src"),
@@ -540,7 +612,7 @@ def _fresh_run(*args):
         [sys.executable, "-B", *args],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
