@@ -138,11 +138,12 @@ def _cmd_mk_surface(args):
 
 def _cmd_check_conic(args):
     from . import serialize
-    from .flag import restrict_to_conic
+    from .flag import require_surface, restrict_to_conic
 
     F = serialize.biform_from_json(_load_json(args.surface))
     C = serialize.conic_from_json(_load_json(args.conic))
-    restriction = restrict_to_conic(F, C)
+    restriction = restrict_to_conic(F, C)  # a degenerate conic is refused first
+    require_surface(F)
     out = {
         "contained": restriction.is_zero(),
         "twistor_fiber": C.is_twistor_fiber(),
@@ -167,8 +168,7 @@ def _cmd_mk_ruled(args):
         est = 50 * 2.5 ** (min(a, 99) - RULED_MAX_DEGREE)
         raise PreconditionError(f"a degree-{a} ruling takes about {est:.3g} s to build (2.5x "
                                 f"per degree), over the cap of degree {RULED_MAX_DEGREE}")
-    seed = ruled.DEFAULT_RULED_SEED if args.seed is None else args.seed
-    spec = ruled.twistor_ruled_surface(forms, seed=seed)
+    spec = ruled.twistor_ruled_surface(forms)
     samples = ruled.twistor_circle_samples(spec, args.samples)
     return {
         "bidegree": list(spec.surface.bidegree),
@@ -185,7 +185,7 @@ def _cmd_mk_ruled(args):
 
 
 def _cmd_census(args):
-    from . import fpcensus, serialize
+    from . import flag, fpcensus, serialize
 
     if args.limit < 0:
         raise UsageError("--limit must be nonnegative")
@@ -196,7 +196,7 @@ def _cmd_census(args):
         raise PreconditionError(f"a census at p = {p} costs about {cost} evaluations, "
                                 f"over the limit {CENSUS_MAX_COST}")
     F = serialize.biform_from_json(_load_json(args.surface))
-    S = fpcensus.reduce_mod_p(F, args.prime)
+    S = fpcensus.reduce_mod_p(flag.require_surface(F), args.prime)
     census = fpcensus.conic_census(S)
     disjoint = fpcensus.max_disjoint_subset(census, args.prime, limit=args.limit)
     return {
@@ -265,8 +265,7 @@ COMMANDS = {
                     {"surface": (str, REQUIRED, ""), "conic": (str, REQUIRED, "")}),
     "mk-ruled": (_cmd_mk_ruled, "bidegree (a,a) surface ruled by twistor fibers", {
         "forms": (str, REQUIRED, "JSON file with three real binary forms"),
-        "samples": (int, 5, ""),
-        "seed": (int, None, "certificate seed, ruled.DEFAULT_RULED_SEED if omitted")}),
+        "samples": (int, 5, "")}),
     "census": (_cmd_census, "mod-p conic census of a surface", {
         "surface": (str, REQUIRED, ""), "prime": _INT,
         "limit": (int, 24, f"exact max-disjoint search cap, at most {CENSUS_MAX_LIMIT}")}),

@@ -253,6 +253,13 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
                        for z in out])
 
 
+def require_surface(F: BiForm) -> BiForm:
+    """F, unless it is a constant or zero modulo p.l: then it cuts out no surface."""
+    if F.bidegree == (0, 0) or reduce_mod_incidence(F).is_zero():
+        raise PreconditionError("the form cuts out no surface of the flag")
+    return F
+
+
 def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
     """The gcd of the fifteen 2x2 minors of [grad F; (l, p)] along C's chart:
     its roots are the singular points of {F = 0} on C.  A constant means F
@@ -263,9 +270,7 @@ def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
     flag grad(F + (p.l)G) = grad F + G (l, p), so the minors, and the gcd,
     do not depend on the representative of F modulo p.l.
     """
-    a, b = F.bidegree
-    if (a, b) == (0, 0) or reduce_mod_incidence(F).is_zero():
-        raise PreconditionError("the form cuts out no surface of the flag")
+    a, b = require_surface(F).bidegree
     p_tables, l_tables = chart_tables(C.q.coords, C.m.coords, 1, 1)
     dN = [BinaryForm(t[1]) for t in (*l_tables, *p_tables)]  # (l, p) on C
     grad = [F.partial(group, i) for group in "pl" for i in range(3)]

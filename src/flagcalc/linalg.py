@@ -78,25 +78,15 @@ def echelon_int(rows: list[list[Pair]], ncols: int):
         krow = rows[k]
         pr, pi = krow[c]
         for r in range(k + 1, m):
+            # (pivot * b - x * a) / prev, also for x = 0 and prev = 1
             rrow = rows[r]
             xr, xi = rrow[c]
-            if xr or xi:
-                for j in range(c + 1, ncols):
-                    ar, ai = krow[j]
-                    br, bi = rrow[j]
-                    nr = pr * br - pi * bi - (xr * ar - xi * ai)
-                    ni = pr * bi + pi * br - (xr * ai + xi * ar)
-                    rrow[j] = _gi_div((nr, ni), prev)
-            elif prev != (1, 0):
-                for j in range(c + 1, ncols):
-                    br, bi = rrow[j]
-                    if br or bi:
-                        rrow[j] = _gi_div((pr * br - pi * bi, pr * bi + pi * br), prev)
-            else:
-                for j in range(c + 1, ncols):
-                    br, bi = rrow[j]
-                    if br or bi:
-                        rrow[j] = (pr * br - pi * bi, pr * bi + pi * br)
+            for j in range(c + 1, ncols):
+                ar, ai = krow[j]
+                br, bi = rrow[j]
+                nr = pr * br - pi * bi - (xr * ar - xi * ai)
+                ni = pr * bi + pi * br - (xr * ai + xi * ar)
+                rrow[j] = _gi_div((nr, ni), prev)
             rrow[c] = (0, 0)
         prev = (pr, pi)
         pivots.append((k, c))

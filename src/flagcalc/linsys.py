@@ -156,12 +156,11 @@ def _certified_kernel(cm: ConditionMatrix, pivots, cols, red1):
     kernel = _fp_kernel(rows, cols, red1, ncols)
     if kernel is not None and linalg.annihilates(cm.rows, kernel):
         return kernel
-    kernel = linalg.nullspace(rows, ncols=ncols)
-    if not linalg.annihilates(cm.rows, kernel):
-        kernel = linalg.nullspace(cm.rows, ncols=ncols)
-        if not linalg.annihilates(cm.rows, kernel):
-            raise FlagcalcError("the exact kernel of the condition matrix fails its certificate")
-    return kernel
+    for exact in (rows, cm.rows):
+        kernel = linalg.nullspace(exact, ncols=ncols)
+        if linalg.annihilates(cm.rows, kernel):
+            return kernel
+    raise FlagcalcError("the exact kernel of the condition matrix fails its certificate")
 
 
 def system_dimension(a: int, b: int, conics) -> int:

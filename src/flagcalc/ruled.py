@@ -57,13 +57,12 @@ class RuledSurfaceSpec(NamedTuple):
     certificate: dict
 
 
-def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurfaceSpec:
+def twistor_ruled_surface(forms) -> RuledSurfaceSpec:
     """Build the bidegree (a, a) surface swept by the conics L_{f(t), f(t)}.
 
     Preconditions: real coefficients, common degree a >= 2, trivial gcd,
-    and t -> f(t) birational onto its image (probed on three random image
-    points by exact preimage count).  The result is never certified
-    irreducible; factorization over Q(i) is out of scope.
+    and t -> f(t) birational onto its image (_check_birational).  The result
+    is never certified irreducible; factorization over Q(i) is out of scope.
     """
     forms = tuple(f if isinstance(f, BinaryForm) else BinaryForm(f) for f in forms)
     if len(forms) != 3:
@@ -76,14 +75,14 @@ def twistor_ruled_surface(forms, seed: int = DEFAULT_RULED_SEED) -> RuledSurface
         raise PreconditionError("the construction needs degree a >= 2")
     f, den = _integer_ruling(forms)
     _positivity_certificate(forms)
-    _check_birational(f, seed)
+    _check_birational(f)
 
     surface = _parameter_resultant(f, den)
     if surface.is_zero():
         raise PreconditionError("the parameter resultant vanishes identically")
 
     witness_params = [(k, 1) for k in range(a + 2)] + [(1, 0)]
-    certificate = containment_certificate(forms, surface, seed=seed)
+    certificate = containment_certificate(forms, surface)
     if not certificate["passed"]:
         raise PreconditionError("containment certificate failed")
     return RuledSurfaceSpec(forms, a, surface, witness_params, certificate)
@@ -147,12 +146,12 @@ def _parameter_resultant(f, den) -> BiForm:
     return BiForm((a, a), {k: c * scale for k, c in det.items()})
 
 
-def _check_birational(f, seed: int):
-    """Probabilistic birationality probe on the integer ruling f: the fiber
-    of t -> f(t) over a random image point must be a single reduced
-    parameter, read off as the degree of the gcd of the 2x2 minors against
-    that point."""
-    rng = SplitMix64(seed)
+def _check_birational(f):
+    """Prove t -> f(t) birational onto its image, on the integer ruling f:
+    a map of degree k has at least k preimages (the roots of the gcd of the
+    2x2 minors of f against the point) over every image point, so one of
+    three seeded image points with exactly one proves k = 1."""
+    rng = SplitMix64(DEFAULT_RULED_SEED)
     for _ in range(3):
         n, d = rng.int_in(-999, 999), rng.int_in(1, 97)
         q0 = _at(f, n, d)
@@ -163,12 +162,10 @@ def _check_birational(f, seed: int):
                 minors.append(BinaryForm(mf))
         if not minors:
             raise PreconditionError("parametrization has constant image")
-        g = reduce(bf_gcd, minors)
-        if g.degree != 1:
-            raise PreconditionError(
-                "parametrization is not birational onto its image "
-                f"(a random image point has {g.degree} preimages)"
-            )
+        if reduce(bf_gcd, minors).degree == 1:
+            return
+    raise PreconditionError("parametrization is not birational onto its image "
+                            "(three sampled image points each have several preimages)")
 
 
 def _positivity_certificate(forms):
@@ -183,7 +180,7 @@ def _positivity_certificate(forms):
         raise PreconditionError("the forms share a common factor")
 
 
-def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SEED) -> dict:
+def containment_certificate(forms, surface: BiForm) -> dict:
     """Prove that every conic L_{f(t), f(t)} lies on the surface.
 
     On the chart with pivot coordinate i, the parametrization of the swept
@@ -218,7 +215,7 @@ def containment_certificate(forms, surface: BiForm, seed: int = DEFAULT_RULED_SE
                 }
             count += 1
         charts.append({"pivot_index": i, "samples": count, "degree_bound": bound})
-    rng = SplitMix64(seed ^ 0xC0FFEE)
+    rng = SplitMix64(DEFAULT_RULED_SEED ^ 0xC0FFEE)
     probes = []
     for _ in range(5):
         n, d = rng.int_in(-500, 500), rng.int_in(1, 60)

@@ -95,6 +95,8 @@ def biform_from_json(obj) -> BiForm:
         terms = {}
         for t in obj["terms"]:
             key = (tuple(map(_integer, t["p"])), tuple(map(_integer, t["l"])))
+            if key in terms:
+                raise SchemaError(f"the monomial p {list(key[0])} l {list(key[1])} is repeated")
             terms[key] = gr_from_json(t["c"])
         return BiForm((_integer(a), _integer(b)), terms)
     except SchemaError:
@@ -118,9 +120,12 @@ def forms_to_json(forms) -> dict:
 
 
 def forms_from_json(obj) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
-    if isinstance(obj, dict):
-        obj = obj.get("forms")
-    if not isinstance(obj, list) or len(obj) != 3:
+    doc = obj if isinstance(obj, dict) else {"forms": obj}
+    items = doc.get("forms")
+    if not isinstance(items, list) or len(items) != 3:
         raise SchemaError("expected {'forms': [form, form, form]}")
-    f0, f1, f2 = (binary_form_from_json(f) for f in obj)
-    return (f0, f1, f2)
+    forms = tuple(binary_form_from_json(f) for f in items)
+    degree = doc.get("degree", forms[0].degree)  # the key may be left out
+    if type(degree) is not int or degree != forms[0].degree:
+        raise SchemaError(f"the declared degree {degree!r} is not the forms' degree")
+    return forms

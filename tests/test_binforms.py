@@ -61,6 +61,12 @@ def test_gcd_divides_both():
         assert bf_divides(d, g)
 
 
+def test_sum_of_different_degrees_rejected():
+    assert BinaryForm([1, 0]) + BinaryForm([0, 2]) == BinaryForm([1, 2])
+    with pytest.raises(PreconditionError, match="cannot add binary forms of different degree"):
+        BinaryForm([1, 0]) + BinaryForm([1, 0, 0])
+
+
 def test_gcd_both_zero_rejected():
     with pytest.raises(PreconditionError):
         bf_gcd(zero_form(2), zero_form(1))

@@ -101,7 +101,7 @@ def test_accepted_syntax_and_defaults(capsys):
         "chow --classes H1,H2,H1": {"classes": "H1,H2,H1"},
         "mk-surface --a 1 --b 1": {"a": 1, "b": 1, "conics": None, "random": None, "seed": 0},
         "check-conic --surface s --conic c": {"surface": "s", "conic": "c"},
-        "mk-ruled --forms f": {"forms": "f", "samples": 5, "seed": None},
+        "mk-ruled --forms f": {"forms": "f", "samples": 5},
         "census --surface s --prime 5": {"surface": "s", "prime": 5, "limit": 24},
         "dim-report --a 1 --b 1 --x 0": {"a": 1, "b": 1, "x": 0, "trials": 5, "seed": 0},
     }
@@ -245,6 +245,68 @@ def test_check_conic_not_contained(capsys, tmp_path):
     assert code == 0
     assert doc["contained"] is False
     assert doc["restriction_degree"] == 2
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_check_conic_refuses_a_repeated_monomial(capsys, tmp_path):
+    # were the last entry to win, the second p0 l1 term would make the
+    # surface zero and the conic "contained"
+    term = {"p": [1, 0, 0], "l": [0, 1, 0], "c": "1"}
+    conic = _write(tmp_path / "c.json", {"q": [1, 0, 0], "m": [1, 1, 1]})
+    once = _write(tmp_path / "once.json", {"bidegree": [1, 1], "terms": [term]})
+    code, doc = run(capsys, "check-conic", "--surface", once, "--conic", conic)
+    assert (code, doc["contained"]) == (0, False)
+    twice = _write(tmp_path / "twice.json", {"bidegree": [1, 1], "terms": [term, {**term, "c": 0}]})
+    code, doc = run(capsys, "check-conic", "--surface", twice, "--conic", conic)
+    assert (code, doc) == (2, {"code": "usage",
+                               "message": "the monomial p [1, 0, 0] l [0, 1, 0] is repeated"})
+
+
+INCIDENCE_TERMS = [{"p": e, "l": e, "c": 1} for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+
+
+@pytest.mark.parametrize("surface", [
+    {"bidegree": [1, 1], "terms": INCIDENCE_TERMS},  # p.l vanishes on the whole flag
+    {"bidegree": [2, 1], "terms": [  # p0 (p.l)
+        {"p": p, "l": l, "c": 1} for p, l in (([2, 0, 0], [1, 0, 0]), ([1, 1, 0], [0, 1, 0]),
+                                              ([1, 0, 1], [0, 0, 1]))]},
+    {"bidegree": [1, 1], "terms": []},
+    {"bidegree": [0, 0], "terms": [{"p": [0, 0, 0], "l": [0, 0, 0], "c": 1}]},
+])
+def test_a_form_that_cuts_out_no_surface_is_refused(capsys, tmp_path, surface):
+    surf = _write(tmp_path / "s.json", surface)
+    conic = _write(tmp_path / "c.json", {"q": [1, 0, 0], "m": [1, 1, 1]})
+    refusal = {"code": "precondition", "message": "the form cuts out no surface of the flag"}
+    assert run(capsys, "check-conic", "--surface", surf, "--conic", conic) == (3, refusal)
+    assert run(capsys, "census", "--surface", surf, "--prime", "7") == (3, refusal)
+
+
+@pytest.mark.parametrize("name, doc, message", [
+    ("conic", {"q": [1, 0], "m": [1, 1, 1]}, "a projective point is a list of 3 scalars"),
+    ("conic", {"q": [1, 0, 0]}, "a conic is {'q': point, 'm': point}"),
+    ("forms", {"forms": [[1, 0, 0], [], [0, 0, 1]]}, "a binary form is a nonempty list of scalars"),
+    ("forms", {"degree": 5, "forms": VERONESE_FORMS["forms"]},
+     "the declared degree 5 is not the forms' degree"),
+])
+def test_malformed_inputs_usage_exit(capsys, tmp_path, name, doc, message):
+    path = _write(tmp_path / f"{name}.json", doc)
+    if name == "conic":
+        surf = _write(tmp_path / "s.json", {"bidegree": [1, 1], "terms": INCIDENCE_TERMS[:1]})
+        argv = ("check-conic", "--surface", surf, "--conic", path)
+    else:
+        argv = ("mk-ruled", "--forms", path)
+    assert run(capsys, *argv) == (2, {"code": "usage", "message": message})
+
+
+def test_mk_ruled_takes_no_seed(capsys):
+    assert main(["mk-ruled", "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
+    code, doc = run(capsys, "mk-ruled", "--forms", "f.json", "--seed", "1")
+    assert (code, doc) == (2, {"code": "usage", "message": "unrecognized arguments: --seed 1"})
 
 
 def test_census_bad_prime(capsys, tmp_path):

@@ -55,6 +55,12 @@ def test_line_basis_rejects_the_zero_triple():
         line_basis((0, 0, 0))
 
 
+def test_line_basis_rejects_a_vanishing_pivot():
+    assert line_basis((0, 1, 1)) == ((1, 0, 0), (0, -1, 1))
+    with pytest.raises(PreconditionError, match="chart pivot coordinate vanishes"):
+        line_basis((0, 1, 1), pivot=0)
+
+
 def test_flag_point_incidence_enforced():
     FlagPoint((1, 0, 0), (0, 1, 0))
     with pytest.raises(PreconditionError):

@@ -52,6 +52,23 @@ def test_det_vs_cofactor_3x3():
     assert det(_mat(rows)) == GR(cof(rows))
 
 
+def test_det_vs_cofactor_with_a_row_that_skips_a_step():
+    # after the first step the third row is 0 in column 1, so the second
+    # step updates it by pivot * b / prev alone, with prev = 2
+    rows = [[2, 1, 3, 1], [4, 3, 1, 2], [2, 1, 5, (7, 1)], [0, 2, (1, -3), 1]]
+    m = _mat(rows)
+
+    def cof(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum(
+            ((-1) ** j * m[0][j] * cof([r[:j] + r[j + 1 :] for r in m[1:]]) for j in range(len(m))),
+            GR(0),
+        )
+
+    assert det(m) == cof(m) != GR(0)
+
+
 def test_rank_and_nullspace():
     m = _mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(m) == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagcalc import ruled
 from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm, incidence_form, monomials, proportionality, reduce_mod_incidence
 from flagcalc.errors import PreconditionError
@@ -215,8 +216,48 @@ def test_degree_one_rejected():
 
 def test_non_birational_rejected():
     # (s^2, t^2, 0) is gcd-free but double covers the line p2 = 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not birational"):
         twistor_ruled_surface((BinaryForm([1, 0, 0]), BinaryForm([0, 0, 1]), BinaryForm([0, 0, 0])))
+
+
+# (s(t^2 - s^2), t(t^2 - s^2), s^3): the parameters (1, 1) and (1, -1) both
+# map to the node (0, 0, 1), and every other image point has one preimage
+NODAL = (BinaryForm([-1, 0, 1, 0]), BinaryForm([0, -1, 0, 1]), BinaryForm([1, 0, 0, 0]))
+
+
+def _probes_on_the_node(monkeypatch, count):
+    """Send the first count birationality probes to the parameter (1, 1)."""
+    forced = [1, 1] * count
+
+    class Sampler(SplitMix64):
+        def int_in(self, lo, hi):
+            return forced.pop(0) if forced else super().int_in(lo, hi)
+
+    monkeypatch.setattr(ruled, "SplitMix64", Sampler)
+    return forced
+
+
+def test_one_probe_with_one_preimage_proves_birationality(monkeypatch):
+    f, _ = _integer_ruling(NODAL)
+    forced = _probes_on_the_node(monkeypatch, 3)
+    with pytest.raises(PreconditionError, match="each have several preimages"):
+        ruled._check_birational(f)
+    assert not forced
+    forced = _probes_on_the_node(monkeypatch, 1)
+    spec = twistor_ruled_surface(NODAL)
+    assert not forced and spec.certificate["passed"]
+
+
+def test_ruling_needs_three_forms_of_one_degree():
+    with pytest.raises(PreconditionError, match="exactly three binary forms"):
+        twistor_ruled_surface(VERONESE[:2])
+    with pytest.raises(PreconditionError, match="must share one degree"):
+        twistor_ruled_surface(CUBIC[:2] + VERONESE[2:])
+
+
+def test_circle_samples_need_at_least_one(spec2):
+    with pytest.raises(PreconditionError, match="need n >= 1 samples"):
+        twistor_circle_samples(spec2, 0)
 
 
 def test_circle_samples_expected_points(spec2):

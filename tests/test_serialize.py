@@ -103,3 +103,22 @@ def test_scalar_refuses_json_floats_and_booleans(obj):
     with pytest.raises(SchemaError):
         gr_from_json(obj)
     assert gr_from_json({"re": 3, "im": "1/2"}) == GR(3, Fraction(1, 2))
+
+
+def test_repeated_monomial_rejected():
+    term = {"p": [1, 0, 0], "l": [0, 1, 0], "c": "1"}
+    assert biform_from_json({"bidegree": [1, 1], "terms": [term]}) == BiForm.monomial(
+        (1, 0, 0), (0, 1, 0)
+    )
+    with pytest.raises(SchemaError, match=r"the monomial p \[1, 0, 0\] l \[0, 1, 0\] is repeated"):
+        biform_from_json({"bidegree": [1, 1], "terms": [term, {**term, "c": "0"}]})
+
+
+def test_declared_degree_must_match_the_forms():
+    forms = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert forms_from_json({"degree": 2, "forms": forms}) == forms_from_json({"forms": forms})
+    for degree in (5, 1, "2", 2.0, None):
+        with pytest.raises(SchemaError, match=f"the declared degree {degree!r} is not the forms'"):
+            forms_from_json({"degree": degree, "forms": forms})
+    with pytest.raises(SchemaError, match="the declared degree True is not the forms'"):
+        forms_from_json({"degree": True, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
