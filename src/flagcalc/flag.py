@@ -254,10 +254,12 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
 
 
 def require_surface(F: BiForm) -> BiForm:
-    """F, unless it is a constant or zero modulo p.l: then it cuts out no surface."""
-    if F.bidegree == (0, 0) or reduce_mod_incidence(F).is_zero():
+    """reduce_mod_incidence(F), the representative of the surface F cuts
+    out, unless F is a constant or zero modulo p.l: then it cuts out none."""
+    R = reduce_mod_incidence(F)
+    if F.bidegree == (0, 0) or R.is_zero():
         raise PreconditionError("the form cuts out no surface of the flag")
-    return F
+    return R
 
 
 def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:

@@ -14,6 +14,7 @@ Results are mod-p evidence only; a conic over F_p need not lift.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb
 from operator import mul
@@ -59,7 +60,7 @@ def reduce_mod_p(F: BiForm, p: int) -> FpSurface:
         if v:
             terms[key] = v
     if not terms:
-        raise PreconditionError("surface reduces to zero mod p")
+        raise PreconditionError(f"the surface reduces to zero mod {p}")
     return FpSurface(p, F.bidegree, terms, i_img)
 
 
@@ -171,39 +172,28 @@ class IndependenceResult(NamedTuple):
 def max_disjoint_subset(census: list[FpConic], p: int, limit: int = 24) -> IndependenceResult:
     """Largest pairwise-disjoint subfamily of the census.
 
-    Exact branch-and-bound maximum independent set on the conflict graph
-    while the census has at most `limit` members; greedy lower bound,
-    flagged as such, beyond that.
+    Branch-and-bound maximum independent set on the conflict graph, which
+    takes the lowest candidate first, so its first leaf is the greedy choice
+    in canonical order.  With at most `limit` members the search is
+    exhaustive and exact; beyond that it stops at that leaf, a lower bound
+    flagged as such.
     """
-    n = len(census)
-    if n == 0:
-        return IndependenceResult(0, True)
-    if n > limit:
-        # greedy in canonical order, reported as a lower bound
-        taken: list[FpConic] = []
-        for c in census:
-            if all(not conics_meet_fp(c, t, p) for t in taken):
-                taken.append(c)
-        return IndependenceResult(len(taken), False)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if conics_meet_fp(census[i], census[j], p):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    n, exact = len(census), len(census) <= limit
 
-    best = 0
+    @cache
+    def later(v):  # the members after v that meet it
+        return sum(1 << j for j in range(v + 1, n) if conics_meet_fp(census[v], census[j], p))
 
-    def search(cand: int, size: int):
-        nonlocal best
-        if size + bin(cand).count("1") <= best:
-            return
+    best, stack = 0, [((1 << n) - 1, 0)]  # (candidates, size) of the open branches
+    while stack:
+        cand, size = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
         if not cand:
-            best = max(best, size)
-            return
+            best = size
+            continue
         v = (cand & -cand).bit_length() - 1
-        search(cand & ~(1 << v) & ~adj[v], size + 1)
-        search(cand & ~(1 << v), size)
-
-    search((1 << n) - 1, 0)
-    return IndependenceResult(best, True)
+        if exact:
+            stack.append((cand & ~(1 << v), size))
+        stack.append((cand & ~(1 << v) & ~later(v), size + 1))
+    return IndependenceResult(best, exact)

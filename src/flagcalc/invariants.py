@@ -114,15 +114,15 @@ def surface_pair_intersection_bidegree(b1, b2) -> tuple[int, int]:
 
 
 def uniqueness_threshold(a: int, b: int) -> int:
-    """a^2 + ab + b^2: from this many pairwise disjoint smooth conics on, an
-    integral (a, b) surface through them is unique.
+    """2ab + min(a, b)^2: more than this many distinct smooth conics lie on
+    at most one integral (a, b) surface.
 
-    Note the Chow expansion of the self-intersection gives Segre degree
-    a^2 + 4ab + b^2 for a != b; the two conventions agree at a = b (both
-    give 3a^2) and the discrepancy is surfaced, not resolved, by
-    surface_invariant_report.
+    Two distinct integral (a, b) surfaces meet in a curve of bidegree
+    surface_pair_intersection_bidegree((a, b), (a, b)) = (2ab + b^2,
+    a^2 + 2ab), and each smooth conic on both is a (1, 1) component of it,
+    so at most the smaller degree of them lie on both.  3a^2 at a = b.
     """
-    return a * a + a * b + b * b
+    return min(surface_pair_intersection_bidegree((a, b), (a, b)))
 
 
 def surface_invariant_report(a: int, b: int) -> dict:

@@ -86,9 +86,14 @@ def _unpack(packed: int, n: int, nbytes: int, p: int) -> list[int]:
     return [int.from_bytes(raw[k : k + nbytes], "little") % p for k in range(0, n * nbytes, nbytes)]
 
 
-def _forward(rows: list[list[int]], ncols: int, p: int):
-    """Greedy row-order elimination mod p on packed rows.  Returns
-    (pivot_rows, pivot_cols, normed), as echelon describes them.
+def echelon(rows: list[list[int]], ncols: int):
+    """Row echelon form over F_p (p = PRIME) of integer rows of ncols
+    entries, built greedily in row order; the rows are not modified.
+    Returns (pivot_rows, pivot_cols, normed): the rows independent of the
+    rows before them, in increasing order, the column each pivots on, and
+    normed[k] row pivot_rows[k] as the elimination leaves it, over all
+    ncols columns with 0 before pivot_cols[k] and 1 there.  Their number is
+    the rank mod p.
 
     A row is packed once.  Its low slot is the first column not yet
     eliminated: the loop jumps over zero slots by the lowest set bit,
@@ -96,6 +101,7 @@ def _forward(rows: list[list[int]], ncols: int, p: int):
     the negated pivot row (packed from the next column on) after shifting
     the slot out.
     """
+    p = PRIME
     nbytes = _slot_bytes(p, ncols)
     width = 8 * nbytes
     mask = (1 << width) - 1
@@ -131,18 +137,6 @@ def _forward(rows: list[list[int]], ncols: int, p: int):
     return pivot_rows, list(negated), normed
 
 
-def echelon(rows: list[list[int]], ncols: int):
-    """Row echelon form over F_p (p = PRIME) of integer rows of ncols
-    entries, built greedily in row order; the rows are not modified.
-    Returns (pivot_rows, pivot_cols, normed): the rows independent of the
-    rows before them, in increasing order, the column each pivots on, and
-    normed[k] row pivot_rows[k] as the elimination leaves it, over all
-    ncols columns with 0 before pivot_cols[k] and 1 there.  Their number is
-    the rank mod p.
-    """
-    return _forward(rows, ncols, PRIME)
-
-
 def back_reduce(pivot_cols: list[int], normed: list[list[int]], ncols: int) -> list[list[int]]:
     """The fully reduced rows of an echelon form over F_p (p = PRIME), as
     echelon gives pivot_cols and normed: reduced[k] has 1 at pivot_cols[k]
@@ -170,7 +164,7 @@ def back_reduce(pivot_cols: list[int], normed: list[list[int]], ncols: int) -> l
 def rref(rows: list[list[int]], ncols: int):
     """The fully reduced echelon form over F_p (p = PRIME) of the rows that
     echelon keeps: (pivot_rows, pivot_cols, back_reduce's reduced rows)."""
-    pivot_rows, pivot_cols, normed = _forward(rows, ncols, PRIME)
+    pivot_rows, pivot_cols, normed = echelon(rows, ncols)
     return pivot_rows, pivot_cols, back_reduce(pivot_cols, normed, ncols)
 
 

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .binforms import BinaryForm, bf_gcd, triple_gcd
 from .biforms import BiForm, mul_terms
 from .errors import PreconditionError
-from .flag import Conic, cross, dot, substitute_forms, twistor_fiber_of
+from .flag import Conic, substitute_forms, twistor_fiber_of
 from .sampling import SplitMix64
 
 DEFAULT_RULED_SEED = 0x52D
@@ -248,29 +248,27 @@ def _on_surface(int_terms, bidegree, m, pivot=None) -> bool:
 
 def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
     """n pairwise disjoint twistor fibers of the ruling at rational
-    parameters on the real circle (affine integers, then infinity); the
-    spec's containment certificate already proves each lies on the surface."""
+    parameters on the real circle (affine integers, then infinity), each
+    over a point of P2 not yet taken: the fibers of F -> CP2 over distinct
+    points never meet.  A point is kept as its integer triple over the gcd,
+    first nonzero entry positive.  The spec's containment certificate
+    already proves each fiber lies on the surface."""
     if n < 1:
         raise PreconditionError("need n >= 1 samples")
     f, _ = _integer_ruling(spec.forms)
-    ms: list[tuple] = []
+    points: dict[tuple, None] = {}  # the canonical triples, in the order taken
 
-    def fresh(m):
-        # For real u and m, conics_disjoint's (m x u).(m x u) vanishes exactly
-        # when the fibers over u and m coincide, and it is nonzero exactly
-        # when they are disjoint: distinct fibers never meet.
-        return all(dot(w, w) for w in (cross(m, u) for u in ms))
+    def point(s, t):  # f(s, t) != 0, since the triple is gcd-free
+        m = _at(f, s, t)
+        g = gcd(*m) if next(x for x in m if x) > 0 else -gcd(*m)
+        return tuple(x // g for x in m)
 
     k = 0
-    while len(ms) < n - 1:
-        m = _at(f, k, 1)
+    while len(points) < n - 1:
+        points[point(k, 1)] = None
         k += 1
-        if fresh(m):
-            ms.append(m)
-    m = _at(f, 1, 0)
-    while not fresh(m):
-        m = _at(f, k, 1)
-        k += 1
-    ms.append(m)
-    return [twistor_fiber_of(m) for m in ms]
-
+    m = point(1, 0)
+    while m in points:
+        m, k = point(k, 1), k + 1
+    points[m] = None
+    return [twistor_fiber_of(m) for m in points]

@@ -7,7 +7,8 @@ chart, exact rank against the certified mod-p rank, one entry at a time
 against the packed rows of the mod-p echelon,
 exact division against the gcd, solving the five linear conditions against
 the disjointness criterion, the Binet-Cauchy expansion against the mod-p
-meet test's cross products, point evaluation against the h0 formula, one
+meet test's cross products, the greedy loop against the first leaf of the
+max-disjoint search, point evaluation against the h0 formula, one
 restriction per pair against the census's one expansion per surface, the
 2a x 2a Sylvester determinant against the a x a Bezout determinant of a
 ruling, Q(i) back-substitution against the fraction-free kernel, ruling
@@ -465,6 +466,16 @@ def binet_cauchy_meet_fp(c1, c2, p: int) -> bool:
     if q1 == q2 or m1 == m2:
         return True
     return (dot(m1, q1) * dot(m2, q2) - dot(m1, q2) * dot(m2, q1)) % p == 0
+
+
+def greedy_disjoint_size(census, p: int) -> int:
+    """The size of the family taken greedily in census order: each conic
+    that meets none taken before it, by binet_cauchy_meet_fp."""
+    taken = []
+    for c in census:
+        if all(not binet_cauchy_meet_fp(c, t, p) for t in taken):
+            taken.append(c)
+    return len(taken)
 
 
 # h0 of the flag as the rank of monomial values at random flag points.

@@ -23,7 +23,12 @@ from flagcalc.modp import sqrt_minus_one
 from flagcalc.ruled import twistor_ruled_surface
 
 from census_oracle import census_by_points
-from oracles import binet_cauchy_meet_fp, pairwise_scan_pairs, reference_scan_pairs
+from oracles import (
+    binet_cauchy_meet_fp,
+    greedy_disjoint_size,
+    pairwise_scan_pairs,
+    reference_scan_pairs,
+)
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 SURFACES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "surfaces"
@@ -203,6 +208,19 @@ def test_max_disjoint_matches_bruteforce(ruled2):
                 best = r
                 break
         assert max_disjoint_subset(census, p).size == best
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_max_disjoint_above_the_limit_is_the_greedy_family(p):
+    # above the limit the search stops at its first leaf, which takes the
+    # lowest candidate each time: the greedy family in census order
+    census = conic_census(reduce_mod_p(incidence_form(), p))
+    rng = random.Random(0xD15 + p)
+    for limit in (8, 16, 24):
+        for _ in range(20):
+            sub = sorted(rng.sample(census, rng.randrange(limit + 1, 4 * limit)))
+            r = max_disjoint_subset(sub, p, limit=limit)
+            assert r == (greedy_disjoint_size(sub, p), False), (limit, sub)
 
 
 def test_max_disjoint_greedy_flagged():

@@ -122,10 +122,12 @@ def test_uniqueness_threshold_conventions():
         # at a = b the threshold and the Chow self-pair agree on the count
         d1, d2 = surface_pair_intersection_bidegree((a, a), (a, a))
         assert d1 == d2 == 3 * a * a == uniqueness_threshold(a, a)
-    # off the diagonal the conventions differ and both are surfaced
+    # off the diagonal the threshold is the smaller self-pair degree,
+    # 2ab + min(a, b)^2, below a^2 + ab + b^2
     d1, d2 = surface_pair_intersection_bidegree((2, 3), (2, 3))
     assert d1 + d2 == 2 * 2 + 4 * 2 * 3 + 3 * 3
-    assert uniqueness_threshold(2, 3) == 4 + 6 + 9
+    assert uniqueness_threshold(2, 3) == min(d1, d2) == 2 * 2 * 3 + 2 * 2 == 16
+    assert uniqueness_threshold(3, 2) == 16 < 4 + 6 + 9
 
 
 def test_invariant_report():

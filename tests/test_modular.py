@@ -215,7 +215,8 @@ def test_mod_p_rows_are_reductions_of_exact_rows(monkeypatch):
         assert received == [("echelon", rows)]
         received.clear()
         surface_family(a, b, conics)
-        assert received == [("rref", rows), ("rref", conj)]
+        # each rref runs echelon on the same rows
+        assert received == [("rref", rows), ("echelon", rows), ("rref", conj), ("echelon", conj)]
 
 
 def test_system_dimension_matches_bareiss_on_grid():
@@ -363,7 +364,7 @@ def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
     eliminations = _eliminations(monkeypatch, ("echelon", "back_reduce", "rref"))
     spy = _Spy(monkeypatch, "nullspace")
     meet = random_smooth_conics(SplitMix64(17), 3, height=10)
-    # Each rref is a forward pass followed by back_reduce.  surface_family
+    # Each rref is echelon followed by back_reduce.  surface_family
     # reduces the image of every row once and the conjugate image of the
     # pivot rows.  The bounds meet on the three conics, whose kernel does
     # not reconstruct from one prime: system_dimension runs the forward pass
@@ -373,10 +374,12 @@ def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
     # rows; the kernel comes from F_p.
     for a, b, conics, dimension, family, bareiss in [
         (2, 2, meet, [("echelon", 15)],
-         [("rref", 15), ("back_reduce", 15), ("rref", 15), ("back_reduce", 15)], [15]),
+         [("rref", 15), ("echelon", 15), ("back_reduce", 15),
+          ("rref", 15), ("echelon", 15), ("back_reduce", 15)], [15]),
         (3, 3, fibers28,
-         [("echelon", 196), ("back_reduce", 63), ("rref", 63), ("back_reduce", 63)],
-         [("rref", 196), ("back_reduce", 63), ("rref", 63), ("back_reduce", 63)], []),
+         [("echelon", 196), ("back_reduce", 63), ("rref", 63), ("echelon", 63), ("back_reduce", 63)],
+         [("rref", 196), ("echelon", 196), ("back_reduce", 63),
+          ("rref", 63), ("echelon", 63), ("back_reduce", 63)], []),
     ]:
         for call, want in [(system_dimension, dimension), (surface_family, family)]:
             builds.clear()

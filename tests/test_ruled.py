@@ -153,6 +153,27 @@ def test_circle_samples_skip_the_second_branch_of_a_node(forms, repeated):
         assert samples[2] == _fiber_at(forms, GR(3), GR(1))
 
 
+def test_catalog_samples_are_pairwise_disjoint():
+    # the samples are chosen by their points of P2 alone; distinct points
+    # must give disjoint fibers by the cross-product criterion
+    for path in sorted(glob.glob(os.path.join(FORMS_DIR, "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            spec = twistor_ruled_surface(forms_from_json(json.load(fh)))
+        samples = twistor_circle_samples(spec, 49)
+        assert all(conics_disjoint(C, D) for i, C in enumerate(samples) for D in samples[:i]), path
+
+
+def test_circle_samples_skip_infinity_on_a_taken_point():
+    # (s t^2, s^2 t, s^3 + t^3) maps both 0 and infinity to (0, 0, 1), so
+    # infinity is replaced by the next integer parameter, 1
+    forms = (BinaryForm([0, 0, 1, 0]), BinaryForm([0, 1, 0, 0]), BinaryForm([1, 0, 0, 1]))
+    spec = twistor_ruled_surface(forms)
+    assert _fiber_at(forms, GR(1), GR(0)) == _fiber_at(forms, GR(0), GR(1))
+    samples = twistor_circle_samples(spec, 2)
+    assert samples == [twistor_fiber_of((0, 0, 1)), twistor_fiber_of((1, 1, 2))]
+    assert samples == reference_circle_samples(forms, spec.surface, 2)
+
+
 def test_rational_ruling_matches_its_integer_multiple():
     # denominators 2, 3 and 7 in every form; 42 times the ruling is integral
     rational = (
