@@ -41,9 +41,15 @@ class UsageError(FlagcalcError):
 
 
 def _load_json(path):
+    def unique_keys(pairs):  # json alone would keep a repeated key's last value
+        if len(obj := dict(pairs)) < len(pairs):
+            key = next(k for n, (k, _) in enumerate(pairs) if k in dict(pairs[:n]))
+            raise SchemaError(f"{path}: repeated key {json.dumps(key)}")
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

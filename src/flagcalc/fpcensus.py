@@ -5,8 +5,10 @@ whose conic L_{q,m} lies on it.  Along every conic l = q x p, so the
 surface is expanded once, mod p, into G(p, q) = S(p, q x p), and L_{q,m}
 lies on S exactly when the line m lies in the plane curve G_q = G(., q).
 Such a line meets each coordinate line in a zero of G_q, so O(p) values of
-G_q give the candidate lines, O(p^3) dot products in all, and the chart
-rule (flag.line_basis) decides each candidate exactly; modp supplies F_p.
+G_q give the candidate lines, O(p^3) dot products in all.  The expansion
+only proposes: flag.substitute_forms, the exact pipeline's containment
+rule, decides each candidate on S itself, so a wrong expansion could lose
+a hit but never add one; modp supplies F_p.
 Every q runs over proj_points and every hit m is made canonical
 (modp.canonical), so each conic is listed once, as canonical points.
 Results are mod-p evidence only; a conic over F_p need not lift.
@@ -22,9 +24,8 @@ from typing import NamedTuple
 
 from . import modp
 from .biforms import BiForm, monomials
-from .binforms import conv, power_table
 from .errors import PreconditionError
-from .flag import cross, dot, line_basis
+from .flag import cross, dot, substitute_forms
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -104,26 +105,17 @@ def conic_census(S: FpSurface) -> list[FpConic]:
 
     For each of the p^2+p+1 points q, a line in G_q is r0 x r1 for zeros
     r0, r1 of G_q on {x0 = 0}, {x1 = 0}, or joins (0, 0, 1) to a zero on
-    {x2 = 0}.  Row k of K_m, in the chart p = s v1 + t v2 of m, sums
-    coefficient k of p^alpha times G_alpha; a candidate m is a hit when
-    K_m times q's monomials is 0 mod p.
+    {x2 = 0}.  A candidate m is a hit when every restriction coefficient
+    of S along L_{q,m} (flag.substitute_forms, over Z) is 0 mod p.
     """
     p = S.p
-    a, b = S.bidegree
     G = conic_expansion(S)
     cols = list(zip(*G.values()))  # per q-monomial, its coefficient at each alpha
-    exps = [le for _, le in monomials(0, b)]
+    exps = [le for _, le in monomials(0, S.bidegree[1])]
 
     def weights(x):  # G(x, q) is weights(x) times q's monomials
         xa = [x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] % p for e in G]
         return [sum(map(mul, xa, col)) % p for col in cols]
-
-    def chart_rows(m):
-        v1, v2 = line_basis(m)
-        T = [power_table((v1[c], v2[c]), a + b) for c in range(3)]
-        p_monos = [conv(conv(T[0][e[0]], T[1][e[1]]), T[2][e[2]]) for e in G]
-        rows = ([sum(map(mul, at_k, col)) % p for col in cols] for at_k in zip(*p_monos))
-        return [row for row in rows if any(row)]
 
     e2 = (0, 0, 1)
     axes = [[(x, weights(x)) for x in axis] for axis in (
@@ -131,7 +123,6 @@ def conic_census(S: FpSurface) -> list[FpConic]:
         [(1, 0, z) for z in range(p)] + [e2],
         [(1, y, 0) for y in range(p)] + [(0, 1, 0)],
     )]
-    K_of: dict = {}
     found = []
     for q in proj_points(p):
         mono = [q[0] ** f[0] * q[1] ** f[1] * q[2] ** f[2] % p for f in exps]
@@ -148,9 +139,7 @@ def conic_census(S: FpSurface) -> list[FpConic]:
         for m in cands:
             if dot(q, m) % p and any(not dot(r2, m) % p for r2 in Z2):
                 m = modp.canonical(m, p)
-                if m not in K_of:
-                    K_of[m] = chart_rows(m)
-                if not any(sum(map(mul, row, mono)) % p for row in K_of[m]):
+                if not any(c % p for c in substitute_forms(S.terms, S.bidegree, q, m)):
                     found.append((q, m))
     return sorted(found)
 

@@ -10,10 +10,11 @@ exact rank from below.  A dimension is returned from F_p only when the row
 count bounds it from the other side, after the forward pass alone
 (modp.echelon).  Otherwise, and for every kernel basis, the kernel is found
 in this order:
-  1. the image of the rows is fully reduced (modp.rref, or system_dimension's
-     own forward pass then modp.back_reduce), whose forward pass picks the
-     pivot rows, those independent mod p; the image of the pivot rows with
-     i sent to -I_MOD is the only second elimination;
+  1. the forward pass over the image of the rows (modp.echelon) picks the
+     pivot rows, those independent mod p, and is back-reduced once
+     (modp.back_reduce); the image of the pivot rows with i sent to -I_MOD
+     is the only second elimination, back-reduced only when its pivot
+     columns agree;
   2. the real and imaginary parts of each kernel entry are read back from
      the two images (modp.reconstruct);
   3. the certificate multiplies every row of every conic with every basis
@@ -101,18 +102,19 @@ def _fp_kernel(rows: list[list[linalg.Pair]], cols, red1, ncols: int):
     reconstruct.
 
     cols and red1 are the pivot columns and reduced rows of the rows' image
-    with i sent to I_MOD (modp.rref); the image with i sent to -I_MOD is
-    reduced here.  A kernel entry re + i im maps to k1 = re + I_MOD im and
-    k2 = re - I_MOD im, so re = (k1 + k2)/2 and im = (k1 - k2)/(2 I_MOD)
-    mod p, each read back by modp.reconstruct.  The vector of a free column
-    f has 1 at f and support on the pivot columns before f, the form
-    linalg.nullspace gives; the caller proves it.
+    with i sent to I_MOD (modp.back_reduce); the image with i sent to
+    -I_MOD is eliminated here, and reduced once its pivot columns agree.
+    A kernel entry re + i im maps to k1 = re + I_MOD im and k2 = re - I_MOD
+    im, so re = (k1 + k2)/2 and im = (k1 - k2)/(2 I_MOD) mod p, each read
+    back by modp.reconstruct.  The vector of a free column f has 1 at f
+    and support on the pivot columns before f, the form linalg.nullspace
+    gives; the caller proves it.
     """
     p, i = modp.PRIME, modp.I_MOD
-    _, cols2, red2 = modp.rref(modp.reduce_rows(rows, p - i), ncols)
+    _, cols2, normed2 = modp.echelon(modp.reduce_rows(rows, p - i), ncols)
     if set(cols) != set(cols2):
         return None
-    conj = dict(zip(cols2, red2))
+    conj = dict(zip(cols2, modp.back_reduce(cols2, normed2, ncols)))
     pivots = sorted((c, r1, conj[c]) for c, r1 in zip(cols, red1))
     half = (p + 1) // 2
     im_scale = pow(2 * i, -1, p)
@@ -137,15 +139,16 @@ def _fp_kernel(rows: list[list[linalg.Pair]], cols, red1, ncols: int):
     return kernel
 
 
-def _certified_kernel(cm: ConditionMatrix, pivots, cols, red1):
+def _certified_kernel(cm: ConditionMatrix, pivots, cols, normed):
     """The reduced-echelon kernel of cm from its pivot rows alone, proved by
     linalg.annihilates on every row (a block of a+b+1 rows times a vector
-    is that surface's restriction to the conic).  pivots, cols and red1 are
-    the fully reduced image of cm's rows with i sent to I_MOD, as modp.rref
-    gives them; the kernel is read back from F_p first (_fp_kernel).  When
-    that fails, or its proof does, the pivot rows are eliminated exactly by
-    Bareiss and proved; when that proof fails too (p divides a minor the
-    rank needs), all rows are, and proved again.
+    is that surface's restriction to the conic).  pivots, cols and normed
+    are the echelon form of cm's rows with i sent to I_MOD, as modp.echelon
+    gives them; it is back-reduced once, and the kernel is read back from
+    F_p first (_fp_kernel).  When that fails, or its proof does, the pivot
+    rows are eliminated exactly by Bareiss and proved; when that proof
+    fails too (p divides a minor the rank needs), all rows are, and proved
+    again.
 
     The F_p kernel has ncols - rank_p vectors, and rank_p is at most the
     exact rank, so once proved it spans the exact kernel; a kernel has one
@@ -153,7 +156,7 @@ def _certified_kernel(cm: ConditionMatrix, pivots, cols, red1):
     """
     ncols = len(cm.columns)
     rows = [cm.rows[r] for r in pivots]
-    kernel = _fp_kernel(rows, cols, red1, ncols)
+    kernel = _fp_kernel(rows, cols, modp.back_reduce(cols, normed, ncols), ncols)
     if kernel is not None and linalg.annihilates(cm.rows, kernel):
         return kernel
     for exact in (rows, cm.rows):
@@ -178,7 +181,7 @@ def system_dimension(a: int, b: int, conics) -> int:
     nullity = ncols - len(pivots)
     if nullity == max(ncols - len(cm.rows), 0):
         return nullity
-    return len(_certified_kernel(cm, pivots, cols, modp.back_reduce(cols, normed, ncols)))
+    return len(_certified_kernel(cm, pivots, cols, normed))
 
 
 def expected_system_dimension(a: int, b: int, x: int) -> int:
@@ -212,7 +215,7 @@ def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     that loses nothing.
     """
     cm = condition_matrix(a, b, conics)
-    image = modp.rref(modp.reduce_rows(cm.rows, modp.I_MOD), len(cm.columns))
+    image = modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), len(cm.columns))
     kernel = _certified_kernel(cm, *image)
     basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
     return SurfaceFamily((a, b), cm.conics, basis)

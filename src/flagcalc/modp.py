@@ -4,10 +4,10 @@ PRIME = 2^61 - 31 is 1 (mod 4).  Sending i to a square root of -1 mod p
 maps every Gaussian rational whose denominators p does not divide into F_p;
 the map is a ring homomorphism, so a rank mod p never exceeds the exact one.
 
-Row elimination (echelon, back_reduce, and rref, the two in turn) works
-on packed rows: a row of F_p entries is one int with a fixed-width slot
-per column, so eliminating against a pivot row is one big-int multiply
-and add.  reconstruct reads a fraction of small height back from its image.
+Row elimination (echelon, then back_reduce) works on packed rows: a row
+of F_p entries is one int with a fixed-width slot per column, so
+eliminating against a pivot row is one big-int multiply and add.
+reconstruct reads a fraction of small height back from its image.
 """
 
 from __future__ import annotations
@@ -159,13 +159,6 @@ def back_reduce(pivot_cols: list[int], normed: list[list[int]], ncols: int) -> l
         reduced[c] = v = _unpack(u, ncols, nbytes, p)
         negated[c] = _pack([-y % p for y in v], nbytes)
     return [reduced[c] for c in pivot_cols]
-
-
-def rref(rows: list[list[int]], ncols: int):
-    """The fully reduced echelon form over F_p (p = PRIME) of the rows that
-    echelon keeps: (pivot_rows, pivot_cols, back_reduce's reduced rows)."""
-    pivot_rows, pivot_cols, normed = echelon(rows, ncols)
-    return pivot_rows, pivot_cols, back_reduce(pivot_cols, normed, ncols)
 
 
 def reconstruct(u: int, p: int):

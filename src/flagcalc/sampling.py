@@ -63,14 +63,9 @@ def random_smooth_conic(rng: SplitMix64, height: int = 9):
 
 
 def random_smooth_conics(rng: SplitMix64, count: int, height: int = 9):
-    """Pairwise distinct smooth conics."""
-    out = []
-    seen = set()
+    """Pairwise distinct smooth conics, in the order first drawn."""
+    out: dict = {}  # a Conic hashes by its canonical q and m
     while len(out) < count:
-        c = random_smooth_conic(rng, height)
-        key = (c.q.coords, c.m.coords)
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-    return out
+        out[random_smooth_conic(rng, height)] = None
+    return list(out)
 

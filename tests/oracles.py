@@ -280,7 +280,8 @@ def reference_echelon(rows, ncols: int):
 
 
 def reference_rref(rows, ncols: int):
-    """What modp.rref returns, by Gauss-Jordan back-substitution on lists:
+    """The pivot rows and columns of modp.echelon with the rows of
+    modp.back_reduce, by Gauss-Jordan back-substitution on lists:
     each pivot row, from the last pivot column down, has the later pivot
     rows subtracted at their columns."""
     p = modp.PRIME

@@ -269,6 +269,27 @@ def test_check_conic_refuses_a_repeated_monomial(capsys, tmp_path):
 INCIDENCE_TERMS = [{"p": e, "l": e, "c": 1} for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
 
 
+@pytest.mark.parametrize("reader, key, text", [
+    ("surface", "bidegree", '{"bidegree": [1, 1], "terms": [], "bidegree": [2, 2]}'),
+    ("conic", "q", '{"q": [1, 0, 0], "m": [0, 1, 0], "q": [1, 1, 1]}'),
+    ("conics", "m", '[{"q": [1, 0, 0], "m": [1, 1, 1], "m": [0, 1, 0]}]'),
+    ("forms", "forms", '{"forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "forms": [[1, 0], [0, 1], [1, 1]]}'),
+], ids=["surface", "conic", "conics", "forms"])
+def test_repeated_json_key_usage_exit(capsys, tmp_path, reader, key, text):
+    # json keeps the last value of a repeated key; each reader refuses it
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    surface = _write(tmp_path / "s.json", {"bidegree": [1, 1], "terms": INCIDENCE_TERMS})
+    argv = {
+        "surface": ("check-conic", "--surface", str(bad), "--conic", str(bad)),
+        "conic": ("check-conic", "--surface", surface, "--conic", str(bad)),
+        "conics": ("mk-surface", "--a", "1", "--b", "1", "--conics", str(bad)),
+        "forms": ("mk-ruled", "--forms", str(bad)),
+    }[reader]
+    code, doc = run(capsys, *argv)
+    assert (code, doc) == (2, {"code": "usage", "message": f'{bad}: repeated key "{key}"'})
+
+
 @pytest.mark.parametrize("surface", [
     {"bidegree": [1, 1], "terms": INCIDENCE_TERMS},  # p.l vanishes on the whole flag
     {"bidegree": [2, 1], "terms": [  # p0 (p.l)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from flagcalc import serialize
+from flagcalc import fpcensus, serialize
 from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm, incidence_form, monomials
 from flagcalc.errors import PreconditionError
@@ -267,6 +267,19 @@ def test_census_matches_reference_scan_and_points(name, p):
     assert census
     assert census == _reference_census(S)
     assert census == census_by_points(S)
+
+
+def test_census_hits_do_not_rest_on_the_expansion(monkeypatch):
+    # the expansion of another surface proposes false candidates; each is
+    # decided on the surface itself, so none is listed
+    def fixture(name):
+        F = serialize.biform_from_json(json.loads((SURFACES / f"{name}.json").read_text()))
+        return reduce_mod_p(F, 5)
+
+    S, other = fixture("ruled_d2_00"), fixture("dense22_02")
+    wrong = conic_expansion(other)
+    monkeypatch.setattr(fpcensus, "conic_expansion", lambda _: wrong)
+    assert set(conic_census(S)) <= set(census_by_points(S))
 
 
 @pytest.mark.parametrize("p", [3, 7])

@@ -183,10 +183,9 @@ def test_echelon_mod_p_matches_bareiss_rank():
                 assert rank_int(head, ncols) == sum(k < r for k in pivot_rows)
 
 
-def _eliminations(monkeypatch, names=("echelon", "rref")):
+def _eliminations(monkeypatch, names=("echelon",)):
     """The (name, first argument) of each call of the named modp functions
-    from here on: the rows for echelon and rref, the pivot columns for
-    back_reduce."""
+    from here on: the rows for echelon, the pivot columns for back_reduce."""
     calls = []
     for name in names:
         fn = getattr(modp, name)
@@ -215,8 +214,7 @@ def test_mod_p_rows_are_reductions_of_exact_rows(monkeypatch):
         assert received == [("echelon", rows)]
         received.clear()
         surface_family(a, b, conics)
-        # each rref runs echelon on the same rows
-        assert received == [("rref", rows), ("echelon", rows), ("rref", conj), ("echelon", conj)]
+        assert received == [("echelon", rows), ("echelon", conj)]
 
 
 def test_system_dimension_matches_bareiss_on_grid():
@@ -284,18 +282,18 @@ def test_dropped_pivot_row_fails_certificate(monkeypatch):
     a, b = 2, 2
     conics = random_smooth_conics(SplitMix64(17), 3, height=10)
     want = _exact_basis_json(a, b, conics)
-    rref = modp.rref
+    echelon = modp.echelon
     images = []
 
     def drop_first(rows, ncols):
-        pivot_rows, pivot_cols, reduced = rref(rows, ncols)
+        pivot_rows, pivot_cols, normed = echelon(rows, ncols)
         images.append(len(rows))
         if len(images) > 1:  # the conjugate image of the pivot rows
-            return pivot_rows, pivot_cols, reduced
+            return pivot_rows, pivot_cols, normed
         assert pivot_rows == list(range(len(rows)))  # every row is independent
-        return pivot_rows[1:], pivot_cols[1:], reduced[1:]
+        return pivot_rows[1:], pivot_cols[1:], normed[1:]
 
-    monkeypatch.setattr(modp, "rref", drop_first)
+    monkeypatch.setattr(modp, "echelon", drop_first)
     verdicts = _verdicts(monkeypatch)
     spy = _Spy(monkeypatch, "nullspace")
     assert _family_json(a, b, conics) == want
@@ -361,25 +359,21 @@ def test_one_build_and_one_echelon_per_call(monkeypatch, fibers28):
     builds = []
     build = linsys.condition_matrix
     monkeypatch.setattr(linsys, "condition_matrix", lambda *args: builds.append(1) or build(*args))
-    eliminations = _eliminations(monkeypatch, ("echelon", "back_reduce", "rref"))
+    eliminations = _eliminations(monkeypatch, ("echelon", "back_reduce"))
     spy = _Spy(monkeypatch, "nullspace")
     meet = random_smooth_conics(SplitMix64(17), 3, height=10)
-    # Each rref is echelon followed by back_reduce.  surface_family
-    # reduces the image of every row once and the conjugate image of the
-    # pivot rows.  The bounds meet on the three conics, whose kernel does
-    # not reconstruct from one prime: system_dimension runs the forward pass
-    # alone.  On the 28 fibers (196 rows, 63 independent mod p) they do not
-    # meet: system_dimension runs one forward pass over all rows, back-reduces
-    # the 63 pivot rows it leaves, and reduces the conjugate image of those
-    # rows; the kernel comes from F_p.
+    # surface_family runs one forward pass over the image of every row,
+    # back-reduces the pivot rows it leaves, and eliminates and reduces the
+    # conjugate image of those rows.  The bounds meet on the three conics,
+    # whose kernel does not reconstruct from one prime: system_dimension
+    # runs the forward pass alone.  On the 28 fibers (196 rows, 63
+    # independent mod p) they do not meet: system_dimension then makes the
+    # same calls as surface_family, and the kernel comes from F_p.
+    full = [("echelon", 196), ("back_reduce", 63), ("echelon", 63), ("back_reduce", 63)]
     for a, b, conics, dimension, family, bareiss in [
         (2, 2, meet, [("echelon", 15)],
-         [("rref", 15), ("echelon", 15), ("back_reduce", 15),
-          ("rref", 15), ("echelon", 15), ("back_reduce", 15)], [15]),
-        (3, 3, fibers28,
-         [("echelon", 196), ("back_reduce", 63), ("rref", 63), ("echelon", 63), ("back_reduce", 63)],
-         [("rref", 196), ("echelon", 196), ("back_reduce", 63),
-          ("rref", 63), ("echelon", 63), ("back_reduce", 63)], []),
+         [("echelon", 15), ("back_reduce", 15), ("echelon", 15), ("back_reduce", 15)], [15]),
+        (3, 3, fibers28, full, full, []),
     ]:
         for call, want in [(system_dimension, dimension), (surface_family, family)]:
             builds.clear()
@@ -412,7 +406,7 @@ def test_unreconstructed_kernel_falls_back_to_bareiss(monkeypatch):
     a, b = 3, 3
     conics = random_smooth_conics(SplitMix64(42), 4, height=10)
     want = _exact_basis_json(a, b, conics)
-    images = _record(monkeypatch, modp, "rref")
+    images = _record(monkeypatch, modp, "echelon")
     fractions = _record(monkeypatch, modp, "reconstruct")
     verdicts = _verdicts(monkeypatch)
     spy = _Spy(monkeypatch, "nullspace")
@@ -448,11 +442,13 @@ def test_conjugate_images_with_other_pivots_fall_back_to_bareiss(monkeypatch):
     conics = _twins(z)
     assert all(C.is_smooth for C in conics)
     want = _exact_basis_json(a, b, conics)
-    images = _record(monkeypatch, modp, "rref")
+    images = _record(monkeypatch, modp, "echelon")
+    reduced = _record(monkeypatch, modp, "back_reduce")
     fractions = _record(monkeypatch, modp, "reconstruct")
     spy = _Spy(monkeypatch, "nullspace")
     assert _family_json(a, b, conics) == want
     assert [len(cols) for _, cols, _ in images] == [20, 15]
+    assert len(reduced) == 1  # the second image is not reduced
     assert fractions == []
     assert spy.rows == [20]
 
