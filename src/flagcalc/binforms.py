@@ -8,8 +8,8 @@ and the degree of that polynomial counts the multiplicity of s as a factor.
 A bare coefficient sequence in that convention is a binary form too, and
 conv and power_table multiply such sequences over any ring with + and *:
 GaussianRational for BinaryForm, GaussianInt for restriction to a conic
-and condition rows, int for the ruled certificate and the census's chart
-monomials.  Empty slots hold the int 0.
+and condition rows, int for the ruled certificate and the census.  Empty
+slots hold the int 0.
 """
 
 from __future__ import annotations

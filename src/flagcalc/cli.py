@@ -31,8 +31,8 @@ CENSUS_MAX_LIMIT = 64
 RULED_MAX_SAMPLES = 10_000
 # the ruled build grows about 2.5x per degree: degree 10 takes about 50 s
 RULED_MAX_DEGREE = 10
-# x(a+b+1) condition rows of h0(a,b) cells each; dim-report takes about 7 s
-# on (8,8), x = 43 (532,899 cells) and 38 s on (10,10), x = 80 (2,236,080)
+# max(x(a+b+1) rows, h0(a,b) basis vectors) x h0(a,b) cells; dim-report takes
+# about 7 s on (8,8), x = 43 (532,899 cells) and 38 s on (10,10), x = 80 (2,236,080)
 SYSTEM_MAX_CELLS = 3_000_000
 
 
@@ -62,9 +62,10 @@ def _refuse_large_system(a, b, x, trials=1):
     from .invariants import h0_flag
 
     rows, cols = x * (a + b + 1), h0_flag(a, b)
-    if (cells := trials * rows * cols) > SYSTEM_MAX_CELLS:
-        raise PreconditionError(f"the condition rows cost {cells} cells ({trials} x {rows} "
-                                f"rows x {cols} columns), over the limit {SYSTEM_MAX_CELLS}")
+    if (cells := trials * max(rows, cols) * cols) > SYSTEM_MAX_CELLS:
+        raise PreconditionError(f"the system costs {cells} cells ({trials} x max({rows} rows, "
+                                f"{cols} columns) x {cols} columns), over the limit "
+                                f"{SYSTEM_MAX_CELLS}")
 
 
 def _cmd_bound(args):
@@ -211,6 +212,7 @@ def _cmd_census(args):
 
 def _cmd_dim_report(args):
     from . import linsys
+    from .invariants import h0_flag
     from .sampling import SplitMix64, random_smooth_conics
 
     if args.x < 0:
@@ -231,7 +233,7 @@ def _cmd_dim_report(args):
         "x": args.x,
         "seed": args.seed,
         "trials": args.trials,
-        "h0": linsys.h0_flag(args.a, args.b),
+        "h0": h0_flag(args.a, args.b),
         "conditions_per_conic": args.a + args.b + 1,
         "expected_dimension": expected,
         "independence_guaranteed": guaranteed,

@@ -9,11 +9,12 @@ along a conic.
 
 Containment has one path.  A surface is pulled back through one chart of
 the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
-(chart_tables), by one kernel (pull) over the ring its inputs lie in:
-restrict_to_conic clears the surface and the conic to Z[i], the condition
-rows clear the conic, the ruled certificate runs over Z and the census
-over F_p.  The kernel works on coefficient sequences of binary forms, which
-binforms.conv and power_table multiply over any of those rings.
+(chart_tables), by one routine (monomial_restrictions) over the ring its
+inputs lie in: restrict_to_conic clears the surface and the conic to Z[i],
+the condition rows clear the conic, the ruled certificate runs over Z and
+the census over Z read mod p.  The routine works on coefficient sequences
+of binary forms, which binforms.conv and power_table multiply over any of
+those rings.
 
 Projective points are kept in canonical form (first nonzero coordinate
 equal to 1) so equality and hashing are exact.
@@ -169,48 +170,6 @@ def line_basis(m, pivot: int | None = None):
     return tuple(v1), tuple(v2)
 
 
-def pull(terms, tables):
-    """Sum of seq * T0[e0] * T1[e1] * T2[e2] over the items (e, seq) of terms.
-
-    terms is a nonempty map from exponent triples to coefficient sequences
-    of one length; tables holds the power tables of three forms of one
-    degree.  The table entries are multiplied together before seq comes in,
-    so large coefficients meet only the finished monomial.
-    """
-    out = None
-    for e, seq in terms.items():
-        mono = None
-        for i in range(3):
-            if e[i]:
-                t = tables[i][e[i]]
-                mono = t if mono is None else conv(mono, t)
-        if mono is not None:
-            seq = conv(seq, mono)
-        if out is None:
-            out = list(seq)
-            continue
-        for k, x in enumerate(seq):
-            if x:
-                out[k] = out[k] + x if out[k] else x
-    return out
-
-
-def l_groups(terms):
-    """{(pe, le): c} regrouped as {le: {pe: (c,)}}, the p-side inputs of pull."""
-    groups = {}
-    for (pe, le), c in terms.items():
-        groups.setdefault(le, {})[pe] = (c,)
-    return groups
-
-
-def pull_terms(terms, p_tables, l_tables):
-    """Restriction coefficients of the nonzero form sum c p^pe l^le along
-    the curve whose p- and l-forms have the given power tables: pull the p
-    side of each l-exponent group, then the l side."""
-    p_side = {le: pull(g, p_tables) for le, g in l_groups(terms).items()}
-    return pull(p_side, l_tables)
-
-
 def chart_tables(q, m, a: int, b: int, pivot: int | None = None):
     """Power tables, to degrees a and b, of the p- and l-forms of the chart
     of L_{q,m}: p = s v1 + t v2 with v1, v2 = line_basis(m, pivot), and
@@ -222,11 +181,41 @@ def chart_tables(q, m, a: int, b: int, pivot: int | None = None):
     return p_tables, l_tables
 
 
+def _side(e, tables):
+    """The monomial with exponents e in the forms with these power tables."""
+    seqs = [t[k] for t, k in zip(tables, e) if k]
+    return reduce(conv, seqs) if seqs else (1,)
+
+
+def monomial_restrictions(keys, bidegree, q, m, pivot: int | None = None) -> dict:
+    """{(pe, le): the a+b+1 restriction coefficients of p^pe l^le} for the
+    keys (pe, le) of bidegree (a, b), along the chart of L_{q,m}.  Each p- and
+    l-side monomial is built once and each key takes one conv, over the ring
+    of q and m; an empty slot is the int 0."""
+    p_tables, l_tables = chart_tables(q, m, *bidegree, pivot)
+    p_sides, l_sides, out = {}, {}, {}
+    for key in keys:
+        pe, le = key
+        if pe not in p_sides:
+            p_sides[pe] = _side(pe, p_tables)
+        if le not in l_sides:
+            l_sides[le] = _side(le, l_tables)
+        out[key] = conv(p_sides[pe], l_sides[le])
+    return out
+
+
 def substitute_forms(terms, bidegree, q, m, pivot: int | None = None) -> list:
-    """The a+b+1 restriction coefficients of the nonzero form sum c p^pe l^le
+    """The a+b+1 restriction coefficients of the form sum c p^pe l^le
     ({(pe, le): c} = terms, of bidegree (a, b)) along the chart of L_{q,m}.
-    The coefficients, q and m may lie in any ring; an empty slot is the int 0."""
-    return pull_terms(terms, *chart_tables(q, m, *bidegree, pivot))
+    Each coefficient meets only its finished monomial; the coefficients, q
+    and m may lie in any ring, and an empty slot is the int 0."""
+    out = [0] * (sum(bidegree) + 1)
+    monos = monomial_restrictions(terms, bidegree, q, m, pivot).values()
+    for c, mono in zip(terms.values(), monos):  # both in the order of terms
+        for k, x in enumerate(mono):
+            if x:
+                out[k] = out[k] + c * x if out[k] else c * x
+    return out
 
 
 def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:

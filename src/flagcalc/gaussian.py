@@ -137,8 +137,8 @@ def to_gaussian(x) -> GaussianRational:
 
 
 class GaussianInt:
-    """re + im*i with int parts: the ring flag.pull builds condition rows
-    over.  A right factor may be an int, as the chart's unset entries are."""
+    """re + im*i with int parts: the ring flag.monomial_restrictions builds
+    condition rows over.  Either factor may be an int (power_table's 1)."""
 
     __slots__ = ("re", "im")
 
@@ -161,6 +161,8 @@ class GaussianInt:
         if type(o) is int:
             return GaussianInt(self.re * o, self.im * o)
         return GaussianInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
 
 
 ZERO = GaussianRational(0)

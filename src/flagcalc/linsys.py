@@ -33,9 +33,8 @@ from typing import NamedTuple
 
 from . import linalg, modp
 from .biforms import BiForm, quotient_monomials
-from .binforms import conv
 from .errors import EmptySystemError, FlagcalcError, PreconditionError
-from .flag import Conic, chart_tables, pull
+from .flag import Conic, monomial_restrictions
 from .gaussian import ONE, ZERO, GaussianInt, GaussianRational
 from .invariants import h0_flag
 from .sampling import SplitMix64
@@ -61,10 +60,10 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     the kernel is exactly the linear system through them.
 
     Each conic's q and m are cleared to Gaussian integers, scaled by the
-    lcms lam and mu of their denominators, and its chart (flag.chart_tables)
-    is pulled over Z[i].  Its p-forms scale by mu and its l-forms by lam*mu,
-    so the conic's block is its block of Q(i) restriction coefficients
-    times the nonzero integer mu^(a+b) lam^b, with the same kernel.
+    lcms lam and mu of their denominators, and its block copies the
+    columns' restrictions along its chart (flag.monomial_restrictions).
+    Its p-forms scale by mu and its l-forms by lam*mu, so the block is the
+    Q(i) one times the nonzero integer mu^(a+b) lam^b, with the same kernel.
     """
     if a < 0 or b < 0:
         raise PreconditionError("h0 requires nonnegative bidegree")
@@ -76,22 +75,13 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     cols = quotient_monomials(a, b)
     cleared, _ = linalg.clear_rows([c for C in conics for c in (C.q.coords, C.m.coords)])
     points = [[GaussianInt(re, im) for re, im in row] for row in cleared]
-    one = (GaussianInt(1),)
     rows = []
     for q, m in zip(points[::2], points[1::2]):
-        p_tables, l_tables = chart_tables(q, m, a, b)
-        # a column's p side depends only on pe and its l side only on le,
-        # so each is pulled once and a column is one product
-        p_sides, l_sides = {}, {}
         block = [[(0, 0)] * len(cols) for _ in range(a + b + 1)]
-        for j, (pe, le) in enumerate(cols):
-            if pe not in p_sides:
-                p_sides[pe] = pull({pe: one}, p_tables)
-            if le not in l_sides:
-                l_sides[le] = pull({le: one}, l_tables)
-            for k, c in enumerate(conv(p_sides[pe], l_sides[le])):
-                if c:
-                    block[k][j] = (c.re, c.im)
+        for j, r in enumerate(monomial_restrictions(cols, (a, b), q, m).values()):
+            for k, c in enumerate(r):
+                if c:  # the int 1 only at (0, 0), whose one column is the constant
+                    block[k][j] = (c.re, c.im) if type(c) is GaussianInt else (c, 0)
         rows.extend(block)
     return ConditionMatrix((a, b), conics, cols, rows)
 

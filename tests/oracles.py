@@ -40,14 +40,11 @@ from flagcalc.flag import (
     conics_disjoint,
     cross,
     dot,
-    l_groups,
     line_basis,
-    pull,
-    pull_terms,
     twistor_fiber_of,
 )
 from flagcalc.fpcensus import conic_expansion
-from flagcalc.gaussian import GaussianRational
+from flagcalc.gaussian import ONE, GaussianRational
 from flagcalc.invariants import _require_general_type, h0_flag
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_proj_point
 
@@ -151,14 +148,37 @@ def _pm_pairing(forms, const_triple) -> BinaryForm:
     return acc
 
 
+def form_powers(f: BinaryForm, n: int) -> list:
+    """The BinaryForms f^0, f^1, ..., f^n."""
+    out = [BinaryForm([ONE])]
+    for _ in range(n):
+        out.append(out[-1] * f)
+    return out
+
+
 def substitute_curve_forms(F: BiForm, p_forms, l_forms) -> BinaryForm:
-    """Pull a biform back along a parametrized curve, giving a binary form."""
+    """Pull a biform back along a parametrized curve of any degree, giving a
+    binary form: each monomial by BinaryForm products, then weighted by its
+    coefficient and summed."""
     a, b = F.bidegree
-    if F.is_zero():
-        return zero_form(a * p_forms[0].degree + b * l_forms[0].degree)
-    p_tables = [power_table(f.coeffs, a) for f in p_forms]
-    l_tables = [power_table(f.coeffs, b) for f in l_forms]
-    return BinaryForm(pull_terms(F.terms, p_tables, l_tables))
+    out_deg = a * p_forms[0].degree + b * l_forms[0].degree
+    p_pows = [form_powers(f, a) for f in p_forms]
+    l_pows = [form_powers(f, b) for f in l_forms]
+    acc = [ZERO] * (out_deg + 1)
+    for (pe, le), c in F.terms.items():
+        prod = None
+        for pows, e in ((p_pows, pe), (l_pows, le)):
+            for i in range(3):
+                if e[i]:
+                    prod = pows[i][e[i]] if prod is None else prod * pows[i][e[i]]
+        if prod is None:
+            acc[0] = acc[0] + c
+            continue
+        offset = out_deg - prod.degree
+        for k, pc in enumerate(prod.coeffs):
+            if pc:
+                acc[k + offset] = acc[k + offset] + c * pc
+    return BinaryForm(acc)
 
 
 def restrict_to_curve(F: BiForm, curve: FlagCurve) -> BinaryForm:
@@ -532,24 +552,37 @@ def reference_scan_pairs(S, m_points, q_points):
     """The pairs (q, m) with q.m != 0 mod p whose conic lies on the reduced
     surface S, in the order m, then q.
 
-    The p side of the restriction is pulled once per m, the l side once
-    per pair.  Any representatives of the projective points may be given.
+    The p side of the restriction is summed once per m, per l-exponent,
+    and the l side is multiplied in once per pair.  Any representatives of
+    the projective points may be given.
     """
     p = S.p
     a, b = S.bidegree
-    groups = l_groups(S.terms)
     hits = []
     for m in m_points:
         v1, v2 = line_basis([c % p for c in m])  # a chart pivot that is a unit mod p
         p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
-        p_side = {le: [x % p for x in pull(g, p_tables)] for le, g in groups.items()}
+        p_side = {}  # le: the sum of c p^pe over the terms with that le, mod p
+        for (pe, le), c in S.terms.items():
+            mono = [c]
+            for i in range(3):
+                mono = conv(mono, p_tables[i][pe[i]])
+            acc = p_side.setdefault(le, [0] * (a + 1))
+            for k, x in enumerate(mono):
+                acc[k] = (acc[k] + x) % p
         for q in q_points:
             if not dot(q, m) % p:
                 continue
             l1 = [x % p for x in cross(q, v1)]
             l2 = [x % p for x in cross(q, v2)]
             l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
-            if not any(x % p for x in pull(p_side, l_tables)):
+            out = [0] * (a + b + 1)
+            for le, mono in p_side.items():
+                for i in range(3):
+                    mono = conv(mono, l_tables[i][le[i]])
+                for k, x in enumerate(mono):
+                    out[k] += x
+            if not any(x % p for x in out):
                 hits.append((q, m))
     return hits
 

@@ -415,18 +415,25 @@ def test_ruled_caps_admit_the_catalog_and_the_planned_rulings():
 
 
 def test_interpolation_refuses_a_system_over_the_cell_limit(capsys, tmp_path):
-    # x(a+b+1) condition rows of h0(a,b) cells, refused before any conic is
-    # sampled; a --conics file is counted right after it is read
+    # max(x(a+b+1) condition rows, h0(a,b) kernel vectors) of h0(a,b) cells,
+    # refused before any conic is sampled; a --conics file is counted right
+    # after it is read.  With no conic there is no row but the whole basis.
     conics = tmp_path / "conics.json"
     conics.write_text(json.dumps([{"q": [1, 0, 0], "m": [1, 1, 0]}] * 120))
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
     for argv, trials, rows, cols in (
         (("dim-report", "--a", "9", "--b", "9", "--x", "60", "--trials", "3"), 3, 1140, 1000),
         (("mk-surface", "--a", "10", "--b", "10", "--random", "120"), 1, 2520, 1331),
         (("mk-surface", "--a", "10", "--b", "10", "--conics", str(conics)), 1, 2520, 1331),
+        (("dim-report", "--a", "300", "--b", "300", "--x", "0", "--trials", "1"), 1, 0, 27270901),
+        (("mk-surface", "--a", "40", "--b", "40", "--random", "0"), 1, 0, 68921),
+        (("mk-surface", "--a", "40", "--b", "40", "--conics", str(empty)), 1, 0, 68921),
     ):
         message = _refused(capsys, *argv)
-        assert message == (f"the condition rows cost {trials * rows * cols} cells ({trials} x "
-                           f"{rows} rows x {cols} columns), over the limit {SYSTEM_MAX_CELLS}")
+        cells = trials * max(rows, cols) * cols
+        assert message == (f"the system costs {cells} cells ({trials} x max({rows} rows, "
+                           f"{cols} columns) x {cols} columns), over the limit {SYSTEM_MAX_CELLS}")
 
 
 def test_cell_limit_admits_the_paper_sized_systems():
@@ -442,6 +449,7 @@ def test_mk_ruled_and_interpolation_refusals_exit_quickly_in_a_fresh_interpreter
         ("mk-ruled", "--forms", str(forms)),
         ("dim-report", "--a", "9", "--b", "9", "--x", "60", "--trials", "3"),
         ("mk-surface", "--a", "10", "--b", "10", "--random", "120"),
+        ("dim-report", "--a", "300", "--b", "300", "--x", "0"),
     ):
         t0 = time.perf_counter()
         _fresh_run("-m", "flagcalc.cli", *argv, code=3)

@@ -1,14 +1,15 @@
-"""Differential oracle for the shared restriction kernel.
+"""Differential oracle for the shared restriction routine.
 
-Every containment fact in flagcalc comes from flag.pull through the one
-chart of flag.chart_tables: the condition matrices and restriction to a
-conic over Z[i], the ruled containment certificate over Z and the mod-p
-census.  The reference code below restricts by its own arithmetic, with
-the chart rule written out separately for Q(i) and for F_p, and the tests
-pin the kernel to it on fixed seeds: the rows, restriction (zero surfaces,
-tall nonreal conics, big-rational members), the members of a certified
-family, the certificate and the census.  The singular points along a
-conic are pinned to the same minors along the Q(i) FlagCurve of
+Every containment fact in flagcalc comes from flag.monomial_restrictions
+through the one chart of flag.chart_tables: the condition matrices and
+restriction to a conic over Z[i], the ruled containment certificate over Z
+and the mod-p census.  The reference code below restricts by its own
+arithmetic (BinaryForm products, tests/oracles.substitute_curve_forms),
+with the chart rule written out separately for Q(i) and for F_p, and the
+tests pin the routine to it on fixed seeds: the rows, restriction (zero
+surfaces, tall nonreal conics, big-rational members), the members of a
+certified family, the certificate and the census.  The singular points
+along a conic are pinned to the same minors along the Q(i) FlagCurve of
 tests/oracles.py.
 """
 
@@ -24,7 +25,7 @@ from flagcalc.cli import main
 from flagcalc.errors import PreconditionError
 from flagcalc.flag import restrict_to_conic, singular_points_on_conic
 from flagcalc.fpcensus import conic_census, proj_points, reduce_mod_p
-from flagcalc.gaussian import ONE, ZERO, GaussianRational as GR
+from flagcalc.gaussian import ZERO, GaussianRational as GR
 from flagcalc.linsys import (
     condition_matrix,
     family_member,
@@ -40,7 +41,13 @@ from flagcalc.ruled import (
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
 from flagcalc.serialize import biform_to_json
 
-from oracles import _fiber_at, conic_param, restrict_to_curve
+from oracles import (
+    _fiber_at,
+    conic_param,
+    form_powers,
+    restrict_to_curve,
+    substitute_curve_forms,
+)
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
@@ -74,39 +81,8 @@ def _ref_chart_forms(q, m, pivot=None):
     return p_forms, l_forms
 
 
-def _ref_form_powers(f, n):
-    out = [BinaryForm([ONE])]
-    for _ in range(n):
-        out.append(out[-1] * f)
-    return out
-
-
-def _ref_substitute_forms(F, p_forms, l_forms):
-    a, b = F.bidegree
-    out_deg = a * p_forms[0].degree + b * l_forms[0].degree
-    p_pows = [_ref_form_powers(f, a) for f in p_forms]
-    l_pows = [_ref_form_powers(f, b) for f in l_forms]
-    acc = [ZERO] * (out_deg + 1)
-    for (pe, le), c in F.terms.items():
-        prod = None
-        for i in range(3):
-            if pe[i]:
-                prod = p_pows[i][pe[i]] if prod is None else prod * p_pows[i][pe[i]]
-        for i in range(3):
-            if le[i]:
-                prod = l_pows[i][le[i]] if prod is None else prod * l_pows[i][le[i]]
-        if prod is None:
-            acc[0] = acc[0] + c
-            continue
-        offset = out_deg - prod.degree
-        for k, pc in enumerate(prod.coeffs):
-            if pc:
-                acc[k + offset] = acc[k + offset] + c * pc
-    return BinaryForm(acc)
-
-
 def _ref_restrict_to_conic(F, C):
-    return _ref_substitute_forms(F, *_ref_chart_forms(C.q.coords, C.m.coords))
+    return substitute_curve_forms(F, *_ref_chart_forms(C.q.coords, C.m.coords))
 
 
 def _ref_restrict_monomial(pe, le, p_pows, l_pows):
@@ -125,8 +101,8 @@ def _ref_condition_rows(a, b, conics):
     rows = []
     for C in conics:
         p_forms, l_forms = _ref_chart_forms(C.q.coords, C.m.coords)
-        p_pows = [_ref_form_powers(f, a) for f in p_forms]
-        l_pows = [_ref_form_powers(f, b) for f in l_forms]
+        p_pows = [form_powers(f, a) for f in p_forms]
+        l_pows = [form_powers(f, b) for f in l_forms]
         block = [[ZERO] * len(cols) for _ in range(a + b + 1)]
         for j, (pe, le) in enumerate(cols):
             r = _ref_restrict_monomial(pe, le, p_pows, l_pows)
@@ -150,7 +126,7 @@ def _ref_certificate(forms, surface, seed=DEFAULT_RULED_SEED):
             k += 1
             if not m[i]:
                 continue
-            r = _ref_substitute_forms(surface, *_ref_chart_forms(m, m, pivot=i))
+            r = substitute_curve_forms(surface, *_ref_chart_forms(m, m, pivot=i))
             if not r.is_zero():
                 return {
                     "passed": False,
@@ -316,10 +292,18 @@ def _scaled_ref_condition_rows(a, b, conics):
     return rows
 
 
-@pytest.mark.parametrize("a, b, x, seed", [(2, 2, 3, 41), (3, 3, 4, 42), (4, 4, 6, 43)])
+@pytest.mark.parametrize("a, b, x, seed", [
+    (2, 2, 3, 41), (3, 3, 4, 42), (4, 4, 6, 43), (0, 2, 3, 44), (2, 0, 3, 45), (1, 3, 4, 47),
+])
 def test_condition_rows_match_reference(a, b, x, seed):
     conics = random_smooth_conics(SplitMix64(seed), x, height=10)
     assert condition_matrix(a, b, conics).rows == _scaled_ref_condition_rows(a, b, conics)
+
+
+def test_condition_rows_at_bidegree_0_0_are_the_constant():
+    # the reference cannot restrict the empty monomial; its restriction is 1
+    conics = random_smooth_conics(SplitMix64(46), 2, height=10)
+    assert condition_matrix(0, 0, conics).rows == [[(1, 0)], [(1, 0)]]
 
 
 def test_condition_rows_match_reference_on_twistor_fibers(spec3):
