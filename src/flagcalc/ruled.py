@@ -19,7 +19,7 @@ The ruling is cleared to integers once, and each fiber is handled as the
 integer triple m = f(s, t) at integers (s, t); a rational parameter n/d is
 the homogeneous evaluation f(n, d).  Every containment test restricts the
 integer-cleared surface along one integer chart of a fiber (_on_surface),
-and a Conic over Q(i) is built only for the samples that are returned.
+and Q(i) enters only as the ProjPoint that keys and builds each sample.
 Containment of the whole family is certified by sampling: on a fixed chart
 the coefficients of the restriction are polynomials in the parameter of
 explicitly bounded degree, so vanishing at bound + 1 distinct parameters
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .binforms import BinaryForm, bf_gcd, triple_gcd
 from .biforms import BiForm, mul_terms
 from .errors import PreconditionError
-from .flag import Conic, substitute_forms, twistor_fiber_of
+from .flag import Conic, ProjPoint, substitute_forms, twistor_fiber_of
 from .sampling import SplitMix64
 
 DEFAULT_RULED_SEED = 0x52D
@@ -250,25 +250,19 @@ def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
     """n pairwise disjoint twistor fibers of the ruling at rational
     parameters on the real circle (affine integers, then infinity), each
     over a point of P2 not yet taken: the fibers of F -> CP2 over distinct
-    points never meet.  A point is kept as its integer triple over the gcd,
-    first nonzero entry positive.  The spec's containment certificate
-    already proves each fiber lies on the surface."""
+    points never meet.  A point is kept as the ProjPoint of its integer
+    triple, which is also the point its fiber is built from.  The spec's
+    containment certificate already proves each fiber lies on the surface."""
     if n < 1:
         raise PreconditionError("need n >= 1 samples")
     f, _ = _integer_ruling(spec.forms)
-    points: dict[tuple, None] = {}  # the canonical triples, in the order taken
-
-    def point(s, t):  # f(s, t) != 0, since the triple is gcd-free
-        m = _at(f, s, t)
-        g = gcd(*m) if next(x for x in m if x) > 0 else -gcd(*m)
-        return tuple(x // g for x in m)
-
+    points: dict[ProjPoint, None] = {}  # in the order taken; f(s, t) != 0 as f is gcd-free
     k = 0
     while len(points) < n - 1:
-        points[point(k, 1)] = None
+        points[ProjPoint(_at(f, k, 1))] = None
         k += 1
-    m = point(1, 0)
+    m = ProjPoint(_at(f, 1, 0))
     while m in points:
-        m, k = point(k, 1), k + 1
+        m, k = ProjPoint(_at(f, k, 1)), k + 1
     points[m] = None
     return [twistor_fiber_of(m) for m in points]

@@ -10,6 +10,9 @@ trivial to restate.
 
 from __future__ import annotations
 
+from .flag import Conic, ProjPoint, dot
+from .gaussian import GaussianRational
+
 _MASK = (1 << 64) - 1
 
 
@@ -36,15 +39,11 @@ class SplitMix64:
 
 
 def random_gaussian_rational(rng: SplitMix64, height: int = 9):
-    from .gaussian import GaussianRational
-
     return GaussianRational(rng.int_in(-height, height), rng.int_in(-height, height))
 
 
 def random_proj_point(rng: SplitMix64, height: int = 9):
     """A projective point with Gaussian-integer coordinates of bounded height."""
-    from .flag import ProjPoint
-
     while True:
         coords = [random_gaussian_rational(rng, height) for _ in range(3)]
         if any(coords):
@@ -53,8 +52,6 @@ def random_proj_point(rng: SplitMix64, height: int = 9):
 
 def random_smooth_conic(rng: SplitMix64, height: int = 9):
     """A conic L_{q,m} with q.m != 0, coordinates of bounded height."""
-    from .flag import Conic, dot
-
     while True:
         q = random_proj_point(rng, height)
         m = random_proj_point(rng, height)
