@@ -34,6 +34,8 @@ RULED_MAX_DEGREE = 10
 # max(x(a+b+1) rows, h0(a,b) basis vectors) x h0(a,b) cells; dim-report takes
 # about 7 s on (8,8), x = 43 (532,899 cells) and 38 s on (10,10), x = 80 (2,236,080)
 SYSTEM_MAX_CELLS = 3_000_000
+# a + b of a surface read by check-conic or census: a census at p = 3 takes up to 2 s at 64
+SURFACE_MAX_DEGREE = 64
 
 
 class UsageError(FlagcalcError):
@@ -66,6 +68,17 @@ def _refuse_large_system(a, b, x, trials=1):
         raise PreconditionError(f"the system costs {cells} cells ({trials} x max({rows} rows, "
                                 f"{cols} columns) x {cols} columns), over the limit "
                                 f"{SYSTEM_MAX_CELLS}")
+
+
+def _load_surface(path):
+    from .serialize import biform_from_json
+
+    F = biform_from_json(_load_json(path))
+    if (n := sum(F.bidegree)) > SURFACE_MAX_DEGREE:
+        est = 2 * (min(n, 10**6) / SURFACE_MAX_DEGREE) ** 4
+        raise PreconditionError(f"a surface with a + b = {n} costs up to about {est:.3g} s "
+                                f"(census at p = 3), over the cap a + b <= {SURFACE_MAX_DEGREE}")
+    return F
 
 
 def _cmd_bound(args):
@@ -140,7 +153,7 @@ def _cmd_check_conic(args):
     from . import serialize
     from .flag import require_surface, restrict_to_conic
 
-    F = serialize.biform_from_json(_load_json(args.surface))
+    F = _load_surface(args.surface)
     C = serialize.conic_from_json(_load_json(args.conic))
     restriction = restrict_to_conic(F, C)  # a degenerate conic is refused first
     require_surface(F)
@@ -185,7 +198,7 @@ def _cmd_mk_ruled(args):
 
 
 def _cmd_census(args):
-    from . import flag, fpcensus, serialize
+    from . import flag, fpcensus
 
     if args.limit < 0:
         raise UsageError("--limit must be nonnegative")
@@ -195,7 +208,7 @@ def _cmd_census(args):
     if (cost := (p * p + p + 1) * 3 * (p + 1)) > CENSUS_MAX_COST:
         raise PreconditionError(f"a census at p = {p} costs about {cost} evaluations, "
                                 f"over the limit {CENSUS_MAX_COST}")
-    F = serialize.biform_from_json(_load_json(args.surface))
+    F = _load_surface(args.surface)
     S = fpcensus.reduce_mod_p(flag.require_surface(F), args.prime)
     census = fpcensus.conic_census(S)
     disjoint = fpcensus.max_disjoint_subset(census, args.prime, limit=args.limit)

@@ -44,20 +44,15 @@ def cross(u, v):
     )
 
 
-def _coerce_triple(coords):
-    out = tuple(map(to_gaussian, coords))
-    if len(out) != 3:
-        raise PreconditionError("a projective point needs exactly 3 coordinates")
-    return out
-
-
 class ProjPoint:
     """A point of P2 over Q(i), stored with first nonzero coordinate 1."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        raw = _coerce_triple(coords)
+        raw = tuple(map(to_gaussian, coords))
+        if len(raw) != 3:
+            raise PreconditionError("a projective point needs exactly 3 coordinates")
         pivot = next((c for c in raw if c), None)
         if pivot is None:
             raise PreconditionError("(0, 0, 0) is not a projective point")
@@ -148,20 +143,18 @@ def j_conic(C: Conic) -> Conic:
     return Conic(C.m.conjugate(), C.q.conjugate())
 
 
-def line_basis(m, pivot: int | None = None):
+def line_basis(m):
     """Two independent points spanning the line {p : p.m = 0}.
 
-    Deterministic chart: with i the first nonzero coordinate of m (or the
-    requested pivot) and j, k the remaining indices in order, the basis is
-    m_i e_j - m_j e_i and m_i e_k - m_k e_i.  The chart degenerates exactly
-    when m_i = 0.  Works over any coefficient ring: the unset entries are
+    The one chart: with i the first nonzero coordinate of m and j, k the
+    remaining indices in order, the basis is m_i e_j - m_j e_i and
+    m_i e_k - m_k e_i.  Every conic has this chart alone, and it never
+    degenerates.  Works over any coefficient ring: the unset entries are
     the int 0.
     """
     if not any(m):
         raise PreconditionError("(0, 0, 0) is not a projective point")
-    i = pivot if pivot is not None else next(idx for idx in range(3) if m[idx])
-    if not m[i]:
-        raise PreconditionError("chart pivot coordinate vanishes")
+    i = next(idx for idx in range(3) if m[idx])
     j, k = [idx for idx in range(3) if idx != i]
     v1 = [0, 0, 0]
     v2 = [0, 0, 0]
@@ -170,11 +163,11 @@ def line_basis(m, pivot: int | None = None):
     return tuple(v1), tuple(v2)
 
 
-def chart_tables(q, m, a: int, b: int, pivot: int | None = None):
+def chart_tables(q, m, a: int, b: int):
     """Power tables, to degrees a and b, of the p- and l-forms of the chart
-    of L_{q,m}: p = s v1 + t v2 with v1, v2 = line_basis(m, pivot), and
-    l = q x p.  The one chart rule, over the ring of q and m."""
-    v1, v2 = line_basis(m, pivot)
+    of L_{q,m}: p = s v1 + t v2 with v1, v2 = line_basis(m), and l = q x p.
+    The one chart rule, over the ring of q and m."""
+    v1, v2 = line_basis(m)
     l1, l2 = cross(q, v1), cross(q, v2)
     p_tables = [power_table((v1[c], v2[c]), a) for c in range(3)]
     l_tables = [power_table((l1[c], l2[c]), b) for c in range(3)]
@@ -187,12 +180,12 @@ def _side(e, tables):
     return reduce(conv, seqs) if seqs else (1,)
 
 
-def monomial_restrictions(keys, bidegree, q, m, pivot: int | None = None) -> dict:
+def monomial_restrictions(keys, bidegree, q, m) -> dict:
     """{(pe, le): the a+b+1 restriction coefficients of p^pe l^le} for the
     keys (pe, le) of bidegree (a, b), along the chart of L_{q,m}.  Each p- and
     l-side monomial is built once and each key takes one conv, over the ring
     of q and m; an empty slot is the int 0."""
-    p_tables, l_tables = chart_tables(q, m, *bidegree, pivot)
+    p_tables, l_tables = chart_tables(q, m, *bidegree)
     p_sides, l_sides, out = {}, {}, {}
     for key in keys:
         pe, le = key
@@ -204,13 +197,13 @@ def monomial_restrictions(keys, bidegree, q, m, pivot: int | None = None) -> dic
     return out
 
 
-def substitute_forms(terms, bidegree, q, m, pivot: int | None = None) -> list:
+def substitute_forms(terms, bidegree, q, m) -> list:
     """The a+b+1 restriction coefficients of the form sum c p^pe l^le
     ({(pe, le): c} = terms, of bidegree (a, b)) along the chart of L_{q,m}.
     Each coefficient meets only its finished monomial; the coefficients, q
     and m may lie in any ring, and an empty slot is the int 0."""
     out = [0] * (sum(bidegree) + 1)
-    monos = monomial_restrictions(terms, bidegree, q, m, pivot).values()
+    monos = monomial_restrictions(terms, bidegree, q, m).values()
     for c, mono in zip(terms.values(), monos):  # both in the order of terms
         for k, x in enumerate(mono):
             if x:

@@ -17,14 +17,14 @@ root of the f_i: the trivial gcd is the positivity certificate.
 
 The ruling is cleared to integers once, and each fiber is handled as the
 integer triple m = f(s, t) at integers (s, t); a rational parameter n/d is
-the homogeneous evaluation f(n, d).  Every containment test restricts the
-integer-cleared surface along one integer chart of a fiber (_on_surface),
-and Q(i) enters only as the ProjPoint that keys and builds each sample.
-Containment of the whole family is certified by sampling: on a fixed chart
-the coefficients of the restriction are polynomials in the parameter of
-explicitly bounded degree, so vanishing at bound + 1 distinct parameters
-proves identical vanishing, and the three charts cover the parameter line
-because the triple is gcd-free.
+the homogeneous evaluation f(n, d).  Q(i) enters only as the ProjPoint that
+keys and builds each sample.  Containment of the whole family is certified
+by sampling: on a fixed chart the restriction's coefficients are polynomials
+in the parameter of bounded degree, so vanishing at bound + 1 distinct
+parameters proves identical vanishing, and the three charts cover the
+parameter line as the triple is gcd-free.  Those windows are what the
+degree argument counts: a fiber's containment does not depend on the chart,
+so each fiber is restricted once, over Z, along its one chart.
 
 For a >= 2 the surface is singular (only (1,1) surfaces are smooth with
 infinitely many twistor fibers): flag.singular_points_on_conic has degree
@@ -187,32 +187,35 @@ def containment_certificate(forms, surface: BiForm) -> dict:
     conic is polynomial in the parameter: p-entries have parameter degree a
     and l-entries 2a, so each coefficient of the restriction has degree at
     most D = a*a + a*2a.  Vanishing at D + 1 distinct integer parameters
-    (skipping the finitely many where the chart degenerates) therefore
-    proves identical vanishing; the charts with f_i not identically zero
-    cover the parameter line because the triple is gcd-free.
+    (skipping those where f_i vanishes) proves identical vanishing; the
+    charts with f_i not identically zero cover the parameter line, as the
+    triple is gcd-free.  These windows are what the argument counts.  A
+    fiber's containment does not depend on the chart, nor on clearing
+    denominators (a nonzero scale), so each integer triple m is restricted
+    once, along its one chart over Z, for the windows and probes alike.
     """
     f, _ = _integer_ruling(forms)
     a, b = surface.bidegree
     bound = a * forms[0].degree + b * 2 * forms[0].degree
     int_terms = _integer_terms(surface)
+
+    @cache
+    def on_surface(m) -> bool:  # whether the fiber L_{m, m} lies on the surface
+        return not any(substitute_forms(int_terms, (a, b), m, m))
+
     charts = []
     for i in range(3):
         if not any(f[i]):
             continue
-        count = 0
-        k = 0
+        count = k = 0
         while count <= bound:
             m = _at(f, k, 1)
             k += 1
             if not m[i]:
                 continue
-            if not _on_surface(int_terms, (a, b), m, pivot=i):
-                return {
-                    "passed": False,
-                    "degree_bound": bound,
-                    "failed_chart": i,
-                    "failed_parameter": k - 1,
-                }
+            if not on_surface(m):
+                return {"passed": False, "degree_bound": bound, "failed_chart": i,
+                        "failed_parameter": k - 1}
             count += 1
         charts.append({"pivot_index": i, "samples": count, "degree_bound": bound})
     rng = SplitMix64(DEFAULT_RULED_SEED ^ 0xC0FFEE)
@@ -220,7 +223,7 @@ def containment_certificate(forms, surface: BiForm) -> dict:
     for _ in range(5):
         n, d = rng.int_in(-500, 500), rng.int_in(1, 60)
         t = str(Fraction(n, d))
-        if not _on_surface(int_terms, (a, b), _at(f, n, d)):
+        if not on_surface(_at(f, n, d)):
             return {"passed": False, "degree_bound": bound, "failed_probe": t}
         probes.append(t)
     return {"passed": True, "degree_bound": bound, "charts": charts, "probe_parameters": probes}
@@ -233,17 +236,6 @@ def _integer_terms(surface: BiForm) -> dict:
         raise PreconditionError("the integer chart needs real coefficients")
     den = lcm(*(c.re.denominator for c in values))
     return {k: int(c.re * den) for k, c in surface.terms.items()}
-
-
-def _on_surface(int_terms, bidegree, m, pivot=None) -> bool:
-    """Whether the surface with integer terms int_terms contains the
-    twistor fiber L_{m, m} over the integer triple m.
-
-    Clearing denominators scales m and the restriction by nonzero
-    constants, so the answer over Z is the answer over Q; any chart with
-    m[pivot] != 0 parametrizes the whole conic, so every one agrees.
-    """
-    return not any(substitute_forms(int_terms, bidegree, m, m, pivot))
 
 
 def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:

@@ -15,6 +15,7 @@ from flagcalc.cli import (
     CENSUS_MAX_LIMIT,
     RULED_MAX_DEGREE,
     RULED_MAX_SAMPLES,
+    SURFACE_MAX_DEGREE,
     SYSTEM_MAX_CELLS,
     main,
 )
@@ -441,15 +442,55 @@ def test_cell_limit_admits_the_paper_sized_systems():
     assert 49 * 9 * h0_flag(4, 4) == 441 * 125 <= SYSTEM_MAX_CELLS  # the 49-fiber (4,4) probe
 
 
+def _one_term_surface(path, a, b):
+    path.write_text(json.dumps({"bidegree": [a, b], "terms": [
+        {"p": [a, 0, 0], "l": [0, b - b // 2, b // 2], "c": "1"}]}))
+    return str(path)
+
+
+def test_surface_readers_refuse_a_degree_over_the_cap(capsys, tmp_path):
+    # read right after the surface is parsed, before the conic is read or
+    # the surface reduced; a census at p = 3 costs up to 12 C(a+b+2, 2)^2
+    # products, about 2 s at the cap
+    conic = tmp_path / "conic.json"
+    conic.write_text(json.dumps({"q": ["3", "-5", "7"], "m": ["2", "1", "-3"]}))
+    for a, b, cost in ((4000, 0, 2 * (4000 / 64) ** 4), (0, 65, 2 * (65 / 64) ** 4),
+                       (10**7, 10**7, 2 * (10**6 / 64) ** 4)):
+        surface = _one_term_surface(tmp_path / "s.json", a, b)
+        message = (f"a surface with a + b = {a + b} costs up to about {cost:.3g} s "
+                   f"(census at p = 3), over the cap a + b <= {SURFACE_MAX_DEGREE}")
+        argv = ("check-conic", "--surface", surface, "--conic", "missing.json")
+        assert _refused(capsys, *argv) == message
+        assert _refused(capsys, "census", "--surface", surface, "--prime", "3") == message
+    for a, b in ((64, 0), (0, 64), (32, 32)):
+        surface = _one_term_surface(tmp_path / "s.json", a, b)
+        code, doc = run(capsys, "check-conic", "--surface", surface, "--conic", str(conic))
+        assert code == 0 and doc["contained"] is False
+
+
+def test_surface_cap_admits_what_mk_surface_and_mk_ruled_emit():
+    # mk-ruled emits (a, a) up to its degree cap; a system costs at least
+    # h0(a,b)^2 cells, so mk-surface emits a + b = 57 at most, at (57, 0)
+    assert 2 * RULED_MAX_DEGREE <= SURFACE_MAX_DEGREE
+    widest = max((a + b, a) for a in range(80) for b in range(80)
+                 if h0_flag(a, b) ** 2 <= SYSTEM_MAX_CELLS)
+    assert widest == (57, 57) and widest[0] <= SURFACE_MAX_DEGREE
+
+
 def test_mk_ruled_and_interpolation_refusals_exit_quickly_in_a_fresh_interpreter(tmp_path):
     forms = tmp_path / "d11.json"
     forms.write_text(json.dumps({"forms": [[1] + [0] * 11, [0] * 11 + [1], [1] * 12]}))
+    surface = _one_term_surface(tmp_path / "a4000.json", 4000, 0)
+    conic = tmp_path / "conic.json"
+    conic.write_text(json.dumps({"q": ["3", "-5", "7"], "m": ["2", "1", "-3"]}))
     for argv in (
         ("mk-ruled", "--forms", "missing.json", "--samples", "10001"),
         ("mk-ruled", "--forms", str(forms)),
         ("dim-report", "--a", "9", "--b", "9", "--x", "60", "--trials", "3"),
         ("mk-surface", "--a", "10", "--b", "10", "--random", "120"),
         ("dim-report", "--a", "300", "--b", "300", "--x", "0"),
+        ("check-conic", "--surface", surface, "--conic", str(conic)),
+        ("census", "--surface", surface, "--prime", "3"),
     ):
         t0 = time.perf_counter()
         _fresh_run("-m", "flagcalc.cli", *argv, code=3)

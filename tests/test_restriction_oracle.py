@@ -13,7 +13,9 @@ along a conic are pinned to the same minors along the Q(i) FlagCurve of
 tests/oracles.py.
 """
 
+import glob
 import json
+import os
 from fractions import Fraction
 from math import lcm
 
@@ -23,7 +25,7 @@ from flagcalc.binforms import BinaryForm, bf_gcd
 from flagcalc.biforms import BiForm, incidence_form, monomials, quotient_monomials
 from flagcalc.cli import main
 from flagcalc.errors import PreconditionError
-from flagcalc.flag import restrict_to_conic, singular_points_on_conic
+from flagcalc.flag import Conic, restrict_to_conic, singular_points_on_conic
 from flagcalc.fpcensus import conic_census, proj_points, reduce_mod_p
 from flagcalc.gaussian import ZERO, GaussianRational as GR
 from flagcalc.linsys import (
@@ -39,7 +41,7 @@ from flagcalc.ruled import (
     twistor_ruled_surface,
 )
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
-from flagcalc.serialize import biform_to_json
+from flagcalc.serialize import biform_to_json, forms_from_json
 
 from oracles import (
     _fiber_at,
@@ -51,6 +53,7 @@ from oracles import (
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
+FORMS_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "forms")
 
 
 # Reference: restriction over Q(i) by BinaryForm products.
@@ -342,7 +345,13 @@ def test_census_matches_reference_dense_nonreal(dense22, p):
 
 
 def test_certificate_matches_reference(spec2, spec3):
-    for forms, spec in ((VERONESE, spec2), (CUBIC, spec3)):
+    catalog = []
+    for path in sorted(glob.glob(os.path.join(FORMS_DIR, "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            forms = forms_from_json(json.load(fh))
+        catalog.append((forms, twistor_ruled_surface(forms)))
+    assert len(catalog) == 13
+    for forms, spec in [(VERONESE, spec2), (CUBIC, spec3), *catalog]:
         cert = containment_certificate(forms, spec.surface)
         assert cert["passed"]
         assert cert == _ref_certificate(forms, spec.surface)
@@ -351,6 +360,32 @@ def test_certificate_matches_reference(spec2, spec3):
     cert = containment_certificate(other, spec2.surface)
     assert not cert["passed"]
     assert cert == _ref_certificate(other, spec2.surface)
+
+
+def test_containment_does_not_depend_on_the_chart():
+    # the library restricts along the first nonzero coordinate of m; every
+    # reference chart with m_i != 0 agrees on whether the restriction
+    # vanishes, on surfaces through the conic (a multiple of p.m or of q.l)
+    # and on random ones
+    rng = SplitMix64(79)
+    units = [tuple(int(u == v) for v in range(3)) for u in range(3)]
+    vanished = kept = 0
+    for a, b in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
+        conics = random_smooth_conics(rng, 3, height=6)
+        q0 = conics[0].q.coords
+        conics += [Conic(q0, (0, GR(1), GR(2, -1))), Conic(q0, (0, 0, 1))]
+        for C in conics:
+            q, m = C.q.coords, C.m.coords
+            pm = BiForm((1, 0), {(units[i], (0, 0, 0)): m[i] for i in range(3) if m[i]})
+            ql = BiForm((0, 1), {((0, 0, 0), units[i]): q[i] for i in range(3) if q[i]})
+            on = (_random_biform(rng, a - 1, b, 60) * pm, _random_biform(rng, a, b - 1, 60) * ql)
+            for F in (*on, _random_biform(rng, a, b, 60)):
+                zero = restrict_to_conic(F, C).is_zero()
+                for i in (i for i in range(3) if m[i]):
+                    assert substitute_curve_forms(F, *_ref_chart_forms(q, m, i)).is_zero() == zero
+                vanished += zero
+                kept += not zero
+    assert (vanished, kept) == (50, 25)
 
 
 def test_restrict_to_conic_matches_reference_on_edge_inputs():

@@ -16,6 +16,7 @@ from flagcalc.flag import (
     is_j_invariant,
     j_pullback,
     singular_points_on_conic,
+    substitute_forms,
     twistor_fiber_of,
 )
 from flagcalc.gaussian import GaussianRational as GR
@@ -323,6 +324,23 @@ def test_surface_nonzero_off_sampled_fibers(spec2):
 def _catalog_spec(name):
     with open(os.path.join(FORMS_DIR, f"{name}.json"), encoding="utf-8") as fh:
         return twistor_ruled_surface(forms_from_json(json.load(fh)))
+
+
+@pytest.mark.parametrize("name, fibers", [
+    ("d2_02", 19), ("d3_00", 34), ("d3_01", 34), ("d4_00", 55)])
+def test_certificate_restricts_each_fiber_once(monkeypatch, name, fibers):
+    # a fiber's containment does not depend on the chart, so the chart
+    # windows and the probes share one restriction per integer triple
+    spec = _catalog_spec(name)
+    calls = []
+
+    def spy(terms, bidegree, q, m, *rest):
+        calls.append(m)
+        return substitute_forms(terms, bidegree, q, m, *rest)
+
+    monkeypatch.setattr(ruled, "substitute_forms", spy)
+    assert containment_certificate(spec.forms, spec.surface) == spec.certificate
+    assert len(calls) == len(set(calls)) == fibers
 
 
 @pytest.mark.parametrize("name", ["d2_00", "d3_00"])
