@@ -187,14 +187,3 @@ def bf_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     s_mult = min(f.degree - ef, g.degree - eg)
     u = _pgcd(uf[: ef + 1], ug[: eg + 1])
     return BinaryForm(u + [ZERO] * s_mult).normalized()
-
-
-def triple_gcd(forms) -> BinaryForm:
-    """gcd of the nonzero members of a form triple."""
-    nz = [f for f in forms if not f.is_zero()]
-    if not nz:
-        raise PreconditionError("gcd of an identically zero triple")
-    g = nz[0]
-    for f in nz[1:]:
-        g = bf_gcd(g, f)
-    return g.normalized()

@@ -58,6 +58,9 @@ def _load_json(path):
         raise SchemaError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # int() refuses a JSON number over its digit limit
+        raise SchemaError(f"{path}: a JSON number has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def _refuse_large_system(a, b, x, trials=1):

@@ -223,8 +223,6 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
     if not C.is_smooth:
         raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
     a, b = F.bidegree
-    if F.is_zero():
-        return zero_form(a + b)
     (coeffs,), k = clear_rows([list(F.terms.values())])
     (q,), lam = clear_rows([C.q.coords])
     (m,), mu = clear_rows([C.m.coords])

@@ -26,6 +26,7 @@ from . import modp
 from .biforms import BiForm, monomials
 from .errors import PreconditionError
 from .flag import cross, dot, substitute_forms
+from .linalg import clear_rows
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -42,23 +43,26 @@ class FpSurface(NamedTuple):
 def reduce_mod_p(F: BiForm, p: int) -> FpSurface:
     """Coefficientwise reduction of F mod p.
 
-    Denominators must be units mod p; nonreal coefficients additionally
-    need p = 1 (mod 4), in which case i maps to the smallest positive
-    square root of -1 (modp.sqrt_minus_one).
+    linalg.clear_rows scales the coefficients by the lcm d of their
+    denominators to Gaussian integers x + yi, and each maps to
+    (x + i y) / d mod p.  Denominators must be units mod p; nonreal
+    coefficients additionally need p = 1 (mod 4), in which case i maps to
+    the smallest positive square root of -1 (modp.sqrt_minus_one).
     """
     if not modp.is_odd_prime(p):
         raise PreconditionError(f"{p} is not an odd prime")
-    has_imag = any(not c.is_real() for c in F.terms.values())
+    (row,), d = clear_rows([list(F.terms.values())])
     i_img = modp.sqrt_minus_one(p) if p % 4 == 1 else None
-    if has_imag and i_img is None:
+    if i_img is None and any(y for _, y in row):
         raise PreconditionError("nonreal coefficients need p = 1 (mod 4)")
+    if d % p == 0:
+        den = next(n for c in F.terms.values() for n in (c.re.denominator, c.im.denominator)
+                   if n % p == 0)
+        raise PreconditionError(f"denominator {den} is divisible by {p}")
+    inv = pow(int(d), -1, p)
     terms = {}
-    for key, c in F.terms.items():
-        v = modp.gaussian_mod_p(c, p, i_img or 0)
-        if v is None:
-            den = next(d for d in (c.re.denominator, c.im.denominator) if d % p == 0)
-            raise PreconditionError(f"denominator {den} is divisible by {p}")
-        if v:
+    for key, (x, y) in zip(F.terms, row):
+        if v := (x + (i_img or 0) * y) * inv % p:
             terms[key] = v
     if not terms:
         raise PreconditionError(f"the surface reduces to zero mod {p}")

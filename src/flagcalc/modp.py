@@ -1,8 +1,10 @@
 """Arithmetic in the prime fields F_p, the one module that knows them.
 
 PRIME = 2^61 - 31 is 1 (mod 4).  Sending i to a square root of -1 mod p
-maps every Gaussian rational whose denominators p does not divide into F_p;
-the map is a ring homomorphism, so a rank mod p never exceeds the exact one.
+maps Z[i] onto F_p (reduce_rows, on Gaussian-integer rows); the map is a
+ring homomorphism, so a rank mod p never exceeds the exact one.  Nothing
+here reads a Gaussian rational: Q(i) data is cleared to Z[i] by
+linalg.clear_rows first.
 
 Row elimination (echelon, then back_reduce) works on packed rows: a row
 of F_p entries is one int with a fixed-width slot per column, so
@@ -36,18 +38,6 @@ def sqrt_minus_one(p: int) -> int:
 
 PRIME = 2305843009213693921  # 2^61 - 31
 I_MOD = sqrt_minus_one(PRIME)
-
-
-def gaussian_mod_p(z, p: int, i_img: int) -> int | None:
-    """The image of z in F_p, i sent to i_img; None when p divides a denominator."""
-    v = 0
-    for part, unit in ((z.re, 1), (z.im, i_img)):
-        if part:
-            den = part.denominator
-            if den % p == 0:
-                return None
-            v += unit * part.numerator * pow(den, -1, p)
-    return v % p
 
 
 def reduce_rows(rows: list[list[tuple[int, int]]], i_img: int) -> list[list[int]]:

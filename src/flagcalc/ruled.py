@@ -15,16 +15,18 @@ contains infinitely many of them; the affine parameter k maps to
 vanishes there, because a real parameter where it did would be a common
 root of the f_i: the trivial gcd is the positivity certificate.
 
-The ruling is cleared to integers once, and each fiber is handled as the
-integer triple m = f(s, t) at integers (s, t); a rational parameter n/d is
-the homogeneous evaluation f(n, d).  Q(i) enters only as the ProjPoint that
-keys and builds each sample.  Containment of the whole family is certified
-by sampling: on a fixed chart the restriction's coefficients are polynomials
-in the parameter of bounded degree, so vanishing at bound + 1 distinct
-parameters proves identical vanishing, and the three charts cover the
-parameter line as the triple is gcd-free.  Those windows are what the
-degree argument counts: a fiber's containment does not depend on the chart,
-so each fiber is restricted once, over Z, along its one chart.
+The ruling is cleared to integers once, by linalg.clear_rows, and the spec
+carries it: the positivity and birationality gcds, the resultant, the
+certificate and the samples all read that integer ruling.  Each fiber is
+handled as the integer triple m = f(s, t) at integers (s, t); a rational
+parameter n/d is the homogeneous evaluation f(n, d).  Containment of the
+whole family is certified by sampling: on a fixed chart the restriction's
+coefficients are polynomials in the parameter of bounded degree, so
+vanishing at bound + 1 distinct parameters proves identical vanishing, and
+the three charts cover the parameter line as the triple is gcd-free.  Those
+windows are what the degree argument counts: a fiber's containment does not
+depend on the chart, so each fiber is restricted once, over Z, along its
+one chart.
 
 For a >= 2 the surface is singular (only (1,1) surfaces are smooth with
 infinitely many twistor fibers): flag.singular_points_on_conic has degree
@@ -35,13 +37,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import lcm
 from typing import NamedTuple
 
-from .binforms import BinaryForm, bf_gcd, triple_gcd
+from .binforms import BinaryForm, bf_gcd
 from .biforms import BiForm, mul_terms
 from .errors import PreconditionError
 from .flag import Conic, ProjPoint, substitute_forms, twistor_fiber_of
+from .linalg import clear_rows
 from .sampling import SplitMix64
 
 DEFAULT_RULED_SEED = 0x52D
@@ -51,6 +53,7 @@ class RuledSurfaceSpec(NamedTuple):
     """A constructed ruled surface together with its verification data."""
 
     forms: tuple[BinaryForm, BinaryForm, BinaryForm]
+    ruling: list  # the coefficient rows of the forms cleared to integers
     degree: int
     surface: BiForm
     witness_params: list  # integer parameters (s, t) of fibers the certificate proves
@@ -74,7 +77,7 @@ def twistor_ruled_surface(forms) -> RuledSurfaceSpec:
     if a < 2:
         raise PreconditionError("the construction needs degree a >= 2")
     f, den = _integer_ruling(forms)
-    _positivity_certificate(forms)
+    _positivity_certificate(f)
     _check_birational(f)
 
     surface = _parameter_resultant(f, den)
@@ -82,19 +85,20 @@ def twistor_ruled_surface(forms) -> RuledSurfaceSpec:
         raise PreconditionError("the parameter resultant vanishes identically")
 
     witness_params = [(k, 1) for k in range(a + 2)] + [(1, 0)]
-    certificate = containment_certificate(forms, surface)
+    certificate = containment_certificate(f, surface)
     if not certificate["passed"]:
         raise PreconditionError("containment certificate failed")
-    return RuledSurfaceSpec(forms, a, surface, witness_params, certificate)
+    return RuledSurfaceSpec(forms, f, a, surface, witness_params, certificate)
 
 
 def _integer_ruling(forms):
     """The ruling cleared to integers: the coefficient rows of den * f, for
     the lcm den of the denominators of the real forms f, and den."""
-    if any(not c.is_real() for g in forms for c in g.coeffs):
+    (row,), den = clear_rows([[c for g in forms for c in g.coeffs]])
+    if any(im for _, im in row):
         raise PreconditionError("the forms must have real coefficients")
-    den = lcm(*(c.re.denominator for g in forms for c in g.coeffs))
-    return [[int(c.re * den) for c in g.coeffs] for g in forms], den
+    n = len(forms[0].coeffs)
+    return [[re for re, _ in row[k : k + n]] for k in range(0, len(row), n)], int(den)
 
 
 def _at(f, s, t) -> tuple:
@@ -168,20 +172,24 @@ def _check_birational(f):
                             "(three sampled image points each have several preimages)")
 
 
-def _positivity_certificate(forms):
+def _positivity_certificate(f):
     """Certify f(s,t).f(s,t) > 0 on the whole real parameter circle for the
-    real forms f.
+    integer ruling f.
 
     A sum of real squares vanishes only where every f_i does, and a common
     real root (s0, t0), infinity included, is a common linear factor
     t0 s - s0 t; so a trivial gcd is the certificate.
     """
-    if triple_gcd(forms).degree > 0:
+    nonzero = [BinaryForm(row) for row in f if any(row)]
+    if not nonzero:
+        raise PreconditionError("gcd of an identically zero triple")
+    if reduce(bf_gcd, nonzero).degree > 0:
         raise PreconditionError("the forms share a common factor")
 
 
-def containment_certificate(forms, surface: BiForm) -> dict:
-    """Prove that every conic L_{f(t), f(t)} lies on the surface.
+def containment_certificate(f, surface: BiForm) -> dict:
+    """Prove that every conic L_{f(t), f(t)} of the integer ruling f lies on
+    the surface.
 
     On the chart with pivot coordinate i, the parametrization of the swept
     conic is polynomial in the parameter: p-entries have parameter degree a
@@ -194,10 +202,12 @@ def containment_certificate(forms, surface: BiForm) -> dict:
     denominators (a nonzero scale), so each integer triple m is restricted
     once, along its one chart over Z, for the windows and probes alike.
     """
-    f, _ = _integer_ruling(forms)
     a, b = surface.bidegree
-    bound = a * forms[0].degree + b * 2 * forms[0].degree
-    int_terms = _integer_terms(surface)
+    bound = (a + 2 * b) * (len(f[0]) - 1)
+    (row,), _ = clear_rows([list(surface.terms.values())])
+    if any(im for _, im in row):
+        raise PreconditionError("the integer chart needs real coefficients")
+    int_terms = {k: re for k, (re, _) in zip(surface.terms, row)}
 
     @cache
     def on_surface(m) -> bool:  # whether the fiber L_{m, m} lies on the surface
@@ -229,15 +239,6 @@ def containment_certificate(forms, surface: BiForm) -> dict:
     return {"passed": True, "degree_bound": bound, "charts": charts, "probe_parameters": probes}
 
 
-def _integer_terms(surface: BiForm) -> dict:
-    """The terms of a real surface times the lcm of their denominators."""
-    values = surface.terms.values()
-    if any(not c.is_real() for c in values):
-        raise PreconditionError("the integer chart needs real coefficients")
-    den = lcm(*(c.re.denominator for c in values))
-    return {k: int(c.re * den) for k, c in surface.terms.items()}
-
-
 def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
     """n pairwise disjoint twistor fibers of the ruling at rational
     parameters on the real circle (affine integers, then infinity), each
@@ -247,7 +248,7 @@ def twistor_circle_samples(spec: RuledSurfaceSpec, n: int) -> list[Conic]:
     containment certificate already proves each fiber lies on the surface."""
     if n < 1:
         raise PreconditionError("need n >= 1 samples")
-    f, _ = _integer_ruling(spec.forms)
+    f = spec.ruling
     points: dict[ProjPoint, None] = {}  # in the order taken; f(s, t) != 0 as f is gcd-free
     k = 0
     while len(points) < n - 1:

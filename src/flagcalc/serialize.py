@@ -1,7 +1,10 @@
 """Stable JSON encoding of the exact types.
 
 Scalars are {"re": "num/den", "im": "num/den"} with decimal-string
-integers, so arbitrary precision survives any JSON parser.  Biform terms
+integers, so arbitrary precision survives any JSON parser.  A scalar
+string is read only as "num" or "num/den": ASCII digits, the numerator
+optionally signed; Fraction's exponent, decimal-point, underscore and
+whitespace forms are refused.  Biform terms
 are sorted in the fixed descending-lex monomial order and projective data
 is emitted in canonical form, which makes the output diff-stable and makes
 round trips exact.
@@ -9,6 +12,7 @@ round trips exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .binforms import BinaryForm
@@ -28,7 +32,12 @@ def _integer(x) -> int:
     return int(x)
 
 
+_FRAC = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_frac(s) -> Fraction:
+    if isinstance(s, str) and not _FRAC.fullmatch(s):
+        raise SchemaError(f"not a rational number: {s!r}")
     try:
         return Fraction(s if isinstance(s, str) else _integer(s))
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -7,9 +7,11 @@ chart, exact rank against the certified mod-p rank, one entry at a time
 against the packed rows of the mod-p echelon,
 exact division against the gcd, solving the five linear conditions against
 the disjointness criterion, the Binet-Cauchy expansion against the mod-p
-meet test's cross products, the greedy loop against the first leaf of the
-max-disjoint search, point evaluation against the h0 formula, one
-restriction per pair against the census's one expansion per surface, the
+meet test's cross products, Fraction pieces inverted one by one against
+the census reduction through the cleared lcm, the greedy loop against the
+first leaf of the max-disjoint search, point evaluation against the h0
+formula, one restriction per pair against the census's one expansion per
+surface, the
 2a x 2a Sylvester determinant against the a x a Bezout determinant of a
 ruling, Q(i) back-substitution against the fraction-free kernel, ruling
 fibers over Q(i) against the integer triples of the ruling, the pair loop
@@ -18,6 +20,7 @@ ceiling).  The seeded samplers below them are used by tests only.
 """
 
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 from flagcalc import linalg, modp
@@ -26,9 +29,9 @@ from flagcalc.binforms import (
     BinaryForm,
     _pdeg,
     _pdivmod,
+    bf_gcd,
     conv,
     power_table,
-    triple_gcd,
     zero_form,
 )
 from flagcalc.biforms import BiForm, monomials
@@ -196,7 +199,7 @@ def curve_bidegree(curve: FlagCurve):
 
 
 def _pairing_degree(forms) -> int:
-    return forms[0].degree - triple_gcd(forms).degree
+    return forms[0].degree - reduce(bf_gcd, [f for f in forms if not f.is_zero()]).degree
 
 
 # Exact rank and determinant by fraction-free Bareiss.
@@ -528,11 +531,21 @@ def evaluation_rank_oracle(a: int, b: int, seed: int = 0xE7A1, extra: int = 5) -
     )
 
 
+def gaussian_mod_p(z, p: int, i: int):
+    """The image of z in F_p with i sent to i, from the Fraction pieces of
+    z inverted one by one; None when p divides a denominator."""
+    if z.re.denominator % p == 0 or z.im.denominator % p == 0:
+        return None
+    re = z.re.numerator * pow(z.re.denominator, -1, p)
+    im = z.im.numerator * pow(z.im.denominator, -1, p)
+    return (re + i * im) % p
+
+
 def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
     """The values mod p of the monomials at fp; a zero row, which can only
     lower the rank, when p divides a coordinate denominator."""
     p = modp.PRIME
-    xs = [modp.gaussian_mod_p(z, p, modp.I_MOD) for z in fp.p.coords + fp.l.coords]
+    xs = [gaussian_mod_p(z, p, modp.I_MOD) for z in fp.p.coords + fp.l.coords]
     if None in xs:
         return [0] * len(cols)
     pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]

@@ -291,6 +291,26 @@ def test_repeated_json_key_usage_exit(capsys, tmp_path, reader, key, text):
     assert (code, doc) == (2, {"code": "usage", "message": f'{bad}: repeated key "{key}"'})
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-conic", "--surface", "{bad}", "--conic", "{bad}"),
+    ("mk-surface", "--a", "1", "--b", "1", "--conics", "{bad}"),
+    ("mk-ruled", "--forms", "{bad}"),
+], ids=["check-conic", "mk-surface", "mk-ruled"])
+def test_json_number_over_the_digit_limit_usage_exit(capsys, tmp_path, argv):
+    # json.load raises a bare ValueError for such a number; it is malformed input
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"forms": [[1, 0, 0], [0, 1, 0], [0, 0, ' + "9" * 5000 + "]]}")
+    code, doc = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert code == 2 and doc["code"] == "usage"
+    assert doc["message"].startswith(f"{bad}: a JSON number has more than ")
+
+
+def test_zero_ruling_is_a_precondition_exit(capsys, tmp_path):
+    forms = _write(tmp_path / "zero.json", {"forms": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]})
+    code, doc = run(capsys, "mk-ruled", "--forms", forms)
+    assert (code, doc["code"]) == (3, "precondition")
+
+
 @pytest.mark.parametrize("surface", [
     {"bidegree": [1, 1], "terms": INCIDENCE_TERMS},  # p.l vanishes on the whole flag
     {"bidegree": [2, 1], "terms": [  # p0 (p.l)

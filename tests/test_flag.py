@@ -171,6 +171,12 @@ def test_restrict_examples():
     assert restrict_to_conic(p1l1, C).degree == 2
 
 
+@pytest.mark.parametrize("bidegree", [(0, 0), (1, 2), (3, 3)])
+def test_restrict_zero_form(bidegree):
+    C = Conic((1, GR(1, 2), 3), (GR(0, 1), 1, GR(1, 3)))
+    assert restrict_to_conic(BiForm(bidegree), C) == BinaryForm([0] * (sum(bidegree) + 1))
+
+
 def test_contains_examples():
     C = Conic((1, 0, 0), (1, 0, 0))
     skew = BiForm.monomial((1, 0, 0), (0, 1, 0)) - BiForm.monomial((0, 1, 0), (1, 0, 0))

@@ -25,6 +25,7 @@ from flagcalc.ruled import twistor_ruled_surface
 from census_oracle import census_by_points
 from oracles import (
     binet_cauchy_meet_fp,
+    gaussian_mod_p,
     greedy_disjoint_size,
     pairwise_scan_pairs,
     reference_scan_pairs,
@@ -71,6 +72,37 @@ def test_reduce_errors():
         reduce_mod_p(incidence_form(), 9)
     with pytest.raises(PreconditionError):
         reduce_mod_p(BiForm.monomial((1, 0, 0), (1, 0, 0), GR(7)), 7)
+
+
+def test_reduce_mod_p_images_and_refusals():
+    p, i = 13, sqrt_minus_one(13)
+    keys = monomials(1, 1)
+    z = GR(Fraction(3, 7), Fraction(-5, 11))
+    F = BiForm((1, 1), {keys[0]: z, keys[1]: GR(0, 1), keys[2]: GR(Fraction(2 * p, 3), p)})
+    # the third coefficient is 0 mod p and is dropped
+    assert reduce_mod_p(F, p).terms == {keys[0]: gaussian_mod_p(z, p, i), keys[1]: i}
+    for c, den in [(GR(Fraction(1, p)), p), (GR(1, Fraction(2, 3 * p)), 3 * p)]:
+        G = BiForm((1, 1), {keys[0]: GR(1), keys[1]: c})
+        with pytest.raises(PreconditionError, match=f"denominator {den} is divisible by {p}"):
+            reduce_mod_p(G, p)
+
+
+@pytest.mark.parametrize("p", [5, 13, 29])
+def test_reduce_mod_p_matches_fraction_pieces(p):
+    # seeded Q(i) surfaces with denominators prime to p, some parts 0 mod p
+    rng = random.Random(p)
+    i = sqrt_minus_one(p)
+
+    def part():
+        return Fraction(rng.choice([0, p, rng.randint(-3 * p, 3 * p)]),
+                        rng.choice([d for d in range(1, 40) if d % p]))
+
+    for a, b in [(1, 1), (2, 1), (2, 3)]:
+        keys = monomials(a, b)
+        F = BiForm((a, b), {k: GR(part(), part()) for k in rng.sample(keys, min(len(keys), 12))})
+        want = {k: v for k, c in F.terms.items() if (v := gaussian_mod_p(c, p, i))}
+        assert want
+        assert reduce_mod_p(F, p).terms == want
 
 
 def test_reduction_commutes_with_evaluation(ruled2):

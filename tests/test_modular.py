@@ -33,7 +33,7 @@ from flagcalc.ruled import twistor_circle_samples, twistor_ruled_surface
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
 from flagcalc.serialize import biform_to_json
 
-from oracles import evaluation_rank_oracle, rank_int
+from oracles import evaluation_rank_oracle, gaussian_mod_p, rank_int
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
@@ -67,18 +67,12 @@ def _family_json(a, b, conics):
     return json.dumps([biform_to_json(F) for F in surface_family(a, b, conics).basis])
 
 
-def _reduce(z, p, i):
-    # independent of modp.gaussian_mod_p: Fraction pieces, inverted one by one
-    re = z.re.numerator * pow(z.re.denominator, -1, p)
-    im = z.im.numerator * pow(z.im.denominator, -1, p)
-    return (re + i * im) % p
-
-
 def _rows_mod_p(a, b, conics, conjugate=False):
     # the image of the condition rows with i sent to I_MOD, or to -I_MOD
     p, i = modp.PRIME, modp.I_MOD
     i = p - i if conjugate else i
-    return [[_reduce(GR(*z), p, i) for z in row] for row in condition_matrix(a, b, conics).rows]
+    rows = condition_matrix(a, b, conics).rows
+    return [[gaussian_mod_p(GR(*z), p, i) for z in row] for row in rows]
 
 
 def _is_prime(n):
@@ -148,16 +142,6 @@ def test_prime_constants():
     assert not _is_prime(p + 2) and not _is_prime(561)  # a Carmichael number
     assert p % 4 == 1
     assert (i * i + 1) % p == 0
-
-
-def test_gaussian_mod_p():
-    p, i = modp.PRIME, modp.I_MOD
-    z = GR(Fraction(3, 7), Fraction(-5, 11))
-    assert modp.gaussian_mod_p(z, p, i) == _reduce(z, p, i)
-    assert modp.gaussian_mod_p(GR(0), p, i) == 0
-    assert modp.gaussian_mod_p(GR(0, 1), p, i) == i
-    assert modp.gaussian_mod_p(GR(Fraction(1, p)), p, i) is None
-    assert modp.gaussian_mod_p(GR(1, Fraction(2, 3 * p)), p, i) is None
 
 
 def test_echelon_mod_p_matches_bareiss_rank():

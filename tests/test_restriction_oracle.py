@@ -36,6 +36,7 @@ from flagcalc.linsys import (
 )
 from flagcalc.ruled import (
     DEFAULT_RULED_SEED,
+    _integer_ruling,
     containment_certificate,
     twistor_circle_samples,
     twistor_ruled_surface,
@@ -352,12 +353,12 @@ def test_certificate_matches_reference(spec2, spec3):
         catalog.append((forms, twistor_ruled_surface(forms)))
     assert len(catalog) == 13
     for forms, spec in [(VERONESE, spec2), (CUBIC, spec3), *catalog]:
-        cert = containment_certificate(forms, spec.surface)
+        cert = containment_certificate(spec.ruling, spec.surface)
         assert cert["passed"]
         assert cert == _ref_certificate(forms, spec.surface)
     # a surface that misses the ruling fails at the same chart and parameter
     other = (BinaryForm([1, 0, 1]), BinaryForm([0, 1, 0]), BinaryForm([1, 0, 0]))
-    cert = containment_certificate(other, spec2.surface)
+    cert = containment_certificate(_integer_ruling(other)[0], spec2.surface)
     assert not cert["passed"]
     assert cert == _ref_certificate(other, spec2.surface)
 

@@ -220,15 +220,24 @@ def test_nonreal_coefficients_rejected():
 
 
 def test_nonreal_forms_rejected_by_certificate(spec2):
-    # the surface holds the ruling of the real parts, not this one
-    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
-        containment_certificate(NONREAL, spec2.surface)
+    # i times the surface cuts out the same surface, but the certificate
+    # restricts over Z and refuses a nonreal coefficient
+    with pytest.raises(PreconditionError, match="the integer chart needs real coefficients"):
+        containment_certificate(spec2.ruling, spec2.surface.scale(GR(0, 1)))
 
 
-def test_nonreal_forms_rejected_by_samplers(spec2):
-    nonreal = spec2._replace(forms=NONREAL)
-    with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
-        twistor_circle_samples(nonreal, 3)
+def test_ruling_is_cleared_once(monkeypatch):
+    calls = []
+
+    def spy(forms):
+        calls.append(forms)
+        return _integer_ruling(forms)
+
+    monkeypatch.setattr(ruled, "_integer_ruling", spy)
+    spec = twistor_ruled_surface(tuple(f.scale(Fraction(1, 6)) for f in CUBIC))
+    twistor_circle_samples(spec, 9)
+    assert len(calls) == 1
+    assert spec.ruling == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
 
 
 def test_degree_one_rejected():
@@ -339,7 +348,7 @@ def test_certificate_restricts_each_fiber_once(monkeypatch, name, fibers):
         return substitute_forms(terms, bidegree, q, m, *rest)
 
     monkeypatch.setattr(ruled, "substitute_forms", spy)
-    assert containment_certificate(spec.forms, spec.surface) == spec.certificate
+    assert containment_certificate(spec.ruling, spec.surface) == spec.certificate
     assert len(calls) == len(set(calls)) == fibers
 
 

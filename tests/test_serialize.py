@@ -31,10 +31,23 @@ def test_scalar_round_trip():
 def test_scalar_shorthand():
     assert gr_from_json("3/2") == GR(Fraction(3, 2))
     assert gr_from_json(4) == GR(4)
+    for text, value in [("-7", -7), ("+7", 7), ("007/014", Fraction(1, 2)),
+                        ("-3/6", Fraction(-1, 2))]:
+        assert gr_from_json(text) == GR(value)
     with pytest.raises(SchemaError):
         gr_from_json("x")
     with pytest.raises(SchemaError):
         gr_from_json([1, 2])
+
+
+@pytest.mark.parametrize("text", ["1e3000000", "1E2", "1.5", "1.", ".5", "1_000", " 1", "1 ",
+                                  "1/ 2", "+-1", "1/-2", "1/2/3", "", "/2", "\u0661", "0/0"])
+def test_scalar_strings_outside_the_grammar_refused(text):
+    # only "num" and "num/den" in ASCII digits, the numerator optionally signed
+    with pytest.raises(SchemaError, match="not a rational number"):
+        gr_from_json(text)
+    with pytest.raises(SchemaError, match="not a rational number"):
+        gr_from_json({"re": "1", "im": text})
 
 
 def test_biform_round_trip_and_order():
