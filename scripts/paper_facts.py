@@ -60,7 +60,7 @@ def ruled():
         fibers = []
         for C in twistor_circle_samples(spec, 4):
             g = singular_points_on_conic(spec.surface, C)
-            fibers.append({"over": [str(c) for c in C.q.coords],
+            fibers.append({"over": [str(c) for c in C.q.rational()],
                            "singular_gcd_degree": "whole conic" if g.is_zero() else g.degree})
         yield {"claim": "twistor ruling", "a": a, "forms": forms_to_json(spec.forms),
                "bidegree": list(spec.surface.bidegree), "terms": len(spec.surface.terms),

@@ -27,7 +27,7 @@ EXIT_INTERNAL = 4
 CENSUS_MAX_COST = 3_100_000_000  # p = 1009, about half an hour, still runs
 # the exact max-disjoint search grows about 4x per 8 members; 64 take about 1 s
 CENSUS_MAX_LIMIT = 64
-# a sampled fiber costs about 0.2 ms and 0.5 kB of output: 10,000 take 2 s
+# a sampled fiber costs about 0.1 ms and 0.5 kB of output: 10,000 take 1 s
 RULED_MAX_SAMPLES = 10_000
 # the ruled build grows about 2.5x per degree: degree 10 takes about 50 s
 RULED_MAX_DEGREE = 10
@@ -177,7 +177,7 @@ def _cmd_mk_ruled(args):
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     if (n := args.samples) > RULED_MAX_SAMPLES:
-        raise PreconditionError(f"--samples {n} takes about {n / 5000:.3g} s (0.2 ms per "
+        raise PreconditionError(f"--samples {n} takes about {n / 10000:.3g} s (0.1 ms per "
                                 f"fiber), over the cap {RULED_MAX_SAMPLES} samples")
     forms = serialize.forms_from_json(_load_json(args.forms))
     if (a := max(f.degree for f in forms)) > RULED_MAX_DEGREE:

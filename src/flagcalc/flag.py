@@ -10,18 +10,19 @@ along a conic.
 Containment has one path.  A surface is pulled back through one chart of
 the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
 (chart_tables), by one routine (monomial_restrictions) over the ring its
-inputs lie in: restrict_to_conic clears the surface and the conic to Z[i],
-the condition rows clear the conic, the ruled certificate runs over Z and
-the census over Z read mod p.  The routine works on coefficient sequences
-of binary forms, which binforms.conv and power_table multiply over any of
-those rings.
+inputs lie in: restrict_to_conic clears the surface to Z[i] and reads the
+conic's stored Z[i] points, as the condition rows do, the ruled
+certificate runs over Z and the census over Z read mod p.  The routine
+works on coefficient sequences of binary forms, which binforms.conv and
+power_table multiply over any of those rings.
 
-Projective points are kept in canonical form (first nonzero coordinate
-equal to 1) so equality and hashing are exact.
+Projective points are stored as canonical Gaussian-integer triples, so
+equality and hashing are exact and run on ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 
@@ -45,27 +46,32 @@ def cross(u, v):
 
 
 class ProjPoint:
-    """A point of P2 over Q(i), stored with first nonzero coordinate 1."""
+    """A point of P2 over Q(i), stored as D c in Z[i]^3: c has first nonzero
+    coordinate 1 (rational() gives it) and D > 0 is its least common denominator."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        raw = tuple(map(to_gaussian, coords))
+        raw = [GaussianInt(c) if type(c) is int else to_gaussian(c) for c in coords]
         if len(raw) != 3:
             raise PreconditionError("a projective point needs exactly 3 coordinates")
-        pivot = next((c for c in raw if c), None)
-        if pivot is None:
+        (row,), _ = clear_rows([raw])
+        pr, pi = next((z for z in row if z != (0, 0)), (0, 0))
+        row = [(re * pr + im * pi, im * pr - re * pi) for re, im in row]  # the pivot is its norm
+        if not (g := math.gcd(*(x for z in row for x in z))):  # the content; D is what is left
             raise PreconditionError("(0, 0, 0) is not a projective point")
-        self.coords = tuple(c / pivot for c in raw)
+        self.coords = tuple(GaussianInt(re // g, im // g) for re, im in row)
 
     def conjugate(self) -> "ProjPoint":
-        # the pivot 1 conjugates to 1, so the conjugate is already canonical
+        # the real pivot D conjugates to D, so the conjugate is already canonical
         out = ProjPoint.__new__(ProjPoint)
-        out.coords = tuple(c.conjugate() for c in self.coords)
+        out.coords = tuple(GaussianInt(c.re, -c.im) for c in self.coords)
         return out
 
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coords)
+    def rational(self) -> tuple:
+        """c, the Q(i) coordinates with first nonzero coordinate 1."""
+        d = next(c.re for c in self.coords if c)
+        return tuple(GaussianRational(Fraction(c.re, d), Fraction(c.im, d)) for c in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -76,7 +82,7 @@ class ProjPoint:
         return hash(self.coords)
 
     def __repr__(self):
-        return f"ProjPoint(({', '.join(str(c) for c in self.coords)}))"
+        return f"ProjPoint(({', '.join(str(c) for c in self.rational())}))"
 
 
 class FlagPoint:
@@ -214,20 +220,19 @@ def substitute_forms(terms, bidegree, q, m) -> list:
 def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
     """Binary form of degree a+b: F pulled back along the chart of the conic.
 
-    Identically zero exactly when L_{q,m} lies on the surface {F = 0}.  F, q
-    and m are cleared to Gaussian integers by the lcms k, lam and mu of
-    their denominators.  The chart's p-forms then scale by mu and its
-    l-forms by lam*mu, so the restriction over Z[i] is k mu^(a+b) lam^b
-    times the exact one, and is divided back.
+    Identically zero exactly when L_{q,m} lies on the surface {F = 0}.  F is
+    cleared to Z[i] by the lcm k of its denominators; q and m are stored as
+    lam and mu times their pivot-1 forms.  The chart's p-forms then scale by
+    mu and its l-forms by lam*mu, so the restriction over Z[i] is
+    k mu^(a+b) lam^b times the exact one, and is divided back.
     """
     if not C.is_smooth:
         raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
     a, b = F.bidegree
     (coeffs,), k = clear_rows([list(F.terms.values())])
-    (q,), lam = clear_rows([C.q.coords])
-    (m,), mu = clear_rows([C.m.coords])
-    coeffs, q, m = ([GaussianInt(re, im) for re, im in row] for row in (coeffs, q, m))
-    out = substitute_forms(dict(zip(F.terms, coeffs)), (a, b), q, m)
+    q, m = C.q.coords, C.m.coords
+    lam, mu = (next(c.re for c in P if c) for P in (q, m))
+    out = substitute_forms({t: GaussianInt(*z) for t, z in zip(F.terms, coeffs)}, (a, b), q, m)
     den = int(k * mu ** (a + b) * lam**b)
     return BinaryForm([GaussianRational(Fraction(z.re, den), Fraction(z.im, den)) if z else ZERO
                        for z in out])
@@ -253,7 +258,7 @@ def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
     do not depend on the representative of F modulo p.l.
     """
     a, b = require_surface(F).bidegree
-    p_tables, l_tables = chart_tables(C.q.coords, C.m.coords, 1, 1)
+    p_tables, l_tables = chart_tables(C.q.rational(), C.m.rational(), 1, 1)
     dN = [BinaryForm(t[1]) for t in (*l_tables, *p_tables)]  # (l, p) on C
     grad = [F.partial(group, i) for group in "pl" for i in range(3)]
     dF = [zero_form(a + b - 1) if D.is_zero() else restrict_to_conic(D, C) for D in grad]

@@ -32,9 +32,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -137,8 +134,8 @@ def to_gaussian(x) -> GaussianRational:
 
 
 class GaussianInt:
-    """re + im*i with int parts: the ring flag.monomial_restrictions builds
-    condition rows over.  Either factor may be an int (power_table's 1)."""
+    """re + im*i with int parts: the ring of flag.ProjPoint coordinates and of
+    the condition rows.  Either factor may be an int (power_table's 1)."""
 
     __slots__ = ("re", "im")
 
@@ -163,6 +160,12 @@ class GaussianInt:
         return GaussianInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
+
+    def __eq__(self, o):
+        return type(o) is GaussianInt and self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
 
 ZERO = GaussianRational(0)

@@ -2,9 +2,9 @@
 
 Rows are Gaussian-integer (re, im) pairs; clear_rows, which scales each
 Q(i) row by the lcm of its denominators, is the one way in from Q(i): the
-condition rows, the restriction to a conic, the ruling and ruled surface
-(ruled) and the census surface (fpcensus.reduce_mod_p) are all cleared by
-it, and nothing else turns Gaussian rationals into integers.  Rows
+point reader (flag.ProjPoint), the surface restricted to a conic, the
+ruling and ruled surface (ruled) and the census surface (fpcensus) are all
+cleared by it, and nothing else turns Gaussian rationals into integers.  Rows
 are reduced by fraction-free Bareiss condensation: every intermediate
 entry is a minor of the matrix, so all divisions are exact integer
 divisions and no rational arithmetic happens inside the elimination loop.

@@ -59,11 +59,11 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     """Assemble the containment conditions for a list of smooth conics;
     the kernel is exactly the linear system through them.
 
-    Each conic's q and m are cleared to Gaussian integers, scaled by the
-    lcms lam and mu of their denominators, and its block copies the
-    columns' restrictions along its chart (flag.monomial_restrictions).
-    Its p-forms scale by mu and its l-forms by lam*mu, so the block is the
-    Q(i) one times the nonzero integer mu^(a+b) lam^b, with the same kernel.
+    Each conic's q and m are stored in Z[i] as lam and mu times their
+    pivot-1 forms (flag.ProjPoint), and its block copies the columns'
+    restrictions along its chart (flag.monomial_restrictions).  Its p-forms
+    scale by mu and its l-forms by lam*mu, so the block is the Q(i) one
+    times the nonzero integer mu^(a+b) lam^b, with the same kernel.
     """
     if a < 0 or b < 0:
         raise PreconditionError("h0 requires nonnegative bidegree")
@@ -73,10 +73,8 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     if len(set(conics)) != len(conics):
         raise PreconditionError("conics must be pairwise distinct")
     cols = quotient_monomials(a, b)
-    cleared, _ = linalg.clear_rows([c for C in conics for c in (C.q.coords, C.m.coords)])
-    points = [[GaussianInt(re, im) for re, im in row] for row in cleared]
     rows = []
-    for q, m in zip(points[::2], points[1::2]):
+    for q, m in ((C.q.coords, C.m.coords) for C in conics):
         block = [[(0, 0)] * len(cols) for _ in range(a + b + 1)]
         for j, r in enumerate(monomial_restrictions(cols, (a, b), q, m).values()):
             for k, c in enumerate(r):

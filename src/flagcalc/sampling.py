@@ -10,7 +10,7 @@ trivial to restate.
 
 from __future__ import annotations
 
-from .flag import Conic, ProjPoint, dot
+from .flag import Conic, ProjPoint
 from .gaussian import GaussianRational
 
 _MASK = (1 << 64) - 1
@@ -53,10 +53,9 @@ def random_proj_point(rng: SplitMix64, height: int = 9):
 def random_smooth_conic(rng: SplitMix64, height: int = 9):
     """A conic L_{q,m} with q.m != 0, coordinates of bounded height."""
     while True:
-        q = random_proj_point(rng, height)
-        m = random_proj_point(rng, height)
-        if dot(q.coords, m.coords):
-            return Conic(q, m)
+        C = Conic(random_proj_point(rng, height), random_proj_point(rng, height))
+        if C.is_smooth:
+            return C
 
 
 def random_smooth_conics(rng: SplitMix64, count: int, height: int = 9):

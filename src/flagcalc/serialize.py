@@ -13,17 +13,22 @@ round trips exact.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .binforms import BinaryForm
 from .biforms import BiForm
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
 from .flag import Conic, ProjPoint
 from .gaussian import GaussianRational
 
 
 def frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # str() refuses an int over its digit limit
+        raise PreconditionError("an output number has more than "
+                                f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def _integer(x) -> int:
@@ -59,7 +64,7 @@ def gr_from_json(obj) -> GaussianRational:
 
 
 def point_to_json(pt: ProjPoint) -> list:
-    return [gr_to_json(c) for c in pt.coords]
+    return [gr_to_json(c) for c in pt.rational()]
 
 
 def point_from_json(obj) -> ProjPoint:

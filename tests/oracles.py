@@ -16,7 +16,9 @@ surface, the
 ruling, Q(i) back-substitution against the fraction-free kernel, ruling
 fibers over Q(i) against the integer triples of the ruling, the pair loop
 against the census's search by q, the a = b closed form against the conic
-ceiling).  The seeded samplers below them are used by tests only.
+ceiling, the pivot division in Q(i) against the stored Gaussian-integer
+triple of a projective point).  The seeded samplers below them are used by
+tests only.
 """
 
 from fractions import Fraction
@@ -52,6 +54,12 @@ from flagcalc.invariants import _require_general_type, h0_flag
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_proj_point
 
 
+def pivot_one_form(raw) -> tuple:
+    """The Q(i) triple raw divided by its first nonzero coordinate."""
+    pivot = next(c for c in raw if c)
+    return tuple(c / pivot for c in raw)
+
+
 # Seeded samplers that only tests use.
 
 def random_flag_point(rng: SplitMix64, height: int = 4) -> FlagPoint:
@@ -59,7 +67,7 @@ def random_flag_point(rng: SplitMix64, height: int = 4) -> FlagPoint:
     while True:
         p = random_proj_point(rng, height)
         r = random_proj_point(rng, height)
-        l = cross(p.coords, r.coords)
+        l = cross(p.rational(), r.rational())
         if any(l):
             return FlagPoint(p, ProjPoint(l))
 
@@ -132,14 +140,15 @@ def conic_param(C: Conic) -> FlagCurve:
     """
     if not C.is_smooth:
         raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
-    v1, v2 = line_basis(C.m.coords)
-    l1, l2 = cross(C.q.coords, v1), cross(C.q.coords, v2)
+    q, m = C.q.rational(), C.m.rational()
+    v1, v2 = line_basis(m)
+    l1, l2 = cross(q, v1), cross(q, v2)
     curve = FlagCurve(
         tuple(BinaryForm([v1[c], v2[c]]) for c in range(3)),
         tuple(BinaryForm([l1[c], l2[c]]) for c in range(3)),
     )
-    assert _pm_pairing(curve.p_forms, C.m.coords).is_zero()
-    assert _pm_pairing(curve.l_forms, C.q.coords).is_zero()
+    assert _pm_pairing(curve.p_forms, m).is_zero()
+    assert _pm_pairing(curve.l_forms, q).is_zero()
     return curve
 
 
@@ -472,8 +481,8 @@ def conics_meet_bruteforce(C1: Conic, C2: Conic) -> bool:
     {q1.l = q2.l = 0} by exact nullspace and decides whether p.l = 0 is
     solvable there.
     """
-    p_space = linalg.nullspace(linalg.clear_rows([C1.m.coords, C2.m.coords])[0], 3)
-    l_space = linalg.nullspace(linalg.clear_rows([C1.q.coords, C2.q.coords])[0], 3)
+    p_space = linalg.nullspace(linalg.clear_rows([C1.m.rational(), C2.m.rational()])[0], 3)
+    l_space = linalg.nullspace(linalg.clear_rows([C1.q.rational(), C2.q.rational()])[0], 3)
     if len(p_space) >= 2 or len(l_space) >= 2:
         return True
     return not dot(p_space[0], l_space[0])
@@ -545,7 +554,7 @@ def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
     """The values mod p of the monomials at fp; a zero row, which can only
     lower the rank, when p divides a coordinate denominator."""
     p = modp.PRIME
-    xs = [gaussian_mod_p(z, p, modp.I_MOD) for z in fp.p.coords + fp.l.coords]
+    xs = [gaussian_mod_p(z, p, modp.I_MOD) for z in fp.p.rational() + fp.l.rational()]
     if None in xs:
         return [0] * len(cols)
     pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]

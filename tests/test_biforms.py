@@ -124,7 +124,7 @@ def test_reduce_preserves_values_on_flag():
     R = reduce_mod_incidence(F)
     for _ in range(6):
         fp = random_flag_point(rng)
-        p, l = fp.p.coords, fp.l.coords
+        p, l = fp.p.rational(), fp.l.rational()
         assert F.evaluate(p, l) == R.evaluate(p, l)
 
 

@@ -417,7 +417,18 @@ def _refused(capsys, *argv):
 def test_mk_ruled_refuses_samples_over_the_cap(capsys):
     # the count is refused before the forms are read
     message = _refused(capsys, "mk-ruled", "--forms", "missing.json", "--samples", "10001")
-    assert message == "--samples 10001 takes about 2 s (0.2 ms per fiber), over the cap 10000 samples"
+    assert message == "--samples 10001 takes about 1 s (0.1 ms per fiber), over the cap 10000 samples"
+
+
+def test_output_number_over_the_digit_limit_is_a_precondition_exit(capsys, tmp_path):
+    # the surface of a ruling with a 2,200-digit coefficient has a 4,400-digit
+    # one, over the default limit of 4,300 digits; 1,200 digits still print
+    forms = {"forms": [["1" * 2200, 0, 1], [0, 1, 0], [0, 0, 1]]}
+    message = _refused(capsys, "mk-ruled", "--forms", _write(tmp_path / "big.json", forms))
+    assert message == f"an output number has more than {sys.get_int_max_str_digits()} digits"
+    forms["forms"][0][0] = "1" * 1200
+    code, _ = run(capsys, "mk-ruled", "--forms", _write(tmp_path / "ok.json", forms))
+    assert code == 0
 
 
 def test_mk_ruled_refuses_a_degree_over_the_cap(capsys, tmp_path):
@@ -766,18 +777,31 @@ def test_trace_probes_resolve():
 
 # A request as the console script runs it: a fresh interpreter, no bytecode
 # written, PYTHONPATH=src and no FLAGCALC_* variables.
-def _fresh_run(*args, code=0):
+def _fresh_run(*args, code=0, hashseed=None):
     env = {
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
         "PYTHONPATH": str(ROOT / "src"),
         "LC_ALL": "C.UTF-8",
     }
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
     proc = subprocess.run(
         [sys.executable, "-B", *args],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
     return proc
+
+
+@pytest.mark.parametrize("argv", [
+    ("mk-ruled", "--forms", "perfbench/fixtures/forms/d3_00.json", "--samples", "28"),
+    ("mk-surface", "--a", "2", "--b", "2", "--random", "3", "--seed", "0"),
+], ids=["mk-ruled", "mk-surface"])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # points and conics are deduplicated in dicts keyed by their hash; the
+    # output order must follow insertion, never the hash
+    outs = [_fresh_run("-m", "flagcalc.cli", *argv, hashseed=s).stdout for s in ("0", "1")]
+    assert outs[0] == outs[1]
 
 
 def _modules_after(code, *argv):

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from flagcalc.binforms import BinaryForm
@@ -16,24 +18,59 @@ from flagcalc.flag import (
     restrict_to_conic,
     twistor_fiber_of,
 )
-from flagcalc.gaussian import GaussianRational as GR, I
-from flagcalc.sampling import SplitMix64, random_proj_point, random_smooth_conic
+from flagcalc.gaussian import GaussianInt, GaussianRational as GR, I
+from flagcalc.sampling import (
+    SplitMix64,
+    random_gaussian_rational,
+    random_proj_point,
+    random_smooth_conic,
+)
+from flagcalc.serialize import point_from_json, point_to_json
 
 from oracles import (
     FlagCurve,
     conic_param,
     conics_meet_bruteforce,
     curve_bidegree,
+    pivot_one_form,
     restrict_to_curve,
 )
 
 
 def test_proj_point_canonical():
     p = ProjPoint((0, 2, 4))
-    assert p.coords == (GR(0), GR(1), GR(2))
+    assert p.coords == (GaussianInt(0), GaussianInt(1), GaussianInt(2))
+    assert p.rational() == (GR(0), GR(1), GR(2))
     assert p == ProjPoint((0, -3, -6))
     with pytest.raises(PreconditionError):
         ProjPoint((0, 0, 0))
+
+
+def _random_qi(rng, nonzero=False):
+    while True:
+        z = random_gaussian_rational(rng, 9) / GR(rng.int_in(1, 12))
+        if z or not nonzero:
+            return z
+
+
+@pytest.mark.parametrize("pivot", [0, 1, 2])
+def test_proj_point_stores_the_cleared_pivot_one_form(pivot):
+    # the stored triple is D c, for c the pivot-1 form and D its least
+    # common denominator, and any Q(i)* multiple is the same point
+    rng = SplitMix64(4600 + pivot)
+    for _ in range(60):
+        raw = [GR(0)] * pivot + [_random_qi(rng, nonzero=True)]
+        raw += [_random_qi(rng) for _ in range(2 - pivot)]
+        P = ProjPoint(raw)
+        c = pivot_one_form(raw)
+        assert P.rational() == c
+        assert all(type(z) is GaussianInt and type(z.re) is type(z.im) is int for z in P.coords)
+        d = lcm(*(x.denominator for z in c for x in (z.re, z.im)))
+        assert P.coords == tuple(GaussianInt(int(z.re * d), int(z.im * d)) for z in c)
+        for u in (GR(1), GR(-1), I, -I, _random_qi(rng, nonzero=True)):
+            Q = ProjPoint([z * u for z in raw])
+            assert Q == P and hash(Q) == hash(P)
+        assert point_from_json(point_to_json(P)) == P
 
 
 @pytest.mark.parametrize("raw", [
@@ -43,11 +80,12 @@ def test_proj_point_canonical():
 ])
 def test_conjugate_is_the_canonical_conjugate(raw):
     x = ProjPoint(raw)
-    want = ProjPoint(tuple(c.conjugate() for c in x.coords))
+    want = ProjPoint(tuple(c.conjugate() for c in x.rational()))
     got = x.conjugate()
     assert got == want and hash(got) == hash(want)
     assert got.conjugate() == x
-    assert got.is_real() == x.is_real() == (raw[:2] == (0, 0))
+    real = raw[:2] == (0, 0)
+    assert (not any(c.im for c in got.coords)) == (not any(c.im for c in x.coords)) == real
 
 
 def test_line_basis_rejects_the_zero_triple():
@@ -95,7 +133,7 @@ def test_conic_param_twistor_fiber():
     assert C.is_smooth
     curve = conic_param(C)
     # three defining forms vanish along the parametrization
-    for const, forms in ((C.m.coords, curve.p_forms), (C.q.coords, curve.l_forms)):
+    for const, forms in ((C.m.rational(), curve.p_forms), (C.q.rational(), curve.l_forms)):
         acc = BinaryForm([0, 0])
         for f, c in zip(forms, const):
             acc = acc + f.scale(c)
@@ -192,8 +230,8 @@ def test_contains_invariant_under_scaling():
     assert contains_conic(F, C)
     assert contains_conic(F.scale(GR(3, -7)), C)
     C2 = Conic(
-        tuple(c * GR(2, 1) for c in C.q.coords),
-        tuple(c * GR(0, 5) for c in C.m.coords),
+        tuple(c * GR(2, 1) for c in C.q.rational()),
+        tuple(c * GR(0, 5) for c in C.m.rational()),
     )
     assert contains_conic(F, C2)
 

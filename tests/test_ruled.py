@@ -64,7 +64,7 @@ def test_bidegree_and_reality(spec2, spec3):
     assert spec2.surface.bidegree == (2, 2)
     assert spec3.surface.bidegree == (3, 3)
     for spec in (spec2, spec3):
-        assert all(c.is_real() for c in spec.surface.terms.values())
+        assert not any(c.im for c in spec.surface.terms.values())
 
 
 def test_j_symmetry_signs(spec2, spec3):
@@ -196,7 +196,7 @@ def test_rational_ruling_matches_its_integer_multiple():
 
 def test_parameter_fiber_containment(spec2):
     C = twistor_circle_samples(spec2, 3)[1]  # parameter 1: q = (1, 1, 1)
-    assert [str(c) for c in C.q.coords] == ["1", "1", "1"]
+    assert [str(c) for c in C.q.rational()] == ["1", "1", "1"]
     assert C.is_smooth and C.is_twistor_fiber()
     assert contains_conic(spec2.surface, C)
 
@@ -293,7 +293,7 @@ def test_circle_samples_need_at_least_one(spec2):
 
 def test_circle_samples_expected_points(spec2):
     samples = twistor_circle_samples(spec2, 3)
-    qs = [[str(c) for c in s.q.coords] for s in samples]
+    qs = [[str(c) for c in s.q.rational()] for s in samples]
     assert qs == [["0", "0", "1"], ["1", "1", "1"], ["1", "0", "0"]]
     for C in samples:
         assert C.is_twistor_fiber()
@@ -319,13 +319,13 @@ def test_surface_nonzero_off_sampled_fibers(spec2):
     for _ in range(20):
         fp = random_flag_point(rng, height=6)
         on_sample = any(
-            not (sum((fp.p.coords[i] * C.m.coords[i] for i in range(3)), GR(0)))
-            and not (sum((C.q.coords[i] * fp.l.coords[i] for i in range(3)), GR(0)))
+            not (sum((fp.p.rational()[i] * C.m.rational()[i] for i in range(3)), GR(0)))
+            and not (sum((C.q.rational()[i] * fp.l.rational()[i] for i in range(3)), GR(0)))
             for C in samples
         )
         if on_sample:
             continue
-        if not spec2.surface.evaluate(fp.p.coords, fp.l.coords).is_zero():
+        if not spec2.surface.evaluate(fp.p.rational(), fp.l.rational()).is_zero():
             hits += 1
     assert hits >= 15
 
