@@ -41,11 +41,6 @@ class BiForm:
                 clean[(pe, le)] = c
         self.terms = clean
 
-    @classmethod
-    def monomial(cls, pe, le, coeff=1) -> "BiForm":
-        pe, le = tuple(pe), tuple(le)
-        return cls((sum(pe), sum(le)), {(pe, le): coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -94,22 +89,6 @@ class BiForm:
     def __repr__(self):
         return f"BiForm({self.bidegree}, {len(self.terms)} terms)"
 
-    def evaluate(self, p, l) -> GaussianRational:
-        """Exact value at coordinate triples p and l."""
-        a, b = self.bidegree
-        ppow = [_powers(to_gaussian(x), a) for x in p]
-        lpow = [_powers(to_gaussian(x), b) for x in l]
-        acc = ZERO
-        for (pe, le), c in self.terms.items():
-            v = c
-            for i in range(3):
-                if pe[i]:
-                    v = v * ppow[i][pe[i]]
-                if le[i]:
-                    v = v * lpow[i][le[i]]
-            acc = acc + v
-        return acc
-
     def partial(self, group: str, index: int) -> "BiForm":
         """Partial derivative in p_index (group 'p') or l_index (group 'l')."""
         if group not in ("p", "l"):
@@ -140,13 +119,6 @@ def mul_terms(t1, t2, out) -> None:
             out[key] = c1 * c2 if (s := out.get(key)) is None else s + c1 * c2
 
 
-def _powers(x: GaussianRational, n: int):
-    out = [ONE]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
-
-
 def _exps3(d: int):
     out = []
     for e0 in range(d, -1, -1):
@@ -167,18 +139,6 @@ def quotient_monomials(a: int, b: int) -> list[ExpPair]:
     complement of those leading monomials is exactly this set.
     """
     return [(pe, le) for (pe, le) in monomials(a, b) if pe[0] == 0 or le[0] == 0]
-
-
-def incidence_form() -> BiForm:
-    """p0*l0 + p1*l1 + p2*l2, the (1,1) form cutting the flag threefold."""
-    return BiForm(
-        (1, 1),
-        {
-            ((1, 0, 0), (1, 0, 0)): ONE,
-            ((0, 1, 0), (0, 1, 0)): ONE,
-            ((0, 0, 1), (0, 0, 1)): ONE,
-        },
-    )
 
 
 def reduce_mod_incidence(F: BiForm) -> BiForm:

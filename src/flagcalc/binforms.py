@@ -1,4 +1,4 @@
-"""Binary forms in (s, t) over Q(i): evaluation, arithmetic and gcd.
+"""Binary forms in (s, t) over Q(i): arithmetic and gcd.
 
 A form of degree d is stored as the tuple of its d+1 coefficients, where
 ``coeffs[k]`` multiplies s^(d-k) * t^k.  Dehomogenizing at s = 1 maps the
@@ -15,7 +15,7 @@ slots hold the int 0.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .gaussian import ONE, ZERO, GaussianRational, to_gaussian
+from .gaussian import ONE, ZERO, to_gaussian
 
 
 class BinaryForm:
@@ -35,21 +35,6 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def evaluate(self, s, t) -> GaussianRational:
-        s = to_gaussian(s)
-        t = to_gaussian(t)
-        d = self.degree
-        spow = [ONE]
-        tpow = [ONE]
-        for _ in range(d):
-            spow.append(spow[-1] * s)
-            tpow.append(tpow[-1] * t)
-        acc = ZERO
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * spow[d - k] * tpow[k]
-        return acc
 
     def scale(self, c) -> "BinaryForm":
         c = to_gaussian(c)

@@ -15,6 +15,7 @@ import gc
 import json
 import os
 import sys
+from math import comb
 from types import SimpleNamespace
 
 from .errors import FlagcalcError, PreconditionError, SchemaError
@@ -23,8 +24,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
-# a census costs (p^2+p+1) 3(p+1) evaluations; above this it is refused
-CENSUS_MAX_COST = 3_100_000_000  # p = 1009, about half an hour, still runs
+# a census evaluates C(b+2,2) terms at each of (p^2+p+1) q-points x 3(p+1)
+# line points; above this it is refused.  (a,2) at p = 1009 still runs
+CENSUS_MAX_COST = 18_600_000_000
 # the exact max-disjoint search grows about 4x per 8 members; 64 take about 1 s
 CENSUS_MAX_LIMIT = 64
 # a sampled fiber costs about 0.1 ms and 0.5 kB of output: 10,000 take 1 s
@@ -71,6 +73,13 @@ def _refuse_large_system(a, b, x, trials=1):
         raise PreconditionError(f"the system costs {cells} cells ({trials} x max({rows} rows, "
                                 f"{cols} columns) x {cols} columns), over the limit "
                                 f"{SYSTEM_MAX_CELLS}")
+
+
+def _refuse_large_census(p, b=0):
+    if (cost := (p * p + p + 1) * 3 * (p + 1) * comb(b + 2, 2)) > CENSUS_MAX_COST:
+        of = f" of a surface with b = {b}" if b else ""
+        raise PreconditionError(f"a census{of} at p = {p} costs about {cost} evaluations, "
+                                f"over the limit {CENSUS_MAX_COST}")
 
 
 def _load_surface(path):
@@ -207,11 +216,9 @@ def _cmd_census(args):
         raise UsageError("--limit must be nonnegative")
     if args.limit > CENSUS_MAX_LIMIT:
         raise PreconditionError(f"--limit {args.limit} is over the cap {CENSUS_MAX_LIMIT}")
-    p = args.prime
-    if (cost := (p * p + p + 1) * 3 * (p + 1)) > CENSUS_MAX_COST:
-        raise PreconditionError(f"a census at p = {p} costs about {cost} evaluations, "
-                                f"over the limit {CENSUS_MAX_COST}")
+    _refuse_large_census(args.prime)  # b = 0 bounds it from below before the surface is read
     F = _load_surface(args.surface)
+    _refuse_large_census(args.prime, F.bidegree[1])
     S = fpcensus.reduce_mod_p(flag.require_surface(F), args.prime)
     census = fpcensus.conic_census(S)
     disjoint = fpcensus.max_disjoint_subset(census, args.prime, limit=args.limit)

@@ -1,11 +1,10 @@
 """Geometry of the flag threefold F = {(p, l) in P2 x P2 : p.l = 0}.
 
-The module provides points of F, the bidegree (1,1) curves
+The module provides projective points of P2, the bidegree (1,1) curves
 L_{q,m} = {p.m = 0, q.l = 0} (smooth conics when q.m != 0, twistor fibers
 when m is the conjugate of q), the anti-holomorphic involution
-j(p, l) = (conj l, conj p) acting on curves and on surfaces,
-restriction of surfaces to conics, and the singular points of a surface
-along a conic.
+j(p, l) = (conj l, conj p) acting on surfaces (j_pullback), restriction
+of surfaces to conics, and the singular points of a surface along a conic.
 
 Containment has one path.  A surface is pulled back through one chart of
 the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
@@ -85,29 +84,6 @@ class ProjPoint:
         return f"ProjPoint(({', '.join(str(c) for c in self.rational())}))"
 
 
-class FlagPoint:
-    """A pair (p, l) with the incidence p.l = 0 holding exactly."""
-
-    __slots__ = ("p", "l")
-
-    def __init__(self, p, l):
-        self.p = p if isinstance(p, ProjPoint) else ProjPoint(p)
-        self.l = l if isinstance(l, ProjPoint) else ProjPoint(l)
-        if dot(self.p.coords, self.l.coords):
-            raise PreconditionError("point-line pair is not incident")
-
-    def __eq__(self, other):
-        if not isinstance(other, FlagPoint):
-            return NotImplemented
-        return self.p == other.p and self.l == other.l
-
-    def __hash__(self):
-        return hash((self.p, self.l))
-
-    def __repr__(self):
-        return f"FlagPoint({self.p!r}, {self.l!r})"
-
-
 class Conic:
     """The bidegree (1,1) curve L_{q,m} = {(p,l) in F : p.m = 0, q.l = 0}."""
 
@@ -140,13 +116,6 @@ def twistor_fiber_of(q) -> Conic:
     """
     q = q if isinstance(q, ProjPoint) else ProjPoint(q)
     return Conic(q, q.conjugate())
-
-
-def j_conic(C: Conic) -> Conic:
-    """Image of L_{q,m} under j(p,l) = (conj l, conj p): the curve
-    L_{conj m, conj q}.  An involution whose fixed points are exactly the
-    twistor fibers."""
-    return Conic(C.m.conjugate(), C.q.conjugate())
 
 
 def line_basis(m):

@@ -1,13 +1,13 @@
 """Stable JSON encoding of the exact types.
 
 Scalars are {"re": "num/den", "im": "num/den"} with decimal-string
-integers, so arbitrary precision survives any JSON parser.  A scalar
-string is read only as "num" or "num/den": ASCII digits, the numerator
-optionally signed; Fraction's exponent, decimal-point, underscore and
-whitespace forms are refused.  Biform terms
-are sorted in the fixed descending-lex monomial order and projective data
-is emitted in canonical form, which makes the output diff-stable and makes
-round trips exact.
+integers, so arbitrary precision survives any JSON parser; a key may be
+left out, and any other key is refused.  A scalar string is read only as
+"num" or "num/den": ASCII digits, the numerator optionally signed;
+Fraction's exponent, decimal-point, underscore and whitespace forms are
+refused.  Biform terms are sorted in the fixed descending-lex monomial
+order and projective data is emitted in canonical form, which makes the
+output diff-stable and makes round trips exact.
 """
 
 from __future__ import annotations
@@ -53,12 +53,17 @@ def gr_to_json(z: GaussianRational) -> dict:
     return {"re": frac_str(z.re), "im": frac_str(z.im)}
 
 
+_SCALAR_KEYS = {"re", "im"}
+
+
 def gr_from_json(obj) -> GaussianRational:
     if isinstance(obj, str):
         return GaussianRational(parse_frac(obj))
     if isinstance(obj, int):
         return GaussianRational(_integer(obj))
     if isinstance(obj, dict):
+        if not obj or not obj.keys() <= _SCALAR_KEYS:  # a misspelled part would read as 0
+            raise SchemaError(f"a scalar object takes one or both of the keys re and im: {obj!r}")
         return GaussianRational(parse_frac(obj.get("re", 0)), parse_frac(obj.get("im", 0)))
     raise SchemaError(f"not a scalar: {obj!r}")
 

@@ -40,7 +40,6 @@ from flagcalc.biforms import BiForm, monomials
 from flagcalc.errors import DegenerateConicError, FlagcalcError, PreconditionError
 from flagcalc.flag import (
     Conic,
-    FlagPoint,
     ProjPoint,
     conics_disjoint,
     cross,
@@ -49,7 +48,7 @@ from flagcalc.flag import (
     twistor_fiber_of,
 )
 from flagcalc.fpcensus import conic_expansion
-from flagcalc.gaussian import ONE, GaussianRational
+from flagcalc.gaussian import ONE, GaussianRational, to_gaussian
 from flagcalc.invariants import _require_general_type, h0_flag
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_proj_point
 
@@ -60,16 +59,64 @@ def pivot_one_form(raw) -> tuple:
     return tuple(c / pivot for c in raw)
 
 
+# Point values and small constructors: the package never evaluates a form
+# at a point, and builds its surfaces from JSON, rows or rulings.
+
+def evaluate(F: BiForm, p, l) -> GaussianRational:
+    """The exact value of F at coordinate triples p and l, term by term."""
+    p, l = [to_gaussian(x) for x in p], [to_gaussian(x) for x in l]
+    acc = GaussianRational(0)
+    for (pe, le), c in F.terms.items():
+        for x, e in zip(p + l, pe + le):
+            c = c * x**e
+        acc = acc + c
+    return acc
+
+
+def bf_evaluate(f: BinaryForm, s, t) -> GaussianRational:
+    """The exact value of the binary form f at (s, t)."""
+    s, t = to_gaussian(s), to_gaussian(t)
+    d = f.degree
+    return sum((c * s ** (d - k) * t**k for k, c in enumerate(f.coeffs)), GaussianRational(0))
+
+
+def monomial(pe, le, coeff=1) -> BiForm:
+    """The one-term biform coeff * p^pe * l^le."""
+    pe, le = tuple(pe), tuple(le)
+    return BiForm((sum(pe), sum(le)), {(pe, le): coeff})
+
+
+def incidence_form() -> BiForm:
+    """p0*l0 + p1*l1 + p2*l2, the (1,1) form cutting the flag threefold."""
+    return BiForm((1, 1), {(e, e): ONE for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+
+
+def j_conic(C: Conic) -> Conic:
+    """Image of L_{q,m} under j(p,l) = (conj l, conj p): the curve
+    L_{conj m, conj q}.  An involution whose fixed points are exactly the
+    twistor fibers."""
+    return Conic(C.m.conjugate(), C.q.conjugate())
+
+
+def flag_point(p, l) -> tuple:
+    """The pair (p, l) of ProjPoints, refused unless p.l = 0 exactly."""
+    p = p if isinstance(p, ProjPoint) else ProjPoint(p)
+    l = l if isinstance(l, ProjPoint) else ProjPoint(l)
+    if dot(p.coords, l.coords):
+        raise PreconditionError("point-line pair is not incident")
+    return p, l
+
+
 # Seeded samplers that only tests use.
 
-def random_flag_point(rng: SplitMix64, height: int = 4) -> FlagPoint:
-    """A random incident pair, built as (p, p x r) for random p and r."""
+def random_flag_point(rng: SplitMix64, height: int = 4) -> tuple:
+    """A random incident pair (p, l), built as (p, p x r) for random p and r."""
     while True:
         p = random_proj_point(rng, height)
         r = random_proj_point(rng, height)
         l = cross(p.rational(), r.rational())
         if any(l):
-            return FlagPoint(p, ProjPoint(l))
+            return flag_point(p, l)
 
 
 def random_binary_form(rng: SplitMix64, degree: int, height: int = 9, real: bool = False):
@@ -107,11 +154,6 @@ class FlagCurve:
         pairing = _triple_pairing(self.p_forms, self.l_forms)
         if not pairing.is_zero():
             raise PreconditionError("parametrization is not incident: p.l != 0")
-
-    def point_at(self, s, t) -> FlagPoint:
-        p = tuple(f.evaluate(s, t) for f in self.p_forms)
-        l = tuple(f.evaluate(s, t) for f in self.l_forms)
-        return FlagPoint(p, l)
 
 
 def _validate_triple(forms, label):
@@ -410,7 +452,7 @@ def _poly_det(rows, a: int) -> BiForm:
 
 def _fiber_at(forms, s, t) -> Conic:
     """The twistor fiber of the ruling f over f(s, t), for Q(i) scalars s, t."""
-    q = tuple(f.evaluate(s, t) for f in forms)
+    q = tuple(bf_evaluate(f, s, t) for f in forms)
     if not any(q):
         raise PreconditionError("parameter hits a base point of the triple")
     return twistor_fiber_of(q)
@@ -550,11 +592,12 @@ def gaussian_mod_p(z, p: int, i: int):
     return (re + i * im) % p
 
 
-def _eval_row_mod_p(fp: FlagPoint, a: int, b: int, cols):
-    """The values mod p of the monomials at fp; a zero row, which can only
-    lower the rank, when p divides a coordinate denominator."""
+def _eval_row_mod_p(fp: tuple, a: int, b: int, cols):
+    """The values mod p of the monomials at the flag point fp = (p, l); a
+    zero row, which can only lower the rank, when p divides a coordinate
+    denominator."""
     p = modp.PRIME
-    xs = [gaussian_mod_p(z, p, modp.I_MOD) for z in fp.p.rational() + fp.l.rational()]
+    xs = [gaussian_mod_p(z, p, modp.I_MOD) for z in fp[0].rational() + fp[1].rational()]
     if None in xs:
         return [0] * len(cols)
     pows = [[pow(x, e, p) for e in range(max(a, b) + 1)] for x in xs]

@@ -22,7 +22,6 @@ from flagcalc.flag import (
     conics_disjoint,
     contains_conic,
     is_j_invariant,
-    j_conic,
     twistor_fiber_of,
 )
 from flagcalc.fpcensus import conic_census, reduce_mod_p
@@ -48,8 +47,12 @@ from flagcalc.serialize import biform_from_json, biform_to_json, conic_from_json
 
 from census_oracle import census_by_points
 from oracles import (
+    bf_evaluate,
     conics_meet_bruteforce,
+    evaluate,
     evaluation_rank_oracle,
+    j_conic,
+    monomial,
     random_binary_form,
     sylvester_resultant,
 )
@@ -180,7 +183,7 @@ def test_criterion_5_ruled_construction():
         seen = set()
         while len(fibers) < 50:
             t = GR(Fraction(rng.int_in(-10**6, 10**6), rng.int_in(1, 999)))
-            C = twistor_fiber_of(tuple(f.evaluate(t, GR(1)) for f in forms))
+            C = twistor_fiber_of(tuple(bf_evaluate(f, t, GR(1)) for f in forms))
             key = (C.q.coords, C.m.coords)
             if key in seen:
                 continue
@@ -192,8 +195,8 @@ def test_criterion_5_ruled_construction():
                 assert conics_disjoint(C, D)
     # Veronese surface equals the symbolic 4x4 Sylvester determinant
     spec2 = twistor_ruled_surface(VERONESE)
-    p_mon = [BiForm.monomial(tuple(1 if j == i else 0 for j in range(3)), (0, 0, 0)) for i in range(3)]
-    l_mon = [BiForm.monomial((0, 0, 0), tuple(1 if j == i else 0 for j in range(3))) for i in range(3)]
+    p_mon = [monomial(tuple(1 if j == i else 0 for j in range(3)), (0, 0, 0)) for i in range(3)]
+    l_mon = [monomial((0, 0, 0), tuple(1 if j == i else 0 for j in range(3))) for i in range(3)]
     zp = BiForm((1, 0))
     zl = BiForm((0, 1))
     sylvester = [
@@ -213,7 +216,7 @@ def test_criterion_6_uniqueness_probe():
     t0 = time.time()
     spec = twistor_ruled_surface(VERONESE)
     fibers = [
-        twistor_fiber_of(tuple(f.evaluate(GR(t), GR(1)) for f in spec.forms))
+        twistor_fiber_of(tuple(bf_evaluate(f, GR(t), GR(1)) for f in spec.forms))
         for t in range(12)
     ]
     assert len({(c.q.coords, c.m.coords) for c in fibers}) == 12
@@ -342,8 +345,8 @@ def test_criterion_8_property_suites(tmp_path, capsys):
         ln = tuple(random_gaussian_rational(rng, 4) for _ in range(3))
         lam = random_gaussian_rational(rng, 4)
         mu = random_gaussian_rational(rng, 4)
-        lhs = F.evaluate(tuple(lam * c for c in pt), tuple(mu * c for c in ln))
-        assert lhs == lam**2 * mu**3 * F.evaluate(pt, ln)
+        lhs = evaluate(F, tuple(lam * c for c in pt), tuple(mu * c for c in ln))
+        assert lhs == lam**2 * mu**3 * evaluate(F, pt, ln)
     # round-trip serialization
     for _ in range(50):
         C = random_smooth_conic(rng)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,19 @@ def test_check_conic_refuses_a_repeated_monomial(capsys, tmp_path):
                                "message": "the monomial p [1, 0, 0] l [0, 1, 0] is repeated"})
 
 
+def test_check_conic_refuses_a_scalar_with_an_unknown_key(capsys, tmp_path):
+    # read as {"re": "1"} and 0, the surface would be p0 l1 alone
+    conic = _write(tmp_path / "c.json", {"q": [1, 0, 0], "m": [1, 1, 1]})
+    surf = _write(tmp_path / "s.json", {"bidegree": [1, 1], "terms": [
+        {"p": [1, 0, 0], "l": [0, 1, 0], "c": {"re": "1", "imag": "5"}},
+        {"p": [0, 1, 0], "l": [0, 0, 1], "c": {"real": "3"}},
+    ]})
+    code, doc = run(capsys, "check-conic", "--surface", surf, "--conic", conic)
+    assert (code, doc) == (2, {"code": "usage", "message":
+                               "a scalar object takes one or both of the keys re and im: "
+                               "{'re': '1', 'imag': '5'}"})
+
+
 INCIDENCE_TERMS = [{"p": e, "l": e, "c": 1} for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
 
 
@@ -404,6 +418,22 @@ def test_census_refuses_a_search_limit_over_the_cap(capsys):
 
 def test_census_cost_limit_admits_every_prime_up_to_1009():
     assert (1009 * 1009 + 1009 + 1) * 3 * 1010 <= CENSUS_MAX_COST
+
+
+def test_census_cost_counts_the_q_monomials(capsys, tmp_path):
+    # each of the (p^2+p+1) 3(p+1) evaluations is a dot product over the
+    # C(b+2,2) q-monomials: a one-term (0,64) surface at p = 1009 would
+    # take days, while b = 2 still runs there; refused before any reduction
+    surf = _write(tmp_path / "s.json", {"bidegree": [0, 64], "terms": [
+        {"p": [0, 0, 0], "l": [22, 21, 21], "c": "1"}]})
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "census", "--surface", surf, "--prime", "1009")
+    assert time.perf_counter() - t0 < 1.0
+    cost = (1009 * 1009 + 1009 + 1) * 3 * 1010 * comb(66, 2)
+    assert (code, doc) == (3, {"code": "precondition", "message":
+                               f"a census of a surface with b = 64 at p = 1009 costs about "
+                               f"{cost} evaluations, over the limit {CENSUS_MAX_COST}"})
+    assert (1009 * 1009 + 1009 + 1) * 3 * 1010 * comb(4, 2) <= CENSUS_MAX_COST
 
 
 def _refused(capsys, *argv):

@@ -7,7 +7,7 @@ import pytest
 
 from flagcalc import fpcensus, serialize
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, incidence_form, monomials
+from flagcalc.biforms import BiForm, monomials
 from flagcalc.errors import PreconditionError
 from flagcalc.flag import contains_conic, cross, dot, twistor_fiber_of
 from flagcalc.fpcensus import (
@@ -25,8 +25,11 @@ from flagcalc.ruled import twistor_ruled_surface
 from census_oracle import census_by_points
 from oracles import (
     binet_cauchy_meet_fp,
+    evaluate,
     gaussian_mod_p,
     greedy_disjoint_size,
+    incidence_form,
+    monomial,
     pairwise_scan_pairs,
     reference_scan_pairs,
 )
@@ -61,17 +64,17 @@ def test_reduce_incidence():
 
 
 def test_reduce_errors():
-    F = BiForm.monomial((1, 0, 0), (1, 0, 0), GR(Fraction(1, 7)))
+    F = monomial((1, 0, 0), (1, 0, 0), GR(Fraction(1, 7)))
     with pytest.raises(PreconditionError):
         reduce_mod_p(F, 7)
-    G = BiForm.monomial((1, 0, 0), (1, 0, 0), GR(0, 1))
+    G = monomial((1, 0, 0), (1, 0, 0), GR(0, 1))
     with pytest.raises(PreconditionError):
         reduce_mod_p(G, 7)  # nonreal needs p = 1 mod 4
     assert reduce_mod_p(G, 13).terms  # i -> 5 mod 13
     with pytest.raises(PreconditionError):
         reduce_mod_p(incidence_form(), 9)
     with pytest.raises(PreconditionError):
-        reduce_mod_p(BiForm.monomial((1, 0, 0), (1, 0, 0), GR(7)), 7)
+        reduce_mod_p(monomial((1, 0, 0), (1, 0, 0), GR(7)), 7)
 
 
 def test_reduce_mod_p_images_and_refusals():
@@ -111,7 +114,7 @@ def test_reduction_commutes_with_evaluation(ruled2):
     # evaluate char-0 surface at integer points, compare mod p
     pt = (3, 1, 4)
     ln = (2, 5, 9)
-    v = ruled2.surface.evaluate(tuple(GR(c) for c in pt), tuple(GR(c) for c in ln))
+    v = evaluate(ruled2.surface, tuple(GR(c) for c in pt), tuple(GR(c) for c in ln))
     acc = 0
     for (pe, le), c in S.terms.items():
         t = c
@@ -275,7 +278,7 @@ def _linear(group, n):
     for i, c in enumerate(n):
         e = tuple(int(k == i) for k in range(3))
         pe, le = (e, (0, 0, 0)) if group == "p" else ((0, 0, 0), e)
-        F = F + BiForm.monomial(pe, le, GR(c))
+        F = F + monomial(pe, le, GR(c))
     return F
 
 
@@ -322,7 +325,7 @@ def test_census_linear_factor_takes_every_q_or_every_m(group, p):
     # (l.n) G vanishes on every line through n, so it holds every conic
     # with q = n.  At p = 3 a conic has too few points for the point oracle.
     n = (1, 2, 3) if group == "p" else (1, 4, 1)
-    G = BiForm.monomial((0, 1, 0), (0, 0, 2), GR(1)) + BiForm.monomial((1, 0, 0), (1, 1, 0), GR(3))
+    G = monomial((0, 1, 0), (0, 0, 2), GR(1)) + monomial((1, 0, 0), (1, 1, 0), GR(3))
     S = reduce_mod_p(_linear(group, n) * G, p)
     census = conic_census(S)
     assert set(_all_conics_through(group, n, p)) <= set(census)

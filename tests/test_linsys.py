@@ -1,7 +1,7 @@
 import pytest
 
 from flagcalc import linalg
-from flagcalc.biforms import BiForm, incidence_form, reduce_mod_incidence
+from flagcalc.biforms import BiForm, reduce_mod_incidence
 from flagcalc.binforms import BinaryForm
 from flagcalc.errors import DegenerateConicError, EmptySystemError, PreconditionError
 from flagcalc.flag import Conic, contains_conic, restrict_to_conic, singular_points_on_conic
@@ -16,7 +16,7 @@ from flagcalc.linsys import (
 )
 from flagcalc.sampling import SplitMix64, random_smooth_conics
 
-from oracles import evaluation_rank_oracle, rank
+from oracles import evaluation_rank_oracle, incidence_form, monomial, rank
 
 
 def test_h0_flag_values():
@@ -163,15 +163,15 @@ def test_witness_generic_surface_none():
 def test_witness_precondition():
     conics = random_smooth_conics(SplitMix64(43), 1)
     with pytest.raises(PreconditionError, match="the form cuts out no surface of the flag"):
-        singular_points_on_conic(BiForm.monomial((0, 0, 0), (0, 0, 0)), conics[0])
+        singular_points_on_conic(monomial((0, 0, 0), (0, 0, 0)), conics[0])
     with pytest.raises(DegenerateConicError):
-        singular_points_on_conic(BiForm.monomial((0, 1, 0), (0, 1, 0)), Conic((1, 0, 0), (0, 1, 0)))
+        singular_points_on_conic(monomial((0, 1, 0), (0, 1, 0)), Conic((1, 0, 0), (0, 1, 0)))
 
 
 def test_singular_points_on_a_conic_off_the_surface():
     # {p1 l1 = 0} is singular along p1 = l1 = 0, which this conic meets once,
     # at (s, t) = (1, 0) of its chart p = (s, -t, t), l = (t, -t, -s - t)
-    F = BiForm.monomial((0, 1, 0), (0, 1, 0))
+    F = monomial((0, 1, 0), (0, 1, 0))
     C = Conic((1, 1, 0), (0, 1, 1))
     assert restrict_to_conic(F, C) == BinaryForm([0, 0, 1])
     assert singular_points_on_conic(F, C) == BinaryForm([0, 1])

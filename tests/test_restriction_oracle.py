@@ -22,7 +22,7 @@ from math import lcm
 import pytest
 
 from flagcalc.binforms import BinaryForm, bf_gcd
-from flagcalc.biforms import BiForm, incidence_form, monomials, quotient_monomials
+from flagcalc.biforms import BiForm, monomials, quotient_monomials
 from flagcalc.cli import main
 from flagcalc.errors import PreconditionError
 from flagcalc.flag import Conic, restrict_to_conic, singular_points_on_conic
@@ -46,8 +46,10 @@ from flagcalc.serialize import biform_to_json, forms_from_json
 
 from oracles import (
     _fiber_at,
+    bf_evaluate,
     conic_param,
     form_powers,
+    incidence_form,
     restrict_to_curve,
     substitute_curve_forms,
 )
@@ -126,7 +128,7 @@ def _ref_certificate(forms, surface, seed=DEFAULT_RULED_SEED):
         count = 0
         k = 0
         while count <= bound:
-            m = tuple(f.evaluate(k, 1) for f in forms)
+            m = tuple(bf_evaluate(f, k, 1) for f in forms)
             k += 1
             if not m[i]:
                 continue

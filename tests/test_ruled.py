@@ -7,7 +7,7 @@ import pytest
 
 from flagcalc import ruled
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, incidence_form, monomials, proportionality, reduce_mod_incidence
+from flagcalc.biforms import BiForm, monomials, proportionality, reduce_mod_incidence
 from flagcalc.errors import PreconditionError
 from flagcalc.flag import (
     ProjPoint,
@@ -30,7 +30,16 @@ from flagcalc.ruled import (
 from flagcalc.sampling import SplitMix64
 from flagcalc.serialize import forms_from_json
 
-from oracles import _fiber_at, rank, reference_circle_samples, reference_parameter_resultant
+from oracles import (
+    _fiber_at,
+    evaluate,
+    incidence_form,
+    monomial,
+    random_flag_point,
+    rank,
+    reference_circle_samples,
+    reference_parameter_resultant,
+)
 
 FORMS_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "forms")
 
@@ -48,14 +57,10 @@ def spec3():
     return twistor_ruled_surface(CUBIC)
 
 
-def _mono(pe, le, c=1):
-    return BiForm.monomial(pe, le, c)
-
-
 def test_veronese_surface_matches_sylvester_expansion(spec2):
-    A = _mono((1, 0, 0), (0, 0, 1)) - _mono((0, 0, 1), (1, 0, 0))
-    B = _mono((1, 0, 0), (0, 1, 0)) - _mono((0, 1, 0), (1, 0, 0))
-    C = _mono((0, 1, 0), (0, 0, 1)) - _mono((0, 0, 1), (0, 1, 0))
+    A = monomial((1, 0, 0), (0, 0, 1)) - monomial((0, 0, 1), (1, 0, 0))
+    B = monomial((1, 0, 0), (0, 1, 0)) - monomial((0, 1, 0), (1, 0, 0))
+    C = monomial((0, 1, 0), (0, 0, 1)) - monomial((0, 0, 1), (0, 1, 0))
     target = A * A - B * C
     assert proportionality(spec2.surface, target) is not None
 
@@ -311,21 +316,19 @@ def test_surface_nonzero_off_sampled_fibers(spec2):
     # a random flag point away from the sampled conics does not lie on the
     # surface, so the resultant is not spuriously zero and the samples are
     # proper subvarieties
-    from oracles import random_flag_point
-
     rng = SplitMix64(271828)
     samples = twistor_circle_samples(spec2, 5)
     hits = 0
     for _ in range(20):
-        fp = random_flag_point(rng, height=6)
+        p, l = (x.rational() for x in random_flag_point(rng, height=6))
         on_sample = any(
-            not (sum((fp.p.rational()[i] * C.m.rational()[i] for i in range(3)), GR(0)))
-            and not (sum((C.q.rational()[i] * fp.l.rational()[i] for i in range(3)), GR(0)))
+            not (sum((p[i] * C.m.rational()[i] for i in range(3)), GR(0)))
+            and not (sum((C.q.rational()[i] * l[i] for i in range(3)), GR(0)))
             for C in samples
         )
         if on_sample:
             continue
-        if not spec2.surface.evaluate(fp.p.rational(), fp.l.rational()).is_zero():
+        if not evaluate(spec2.surface, p, l).is_zero():
             hits += 1
     assert hits >= 15
 
@@ -390,7 +393,7 @@ def test_catalog_rulings_are_singular_in_2a_minus_2_points_of_a_generic_fiber():
 
 def _jacobian(F, p, l):
     """The 2 x 6 matrix [grad F; (l, p)] at the flag point (p, l)."""
-    grad = [F.partial(group, i).evaluate(p, l) for group in "pl" for i in range(3)]
+    grad = [evaluate(F.partial(group, i), p, l) for group in "pl" for i in range(3)]
     return [grad, list(l) + list(p)]
 
 
@@ -404,7 +407,7 @@ def test_jacobian_has_rank_one_at_the_roots_of_the_singular_gcd(spec2):
 
     for t in (GR(0, 1), GR(0, -1)):
         p, l = point(t)
-        assert spec2.surface.evaluate(p, l).is_zero()
+        assert evaluate(spec2.surface, p, l).is_zero()
         assert rank(_jacobian(spec2.surface, p, l)) == 1
     assert rank(_jacobian(spec2.surface, *point(GR(2)))) == 2
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, incidence_form
 from flagcalc.errors import SchemaError
 from flagcalc.flag import Conic
 from flagcalc.gaussian import GaussianRational as GR
@@ -20,6 +19,8 @@ from flagcalc.serialize import (
     gr_from_json,
     gr_to_json,
 )
+
+from oracles import incidence_form, monomial
 
 
 def test_scalar_round_trip():
@@ -51,7 +52,7 @@ def test_scalar_strings_outside_the_grammar_refused(text):
 
 
 def test_biform_round_trip_and_order():
-    F = incidence_form() * incidence_form() + BiForm.monomial(
+    F = incidence_form() * incidence_form() + monomial(
         (0, 2, 0), (0, 0, 2), GR(0, Fraction(1, 3))
     )
     doc = biform_to_json(F)
@@ -118,9 +119,24 @@ def test_scalar_refuses_json_floats_and_booleans(obj):
     assert gr_from_json({"re": 3, "im": "1/2"}) == GR(3, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"re": "1", "imag": "5"}, "imag"),
+    ({"real": "3"}, "real"),
+    ({"re": 1, "im": 0, "i": 0}, "'i'"),
+    ({}, "{}"),
+])
+def test_scalar_object_with_an_unknown_key_refused(obj, key):
+    # obj.get("im", 0) would read a misspelled part as zero
+    with pytest.raises(SchemaError, match="keys re and im") as err:
+        gr_from_json(obj)
+    assert key in str(err.value)
+    assert gr_from_json({"re": "1"}) == GR(1)
+    assert gr_from_json({"im": "2"}) == GR(0, 2)
+
+
 def test_repeated_monomial_rejected():
     term = {"p": [1, 0, 0], "l": [0, 1, 0], "c": "1"}
-    assert biform_from_json({"bidegree": [1, 1], "terms": [term]}) == BiForm.monomial(
+    assert biform_from_json({"bidegree": [1, 1], "terms": [term]}) == monomial(
         (1, 0, 0), (0, 1, 0)
     )
     with pytest.raises(SchemaError, match=r"the monomial p \[1, 0, 0\] l \[0, 1, 0\] is repeated"):
