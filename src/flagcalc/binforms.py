@@ -7,9 +7,9 @@ and the degree of that polynomial counts the multiplicity of s as a factor.
 
 A bare coefficient sequence in that convention is a binary form too, and
 conv and power_table multiply such sequences over any ring with + and *:
-GaussianRational for BinaryForm, GaussianInt for restriction to a conic
-and condition rows, int for the ruled certificate and the census.  Empty
-slots hold the int 0.
+GaussianRational for BinaryForm, GaussianInt (the one Z[i] type) for
+restriction to a conic and condition rows, int for the ruled certificate
+and the census.  Empty slots hold the int 0.
 """
 
 from __future__ import annotations

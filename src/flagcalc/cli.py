@@ -163,19 +163,16 @@ def _cmd_mk_surface(args):
 
 def _cmd_check_conic(args):
     from . import serialize
-    from .flag import require_surface, restrict_to_conic
+    from .flag import contains_conic, require_surface
 
     F = _load_surface(args.surface)
     C = serialize.conic_from_json(_load_json(args.conic))
-    restriction = restrict_to_conic(F, C)  # a degenerate conic is refused first
+    contained = contains_conic(F, C)  # a degenerate conic is refused first
     require_surface(F)
-    out = {
-        "contained": restriction.is_zero(),
-        "twistor_fiber": C.is_twistor_fiber(),
-        "smooth_conic": C.is_smooth,
-    }
-    if not out["contained"]:
-        out["restriction_degree"] = restriction.degree
+    out = {"contained": contained, "twistor_fiber": C.is_twistor_fiber(),
+           "smooth_conic": C.is_smooth}
+    if not contained:  # the restriction has a+b+1 coefficients
+        out["restriction_degree"] = sum(F.bidegree)
     return out
 
 

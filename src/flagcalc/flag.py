@@ -55,21 +55,26 @@ class ProjPoint:
         if len(raw) != 3:
             raise PreconditionError("a projective point needs exactly 3 coordinates")
         (row,), _ = clear_rows([raw])
-        pr, pi = next((z for z in row if z != (0, 0)), (0, 0))
-        row = [(re * pr + im * pi, im * pr - re * pi) for re, im in row]  # the pivot is its norm
-        if not (g := math.gcd(*(x for z in row for x in z))):  # the content; D is what is left
+        pivot = next((z for z in row if z), GaussianInt(0)).conjugate()
+        row = [z * pivot for z in row]  # the pivot is its norm
+        if not (g := math.gcd(*(z.re for z in row), *(z.im for z in row))):  # the content
             raise PreconditionError("(0, 0, 0) is not a projective point")
-        self.coords = tuple(GaussianInt(re // g, im // g) for re, im in row)
+        self.coords = tuple(z // g for z in row)  # D is what is left
 
     def conjugate(self) -> "ProjPoint":
         # the real pivot D conjugates to D, so the conjugate is already canonical
         out = ProjPoint.__new__(ProjPoint)
-        out.coords = tuple(GaussianInt(c.re, -c.im) for c in self.coords)
+        out.coords = tuple(c.conjugate() for c in self.coords)
         return out
+
+    @property
+    def denominator(self) -> int:
+        """D, the first nonzero stored coordinate."""
+        return next(c.re for c in self.coords if c)
 
     def rational(self) -> tuple:
         """c, the Q(i) coordinates with first nonzero coordinate 1."""
-        d = next(c.re for c in self.coords if c)
+        d = self.denominator
         return tuple(GaussianRational(Fraction(c.re, d), Fraction(c.im, d)) for c in self.coords)
 
     def __eq__(self, other):
@@ -200,9 +205,9 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
     a, b = F.bidegree
     (coeffs,), k = clear_rows([list(F.terms.values())])
     q, m = C.q.coords, C.m.coords
-    lam, mu = (next(c.re for c in P if c) for P in (q, m))
-    out = substitute_forms({t: GaussianInt(*z) for t, z in zip(F.terms, coeffs)}, (a, b), q, m)
-    den = int(k * mu ** (a + b) * lam**b)
+    lam, mu = C.q.denominator, C.m.denominator
+    out = substitute_forms(dict(zip(F.terms, coeffs)), (a, b), q, m)
+    den = k * mu ** (a + b) * lam**b
     return BinaryForm([GaussianRational(Fraction(z.re, den), Fraction(z.im, den)) if z else ZERO
                        for z in out])
 

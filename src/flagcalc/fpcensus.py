@@ -44,8 +44,8 @@ def reduce_mod_p(F: BiForm, p: int) -> FpSurface:
     """Coefficientwise reduction of F mod p.
 
     linalg.clear_rows scales the coefficients by the lcm d of their
-    denominators to Gaussian integers x + yi, and each maps to
-    (x + i y) / d mod p.  Denominators must be units mod p; nonreal
+    denominators to Gaussian integers, which modp.reduce_rows maps into
+    F_p; each is then divided by d.  Denominators must be units mod p; nonreal
     coefficients additionally need p = 1 (mod 4), in which case i maps to
     the smallest positive square root of -1 (modp.sqrt_minus_one).
     """
@@ -53,17 +53,15 @@ def reduce_mod_p(F: BiForm, p: int) -> FpSurface:
         raise PreconditionError(f"{p} is not an odd prime")
     (row,), d = clear_rows([list(F.terms.values())])
     i_img = modp.sqrt_minus_one(p) if p % 4 == 1 else None
-    if i_img is None and any(y for _, y in row):
+    if i_img is None and any(z.im for z in row):
         raise PreconditionError("nonreal coefficients need p = 1 (mod 4)")
     if d % p == 0:
         den = next(n for c in F.terms.values() for n in (c.re.denominator, c.im.denominator)
                    if n % p == 0)
         raise PreconditionError(f"denominator {den} is divisible by {p}")
-    inv = pow(int(d), -1, p)
-    terms = {}
-    for key, (x, y) in zip(F.terms, row):
-        if v := (x + (i_img or 0) * y) * inv % p:
-            terms[key] = v
+    inv = pow(d, -1, p)
+    (row,) = modp.reduce_rows([row], p, i_img or 0)
+    terms = {key: v * inv % p for key, v in zip(F.terms, row) if v}
     if not terms:
         raise PreconditionError(f"the surface reduces to zero mod {p}")
     return FpSurface(p, F.bidegree, terms, i_img)

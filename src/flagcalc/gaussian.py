@@ -134,16 +134,23 @@ def to_gaussian(x) -> GaussianRational:
 
 
 class GaussianInt:
-    """re + im*i with int parts: the ring of flag.ProjPoint coordinates and of
-    the condition rows.  Either factor may be an int (power_table's 1)."""
+    """re + im*i with int parts, the one Gaussian-integer value.  Either factor
+    of * may be an int (power_table's 1); // divides exactly, by an int or a
+    divisor.  re, im = z unpacks it; hot loops read .re and .im, at half the cost."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int, im: int = 0):
         self.re, self.im = re, im
 
+    def __iter__(self):
+        return iter((self.re, self.im))
+
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
+
+    def conjugate(self) -> "GaussianInt":
+        return GaussianInt(self.re, -self.im)
 
     def __add__(self, o):
         return GaussianInt(self.re + o.re, self.im + o.im)
@@ -160,6 +167,12 @@ class GaussianInt:
         return GaussianInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        if type(o) is int:
+            return GaussianInt(self.re // o, self.im // o)
+        z, n = self * o.conjugate(), o.re * o.re + o.im * o.im  # z / o = z conj(o) / |o|^2
+        return GaussianInt(z.re // n, z.im // n)
 
     def __eq__(self, o):
         return type(o) is GaussianInt and self.re == o.re and self.im == o.im

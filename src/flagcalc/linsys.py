@@ -4,7 +4,7 @@ Sections of the (a, b) polarization on the flag threefold are represented
 by their canonical coefficients on the quotient monomial basis (monomials
 not divisible by p0*l0).  A conic imposes the a+b+1 coefficients of the
 restriction map as linear conditions.  They are built once, exactly, as
-Gaussian-integer rows (condition_matrix).  Their image mod modp.PRIME,
+GaussianInt rows (condition_matrix).  Their image mod modp.PRIME,
 with i sent to I_MOD, is eliminated first, and the rank mod p bounds the
 exact rank from below.  A dimension is returned from F_p only when the row
 count bounds it from the other side, after the forward pass alone
@@ -39,20 +39,26 @@ from .gaussian import ONE, ZERO, GaussianInt, GaussianRational
 from .invariants import h0_flag
 from .sampling import SplitMix64
 
+# Bareiss on r pivot rows of c columns with b-bit entries takes about
+# 3.4e-9 s x sum over steps k < r of (r-k)(c-k) cells of (k b)^1.35, kernel
+# and certificate included (2 vCPUs, Python 3.11): 28x64 0.45 s, 54x125 12 s,
+# 55x216 42 s, 88x216 152 s.  Above this the exact kernel is refused
+BAREISS_MAX_SECONDS = 60
+
 
 class ConditionMatrix(NamedTuple):
     """Linear conditions imposed by conics on the (a, b) coefficient space.
 
     One block of a+b+1 rows per conic; one column per quotient monomial
     (not divisible by p0*l0) in the fixed descending-lex order.  Entries
-    are Gaussian integers as (re, im) pairs.  A coefficient vector lies in
-    the kernel exactly when the corresponding form vanishes on every conic.
+    are GaussianInt.  A coefficient vector lies in the kernel exactly when
+    the corresponding form vanishes on every conic.
     """
 
     bidegree: tuple[int, int]
     conics: list[Conic]
     columns: list
-    rows: list[list[linalg.Pair]]
+    rows: list[list[GaussianInt]]
 
 
 def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
@@ -75,16 +81,16 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     cols = quotient_monomials(a, b)
     rows = []
     for q, m in ((C.q.coords, C.m.coords) for C in conics):
-        block = [[(0, 0)] * len(cols) for _ in range(a + b + 1)]
+        block = [[GaussianInt(0)] * len(cols) for _ in range(a + b + 1)]
         for j, r in enumerate(monomial_restrictions(cols, (a, b), q, m).values()):
             for k, c in enumerate(r):
                 if c:  # the int 1 only at (0, 0), whose one column is the constant
-                    block[k][j] = (c.re, c.im) if type(c) is GaussianInt else (c, 0)
+                    block[k][j] = c if type(c) is GaussianInt else GaussianInt(c)
         rows.extend(block)
     return ConditionMatrix((a, b), conics, cols, rows)
 
 
-def _fp_kernel(rows: list[list[linalg.Pair]], cols, red1, ncols: int):
+def _fp_kernel(rows: list[list[GaussianInt]], cols, red1, ncols: int):
     """The reduced-echelon kernel of Gaussian-integer rows read back from
     F_p, or None when the two images disagree or an entry does not
     reconstruct.
@@ -99,7 +105,7 @@ def _fp_kernel(rows: list[list[linalg.Pair]], cols, red1, ncols: int):
     gives; the caller proves it.
     """
     p, i = modp.PRIME, modp.I_MOD
-    _, cols2, normed2 = modp.echelon(modp.reduce_rows(rows, p - i), ncols)
+    _, cols2, normed2 = modp.echelon(modp.reduce_rows(rows, p, p - i), ncols)
     if set(cols) != set(cols2):
         return None
     conj = dict(zip(cols2, modp.back_reduce(cols2, normed2, ncols)))
@@ -134,9 +140,9 @@ def _certified_kernel(cm: ConditionMatrix, pivots, cols, normed):
     are the echelon form of cm's rows with i sent to I_MOD, as modp.echelon
     gives them; it is back-reduced once, and the kernel is read back from
     F_p first (_fp_kernel).  When that fails, or its proof does, the pivot
-    rows are eliminated exactly by Bareiss and proved; when that proof
-    fails too (p divides a minor the rank needs), all rows are, and proved
-    again.
+    rows are eliminated exactly by Bareiss and proved, unless Bareiss would
+    take over BAREISS_MAX_SECONDS; when that proof fails too (p divides a
+    minor the rank needs), all rows are, and proved again.
 
     The F_p kernel has ncols - rank_p vectors, and rank_p is at most the
     exact rank, so once proved it spans the exact kernel; a kernel has one
@@ -147,6 +153,12 @@ def _certified_kernel(cm: ConditionMatrix, pivots, cols, normed):
     kernel = _fp_kernel(rows, cols, modp.back_reduce(cols, normed, ncols), ncols)
     if kernel is not None and linalg.annihilates(cm.rows, kernel):
         return kernel
+    bits = max((max(abs(z.re), abs(z.im)) for row in rows for z in row), default=0).bit_length()
+    est = 3.4e-9 * sum((len(rows) - k) * (ncols - k) * (k * bits) ** 1.35 for k in range(len(rows)))
+    if est > BAREISS_MAX_SECONDS:
+        raise PreconditionError(f"the exact kernel takes about {est:.3g} s (Bareiss on {len(rows)} "
+                                f"pivot rows x {ncols} columns of {bits}-bit entries), over the "
+                                f"cap {BAREISS_MAX_SECONDS} s")
     for exact in (rows, cm.rows):
         kernel = linalg.nullspace(exact, ncols=ncols)
         if linalg.annihilates(cm.rows, kernel):
@@ -165,7 +177,7 @@ def system_dimension(a: int, b: int, conics) -> int:
     """
     cm = condition_matrix(a, b, conics)
     ncols = len(cm.columns)
-    pivots, cols, normed = modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), ncols)
+    pivots, cols, normed = modp.echelon(modp.reduce_rows(cm.rows, modp.PRIME, modp.I_MOD), ncols)
     nullity = ncols - len(pivots)
     if nullity == max(ncols - len(cm.rows), 0):
         return nullity
@@ -203,7 +215,7 @@ def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     that loses nothing.
     """
     cm = condition_matrix(a, b, conics)
-    image = modp.echelon(modp.reduce_rows(cm.rows, modp.I_MOD), len(cm.columns))
+    image = modp.echelon(modp.reduce_rows(cm.rows, modp.PRIME, modp.I_MOD), len(cm.columns))
     kernel = _certified_kernel(cm, *image)
     basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
     return SurfaceFamily((a, b), cm.conics, basis)

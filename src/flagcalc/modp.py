@@ -1,10 +1,10 @@
 """Arithmetic in the prime fields F_p, the one module that knows them.
 
 PRIME = 2^61 - 31 is 1 (mod 4).  Sending i to a square root of -1 mod p
-maps Z[i] onto F_p (reduce_rows, on Gaussian-integer rows); the map is a
-ring homomorphism, so a rank mod p never exceeds the exact one.  Nothing
-here reads a Gaussian rational: Q(i) data is cleared to Z[i] by
-linalg.clear_rows first.
+maps Z[i] onto F_p (reduce_rows, the one such map: the condition rows mod
+PRIME and the census surface mod a small p); it is a ring homomorphism, so
+a rank mod p never exceeds the exact one.  Nothing here reads a Gaussian
+rational: Q(i) data is cleared to Z[i] by linalg.clear_rows first.
 
 Row elimination (echelon, then back_reduce) works on packed rows: a row
 of F_p entries is one int with a fixed-width slot per column, so
@@ -40,10 +40,9 @@ PRIME = 2305843009213693921  # 2^61 - 31
 I_MOD = sqrt_minus_one(PRIME)
 
 
-def reduce_rows(rows: list[list[tuple[int, int]]], i_img: int) -> list[list[int]]:
-    """Rows of Gaussian-integer (re, im) pairs mod PRIME, i sent to i_img."""
-    p = PRIME
-    return [[(re + i_img * im) % p for re, im in row] for row in rows]
+def reduce_rows(rows, p: int, i_img: int) -> list[list[int]]:
+    """Rows of GaussianInt mod p, i sent to i_img."""
+    return [[(z.re + i_img * z.im) % p for z in row] for row in rows]
 
 
 def canonical(x, p: int) -> tuple[int, ...]:

@@ -95,10 +95,10 @@ def _integer_ruling(forms):
     """The ruling cleared to integers: the coefficient rows of den * f, for
     the lcm den of the denominators of the real forms f, and den."""
     (row,), den = clear_rows([[c for g in forms for c in g.coeffs]])
-    if any(im for _, im in row):
+    if any(z.im for z in row):
         raise PreconditionError("the forms must have real coefficients")
     n = len(forms[0].coeffs)
-    return [[re for re, _ in row[k : k + n]] for k in range(0, len(row), n)], int(den)
+    return [[z.re for z in row[k : k + n]] for k in range(0, len(row), n)], den
 
 
 def _at(f, s, t) -> tuple:
@@ -205,9 +205,9 @@ def containment_certificate(f, surface: BiForm) -> dict:
     a, b = surface.bidegree
     bound = (a + 2 * b) * (len(f[0]) - 1)
     (row,), _ = clear_rows([list(surface.terms.values())])
-    if any(im for _, im in row):
+    if any(z.im for z in row):
         raise PreconditionError("the integer chart needs real coefficients")
-    int_terms = {k: re for k, (re, _) in zip(surface.terms, row)}
+    int_terms = {k: z.re for k, z in zip(surface.terms, row)}
 
     @cache
     def on_surface(m) -> bool:  # whether the fiber L_{m, m} lies on the surface

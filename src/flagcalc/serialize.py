@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .binforms import BinaryForm
 from .biforms import BiForm
@@ -24,11 +25,20 @@ from .gaussian import GaussianRational
 
 
 def frac_str(f: Fraction) -> str:
+    return _ratio_str(f.numerator, f.denominator)
+
+
+def _ratio_str(n: int, d: int) -> str:
     try:
-        return f"{f.numerator}/{f.denominator}"
+        return f"{n}/{d}"
     except ValueError as exc:  # str() refuses an int over its digit limit
         raise PreconditionError("an output number has more than "
                                 f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+def _lowest_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return _ratio_str(n // g, d // g)
 
 
 def _integer(x) -> int:
@@ -69,7 +79,10 @@ def gr_from_json(obj) -> GaussianRational:
 
 
 def point_to_json(pt: ProjPoint) -> list:
-    return [gr_to_json(c) for c in pt.rational()]
+    """The pivot-1 coordinates c, each part n/D of the stored triple D c
+    written in lowest terms with one gcd, as gr_to_json writes rational()."""
+    d = pt.denominator
+    return [{"re": _lowest_str(c.re, d), "im": _lowest_str(c.im, d)} for c in pt.coords]
 
 
 def point_from_json(obj) -> ProjPoint:

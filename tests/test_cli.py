@@ -21,6 +21,7 @@ from flagcalc.cli import (
     main,
 )
 from flagcalc.invariants import h0_flag
+from flagcalc.linsys import BAREISS_MAX_SECONDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -501,6 +502,17 @@ def test_interpolation_refuses_a_system_over_the_cell_limit(capsys, tmp_path):
 def test_cell_limit_admits_the_paper_sized_systems():
     assert 43 * 17 * h0_flag(8, 8) == 731 * 729 <= SYSTEM_MAX_CELLS  # dim-report (8,8), x = 43
     assert 49 * 9 * h0_flag(4, 4) == 441 * 125 <= SYSTEM_MAX_CELLS  # the 49-fiber (4,4) probe
+
+
+def test_interpolation_refuses_an_exact_kernel_over_the_time_cap(capsys):
+    # 176 rows x 216 columns are far under the cell limit, but the kernel
+    # does not read back from F_p, and Bareiss on the 176 pivot rows would
+    # run for about 1,000 s: refused once the read-back fails, before Bareiss
+    message = _refused(capsys, "mk-surface", "--a", "5", "--b", "5", "--random", "16", "--seed", "3")
+    assert message.startswith("the exact kernel takes about ")
+    assert message.endswith(" s (Bareiss on 176 pivot rows x 216 columns of 110-bit entries), "
+                            f"over the cap {BAREISS_MAX_SECONDS} s")
+    assert float(message.split()[5]) > 10 * BAREISS_MAX_SECONDS
 
 
 def _one_term_surface(path, a, b):

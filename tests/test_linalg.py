@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from flagcalc import linalg
-from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.gaussian import GaussianInt as GI, GaussianRational as GR
 from flagcalc.sampling import SplitMix64
 
 from oracles import det, nullity, rank, reference_nullspace
@@ -13,6 +13,15 @@ def _mat(rows):
 
 def _cleared(matrix):
     return linalg.clear_rows(matrix)[0]
+
+
+def test_clear_rows_gives_gaussian_int_rows_and_an_int_scale():
+    m = [[GR(Fraction(1, 2)), GR(0, Fraction(-2, 3)), GR(5)], [GR(1, 1), GR(0), GR(Fraction(3, 4))]]
+    rows, scale = linalg.clear_rows(m)
+    assert type(scale) is int and scale == 6 * 4
+    assert all(type(z) is GI and type(z.re) is type(z.im) is int for row in rows for z in row)
+    assert [[tuple(z) for z in row] for row in rows] == [[(3, 0), (0, -4), (30, 0)],
+                                                          [(4, 4), (0, 0), (3, 0)]]
 
 
 def test_det_2x2():
@@ -85,7 +94,7 @@ def test_nullspace_of_empty_matrix():
 
 
 def test_nullspace_full_rank():
-    assert linalg.nullspace([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], 2) == []
+    assert linalg.nullspace([[GI(1), GI(0)], [GI(0), GI(1)]], 2) == []
 
 
 def test_nullspace_matches_qi_back_substitution():
@@ -95,10 +104,7 @@ def test_nullspace_matches_qi_back_substitution():
     rng = SplitMix64(0x5EED)
 
     def gi():
-        return (rng.int_in(-9, 9), rng.int_in(-9, 9))
-
-    def mul(x, y):
-        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+        return GI(rng.int_in(-9, 9), rng.int_in(-9, 9))
 
     checked = 0
     for n, r, c in ((3, 2, 5), (4, 2, 6), (5, 3, 7), (6, 4, 8), (7, 5, 9)):
@@ -106,22 +112,18 @@ def test_nullspace_matches_qi_back_substitution():
             left = [[gi() for _ in range(r)] for _ in range(n)]
             right = [[gi() for _ in range(c)] for _ in range(r)]
             rows = [
-                [
-                    (sum(mul(u[k], right[k][j])[0] for k in range(r)),
-                     sum(mul(u[k], right[k][j])[1] for k in range(r)))
-                    for j in range(c)
-                ]
+                [sum((u[k] * right[k][j] for k in range(r)), GI(0)) for j in range(c)]
                 for u in left
             ]
             zero = rng.int_in(0, c - 1)
             for row in rows:
-                row[1] = mul(row[0], (2, -1))
-                row[zero] = (0, 0)
+                row[1] = row[0] * GI(2, -1)
+                row[zero] = GI(0)
             kernel = linalg.nullspace(rows, c)
             assert kernel == reference_nullspace(rows, c)
             assert len(kernel) >= c - r and linalg.annihilates(rows, kernel)
             checked += 1
-    free0 = [[(0, 0), (2, 1), (4, 2), (1, 0)], [(0, 0), (0, 3), (0, 6), (1, -1)]]
+    free0 = [[GI(0), GI(2, 1), GI(4, 2), GI(1)], [GI(0), GI(0, 3), GI(0, 6), GI(1, -1)]]
     kernel = linalg.nullspace(free0, 4)
     assert kernel == reference_nullspace(free0, 4)
     assert kernel[0] == [GR(1), GR(0), GR(0), GR(0)]
@@ -148,4 +150,4 @@ def test_annihilates():
     bent[1][0] = bent[1][0] + GR(Fraction(1, 5))
     assert not linalg.annihilates(m, bent)
     # [1, 1] . [-1, 1 + i] = i: zero real part, nonzero imaginary part
-    assert not linalg.annihilates([[(1, 0), (1, 0)]], _mat([[-1, (1, 1)]]))
+    assert not linalg.annihilates([[GI(1), GI(1)]], _mat([[-1, (1, 1)]]))

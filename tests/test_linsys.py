@@ -5,6 +5,7 @@ from flagcalc.biforms import BiForm, reduce_mod_incidence
 from flagcalc.binforms import BinaryForm
 from flagcalc.errors import DegenerateConicError, EmptySystemError, PreconditionError
 from flagcalc.flag import Conic, contains_conic, restrict_to_conic, singular_points_on_conic
+from flagcalc.gaussian import GaussianInt
 from flagcalc.invariants import h0_flag, h0_hirzebruch
 from flagcalc.linsys import (
     condition_matrix,
@@ -175,3 +176,10 @@ def test_singular_points_on_a_conic_off_the_surface():
     C = Conic((1, 1, 0), (0, 1, 1))
     assert restrict_to_conic(F, C) == BinaryForm([0, 0, 1])
     assert singular_points_on_conic(F, C) == BinaryForm([0, 1])
+
+
+def test_condition_rows_hold_gaussian_ints():
+    for a, b, x, seed in [(0, 0, 2, 1), (1, 0, 2, 2), (2, 3, 3, 3), (3, 3, 4, 4)]:
+        cm = condition_matrix(a, b, random_smooth_conics(SplitMix64(seed), x, height=10))
+        assert all(type(z) is GaussianInt for row in cm.rows for z in row)
+        assert len(cm.rows) == x * (a + b + 1)

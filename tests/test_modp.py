@@ -6,6 +6,7 @@ import pytest
 
 from flagcalc import modp
 from flagcalc.errors import PreconditionError
+from flagcalc.gaussian import GaussianInt
 from flagcalc.modp import (
     I_MOD,
     PRIME,
@@ -88,7 +89,7 @@ def test_echelon_pivot_columns_in_row_order():
         pivot_rows, pivot_cols, _ = echelon(rows, ncols)
 
         def rank(rs, cols):
-            return rank_int([[(rows[r][j], 0) for j in range(cols)] for r in rs], cols)
+            return rank_int([[GaussianInt(rows[r][j]) for j in range(cols)] for r in rs], cols)
 
         for k, (r, c) in enumerate(zip(pivot_rows, pivot_cols)):
             before = pivot_rows[:k]

@@ -21,7 +21,7 @@ from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm, proportionality, reduce_mod_incidence
 from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import Conic, twistor_fiber_of
-from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.gaussian import GaussianInt, GaussianRational as GR
 from flagcalc.invariants import h0_flag
 from flagcalc.linsys import (
     condition_matrix,
@@ -153,17 +153,17 @@ def test_echelon_mod_p_matches_bareiss_rank():
             coeffs = [rng.int_in(-3, 3) for _ in range(rank)]
             rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(ncols)])
         pivot_rows, pivot_cols, _ = modp.echelon(rows, ncols)
-        exact = rank_int([[(x, 0) for x in row] for row in rows], ncols)
+        exact = rank_int([[GaussianInt(x) for x in row] for row in rows], ncols)
         assert len(pivot_rows) == len(pivot_cols) == exact
         assert pivot_rows == sorted(pivot_rows)
         assert len(set(pivot_cols)) == len(pivot_cols)
         # the pivot rows alone have the full rank, and every row before a
         # pivot row that is not one is dependent on its predecessors
-        sub = [[(x, 0) for x in rows[r]] for r in pivot_rows]
+        sub = [[GaussianInt(x) for x in rows[r]] for r in pivot_rows]
         assert rank_int(sub, ncols) == exact
         for r in range(nrows):
             if r not in pivot_rows:
-                head = [[(x, 0) for x in rows[k]] for k in range(r + 1)]
+                head = [[GaussianInt(x) for x in rows[k]] for k in range(r + 1)]
                 assert rank_int(head, ncols) == sum(k < r for k in pivot_rows)
 
 

@@ -28,9 +28,10 @@ _PROBED = ("perfbench/trace_boot.py SPANS probes it, so it leaves with the bench
 _PINNED = ("perfbench/trace_boot.py DUNDERS wraps it, and "
            "test_cli.py::test_trace_probes_resolve pins it")
 _IMPLICIT = "a value-type dunder that Python calls implicitly (==, hash, repr)"
+_UNPACKED = ("perfbench/trace_boot.py::_entry_bits unpacks echelon rows as (re, im) "
+             "pairs, and test_cli.py::test_trace_attributes_lazily_imported_requests pins it")
 
 ALLOWED = {
-    "flag.contains_conic": _PROBED,
     "flag.conics_disjoint": _PROBED,
     "linsys.surface_through_conics": _PROBED,
     "gaussian.GaussianRational.__pow__": _PINNED,
@@ -39,6 +40,7 @@ ALLOWED = {
     "biforms.BiForm.__mul__": _PINNED,
     "biforms.BiForm.__neg__": _PINNED,
     "biforms.BiForm.__sub__": _PINNED,
+    "gaussian.GaussianInt.__iter__": _UNPACKED,
     "gaussian.GaussianRational.__hash__": _IMPLICIT,
     "gaussian.GaussianRational.__repr__": _IMPLICIT,
     "binforms.BinaryForm.__eq__": _IMPLICIT,

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from flagcalc.binforms import BinaryForm
-from flagcalc.errors import SchemaError
-from flagcalc.flag import Conic
+from flagcalc.errors import PreconditionError, SchemaError
+from flagcalc.flag import Conic, ProjPoint
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.sampling import SplitMix64, random_smooth_conic
 from flagcalc.serialize import (
@@ -18,6 +18,7 @@ from flagcalc.serialize import (
     forms_to_json,
     gr_from_json,
     gr_to_json,
+    point_to_json,
 )
 
 from oracles import incidence_form, monomial
@@ -72,6 +73,28 @@ def test_conic_round_trip_canonical():
     # non-canonical input is canonicalized on parse
     doc = {"q": ["2", "4", "0"], "m": ["1", "0", "0"]}
     assert conic_from_json(doc) == Conic((1, 2, 0), (1, 0, 0))
+
+
+def test_point_is_written_from_its_gaussian_integer_triple():
+    # each part n/D of the stored triple D c, in lowest terms, is what the
+    # Fractions of rational() write; parts are negative, zero or positive
+    rng = SplitMix64(0x9017)
+
+    def part():
+        return Fraction(rng.int_in(-20, 20) * rng.int_in(0, 1), rng.int_in(1, 30))
+
+    points = negative = zero = 0
+    while points < 300:
+        coords = [GR(part(), part()) * rng.int_in(0, 1) for _ in range(3)]
+        if not any(coords):
+            continue
+        P = ProjPoint(coords)
+        assert point_to_json(P) == [gr_to_json(c) for c in P.rational()]
+        parts = [x for c in P.rational() for x in (c.re, c.im)]
+        points, negative, zero = points + 1, negative + (min(parts) < 0), zero + (0 in parts)
+    assert negative > 50 and zero > 50
+    with pytest.raises(PreconditionError, match="digits"):
+        point_to_json(ProjPoint((1, 3 * 10**5000, 0)))
 
 
 def test_conics_list_parsing():
