@@ -1,35 +1,41 @@
 """Sparse bihomogeneous forms in the point-line variables (p0,p1,p2), (l0,l1,l2).
 
-A form of bidegree (a, b) is a map from exponent pairs
-((e0,e1,e2), (f0,f1,f2)) with e0+e1+e2 = a and f0+f1+f2 = b to nonzero
-scalars in Q(i).  The monomial order used everywhere (serialization, matrix
-columns, reduction) is descending lexicographic on the concatenated
-exponent tuples, so p0*l0 is the leading monomial of the incidence form.
-The constructor drops zero coefficients, so arithmetic adds into a plain
-dict and returns through it.
+A form of bidegree (a, b) maps exponent pairs ((e0,e1,e2), (f0,f1,f2)),
+e0+e1+e2 = a and f0+f1+f2 = b, to nonzero scalars in Q(i).  As a
+flag.ProjPoint does, it stores D F: terms maps each pair to a nonzero
+GaussianInt over one int den = D > 0, the least common denominator, so
+every form has one stored shape.  The constructor, the one way in from
+Q(i), checks each key once and clears with one linalg.clear_rows call;
+arithmetic returns through from_ints, which checks no key.  The monomial
+order used everywhere (serialization, matrix columns, reduction) is
+descending lexicographic on the concatenated exponent tuples, so p0*l0 is
+the leading monomial of the incidence form.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import PreconditionError
-from .gaussian import ONE, ZERO, GaussianRational, to_gaussian
+from .gaussian import GaussianInt, to_gaussian
+from .linalg import clear_rows
 
 ExpPair = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 
 class BiForm:
-    """A bihomogeneous polynomial with exact Q(i) coefficients."""
+    """A bihomogeneous polynomial over Q(i): terms / den, with GaussianInt
+    terms and an int den > 0 in lowest terms."""
 
-    __slots__ = ("bidegree", "terms")
+    __slots__ = ("bidegree", "terms", "den")
 
     def __init__(self, bidegree, terms=None):
+        """The form with the Q(i) (or int, Fraction) coefficients terms."""
         a, b = int(bidegree[0]), int(bidegree[1])
         if a < 0 or b < 0:
             raise PreconditionError("bidegree components must be nonnegative")
         self.bidegree = (a, b)
-        clean: dict[ExpPair, GaussianRational] = {}
+        clean = {}
         for key, c in (terms or {}).items():
             pe, le = (tuple(key[0]), tuple(key[1]))
             if len(pe) != 3 or len(le) != 3:
@@ -39,23 +45,23 @@ class BiForm:
             c = to_gaussian(c)
             if c:
                 clean[(pe, le)] = c
-        self.terms = clean
+        (row,), self.den = clear_rows([list(clean.values())])
+        self.terms = dict(zip(clean, row))
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __add__(self, other):
         if not isinstance(other, BiForm):
             return NotImplemented
         if self.bidegree != other.bidegree:
             raise PreconditionError("cannot add forms of different bidegree")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ZERO) + c
-        return BiForm(self.bidegree, out)
+        den = lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        out = {key: z * u for key, z in self.terms.items()}
+        for key, z in other.terms.items():
+            out[key] = z * v if (s := out.get(key)) is None else s + z * v
+        return from_ints(self.bidegree, out, den)
 
     def __sub__(self, other):
         if not isinstance(other, BiForm):
@@ -63,20 +69,21 @@ class BiForm:
         return self + (-other)
 
     def __neg__(self):
-        return BiForm(self.bidegree, {k: -c for k, c in self.terms.items()})
+        return from_ints(self.bidegree, {k: -z for k, z in self.terms.items()}, self.den)
 
     def scale(self, c) -> "BiForm":
-        c = to_gaussian(c)
-        if not c:
-            return BiForm(self.bidegree)
-        return BiForm(self.bidegree, {k: v * c for k, v in self.terms.items()})
+        """c times the form, for a GaussianInt or a Q(i) scalar c."""
+        d = 1
+        if type(c) is not GaussianInt:
+            ((c,),), d = clear_rows([[to_gaussian(c)]])
+        return from_ints(self.bidegree, {k: z * c for k, z in self.terms.items()}, self.den * d)
 
     def __mul__(self, other):
         if isinstance(other, BiForm):
-            out: dict[ExpPair, GaussianRational] = {}
+            out: dict[ExpPair, GaussianInt] = {}
             mul_terms(self.terms, other.terms, out)
             (a1, b1), (a2, b2) = self.bidegree, other.bidegree
-            return BiForm((a1 + a2, b1 + b2), out)
+            return from_ints((a1 + a2, b1 + b2), out, self.den * other.den)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -84,7 +91,7 @@ class BiForm:
     def __eq__(self, other):
         if not isinstance(other, BiForm):
             return NotImplemented
-        return self.bidegree == other.bidegree and self.terms == other.terms
+        return (self.bidegree, self.den, self.terms) == (other.bidegree, other.den, other.terms)
 
     def __repr__(self):
         return f"BiForm({self.bidegree}, {len(self.terms)} terms)"
@@ -95,16 +102,28 @@ class BiForm:
             raise PreconditionError("group must be 'p' or 'l'")
         g = "pl".index(group)
         bidegree = list(self.bidegree)
-        if not bidegree[g]:
-            return BiForm(bidegree)
-        bidegree[g] -= 1
+        bidegree[g] = max(bidegree[g] - 1, 0)  # degree 0 in the group: derivative 0
         out = {}
         for key, c in self.terms.items():
             if e := key[g][index]:
                 new = list(key)
                 new[g] = key[g][:index] + (e - 1,) + key[g][index + 1 :]
                 out[tuple(new)] = c * e
-        return BiForm(bidegree, out)
+        return from_ints(bidegree, out, self.den)
+
+
+def from_ints(bidegree, terms, den: int) -> BiForm:
+    """The form terms / den, for GaussianInt terms whose keys are valid for
+    bidegree by construction (none is checked) and an int den > 0.  Zero
+    terms are dropped and the content shared with den is divided out, so
+    the result is stored in lowest terms."""
+    terms = {k: z for k, z in terms.items() if z}
+    if (g := gcd(den, *(z.re for z in terms.values()), *(z.im for z in terms.values()))) > 1:
+        terms = {k: z // g for k, z in terms.items()}
+        den //= g
+    F = BiForm.__new__(BiForm)
+    F.bidegree, F.terms, F.den = tuple(bidegree), terms, den
+    return F
 
 
 def mul_terms(t1, t2, out) -> None:
@@ -148,36 +167,28 @@ def reduce_mod_incidence(F: BiForm) -> BiForm:
     p0*l0 = -(p1*l1 + p2*l2), which holds on the flag; the result is
     supported on quotient_monomials and is the unique such representative.
     """
-    a, b = F.bidegree
-    if a == 0 or b == 0:
-        return F
-    out: dict[ExpPair, GaussianRational] = {}
+    out: dict[ExpPair, GaussianInt] = {}
     for (pe, le), c in F.terms.items():
         k = min(pe[0], le[0])
-        if k == 0:
-            out[(pe, le)] = out.get((pe, le), ZERO) + c
-            continue
         base = -c if k % 2 else c
         for alpha in range(k + 1):
             key = (
                 (pe[0] - k, pe[1] + alpha, pe[2] + k - alpha),
                 (le[0] - k, le[1] + alpha, le[2] + k - alpha),
             )
-            out[key] = out.get(key, ZERO) + base * comb(k, alpha)
-    return BiForm((a, b), out)
+            x = base * comb(k, alpha)
+            out[key] = x if (s := out.get(key)) is None else s + x
+    return from_ints(F.bidegree, out, F.den)
 
 
-def proportionality(F: BiForm, G: BiForm):
-    """The scalar c with F = c * G, or None when the forms are not parallel."""
-    if F.bidegree != G.bidegree:
-        return None
-    if G.is_zero():
-        return ONE if F.is_zero() else None
-    if F.terms.keys() != G.terms.keys():
-        return None
-    key = next(iter(G.terms))
-    c = F.terms[key] / G.terms[key]
-    for k, g in G.terms.items():
-        if F.terms[k] != g * c:
-            return None
-    return c
+def proportional(F: BiForm, G: BiForm) -> bool:
+    """Whether F = c G for a nonzero scalar c, or both are zero: the same
+    bidegree and support, and F[k] G[k0] = G[k] F[k0] in Z[i] at every key
+    k for one fixed key k0."""
+    if F.bidegree != G.bidegree or F.terms.keys() != G.terms.keys():
+        return False
+    if not G.terms:
+        return True
+    k0 = next(iter(G.terms))
+    f0, g0 = F.terms[k0], G.terms[k0]
+    return all(F.terms[k] * g0 == g * f0 for k, g in G.terms.items())

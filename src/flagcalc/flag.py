@@ -9,8 +9,8 @@ of surfaces to conics, and the singular points of a surface along a conic.
 Containment has one path.  A surface is pulled back through one chart of
 the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
 (chart_tables), by one routine (monomial_restrictions) over the ring its
-inputs lie in: restrict_to_conic clears the surface to Z[i] and reads the
-conic's stored Z[i] points, as the condition rows do, the ruled
+inputs lie in: restrict_to_conic reads the surface's stored Z[i] terms and
+the conic's stored Z[i] points, as the condition rows do, the ruled
 certificate runs over Z and the census over Z read mod p.  The routine
 works on coefficient sequences of binary forms, which binforms.conv and
 power_table multiply over any of those rings.
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .binforms import BinaryForm, bf_gcd, conv, power_table, zero_form
-from .biforms import BiForm, proportionality as _proportionality, reduce_mod_incidence
+from .biforms import BiForm, from_ints, proportional, reduce_mod_incidence
 from .errors import DegenerateConicError, PreconditionError
 from .gaussian import ZERO, GaussianInt, GaussianRational, to_gaussian
 from .linalg import clear_rows
@@ -195,19 +195,18 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
     """Binary form of degree a+b: F pulled back along the chart of the conic.
 
     Identically zero exactly when L_{q,m} lies on the surface {F = 0}.  F is
-    cleared to Z[i] by the lcm k of its denominators; q and m are stored as
-    lam and mu times their pivot-1 forms.  The chart's p-forms then scale by
-    mu and its l-forms by lam*mu, so the restriction over Z[i] is
-    k mu^(a+b) lam^b times the exact one, and is divided back.
+    stored as D F in Z[i]; q and m as lam and mu times their pivot-1 forms.
+    The chart's p-forms then scale by mu and its l-forms by lam*mu, so the
+    restriction over Z[i] is D mu^(a+b) lam^b times the exact one, and is
+    divided back.
     """
     if not C.is_smooth:
         raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
     a, b = F.bidegree
-    (coeffs,), k = clear_rows([list(F.terms.values())])
     q, m = C.q.coords, C.m.coords
     lam, mu = C.q.denominator, C.m.denominator
-    out = substitute_forms(dict(zip(F.terms, coeffs)), (a, b), q, m)
-    den = k * mu ** (a + b) * lam**b
+    out = substitute_forms(F.terms, (a, b), q, m)
+    den = F.den * mu ** (a + b) * lam**b
     return BinaryForm([GaussianRational(Fraction(z.re, den), Fraction(z.im, den)) if z else ZERO
                        for z in out])
 
@@ -263,10 +262,7 @@ def j_pullback(F: BiForm) -> BiForm:
     the roles of the p and l variables are exchanged, so bidegree (a, b)
     becomes (b, a).  Applying it twice gives back F exactly."""
     a, b = F.bidegree
-    out = {}
-    for (pe, le), c in F.terms.items():
-        out[(le, pe)] = c.conjugate()
-    return BiForm((b, a), out)
+    return from_ints((b, a), {(le, pe): c.conjugate() for (pe, le), c in F.terms.items()}, F.den)
 
 
 def is_j_invariant(F: BiForm) -> bool:
@@ -277,6 +273,4 @@ def is_j_invariant(F: BiForm) -> bool:
     a, b = F.bidegree
     if a != b:
         raise PreconditionError("j-invariance needs bidegree of the form (a, a)")
-    if F.is_zero():
-        return True
-    return _proportionality(j_pullback(F), F) is not None
+    return proportional(j_pullback(F), F)

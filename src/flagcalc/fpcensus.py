@@ -1,7 +1,8 @@
 """Conic census over small prime fields, one point q at a time.
 
-Reduce a surface mod an odd prime p and list the pairs (q, m) with q.m != 0
-whose conic L_{q,m} lies on it.  Along every conic l = q x p, so the
+Reduce a surface mod an odd prime p, from its stored Z[i] terms over its
+least common denominator, and list the pairs (q, m) with q.m != 0 whose
+conic L_{q,m} lies on it.  Along every conic l = q x p, so the
 surface is expanded once, mod p, into G(p, q) = S(p, q x p), and L_{q,m}
 lies on S exactly when the line m lies in the plane curve G_q = G(., q).
 Such a line meets each coordinate line in a zero of G_q, so O(p) values of
@@ -26,7 +27,6 @@ from . import modp
 from .biforms import BiForm, monomials
 from .errors import PreconditionError
 from .flag import cross, dot, substitute_forms
-from .linalg import clear_rows
 
 FpConic = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -43,24 +43,21 @@ class FpSurface(NamedTuple):
 def reduce_mod_p(F: BiForm, p: int) -> FpSurface:
     """Coefficientwise reduction of F mod p.
 
-    linalg.clear_rows scales the coefficients by the lcm d of their
-    denominators to Gaussian integers, which modp.reduce_rows maps into
-    F_p; each is then divided by d.  Denominators must be units mod p; nonreal
-    coefficients additionally need p = 1 (mod 4), in which case i maps to
-    the smallest positive square root of -1 (modp.sqrt_minus_one).
+    F is stored as D F in Z[i]; modp.reduce_rows maps those Gaussian
+    integers into F_p, and each is then divided by D, the least common
+    denominator, which must be a unit mod p.  Nonreal coefficients
+    additionally need p = 1 (mod 4), in which case i maps to the smallest
+    positive square root of -1 (modp.sqrt_minus_one).
     """
     if not modp.is_odd_prime(p):
         raise PreconditionError(f"{p} is not an odd prime")
-    (row,), d = clear_rows([list(F.terms.values())])
     i_img = modp.sqrt_minus_one(p) if p % 4 == 1 else None
-    if i_img is None and any(z.im for z in row):
+    if i_img is None and any(z.im for z in F.terms.values()):
         raise PreconditionError("nonreal coefficients need p = 1 (mod 4)")
-    if d % p == 0:
-        den = next(n for c in F.terms.values() for n in (c.re.denominator, c.im.denominator)
-                   if n % p == 0)
-        raise PreconditionError(f"denominator {den} is divisible by {p}")
-    inv = pow(d, -1, p)
-    (row,) = modp.reduce_rows([row], p, i_img or 0)
+    if F.den % p == 0:
+        raise PreconditionError(f"denominator {F.den} is divisible by {p}")
+    inv = pow(F.den, -1, p)
+    (row,) = modp.reduce_rows([F.terms.values()], p, i_img or 0)
     terms = {key: v * inv % p for key, v in zip(F.terms, row) if v}
     if not terms:
         raise PreconditionError(f"the surface reduces to zero mod {p}")

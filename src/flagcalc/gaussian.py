@@ -22,9 +22,6 @@ class GaussianRational:
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """z * conj(z) as a rational.  Nonnegative, zero only at z = 0."""
         return self.re * self.re + self.im * self.im

@@ -1,10 +1,11 @@
-"""Exact linear algebra over Q(i) on rows of gaussian.GaussianInt.
+"""Exact linear algebra over Z[i] on rows of gaussian.GaussianInt.
 
 clear_rows, which scales each Q(i) row by the lcm of its denominators to
 GaussianInt, is the one way in from Q(i): the point reader
-(flag.ProjPoint), the surface restricted to a conic, the ruling and ruled
-surface (ruled) and the census surface (fpcensus) are all cleared by it,
-and nothing else turns Gaussian rationals into integers.
+(flag.ProjPoint), the surface reader and its scalars (biforms.BiForm) and
+the ruling (ruled) are cleared by it, and nothing else turns Gaussian
+rationals into integers.  Past it everything here is Z[i]: a kernel vector comes out as
+its GaussianInt entries over one int denominator.
 Rows are reduced by fraction-free Bareiss condensation: every intermediate
 entry is a minor of the matrix, so all divisions are exact divisions in
 Z[i] and no rational arithmetic happens inside the elimination loop.
@@ -17,9 +18,8 @@ back-substitution and annihilates spell Z[i] products out on .re and .im,
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .gaussian import ZERO, GaussianInt, GaussianRational
+from .gaussian import GaussianInt
 
 
 def clear_rows(matrix) -> tuple[list[list[GaussianInt]], int]:
@@ -86,16 +86,17 @@ def echelon_int(rows: list[list[GaussianInt]], ncols: int):
     return pivots, sign
 
 
-def nullspace(rows: list[list[GaussianInt]], ncols: int) -> list[list[GaussianRational]]:
+def nullspace(rows: list[list[GaussianInt]], ncols: int) -> list[tuple[list[GaussianInt], int]]:
     """Basis of the right kernel of Gaussian-integer rows, one vector per
-    free column.
+    free column, each as (entries, den): the vector is entries / den, in
+    lowest terms (den > 0 and gcd(den, every part of the entries) = 1).
 
     The basis vector attached to a free column has a 1 there and support on
     the pivot columns only, so the output is canonical for a fixed matrix.
     With d the last pivot before the free column, d is the minor on the
     pivot rows and columns before it, so by Cramer's rule d times the
-    vector is in Z[i]: back-substitution divides exactly in Z[i], and each
-    entry is divided by d once at the end.
+    vector is in Z[i]: back-substitution divides exactly in Z[i], and the
+    vector is d times it over d, that is times conj(d) over |d|^2.
     """
     rows = [list(row) for row in rows]  # echelon_int works in place
     pivots, _ = echelon_int(rows, ncols)
@@ -115,25 +116,21 @@ def nullspace(rows: list[list[GaussianInt]], ncols: int) -> list[list[GaussianRa
                 si += a.re * x.im + a.im * x.re
             if sr or si:
                 w[pc] = GaussianInt(-sr, -si) // row[pc]
-        # x / d = x conj(d) / N with N = |d|^2, one Fraction per part
         dc, n = d.conjugate(), d.re * d.re + d.im * d.im
-        vec = [ZERO] * ncols
+        w = {j: x * dc for j, x in w.items()}
+        g = math.gcd(n, *(x.re for x in w.values()), *(x.im for x in w.values()))
+        vec = [GaussianInt(0)] * ncols
         for j, x in w.items():
-            x = x * dc
-            vec[j] = GaussianRational(Fraction(x.re, n), Fraction(x.im, n))
-        basis.append(vec)
+            vec[j] = x // g
+        basis.append((vec, n // g))
     return basis
 
 
 def annihilates(rows: list[list[GaussianInt]], vectors) -> bool:
-    """Whether every Gaussian-integer row times every vector over Q(i) is
-    exactly 0.
-
-    The vectors are cleared to Z[i] first; scaling a vector by a nonzero
-    integer does not change whether a product vanishes.
-    """
-    ivecs, _ = clear_rows(vectors)
-    for v in ivecs:
+    """Whether every Gaussian-integer row times every vector is exactly 0,
+    for vectors (entries, den) as nullspace gives them; den, a nonzero
+    integer scale, does not change whether a product vanishes."""
+    for v, _ in vectors:
         support = [(j, z.re, z.im) for j, z in enumerate(v) if z]
         for row in rows:
             sr = si = 0

@@ -28,14 +28,14 @@ a member along a conic are flag.singular_points_on_conic's.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from . import linalg, modp
-from .biforms import BiForm, quotient_monomials
+from .biforms import BiForm, from_ints, quotient_monomials
 from .errors import EmptySystemError, FlagcalcError, PreconditionError
 from .flag import Conic, monomial_restrictions
-from .gaussian import ONE, ZERO, GaussianInt, GaussianRational
+from .gaussian import GaussianInt
 from .invariants import h0_flag
 from .sampling import SplitMix64
 
@@ -92,17 +92,17 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
 
 def _fp_kernel(rows: list[list[GaussianInt]], cols, red1, ncols: int):
     """The reduced-echelon kernel of Gaussian-integer rows read back from
-    F_p, or None when the two images disagree or an entry does not
-    reconstruct.
+    F_p, as linalg.nullspace gives it, or None when the two images disagree
+    or an entry does not reconstruct.
 
     cols and red1 are the pivot columns and reduced rows of the rows' image
     with i sent to I_MOD (modp.back_reduce); the image with i sent to
     -I_MOD is eliminated here, and reduced once its pivot columns agree.
     A kernel entry re + i im maps to k1 = re + I_MOD im and k2 = re - I_MOD
     im, so re = (k1 + k2)/2 and im = (k1 - k2)/(2 I_MOD) mod p, each read
-    back by modp.reconstruct.  The vector of a free column f has 1 at f
-    and support on the pivot columns before f, the form linalg.nullspace
-    gives; the caller proves it.
+    back by modp.reconstruct in lowest terms; den is the lcm of their
+    denominators.  The vector of a free column f has 1 at f and support on
+    the pivot columns before f.  The caller proves it.
     """
     p, i = modp.PRIME, modp.I_MOD
     _, cols2, normed2 = modp.echelon(modp.reduce_rows(rows, p, p - i), ncols)
@@ -116,8 +116,7 @@ def _fp_kernel(rows: list[list[GaussianInt]], cols, red1, ncols: int):
     for f in range(ncols):
         if f in conj:
             continue
-        v = [ZERO] * ncols
-        v[f] = ONE
+        parts = {}  # pivot column -> ((re num, den), (im num, den))
         for c, r1, r2 in pivots:
             if c > f:
                 break
@@ -128,8 +127,13 @@ def _fp_kernel(rows: list[list[GaussianInt]], cols, red1, ncols: int):
             im = modp.reconstruct((k1 - k2) * im_scale, p)
             if re is None or im is None:
                 return None
-            v[c] = GaussianRational(Fraction(*re), Fraction(*im))
-        kernel.append(v)
+            parts[c] = re, im
+        den = lcm(*(d for re, im in parts.values() for _, d in (re, im)))
+        v = [GaussianInt(0)] * ncols
+        v[f] = GaussianInt(den)
+        for c, ((rn, rd), (jn, jd)) in parts.items():
+            v[c] = GaussianInt(rn * (den // rd), jn * (den // jd))
+        kernel.append((v, den))
     return kernel
 
 
@@ -217,7 +221,7 @@ def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     cm = condition_matrix(a, b, conics)
     image = modp.echelon(modp.reduce_rows(cm.rows, modp.PRIME, modp.I_MOD), len(cm.columns))
     kernel = _certified_kernel(cm, *image)
-    basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
+    basis = [from_ints((a, b), dict(zip(cm.columns, v)), den) for v, den in kernel]
     return SurfaceFamily((a, b), cm.conics, basis)
 
 
@@ -240,8 +244,6 @@ def family_member(family: SurfaceFamily, seed: int) -> BiForm:
     while True:
         member = BiForm((a, b))
         for F in family.basis:
-            c = GaussianRational(rng.int_in(-9, 9), rng.int_in(-9, 9))
-            if c:
-                member = member + F.scale(c)
+            member = member + F.scale(GaussianInt(rng.int_in(-9, 9), rng.int_in(-9, 9)))
         if not member.is_zero():
             return member

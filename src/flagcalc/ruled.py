@@ -17,8 +17,9 @@ root of the f_i: the trivial gcd is the positivity certificate.
 
 The ruling is cleared to integers once, by linalg.clear_rows, and the spec
 carries it: the positivity and birationality gcds, the resultant, the
-certificate and the samples all read that integer ruling.  Each fiber is
-handled as the integer triple m = f(s, t) at integers (s, t); a rational
+certificate and the samples all read that integer ruling.  The surface is
+built and certified on its stored Z[i] terms.  Each fiber is handled as
+the integer triple m = f(s, t) at integers (s, t); a rational
 parameter n/d is the homogeneous evaluation f(n, d).  Containment of the
 whole family is certified by sampling: on a fixed chart the restriction's
 coefficients are polynomials in the parameter of bounded degree, so
@@ -40,9 +41,10 @@ from functools import cache, reduce
 from typing import NamedTuple
 
 from .binforms import BinaryForm, bf_gcd
-from .biforms import BiForm, mul_terms
+from .biforms import BiForm, from_ints, mul_terms
 from .errors import PreconditionError
 from .flag import Conic, ProjPoint, substitute_forms, twistor_fiber_of
+from .gaussian import GaussianInt
 from .linalg import clear_rows
 from .sampling import SplitMix64
 
@@ -145,9 +147,9 @@ def _parameter_resultant(f, den) -> BiForm:
                 mul_terms(entry, minor(cols[:pos] + cols[pos + 1 :]), acc)
         return acc
 
-    scale = Fraction((-1) ** (a * (a + 1) // 2), den ** (2 * a))
+    sign = (-1) ** (a * (a + 1) // 2)
     det = minor(tuple(range(a)))
-    return BiForm((a, a), {k: c * scale for k, c in det.items()})
+    return from_ints((a, a), {k: GaussianInt(sign * c) for k, c in det.items()}, den ** (2 * a))
 
 
 def _check_birational(f):
@@ -198,16 +200,15 @@ def containment_certificate(f, surface: BiForm) -> dict:
     (skipping those where f_i vanishes) proves identical vanishing; the
     charts with f_i not identically zero cover the parameter line, as the
     triple is gcd-free.  These windows are what the argument counts.  A
-    fiber's containment does not depend on the chart, nor on clearing
-    denominators (a nonzero scale), so each integer triple m is restricted
-    once, along its one chart over Z, for the windows and probes alike.
+    fiber's containment does not depend on the chart, nor on the surface's
+    stored denominator (a nonzero scale), so each integer triple m is
+    restricted once, along its one chart over Z, for windows and probes.
     """
     a, b = surface.bidegree
     bound = (a + 2 * b) * (len(f[0]) - 1)
-    (row,), _ = clear_rows([list(surface.terms.values())])
-    if any(z.im for z in row):
+    if any(z.im for z in surface.terms.values()):
         raise PreconditionError("the integer chart needs real coefficients")
-    int_terms = {k: z.re for k, z in zip(surface.terms, row)}
+    int_terms = {k: z.re for k, z in surface.terms.items()}
 
     @cache
     def on_surface(m) -> bool:  # whether the fiber L_{m, m} lies on the surface

@@ -36,11 +36,6 @@ def _ratio_str(n: int, d: int) -> str:
                                 f"{sys.get_int_max_str_digits()} digits") from exc
 
 
-def _lowest_str(n: int, d: int) -> str:
-    g = gcd(n, d)
-    return _ratio_str(n // g, d // g)
-
-
 def _integer(x) -> int:
     if isinstance(x, (bool, float)):  # int() reads JSON true as 1 and 1.9 as 1
         raise SchemaError(f"not an integer: {x!r}")
@@ -78,11 +73,17 @@ def gr_from_json(obj) -> GaussianRational:
     raise SchemaError(f"not a scalar: {obj!r}")
 
 
+def _over_json(z, d: int) -> dict:
+    """The scalar z / d for a GaussianInt z and an int d > 0, each part
+    written in lowest terms with one gcd, as gr_to_json writes it."""
+    g, h = gcd(z.re, d), gcd(z.im, d)
+    return {"re": _ratio_str(z.re // g, d // g), "im": _ratio_str(z.im // h, d // h)}
+
+
 def point_to_json(pt: ProjPoint) -> list:
-    """The pivot-1 coordinates c, each part n/D of the stored triple D c
-    written in lowest terms with one gcd, as gr_to_json writes rational()."""
+    """The pivot-1 coordinates c, from the stored triple D c."""
     d = pt.denominator
-    return [{"re": _lowest_str(c.re, d), "im": _lowest_str(c.im, d)} for c in pt.coords]
+    return [_over_json(c, d) for c in pt.coords]
 
 
 def point_from_json(obj) -> ProjPoint:
@@ -113,8 +114,8 @@ def biform_to_json(F: BiForm) -> dict:
     return {
         "bidegree": list(F.bidegree),
         "terms": [
-            {"p": list(pe), "l": list(le), "c": gr_to_json(c)}
-            for (pe, le), c in F.sorted_terms()
+            {"p": list(pe), "l": list(le), "c": _over_json(z, F.den)}
+            for (pe, le), z in sorted(F.terms.items(), reverse=True)  # keys are distinct
         ],
     }
 

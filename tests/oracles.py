@@ -17,7 +17,8 @@ ruling, Q(i) back-substitution against the fraction-free kernel, ruling
 fibers over Q(i) against the integer triples of the ruling, the pair loop
 against the census's search by q, the a = b closed form against the conic
 ceiling, the pivot division in Q(i) against the stored Gaussian-integer
-triple of a projective point).  The seeded samplers below them are used by
+triple of a projective point, term-by-term Q(i) arithmetic against a
+surface's stored D F in Z[i]).  The seeded samplers below them are used by
 tests only.
 """
 
@@ -59,6 +60,109 @@ def pivot_one_form(raw) -> tuple:
     return tuple(c / pivot for c in raw)
 
 
+# Surfaces over Q(i), term by term: a BiForm's stored D F read back as
+# Q(i) scalars, and each arithmetic operation redone on those scalars.
+
+def conjugate(z: GaussianRational) -> GaussianRational:
+    """The complex conjugate of a Gaussian rational."""
+    return GaussianRational(z.re, -z.im)
+
+
+def over(z, d: int) -> GaussianRational:
+    """The Q(i) scalar z / d, for a GaussianInt z and an int d > 0."""
+    return GaussianRational(Fraction(z.re, d), Fraction(z.im, d))
+
+
+def qi_terms(F: BiForm) -> dict:
+    """F's coefficients in Q(i): each stored GaussianInt over F.den."""
+    return {k: over(z, F.den) for k, z in F.terms.items()}
+
+
+def qi_vector(v) -> list:
+    """A kernel vector (entries, den) as its Q(i) entries."""
+    entries, den = v
+    return [over(z, den) for z in entries]
+
+
+def zi_vectors(vectors) -> list:
+    """Q(i) vectors as the (entries, den) pairs linalg.nullspace gives."""
+    out = []
+    for v in vectors:
+        (row,), den = linalg.clear_rows([v])
+        out.append((row, den))
+    return out
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+def qi_sum(t1: dict, t2: dict) -> dict:
+    out = dict(t1)
+    for k, c in t2.items():
+        out[k] = out.get(k, ZERO) + c
+    return _nonzero(out)
+
+
+def qi_scale(t: dict, c) -> dict:
+    return _nonzero({k: v * c for k, v in t.items()})
+
+
+def qi_product(t1: dict, t2: dict) -> dict:
+    out: dict = {}
+    for (pe1, le1), c1 in t1.items():
+        for (pe2, le2), c2 in t2.items():
+            key = (tuple(map(sum, zip(pe1, pe2))), tuple(map(sum, zip(le1, le2))))
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return _nonzero(out)
+
+
+def qi_partial(t: dict, group: str, index: int) -> dict:
+    g = "pl".index(group)
+    out = {}
+    for key, c in t.items():
+        if key[g][index]:
+            e = list(key[g])
+            e[index] -= 1
+            new = list(key)
+            new[g] = tuple(e)
+            out[tuple(new)] = c * key[g][index]
+    return out
+
+
+def qi_reduce(t: dict) -> dict:
+    """t modulo the incidence form, one rewrite p0 l0 -> -(p1 l1 + p2 l2)
+    of one monomial at a time until no monomial is divisible by p0 l0."""
+    t = dict(t)
+    while key := next((k for k in t if k[0][0] and k[1][0]), None):
+        c = t.pop(key)
+        (e0, e1, e2), (f0, f1, f2) = key
+        for new in (((e0 - 1, e1 + 1, e2), (f0 - 1, f1 + 1, f2)),
+                    ((e0 - 1, e1, e2 + 1), (f0 - 1, f1, f2 + 1))):
+            t[new] = t.get(new, ZERO) - c
+        t = _nonzero(t)
+    return t
+
+
+def qi_j_pullback(t: dict) -> dict:
+    return {(le, pe): conjugate(c) for (pe, le), c in t.items()}
+
+
+def qi_ratio(F: BiForm, G: BiForm):
+    """The Q(i) scalar c with F = c G (1 when both are zero), or None when
+    the forms are not parallel, by division in Q(i)."""
+    if F.bidegree != G.bidegree:
+        return None
+    f, g = qi_terms(F), qi_terms(G)
+    if not g:
+        return GaussianRational(1) if not f else None
+    if f.keys() != g.keys():
+        return None
+    key = next(iter(g))
+    c = f[key] / g[key]
+    return c if all(f[k] == v * c for k, v in g.items()) else None
+
+
 # Point values and small constructors: the package never evaluates a form
 # at a point, and builds its surfaces from JSON, rows or rulings.
 
@@ -66,7 +170,7 @@ def evaluate(F: BiForm, p, l) -> GaussianRational:
     """The exact value of F at coordinate triples p and l, term by term."""
     p, l = [to_gaussian(x) for x in p], [to_gaussian(x) for x in l]
     acc = GaussianRational(0)
-    for (pe, le), c in F.terms.items():
+    for (pe, le), c in qi_terms(F).items():
         for x, e in zip(p + l, pe + le):
             c = c * x**e
         acc = acc + c
@@ -219,7 +323,7 @@ def substitute_curve_forms(F: BiForm, p_forms, l_forms) -> BinaryForm:
     p_pows = [form_powers(f, a) for f in p_forms]
     l_pows = [form_powers(f, b) for f in l_forms]
     acc = [ZERO] * (out_deg + 1)
-    for (pe, le), c in F.terms.items():
+    for (pe, le), c in qi_terms(F).items():
         prod = None
         for pows, e in ((p_pows, pe), (l_pows, le)):
             for i in range(3):
@@ -527,7 +631,7 @@ def conics_meet_bruteforce(C1: Conic, C2: Conic) -> bool:
     l_space = linalg.nullspace(linalg.clear_rows([C1.q.rational(), C2.q.rational()])[0], 3)
     if len(p_space) >= 2 or len(l_space) >= 2:
         return True
-    return not dot(p_space[0], l_space[0])
+    return not dot(qi_vector(p_space[0]), qi_vector(l_space[0]))
 
 
 def binet_cauchy_meet_fp(c1, c2, p: int) -> bool:

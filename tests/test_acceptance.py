@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from flagcalc.binforms import BinaryForm, bf_gcd
-from flagcalc.biforms import BiForm, proportionality, reduce_mod_incidence
+from flagcalc.biforms import BiForm, proportional, reduce_mod_incidence
 from flagcalc.cli import main as cli_main
 from flagcalc.flag import (
     conics_disjoint,
@@ -53,6 +53,7 @@ from oracles import (
     evaluation_rank_oracle,
     j_conic,
     monomial,
+    qi_vector,
     random_binary_form,
     sylvester_resultant,
 )
@@ -206,7 +207,7 @@ def test_criterion_5_ruled_construction():
         [zl, l_mon[0], l_mon[1], l_mon[2]],
     ]
     expanded = _cofactor_det(sylvester)
-    assert proportionality(spec2.surface, expanded) is not None
+    assert proportional(spec2.surface, expanded)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _report(5, True, f"degree 2 and 3 ruled surfaces certified, 2x50 fibers ({elapsed:.1f}s)")
@@ -226,8 +227,8 @@ def test_criterion_6_uniqueness_probe():
     cm = condition_matrix(2, 2, fibers)
     kernel = linalg.nullspace(cm.rows, ncols=len(cm.columns))
     assert len(kernel) == 1
-    generator = BiForm((2, 2), {cm.columns[j]: c for j, c in enumerate(kernel[0]) if c})
-    assert proportionality(reduce_mod_incidence(spec.surface), generator) is not None
+    generator = BiForm((2, 2), dict(zip(cm.columns, qi_vector(kernel[0]))))
+    assert proportional(reduce_mod_incidence(spec.surface), generator)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _report(6, True, f"12-fiber system has a 1-dimensional kernel spanned by the surface ({elapsed:.1f}s)")

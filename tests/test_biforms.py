@@ -1,3 +1,5 @@
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from flagcalc.biforms import (
     BiForm,
     monomials,
     mul_terms,
-    proportionality,
+    proportional,
     quotient_monomials,
     reduce_mod_incidence,
 )
@@ -16,7 +18,20 @@ from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.invariants import h0_flag
 from flagcalc.sampling import SplitMix64, random_gaussian_rational
 
-from oracles import evaluate, incidence_form, monomial, random_flag_point
+from oracles import (
+    evaluate,
+    incidence_form,
+    monomial,
+    qi_j_pullback,
+    qi_partial,
+    qi_product,
+    qi_ratio,
+    qi_reduce,
+    qi_scale,
+    qi_sum,
+    qi_terms,
+    random_flag_point,
+)
 
 
 def _random_biform(rng, a, b, height=5, density=3):
@@ -48,7 +63,7 @@ def test_mul_cross_term():
     # (p0 l0 + p1 l1)^2 has cross term 2 p0 p1 l0 l1
     F = BiForm((1, 1), {((1, 0, 0), (1, 0, 0)): 1, ((0, 1, 0), (0, 1, 0)): 1})
     sq = F * F
-    assert sq.terms[((1, 1, 0), (1, 1, 0))] == GR(2)
+    assert qi_terms(sq)[((1, 1, 0), (1, 1, 0))] == GR(2)
     assert sq.bidegree == (2, 2)
 
 
@@ -138,7 +153,7 @@ def test_partial_in_either_group_leaves_no_zero_term():
     # p0 l1 + p1 l0: d/dp0 keeps one term, d/dp2 none, and the l side is
     # the p side of the j-pullback pulled back again
     F = BiForm((1, 1), {((1, 0, 0), (0, 1, 0)): 1, ((0, 1, 0), (1, 0, 0)): 1})
-    assert F.partial("p", 0).terms == {((0, 0, 0), (0, 1, 0)): GR(1)}
+    assert qi_terms(F.partial("p", 0)) == {((0, 0, 0), (0, 1, 0)): GR(1)}
     d = F.partial("p", 2)
     assert d.terms == {} and d.bidegree == (0, 1)
     rng = SplitMix64(81)
@@ -164,7 +179,7 @@ def test_product_with_cancelling_cross_terms():
     # terms p0 p1 l0 l1 cancel and leave no key behind
     u = BiForm((1, 1), {((1, 0, 0), (0, 1, 0)): 1, ((0, 1, 0), (1, 0, 0)): 1})
     v = BiForm((1, 1), {((1, 0, 0), (0, 1, 0)): 1, ((0, 1, 0), (1, 0, 0)): -1})
-    assert (u * v).terms == {((2, 0, 0), (0, 2, 0)): GR(1), ((0, 2, 0), (2, 0, 0)): GR(-1)}
+    assert qi_terms(u * v) == {((2, 0, 0), (0, 2, 0)): GR(1), ((0, 2, 0), (2, 0, 0)): GR(-1)}
 
 
 def test_reduce_leaves_no_zero_term_when_terms_cancel():
@@ -173,7 +188,7 @@ def test_reduce_leaves_no_zero_term_when_terms_cancel():
     p0l0, p1l1 = ((1, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 1, 0))
     for order in ((p0l0, p1l1), (p1l1, p0l0)):
         F = BiForm((1, 1), {key: 1 for key in order})
-        assert reduce_mod_incidence(F).terms == {((0, 0, 1), (0, 0, 1)): GR(-1)}
+        assert qi_terms(reduce_mod_incidence(F)) == {((0, 0, 1), (0, 0, 1)): GR(-1)}
     # (p1 l1 + p2 l2) times the incidence form, expanded: every term cancels
     G = BiForm((2, 2), {((1, 1, 0), (1, 1, 0)): 1, ((0, 2, 0), (0, 2, 0)): 1,
                         ((1, 0, 1), (1, 0, 1)): 1, ((0, 1, 1), (0, 1, 1)): 2,
@@ -189,18 +204,59 @@ def test_mul_terms_over_int_matches_biform_product():
         out = {}
         mul_terms(t1, t2, out)
         want = BiForm((a1, b1), t1) * BiForm((a2, b2), t2)
-        assert {k: GR(c) for k, c in out.items() if c} == want.terms
+        assert {k: GR(c) for k, c in out.items() if c} == qi_terms(want)
         assert all(type(c) is int for c in out.values())
 
 
 def test_proportionality():
     F = incidence_form()
-    assert proportionality(F.scale(GR(0, 2)), F) == GR(0, 2)
+    assert proportional(F.scale(GR(0, 2)), F) and qi_ratio(F.scale(GR(0, 2)), F) == GR(0, 2)
     G = F + monomial((1, 0, 0), (0, 1, 0))
-    assert proportionality(G, F) is None
+    assert not proportional(G, F) and qi_ratio(G, F) is None
 
 
 @settings(max_examples=30, derandomize=True)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
 def test_quotient_count_formula(a, b):
     assert len(quotient_monomials(a, b)) == h0_flag(a, b)
+
+
+_PART = st.fractions(min_value=-30, max_value=30, max_denominator=24)
+_SCALAR = st.builds(GR, _PART, _PART)
+
+
+def _qi_terms(a, b):
+    return st.dictionaries(st.sampled_from(monomials(a, b)), _SCALAR, max_size=8)
+
+
+def _assert_canonical(F, want):
+    # den is the lcm of the lowest-terms denominators of the Q(i) terms
+    # want, and shares no factor with every stored part
+    assert qi_terms(F) == want
+    assert F.den == lcm(*(c.denominator for z in want.values() for c in (z.re, z.im)))
+    assert gcd(F.den, *(x for z in F.terms.values() for x in (z.re, z.im))) == 1
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_stored_form_is_canonical_and_arithmetic_matches_qi(data):
+    a, b = data.draw(st.sampled_from([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]))
+    t1, t2 = data.draw(_qi_terms(a, b)), data.draw(_qi_terms(a, b))
+    c = data.draw(_SCALAR)
+    F, G = BiForm((a, b), t1), BiForm((a, b), t2)
+    f, g = ({k: z for k, z in t.items() if z} for t in (t1, t2))
+    _assert_canonical(F, f)
+    _assert_canonical(G, g)
+    _assert_canonical(F + G, qi_sum(f, g))
+    _assert_canonical(F - G, qi_sum(f, qi_scale(g, GR(-1))))
+    _assert_canonical(-F, qi_scale(f, GR(-1)))
+    _assert_canonical(F.scale(c), qi_scale(f, c))
+    _assert_canonical(F * G, qi_product(f, g))
+    _assert_canonical(reduce_mod_incidence(F), qi_reduce(f))
+    _assert_canonical(j_pullback(F), qi_j_pullback(f))
+    for group, i in [("p", 0), ("p", 2), ("l", 1)]:
+        if F.bidegree["pl".index(group)]:
+            _assert_canonical(F.partial(group, i), qi_partial(f, group, i))
+    for H, K in [(F, G), (F.scale(c), F), (F, F.scale(c)), (j_pullback(F), F), (F, F + G)]:
+        if H.bidegree == K.bidegree:
+            assert proportional(H, K) == (qi_ratio(H, K) is not None)

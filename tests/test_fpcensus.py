@@ -31,6 +31,7 @@ from oracles import (
     incidence_form,
     monomial,
     pairwise_scan_pairs,
+    qi_terms,
     reference_scan_pairs,
 )
 
@@ -103,7 +104,7 @@ def test_reduce_mod_p_matches_fraction_pieces(p):
     for a, b in [(1, 1), (2, 1), (2, 3)]:
         keys = monomials(a, b)
         F = BiForm((a, b), {k: GR(part(), part()) for k in rng.sample(keys, min(len(keys), 12))})
-        want = {k: v for k, c in F.terms.items() if (v := gaussian_mod_p(c, p, i))}
+        want = {k: v for k, c in qi_terms(F).items() if (v := gaussian_mod_p(c, p, i))}
         assert want
         assert reduce_mod_p(F, p).terms == want
 

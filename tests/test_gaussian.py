@@ -8,6 +8,8 @@ from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianInt, GaussianRational
 from flagcalc.sampling import SplitMix64
 
+from oracles import conjugate
+
 RAT = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
@@ -17,21 +19,21 @@ NONZERO = SCALARS.filter(lambda z: not z.is_zero())
 
 def test_modulus_squared():
     z = GaussianRational(1, 1)
-    assert z * z.conjugate() == GaussianRational(2)
+    assert z * conjugate(z) == GaussianRational(2)
 
 
 def test_conjugation():
     z = GaussianRational(Fraction(3, 2), -5)
-    assert z.conjugate() == GaussianRational(Fraction(3, 2), 5)
-    assert z.conjugate().conjugate() == z
+    assert conjugate(z) == GaussianRational(Fraction(3, 2), 5)
+    assert conjugate(conjugate(z)) == z
 
 
 def test_division_by_conjugate():
     z = GaussianRational(1, 1)
-    w = z / z.conjugate()
+    w = z / conjugate(z)
     assert w == GaussianRational(0, 1)
     # back-multiplication recovers the numerator
-    assert w * z.conjugate() == z
+    assert w * conjugate(z) == z
 
 
 def test_division_by_zero_rejected():
@@ -63,13 +65,13 @@ def test_inverse_round_trip(z):
 @settings(max_examples=60, derandomize=True)
 @given(SCALARS, SCALARS)
 def test_conjugation_is_multiplicative(x, y):
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert conjugate(x * y) == conjugate(x) * conjugate(y)
 
 
 @settings(max_examples=60, derandomize=True)
 @given(SCALARS)
 def test_norm_properties(z):
-    n = z * z.conjugate()
+    n = z * conjugate(z)
     assert n.im == 0
     assert n.re >= 0
     assert (n.re == 0) == z.is_zero()

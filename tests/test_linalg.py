@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 from flagcalc import linalg
 from flagcalc.gaussian import GaussianInt as GI, GaussianRational as GR
 from flagcalc.sampling import SplitMix64
 
-from oracles import det, nullity, rank, reference_nullspace
+from oracles import det, nullity, qi_vector, rank, reference_nullspace, zi_vectors
 
 
 def _mat(rows):
@@ -83,7 +84,7 @@ def test_rank_and_nullspace():
     assert rank(m) == 2
     ns = linalg.nullspace(_cleared(m), 3)
     assert len(ns) == 1
-    v = ns[0]
+    v = qi_vector(ns[0])
     for row in m:
         assert sum((row[j] * v[j] for j in range(3)), GR(0)).is_zero()
 
@@ -120,13 +121,15 @@ def test_nullspace_matches_qi_back_substitution():
                 row[1] = row[0] * GI(2, -1)
                 row[zero] = GI(0)
             kernel = linalg.nullspace(rows, c)
-            assert kernel == reference_nullspace(rows, c)
+            assert [qi_vector(v) for v in kernel] == reference_nullspace(rows, c)
+            for v, den in kernel:  # in lowest terms
+                assert den > 0 and gcd(den, *(x for z in v for x in z)) == 1
             assert len(kernel) >= c - r and linalg.annihilates(rows, kernel)
             checked += 1
     free0 = [[GI(0), GI(2, 1), GI(4, 2), GI(1)], [GI(0), GI(0, 3), GI(0, 6), GI(1, -1)]]
     kernel = linalg.nullspace(free0, 4)
-    assert kernel == reference_nullspace(free0, 4)
-    assert kernel[0] == [GR(1), GR(0), GR(0), GR(0)]
+    assert [qi_vector(v) for v in kernel] == reference_nullspace(free0, 4)
+    assert kernel[0] == ([GI(1), GI(0), GI(0), GI(0)], 1)
     assert checked == 20
 
 
@@ -146,8 +149,8 @@ def test_annihilates():
     assert len(kernel) == 2
     assert linalg.annihilates(m, kernel)
     assert linalg.annihilates([], kernel) and linalg.annihilates(m, [])
-    bent = [list(v) for v in kernel]
+    bent = [qi_vector(v) for v in kernel]
     bent[1][0] = bent[1][0] + GR(Fraction(1, 5))
-    assert not linalg.annihilates(m, bent)
+    assert not linalg.annihilates(m, zi_vectors(bent))
     # [1, 1] . [-1, 1 + i] = i: zero real part, nonzero imaginary part
-    assert not linalg.annihilates([[GI(1), GI(1)]], _mat([[-1, (1, 1)]]))
+    assert not linalg.annihilates([[GI(1), GI(1)]], zi_vectors(_mat([[-1, (1, 1)]])))

@@ -17,7 +17,7 @@ from flagcalc.linsys import (
 )
 from flagcalc.sampling import SplitMix64, random_smooth_conics
 
-from oracles import evaluation_rank_oracle, incidence_form, monomial, rank
+from oracles import evaluation_rank_oracle, incidence_form, monomial, qi_terms, qi_vector, rank
 
 
 def test_h0_flag_values():
@@ -53,7 +53,7 @@ def test_condition_matrix_shape_and_kernel_semantics():
     # a kernel vector is a biform through both conics
     kernel = linalg.nullspace(cm.rows, ncols=8)
     for vec in kernel:
-        F = BiForm((1, 1), {cm.columns[j]: c for j, c in enumerate(vec) if c})
+        F = BiForm((1, 1), dict(zip(cm.columns, qi_vector(vec))))
         for C in conics:
             assert contains_conic(F, C)
     assert len(kernel) == system_dimension(1, 1, conics)
@@ -127,7 +127,7 @@ def test_family_basis_linearly_independent():
     cols = quotient_monomials(1, 1)
     from flagcalc.gaussian import GaussianRational as GR
 
-    rows = [[F.terms.get(key, GR(0)) for key in cols] for F in fam.basis]
+    rows = [[qi_terms(F).get(key, GR(0)) for key in cols] for F in fam.basis]
     assert rank(rows) == len(fam.basis)
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from flagcalc import linalg, linsys, modp
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, proportionality, reduce_mod_incidence
+from flagcalc.biforms import BiForm, proportional, reduce_mod_incidence
 from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import Conic, twistor_fiber_of
 from flagcalc.gaussian import GaussianInt, GaussianRational as GR
@@ -33,7 +33,7 @@ from flagcalc.ruled import twistor_circle_samples, twistor_ruled_surface
 from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
 from flagcalc.serialize import biform_to_json
 
-from oracles import evaluation_rank_oracle, gaussian_mod_p, rank_int
+from oracles import evaluation_rank_oracle, gaussian_mod_p, qi_ratio, qi_vector, rank_int
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))
@@ -59,7 +59,7 @@ def _exact_nullity(a, b, conics):
 def _exact_basis_json(a, b, conics):
     cm = condition_matrix(a, b, conics)
     kernel = linalg.nullspace(cm.rows, ncols=len(cm.columns))
-    basis = [BiForm((a, b), {cm.columns[j]: c for j, c in enumerate(v) if c}) for v in kernel]
+    basis = [BiForm((a, b), dict(zip(cm.columns, qi_vector(v)))) for v in kernel]
     return json.dumps([biform_to_json(F) for F in basis])
 
 
@@ -449,7 +449,8 @@ def test_uniqueness_probe_is_the_bezout_surface(monkeypatch, forms, n, ratio):
     fam = surface_family(a, a, twistor_circle_samples(spec, n))
     assert spy.rows == []  # read back from F_p
     assert fam.dimension == 1
-    assert proportionality(reduce_mod_incidence(spec.surface), fam.basis[0]) == ratio
+    assert proportional(reduce_mod_incidence(spec.surface), fam.basis[0])
+    assert qi_ratio(reduce_mod_incidence(spec.surface), fam.basis[0]) == ratio
 
 
 def test_rank_oracle_names_attempts_when_short():

@@ -1,4 +1,5 @@
-"""Every function under src/flagcalc is reached by a request.
+"""Every function under src/flagcalc is reached by a request, and the
+Z[i] and F_p modules name no Q(i) type.
 
 One request per subcommand and option family runs in-process through
 cli.main, and scripts/paper_facts.py runs through runpy, all under
@@ -9,6 +10,7 @@ exists, fails too, so the list cannot go stale.  Class bodies, lambdas and
 comprehensions are not counted.
 """
 
+import ast
 import contextlib
 import inspect
 import io
@@ -41,6 +43,7 @@ ALLOWED = {
     "biforms.BiForm.__neg__": _PINNED,
     "biforms.BiForm.__sub__": _PINNED,
     "gaussian.GaussianInt.__iter__": _UNPACKED,
+    "gaussian.GaussianRational.__eq__": _IMPLICIT,
     "gaussian.GaussianRational.__hash__": _IMPLICIT,
     "gaussian.GaussianRational.__repr__": _IMPLICIT,
     "binforms.BinaryForm.__eq__": _IMPLICIT,
@@ -142,3 +145,29 @@ def test_every_function_in_src_is_reached(tmp_path):
     unreached, stale = reachability(tmp_path)
     assert not unreached, f"no request enters: {', '.join(unreached)}"
     assert not stale, f"allowlisted but reached or gone: {', '.join(stale)}"
+
+
+# The modules past linalg.clear_rows work in Z[i] or F_p only.
+INTEGER_MODULES = ("linalg", "linsys", "modp", "fpcensus")
+QI_NAMES = {"fractions", "Fraction", "GaussianRational"}
+
+
+def _names(tree) -> set:
+    """Every name, attribute, imported module and imported name in a module."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out.update(name for a in n.names for name in (a.name, a.asname) if name)
+            if isinstance(n, ast.ImportFrom) and n.module:
+                out.add(n.module)
+    return out
+
+
+def test_integer_modules_name_no_qi_type():
+    for stem in INTEGER_MODULES:
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        assert not _names(tree) & QI_NAMES, stem

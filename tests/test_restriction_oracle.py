@@ -50,6 +50,7 @@ from oracles import (
     conic_param,
     form_powers,
     incidence_form,
+    qi_terms,
     restrict_to_curve,
     substitute_curve_forms,
 )
@@ -409,7 +410,7 @@ def test_restrict_to_conic_matches_reference_on_edge_inputs():
     conics = random_smooth_conics(SplitMix64(53), 4, height=10)
     F = surface_through_conics(3, 3, conics, seed=53)
     bits = max(max(abs(c.re.numerator), abs(c.im.numerator), c.re.denominator,
-                   c.im.denominator).bit_length() for c in F.terms.values())
+                   c.im.denominator).bit_length() for c in qi_terms(F).values())
     assert bits > 64
     for C in conics + tall:
         r = restrict_to_conic(F, C)

@@ -7,7 +7,7 @@ import pytest
 
 from flagcalc import ruled
 from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, monomials, proportionality, reduce_mod_incidence
+from flagcalc.biforms import BiForm, monomials, proportional, reduce_mod_incidence
 from flagcalc.errors import PreconditionError
 from flagcalc.flag import (
     ProjPoint,
@@ -62,7 +62,7 @@ def test_veronese_surface_matches_sylvester_expansion(spec2):
     B = monomial((1, 0, 0), (0, 1, 0)) - monomial((0, 1, 0), (1, 0, 0))
     C = monomial((0, 1, 0), (0, 0, 1)) - monomial((0, 0, 1), (0, 1, 0))
     target = A * A - B * C
-    assert proportionality(spec2.surface, target) is not None
+    assert proportional(spec2.surface, target)
 
 
 def test_bidegree_and_reality(spec2, spec3):
@@ -195,7 +195,7 @@ def test_rational_ruling_matches_its_integer_multiple():
     assert spec_q.certificate == spec_z.certificate
     assert spec_q.witness_params == spec_z.witness_params
     assert twistor_circle_samples(spec_q, 7) == twistor_circle_samples(spec_z, 7)
-    assert proportionality(spec_q.surface, spec_z.surface) is not None
+    assert proportional(spec_q.surface, spec_z.surface)
     assert spec_q.surface != spec_z.surface
 
 
