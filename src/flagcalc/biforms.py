@@ -5,11 +5,13 @@ e0+e1+e2 = a and f0+f1+f2 = b, to nonzero scalars in Q(i).  As a
 flag.ProjPoint does, it stores D F: terms maps each pair to a nonzero
 GaussianInt over one int den = D > 0, the least common denominator, so
 every form has one stored shape.  The constructor, the one way in from
-Q(i), checks each key once and clears with one linalg.clear_rows call;
+outside, checks each key once and clears with one linalg.clear_rows call;
 arithmetic returns through from_ints, which checks no key.  The monomial
 order used everywhere (serialization, matrix columns, reduction) is
 descending lexicographic on the concatenated exponent tuples, so p0*l0 is
-the leading monomial of the incidence form.
+the leading monomial of the incidence form.  mul_terms multiplies sparse
+forms, and conv and power_table the coefficient sequences of binary forms
+in (s, t), over any ring with + and *: Z[i], Z, and Q(i) for binforms.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 from math import comb, gcd, lcm
 
 from .errors import PreconditionError
-from .gaussian import GaussianInt, to_gaussian
-from .linalg import clear_rows
+from .linalg import GaussianInt, clear_rows
 
 ExpPair = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -29,8 +30,8 @@ class BiForm:
 
     __slots__ = ("bidegree", "terms", "den")
 
-    def __init__(self, bidegree, terms=None):
-        """The form with the Q(i) (or int, Fraction) coefficients terms."""
+    def __init__(self, bidegree, terms=None, den: int = 1):
+        """The form terms / den, for an int den > 0 and Q(i), Z[i] or int terms."""
         a, b = int(bidegree[0]), int(bidegree[1])
         if a < 0 or b < 0:
             raise PreconditionError("bidegree components must be nonnegative")
@@ -42,11 +43,11 @@ class BiForm:
                 raise PreconditionError(f"exponent tuples must have 3 entries: {key}")
             if sum(pe) != a or sum(le) != b or min(pe) < 0 or min(le) < 0:
                 raise PreconditionError(f"exponents {key} do not match bidegree {(a, b)}")
-            c = to_gaussian(c)
             if c:
-                clean[(pe, le)] = c
-        (row,), self.den = clear_rows([list(clean.values())])
-        self.terms = dict(zip(clean, row))
+                clean[(pe, le)] = GaussianInt(c) if type(c) is int else c
+        (row,), d = clear_rows([list(clean.values())])
+        F = from_ints(self.bidegree, dict(zip(clean, row)), den * d)
+        self.terms, self.den = F.terms, F.den
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -72,10 +73,8 @@ class BiForm:
         return from_ints(self.bidegree, {k: -z for k, z in self.terms.items()}, self.den)
 
     def scale(self, c) -> "BiForm":
-        """c times the form, for a GaussianInt or a Q(i) scalar c."""
-        d = 1
-        if type(c) is not GaussianInt:
-            ((c,),), d = clear_rows([[to_gaussian(c)]])
+        """c times the form, for a Gaussian rational, GaussianInt or int c."""
+        ((c,),), d = clear_rows([[GaussianInt(c) if type(c) is int else c]])
         return from_ints(self.bidegree, {k: z * c for k, z in self.terms.items()}, self.den * d)
 
     def __mul__(self, other):
@@ -136,6 +135,29 @@ def mul_terms(t1, t2, out) -> None:
                 (le1[0] + le2[0], le1[1] + le2[1], le1[2] + le2[2]),
             )
             out[key] = c1 * c2 if (s := out.get(key)) is None else s + c1 * c2
+
+
+def conv(u, v):
+    """The coefficient sequence of the product of two binary forms."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                if y:
+                    k = i + j
+                    # an empty slot is assigned, not added to, so the int 0
+                    # is never coerced into the coefficient ring
+                    out[k] = out[k] + x * y if out[k] else x * y
+    return out
+
+
+def power_table(seq, n: int):
+    """The coefficient sequences of f^0, f^1, ..., f^n, where f has the
+    coefficient sequence seq."""
+    out = [(1,), seq]
+    for _ in range(n - 1):
+        out.append(conv(out[-1], seq))
+    return out[: n + 1]
 
 
 def _exps3(d: int):

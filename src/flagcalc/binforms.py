@@ -5,15 +5,15 @@ A form of degree d is stored as the tuple of its d+1 coefficients, where
 form to the univariate polynomial sum coeffs[k] * x^k; the drop between d
 and the degree of that polynomial counts the multiplicity of s as a factor.
 
-A bare coefficient sequence in that convention is a binary form too, and
-conv and power_table multiply such sequences over any ring with + and *:
-GaussianRational for BinaryForm, GaussianInt (the one Z[i] type) for
-restriction to a conic and condition rows, int for the ruled certificate
-and the census.  Empty slots hold the int 0.
+A bare coefficient sequence in that convention is a binary form too:
+biforms.conv multiplies two of them over any ring, here over Q(i).  Only
+Q(i) code imports this module: the ruling (ruled, the forms reader) and
+flag's Q(i) restriction and singular points.
 """
 
 from __future__ import annotations
 
+from .biforms import conv
 from .errors import PreconditionError
 from .gaussian import ONE, ZERO, to_gaussian
 
@@ -83,29 +83,6 @@ class BinaryForm:
 
 def zero_form(degree: int) -> BinaryForm:
     return BinaryForm([ZERO] * (degree + 1))
-
-
-def conv(u, v):
-    """The coefficient sequence of the product of two forms."""
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                if y:
-                    k = i + j
-                    # an empty slot is assigned, not added to, so the int 0
-                    # is never coerced into the coefficient ring
-                    out[k] = out[k] + x * y if out[k] else x * y
-    return out
-
-
-def power_table(seq, n: int):
-    """The coefficient sequences of f^0, f^1, ..., f^n, where f has the
-    coefficient sequence seq."""
-    out = [(1,), seq]
-    for _ in range(n - 1):
-        out.append(conv(out[-1], seq))
-    return out[: n + 1]
 
 
 # Univariate helpers on ascending coefficient lists over Q(i).

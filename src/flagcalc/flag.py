@@ -9,11 +9,12 @@ of surfaces to conics, and the singular points of a surface along a conic.
 Containment has one path.  A surface is pulled back through one chart of
 the conic, p = s v1 + t v2 on the line {p.m = 0} and l = q x p
 (chart_tables), by one routine (monomial_restrictions) over the ring its
-inputs lie in: restrict_to_conic reads the surface's stored Z[i] terms and
+inputs lie in: contains_conic reads the surface's stored Z[i] terms and
 the conic's stored Z[i] points, as the condition rows do, the ruled
 certificate runs over Z and the census over Z read mod p.  The routine
-works on coefficient sequences of binary forms, which binforms.conv and
-power_table multiply over any of those rings.
+works on coefficient sequences of binary forms, which biforms.conv and
+power_table multiply over any of those rings.  What returns Q(i) values
+imports the Q(i) types where it runs.
 
 Projective points are stored as canonical Gaussian-integer triples, so
 equality and hashing are exact and run on ints.
@@ -22,14 +23,11 @@ equality and hashing are exact and run on ints.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 
-from .binforms import BinaryForm, bf_gcd, conv, power_table, zero_form
-from .biforms import BiForm, from_ints, proportional, reduce_mod_incidence
+from .biforms import BiForm, conv, from_ints, power_table, proportional, reduce_mod_incidence
 from .errors import DegenerateConicError, PreconditionError
-from .gaussian import ZERO, GaussianInt, GaussianRational, to_gaussian
-from .linalg import clear_rows
+from .linalg import GaussianInt, clear_rows
 
 
 def dot(u, v):
@@ -46,12 +44,13 @@ def cross(u, v):
 
 class ProjPoint:
     """A point of P2 over Q(i), stored as D c in Z[i]^3: c has first nonzero
-    coordinate 1 (rational() gives it) and D > 0 is its least common denominator."""
+    coordinate 1 (rational() gives it) and D > 0 is its least common denominator.
+    It is built from Q(i), Z[i] or int coordinates."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        raw = [GaussianInt(c) if type(c) is int else to_gaussian(c) for c in coords]
+        raw = [GaussianInt(c) if type(c) is int else c for c in coords]
         if len(raw) != 3:
             raise PreconditionError("a projective point needs exactly 3 coordinates")
         (row,), _ = clear_rows([raw])
@@ -74,8 +73,9 @@ class ProjPoint:
 
     def rational(self) -> tuple:
         """c, the Q(i) coordinates with first nonzero coordinate 1."""
-        d = self.denominator
-        return tuple(GaussianRational(Fraction(c.re, d), Fraction(c.im, d)) for c in self.coords)
+        from .gaussian import over
+
+        return tuple(over(c, self.denominator) for c in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -191,7 +191,7 @@ def substitute_forms(terms, bidegree, q, m) -> list:
     return out
 
 
-def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
+def restrict_to_conic(F: BiForm, C: Conic):
     """Binary form of degree a+b: F pulled back along the chart of the conic.
 
     Identically zero exactly when L_{q,m} lies on the surface {F = 0}.  F is
@@ -200,6 +200,9 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
     restriction over Z[i] is D mu^(a+b) lam^b times the exact one, and is
     divided back.
     """
+    from .binforms import BinaryForm
+    from .gaussian import over
+
     if not C.is_smooth:
         raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
     a, b = F.bidegree
@@ -207,8 +210,7 @@ def restrict_to_conic(F: BiForm, C: Conic) -> BinaryForm:
     lam, mu = C.q.denominator, C.m.denominator
     out = substitute_forms(F.terms, (a, b), q, m)
     den = F.den * mu ** (a + b) * lam**b
-    return BinaryForm([GaussianRational(Fraction(z.re, den), Fraction(z.im, den)) if z else ZERO
-                       for z in out])
+    return BinaryForm([over(z, den) if z else 0 for z in out])
 
 
 def require_surface(F: BiForm) -> BiForm:
@@ -220,7 +222,7 @@ def require_surface(F: BiForm) -> BiForm:
     return R
 
 
-def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
+def singular_points_on_conic(F: BiForm, C: Conic):
     """The gcd of the fifteen 2x2 minors of [grad F; (l, p)] along C's chart:
     its roots are the singular points of {F = 0} on C.  A constant means F
     is smooth along C, the zero form of degree a+b singular along all of C.
@@ -230,6 +232,8 @@ def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
     flag grad(F + (p.l)G) = grad F + G (l, p), so the minors, and the gcd,
     do not depend on the representative of F modulo p.l.
     """
+    from .binforms import BinaryForm, bf_gcd, zero_form
+
     a, b = require_surface(F).bidegree
     p_tables, l_tables = chart_tables(C.q.rational(), C.m.rational(), 1, 1)
     dN = [BinaryForm(t[1]) for t in (*l_tables, *p_tables)]  # (l, p) on C
@@ -240,9 +244,11 @@ def singular_points_on_conic(F: BiForm, C: Conic) -> BinaryForm:
 
 
 def contains_conic(F: BiForm, C: Conic) -> bool:
-    """Whether {F = 0} contains the smooth conic C; all a+b+1 restriction
-    coefficients must vanish."""
-    return restrict_to_conic(F, C).is_zero()
+    """Whether {F = 0} contains the smooth conic C: all a+b+1 restriction
+    coefficients vanish over Z[i], as restrict_to_conic's are multiples of them."""
+    if not C.is_smooth:
+        raise DegenerateConicError("cannot parametrize a degenerate conic (q.m = 0)")
+    return not any(substitute_forms(F.terms, F.bidegree, C.q.coords, C.m.coords))
 
 
 def conics_disjoint(C1: Conic, C2: Conic) -> bool:

@@ -1,5 +1,5 @@
-"""Exact arithmetic in Q(i), the field of Gaussian rationals, and in its
-ring of integers Z[i]."""
+"""Exact arithmetic in Q(i), the field of Gaussian rationals, for the
+modules that print or factor Q(i) values; Z[i] is linalg's GaussianInt."""
 
 from __future__ import annotations
 
@@ -21,10 +21,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
-
-    def norm(self) -> Fraction:
-        """z * conj(z) as a rational.  Nonnegative, zero only at z = 0."""
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -70,7 +66,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        n = other.norm()
+        n = other.re * other.re + other.im * other.im  # |other|^2
         if not n:
             raise PreconditionError("division by zero in Q(i)")
         return GaussianRational(
@@ -130,52 +126,9 @@ def to_gaussian(x) -> GaussianRational:
     return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
 
-class GaussianInt:
-    """re + im*i with int parts, the one Gaussian-integer value.  Either factor
-    of * may be an int (power_table's 1); // divides exactly, by an int or a
-    divisor.  re, im = z unpacks it; hot loops read .re and .im, at half the cost."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int = 0):
-        self.re, self.im = re, im
-
-    def __iter__(self):
-        return iter((self.re, self.im))
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def __add__(self, o):
-        return GaussianInt(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return GaussianInt(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
-
-    def __mul__(self, o):
-        if type(o) is int:
-            return GaussianInt(self.re * o, self.im * o)
-        return GaussianInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, o):
-        if type(o) is int:
-            return GaussianInt(self.re // o, self.im // o)
-        z, n = self * o.conjugate(), o.re * o.re + o.im * o.im  # z / o = z conj(o) / |o|^2
-        return GaussianInt(z.re // n, z.im // n)
-
-    def __eq__(self, o):
-        return type(o) is GaussianInt and self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
+def over(z, d: int) -> GaussianRational:
+    """z / d, for a Gaussian integer z (linalg.GaussianInt) and an int d > 0."""
+    return GaussianRational(Fraction(z.re, d), Fraction(z.im, d))
 
 
 ZERO = GaussianRational(0)

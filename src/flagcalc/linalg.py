@@ -1,11 +1,10 @@
-"""Exact linear algebra over Z[i] on rows of gaussian.GaussianInt.
+"""Z[i]: GaussianInt, the one Gaussian-integer value, and exact linear
+algebra on its rows.  This module imports only math.
 
-clear_rows, which scales each Q(i) row by the lcm of its denominators to
-GaussianInt, is the one way in from Q(i): the point reader
-(flag.ProjPoint), the surface reader and its scalars (biforms.BiForm) and
-the ruling (ruled) are cleared by it, and nothing else turns Gaussian
-rationals into integers.  Past it everything here is Z[i]: a kernel vector comes out as
-its GaussianInt entries over one int denominator.
+clear_rows scales each row, of Gaussian rationals or GaussianInts, by the
+lcm of its denominators to GaussianInt (it reads the numerator and
+denominator of each part, and an int has both).  Past it everything here
+is Z[i]: a kernel vector comes out as its entries over one int denominator.
 Rows are reduced by fraction-free Bareiss condensation: every intermediate
 entry is a minor of the matrix, so all divisions are exact divisions in
 Z[i] and no rational arithmetic happens inside the elimination loop.
@@ -19,7 +18,53 @@ from __future__ import annotations
 
 import math
 
-from .gaussian import GaussianInt
+
+class GaussianInt:
+    """re + im*i with int parts, the one Gaussian-integer value.  Either factor
+    of * may be an int (power_table's 1); // divides exactly, by an int or a
+    divisor.  re, im = z unpacks it; hot loops read .re and .im, at half the cost."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int = 0):
+        self.re, self.im = re, im
+
+    def __iter__(self):
+        return iter((self.re, self.im))
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def conjugate(self) -> "GaussianInt":
+        return GaussianInt(self.re, -self.im)
+
+    def __add__(self, o):
+        return GaussianInt(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return GaussianInt(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return GaussianInt(-self.re, -self.im)
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return GaussianInt(self.re * o, self.im * o)
+        return GaussianInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        if type(o) is int:
+            return GaussianInt(self.re // o, self.im // o)
+        z, n = self * o.conjugate(), o.re * o.re + o.im * o.im  # z / o = z conj(o) / |o|^2
+        return GaussianInt(z.re // n, z.im // n)
+
+    def __eq__(self, o):
+        return type(o) is GaussianInt and self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
 
 def clear_rows(matrix) -> tuple[list[list[GaussianInt]], int]:

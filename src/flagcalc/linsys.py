@@ -35,8 +35,8 @@ from . import linalg, modp
 from .biforms import BiForm, from_ints, quotient_monomials
 from .errors import EmptySystemError, FlagcalcError, PreconditionError
 from .flag import Conic, monomial_restrictions
-from .gaussian import GaussianInt
 from .invariants import h0_flag
+from .linalg import GaussianInt
 from .sampling import SplitMix64
 
 # Bareiss on r pivot rows of c columns with b-bit entries takes about

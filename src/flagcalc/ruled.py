@@ -44,8 +44,7 @@ from .binforms import BinaryForm, bf_gcd
 from .biforms import BiForm, from_ints, mul_terms
 from .errors import PreconditionError
 from .flag import Conic, ProjPoint, substitute_forms, twistor_fiber_of
-from .gaussian import GaussianInt
-from .linalg import clear_rows
+from .linalg import GaussianInt, clear_rows
 from .sampling import SplitMix64
 
 DEFAULT_RULED_SEED = 0x52D

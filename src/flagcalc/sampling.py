@@ -5,13 +5,13 @@ Every source of randomness in the package flows through SplitMix64, a
 every sampled object bit for bit, independent of platform or interpreter,
 which is what makes emitted fixtures reproducible.  Derived draws use plain
 modulo reduction; the slight bias is irrelevant here and keeps the mapping
-trivial to restate.
+trivial to restate.  Points are drawn in Z[i], as GaussianInt coordinates.
 """
 
 from __future__ import annotations
 
 from .flag import Conic, ProjPoint
-from .gaussian import GaussianRational
+from .linalg import GaussianInt
 
 _MASK = (1 << 64) - 1
 
@@ -38,14 +38,11 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
 
-def random_gaussian_rational(rng: SplitMix64, height: int = 9):
-    return GaussianRational(rng.int_in(-height, height), rng.int_in(-height, height))
-
-
 def random_proj_point(rng: SplitMix64, height: int = 9):
     """A projective point with Gaussian-integer coordinates of bounded height."""
     while True:
-        coords = [random_gaussian_rational(rng, height) for _ in range(3)]
+        coords = [GaussianInt(rng.int_in(-height, height), rng.int_in(-height, height))
+                  for _ in range(3)]
         if any(coords):
             return ProjPoint(coords)
 

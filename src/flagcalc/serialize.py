@@ -3,28 +3,28 @@
 Scalars are {"re": "num/den", "im": "num/den"} with decimal-string
 integers, so arbitrary precision survives any JSON parser; a key may be
 left out, and any other key is refused.  A scalar string is read only as
-"num" or "num/den": ASCII digits, the numerator optionally signed;
-Fraction's exponent, decimal-point, underscore and whitespace forms are
-refused.  Biform terms are sorted in the fixed descending-lex monomial
-order and projective data is emitted in canonical form, which makes the
-output diff-stable and makes round trips exact.
+"num" or "num/den": ASCII digits, the numerator optionally signed, the
+denominator nonzero; exponent, decimal-point, underscore and whitespace
+forms are refused.  Points and surfaces are read straight into Z[i], over
+the lcm of their denominators; only the ruling's forms are read into Q(i).
+Biform terms are sorted in the fixed descending-lex monomial order and
+projective data is emitted in canonical form, which makes the output
+diff-stable and makes round trips exact.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .binforms import BinaryForm
 from .biforms import BiForm
 from .errors import PreconditionError, SchemaError
 from .flag import Conic, ProjPoint
-from .gaussian import GaussianRational
+from .linalg import GaussianInt
 
 
-def frac_str(f: Fraction) -> str:
+def frac_str(f) -> str:
     return _ratio_str(f.numerator, f.denominator)
 
 
@@ -42,35 +42,42 @@ def _integer(x) -> int:
     return int(x)
 
 
-_FRAC = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_FRAC = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")  # the denominator is nonzero
 
 
-def parse_frac(s) -> Fraction:
+def parse_frac(s) -> tuple[int, int]:
+    """A "num" or "num/den" string, or a JSON integer, as the ints (num, den)."""
     if isinstance(s, str) and not _FRAC.fullmatch(s):
         raise SchemaError(f"not a rational number: {s!r}")
     try:
-        return Fraction(s if isinstance(s, str) else _integer(s))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        num, _, den = s.partition("/") if isinstance(s, str) else (_integer(s), "", 1)
+        return int(num), int(den or 1)
+    except (TypeError, ValueError) as exc:  # int() refuses a string over its digit limit
         raise SchemaError(f"not a rational number: {s!r}") from exc
 
 
-def gr_to_json(z: GaussianRational) -> dict:
+def gr_to_json(z) -> dict:
     return {"re": frac_str(z.re), "im": frac_str(z.im)}
 
 
 _SCALAR_KEYS = {"re", "im"}
 
 
-def gr_from_json(obj) -> GaussianRational:
-    if isinstance(obj, str):
-        return GaussianRational(parse_frac(obj))
-    if isinstance(obj, int):
-        return GaussianRational(_integer(obj))
+def scalar_from_json(obj) -> tuple:
+    """A scalar's real and imaginary parts, each as parse_frac reads it."""
+    if isinstance(obj, (str, int)):
+        return parse_frac(obj), (0, 1)
     if isinstance(obj, dict):
         if not obj or not obj.keys() <= _SCALAR_KEYS:  # a misspelled part would read as 0
             raise SchemaError(f"a scalar object takes one or both of the keys re and im: {obj!r}")
-        return GaussianRational(parse_frac(obj.get("re", 0)), parse_frac(obj.get("im", 0)))
+        return parse_frac(obj.get("re", 0)), parse_frac(obj.get("im", 0))
     raise SchemaError(f"not a scalar: {obj!r}")
+
+
+def _cleared(scalars) -> tuple[list[GaussianInt], int]:
+    """Scalars as scalar_from_json reads them, as GaussianInts over their lcm denominator."""
+    den = lcm(*(d for z in scalars for _, d in z))
+    return [GaussianInt(rn * (den // rd), jn * (den // jd)) for (rn, rd), (jn, jd) in scalars], den
 
 
 def _over_json(z, d: int) -> dict:
@@ -89,7 +96,7 @@ def point_to_json(pt: ProjPoint) -> list:
 def point_from_json(obj) -> ProjPoint:
     if not isinstance(obj, list) or len(obj) != 3:
         raise SchemaError("a projective point is a list of 3 scalars")
-    return ProjPoint([gr_from_json(c) for c in obj])
+    return ProjPoint(_cleared([scalar_from_json(c) for c in obj])[0])
 
 
 def conic_to_json(C: Conic) -> dict:
@@ -130,35 +137,37 @@ def biform_from_json(obj) -> BiForm:
             key = (tuple(map(_integer, t["p"])), tuple(map(_integer, t["l"])))
             if key in terms:
                 raise SchemaError(f"the monomial p {list(key[0])} l {list(key[1])} is repeated")
-            terms[key] = gr_from_json(t["c"])
-        return BiForm((_integer(a), _integer(b)), terms)
+            terms[key] = scalar_from_json(t["c"])
+        row, den = _cleared(list(terms.values()))
+        return BiForm((_integer(a), _integer(b)), dict(zip(terms, row)), den)
     except SchemaError:
         raise
     except Exception as exc:
         raise SchemaError(f"malformed surface JSON: {exc}") from exc
 
 
-def binary_form_to_json(f: BinaryForm) -> list:
-    return [gr_to_json(c) for c in f.coeffs]
-
-
-def binary_form_from_json(obj) -> BinaryForm:
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("a binary form is a nonempty list of scalars")
-    return BinaryForm([gr_from_json(c) for c in obj])
-
-
 def forms_to_json(forms) -> dict:
-    return {"degree": forms[0].degree, "forms": [binary_form_to_json(f) for f in forms]}
+    return {"degree": forms[0].degree, "forms": [[gr_to_json(c) for c in f.coeffs] for f in forms]}
 
 
-def forms_from_json(obj) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
+def forms_from_json(obj) -> tuple:
+    """The ruling's three binary forms, the one Q(i) value the readers build."""
+    from fractions import Fraction
+
+    from .binforms import BinaryForm
+    from .gaussian import GaussianRational
+
     doc = obj if isinstance(obj, dict) else {"forms": obj}
     items = doc.get("forms")
     if not isinstance(items, list) or len(items) != 3:
         raise SchemaError("expected {'forms': [form, form, form]}")
-    forms = tuple(binary_form_from_json(f) for f in items)
+    forms = []
+    for f in items:
+        if not isinstance(f, list) or not f:
+            raise SchemaError("a binary form is a nonempty list of scalars")
+        parts = map(scalar_from_json, f)
+        forms.append(BinaryForm([GaussianRational(Fraction(*x), Fraction(*y)) for x, y in parts]))
     degree = doc.get("degree", forms[0].degree)  # the key may be left out
     if type(degree) is not int or degree != forms[0].degree:
         raise SchemaError(f"the declared degree {degree!r} is not the forms' degree")
-    return forms
+    return tuple(forms)

@@ -27,17 +27,8 @@ from functools import reduce
 from operator import mul
 
 from flagcalc import linalg, modp
-from flagcalc.binforms import (
-    ZERO,
-    BinaryForm,
-    _pdeg,
-    _pdivmod,
-    bf_gcd,
-    conv,
-    power_table,
-    zero_form,
-)
-from flagcalc.biforms import BiForm, monomials
+from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, bf_gcd, zero_form
+from flagcalc.biforms import BiForm, conv, monomials, power_table
 from flagcalc.errors import DegenerateConicError, FlagcalcError, PreconditionError
 from flagcalc.flag import (
     Conic,
@@ -51,7 +42,8 @@ from flagcalc.flag import (
 from flagcalc.fpcensus import conic_expansion
 from flagcalc.gaussian import ONE, GaussianRational, to_gaussian
 from flagcalc.invariants import _require_general_type, h0_flag
-from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_proj_point
+from flagcalc.sampling import SplitMix64, random_proj_point
+from flagcalc.serialize import scalar_from_json
 
 
 def pivot_one_form(raw) -> tuple:
@@ -166,6 +158,12 @@ def qi_ratio(F: BiForm, G: BiForm):
 # Point values and small constructors: the package never evaluates a form
 # at a point, and builds its surfaces from JSON, rows or rulings.
 
+def read_scalar(obj) -> GaussianRational:
+    """A JSON scalar in Q(i), from the parts the readers' grammar reads."""
+    (rn, rd), (jn, jd) = scalar_from_json(obj)
+    return GaussianRational(Fraction(rn, rd), Fraction(jn, jd))
+
+
 def evaluate(F: BiForm, p, l) -> GaussianRational:
     """The exact value of F at coordinate triples p and l, term by term."""
     p, l = [to_gaussian(x) for x in p], [to_gaussian(x) for x in l]
@@ -212,6 +210,11 @@ def flag_point(p, l) -> tuple:
 
 
 # Seeded samplers that only tests use.
+
+def random_gaussian_rational(rng: SplitMix64, height: int = 9) -> GaussianRational:
+    """A Gaussian integer of bounded height, as a GaussianRational."""
+    return GaussianRational(rng.int_in(-height, height), rng.int_in(-height, height))
+
 
 def random_flag_point(rng: SplitMix64, height: int = 4) -> tuple:
     """A random incident pair (p, l), built as (p, p x r) for random p and r."""

@@ -39,7 +39,6 @@ from flagcalc.linsys import system_dimension
 from flagcalc.ruled import twistor_ruled_surface
 from flagcalc.sampling import (
     SplitMix64,
-    random_gaussian_rational,
     random_smooth_conic,
     random_smooth_conics,
 )
@@ -55,6 +54,7 @@ from oracles import (
     monomial,
     qi_vector,
     random_binary_form,
+    random_gaussian_rational,
     sylvester_resultant,
 )
 

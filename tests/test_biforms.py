@@ -16,7 +16,8 @@ from flagcalc.errors import PreconditionError
 from flagcalc.flag import j_pullback
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.invariants import h0_flag
-from flagcalc.sampling import SplitMix64, random_gaussian_rational
+from flagcalc.linalg import GaussianInt
+from flagcalc.sampling import SplitMix64
 
 from oracles import (
     evaluate,
@@ -31,6 +32,7 @@ from oracles import (
     qi_sum,
     qi_terms,
     random_flag_point,
+    random_gaussian_rational,
 )
 
 
@@ -251,6 +253,9 @@ def test_stored_form_is_canonical_and_arithmetic_matches_qi(data):
     _assert_canonical(F - G, qi_sum(f, qi_scale(g, GR(-1))))
     _assert_canonical(-F, qi_scale(f, GR(-1)))
     _assert_canonical(F.scale(c), qi_scale(f, c))
+    k, j = data.draw(st.integers(-30, 30)), data.draw(st.integers(-30, 30))
+    _assert_canonical(k * F, qi_scale(f, GR(k)))  # an int scalar, as the constructor takes
+    _assert_canonical(F.scale(GaussianInt(k, j)), qi_scale(f, GR(k, j)))
     _assert_canonical(F * G, qi_product(f, g))
     _assert_canonical(reduce_mod_incidence(F), qi_reduce(f))
     _assert_canonical(j_pullback(F), qi_j_pullback(f))

@@ -7,9 +7,16 @@ from flagcalc.binforms import (
 )
 from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianRational as GR, I
-from flagcalc.sampling import SplitMix64, random_gaussian_rational
+from flagcalc.sampling import SplitMix64
 
-from oracles import bf_div_exact, bf_divides, bf_evaluate, random_binary_form, sylvester_resultant
+from oracles import (
+    bf_div_exact,
+    bf_divides,
+    bf_evaluate,
+    random_binary_form,
+    random_gaussian_rational,
+    sylvester_resultant,
+)
 
 
 def test_eval_examples():

@@ -892,6 +892,33 @@ def test_mk_ruled_request_imports_only_what_it_runs():
     assert not loaded & unused
 
 
+# Q(i): the stdlib rationals and flagcalc's Gaussian rationals and binary forms
+QI_STACK = {"fractions", "decimal", "flagcalc.gaussian", "flagcalc.binforms"}
+
+
+def test_integer_requests_load_no_qi_code(tmp_path):
+    # points and surfaces are read straight into Z[i], and containment,
+    # interpolation and the census run on it; the ruling's forms are read
+    # into Q(i), so mk-ruled loads all of it
+    surface = "perfbench/fixtures/surfaces/ruled_d2_00.json"
+    conic = "perfbench/fixtures/conics/random_00.json"
+    conics = tmp_path / "conics.json"
+    conics.write_text(json.dumps([json.loads((ROOT / conic).read_text(encoding="utf-8")),
+                                  {"q": ["1/2", 0, 0], "m": [1, {"im": "-3/4"}, 0]}]))
+    for argv in (
+        ("census", "--surface", surface, "--prime", "11"),
+        ("check-conic", "--surface", surface, "--conic", conic),
+        ("mk-surface", "--a", "2", "--b", "2", "--random", "3"),
+        ("mk-surface", "--a", "2", "--b", "2", "--conics", str(conics)),
+        ("dim-report", "--a", "2", "--b", "2", "--x", "3", "--trials", "2"),
+    ):
+        loaded = _modules_after_request(*argv)
+        assert "flagcalc.linalg" in loaded, argv
+        assert not loaded & QI_STACK, (argv, sorted(loaded & QI_STACK))
+    ruled = _modules_after_request("mk-ruled", "--forms", "perfbench/fixtures/forms/d2_00.json")
+    assert QI_STACK <= ruled
+
+
 def test_modp_imports_only_errors():
     loaded = _modules_after("import flagcalc.modp")
     own = {m for m in loaded if m == "flagcalc" or m.startswith("flagcalc.")}

@@ -16,13 +16,9 @@ from flagcalc.flag import (
     restrict_to_conic,
     twistor_fiber_of,
 )
-from flagcalc.gaussian import GaussianInt, GaussianRational as GR, I
-from flagcalc.sampling import (
-    SplitMix64,
-    random_gaussian_rational,
-    random_proj_point,
-    random_smooth_conic,
-)
+from flagcalc.gaussian import GaussianRational as GR, I
+from flagcalc.linalg import GaussianInt
+from flagcalc.sampling import SplitMix64, random_proj_point, random_smooth_conic
 from flagcalc.serialize import point_from_json, point_to_json
 
 from oracles import (
@@ -36,6 +32,7 @@ from oracles import (
     j_conic,
     monomial,
     pivot_one_form,
+    random_gaussian_rational,
     restrict_to_curve,
 )
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc.errors import PreconditionError
-from flagcalc.gaussian import GaussianInt, GaussianRational
+from flagcalc.gaussian import GaussianRational
+from flagcalc.linalg import GaussianInt
 from flagcalc.sampling import SplitMix64
 
 from oracles import conjugate

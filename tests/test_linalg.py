@@ -2,7 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 from flagcalc import linalg
-from flagcalc.gaussian import GaussianInt as GI, GaussianRational as GR
+from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.linalg import GaussianInt as GI
 from flagcalc.sampling import SplitMix64
 
 from oracles import det, nullity, qi_vector, rank, reference_nullspace, zi_vectors

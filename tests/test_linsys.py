@@ -5,8 +5,8 @@ from flagcalc.biforms import BiForm, reduce_mod_incidence
 from flagcalc.binforms import BinaryForm
 from flagcalc.errors import DegenerateConicError, EmptySystemError, PreconditionError
 from flagcalc.flag import Conic, contains_conic, restrict_to_conic, singular_points_on_conic
-from flagcalc.gaussian import GaussianInt
 from flagcalc.invariants import h0_flag, h0_hirzebruch
+from flagcalc.linalg import GaussianInt
 from flagcalc.linsys import (
     condition_matrix,
     expected_system_dimension,

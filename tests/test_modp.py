@@ -6,7 +6,7 @@ import pytest
 
 from flagcalc import modp
 from flagcalc.errors import PreconditionError
-from flagcalc.gaussian import GaussianInt
+from flagcalc.linalg import GaussianInt
 from flagcalc.modp import (
     I_MOD,
     PRIME,

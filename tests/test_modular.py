@@ -21,8 +21,9 @@ from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import BiForm, proportional, reduce_mod_incidence
 from flagcalc.errors import FlagcalcError, PreconditionError
 from flagcalc.flag import Conic, twistor_fiber_of
-from flagcalc.gaussian import GaussianInt, GaussianRational as GR
+from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.invariants import h0_flag
+from flagcalc.linalg import GaussianInt
 from flagcalc.linsys import (
     condition_matrix,
     expected_system_dimension,
@@ -30,10 +31,17 @@ from flagcalc.linsys import (
     system_dimension,
 )
 from flagcalc.ruled import twistor_circle_samples, twistor_ruled_surface
-from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
+from flagcalc.sampling import SplitMix64, random_smooth_conics
 from flagcalc.serialize import biform_to_json
 
-from oracles import evaluation_rank_oracle, gaussian_mod_p, qi_ratio, qi_vector, rank_int
+from oracles import (
+    evaluation_rank_oracle,
+    gaussian_mod_p,
+    qi_ratio,
+    qi_vector,
+    random_gaussian_rational,
+    rank_int,
+)
 
 VERONESE = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
 CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1]))

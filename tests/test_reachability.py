@@ -42,7 +42,7 @@ ALLOWED = {
     "biforms.BiForm.__mul__": _PINNED,
     "biforms.BiForm.__neg__": _PINNED,
     "biforms.BiForm.__sub__": _PINNED,
-    "gaussian.GaussianInt.__iter__": _UNPACKED,
+    "linalg.GaussianInt.__iter__": _UNPACKED,
     "gaussian.GaussianRational.__eq__": _IMPLICIT,
     "gaussian.GaussianRational.__hash__": _IMPLICIT,
     "gaussian.GaussianRational.__repr__": _IMPLICIT,
@@ -147,9 +147,9 @@ def test_every_function_in_src_is_reached(tmp_path):
     assert not stale, f"allowlisted but reached or gone: {', '.join(stale)}"
 
 
-# The modules past linalg.clear_rows work in Z[i] or F_p only.
-INTEGER_MODULES = ("linalg", "linsys", "modp", "fpcensus")
-QI_NAMES = {"fractions", "Fraction", "GaussianRational"}
+# The modules past the readers and linalg.clear_rows work in Z[i] or F_p only.
+INTEGER_MODULES = ("linalg", "linsys", "modp", "fpcensus", "biforms", "sampling")
+QI_NAMES = {"fractions", "Fraction", "GaussianRational", "gaussian", "to_gaussian"}
 
 
 def _names(tree) -> set:

@@ -41,7 +41,7 @@ from flagcalc.ruled import (
     twistor_circle_samples,
     twistor_ruled_surface,
 )
-from flagcalc.sampling import SplitMix64, random_gaussian_rational, random_smooth_conics
+from flagcalc.sampling import SplitMix64, random_smooth_conics
 from flagcalc.serialize import biform_to_json, forms_from_json
 
 from oracles import (
@@ -51,6 +51,7 @@ from oracles import (
     form_powers,
     incidence_form,
     qi_terms,
+    random_gaussian_rational,
     restrict_to_curve,
     substitute_curve_forms,
 )

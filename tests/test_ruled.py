@@ -2,12 +2,21 @@ import glob
 import json
 import os
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from flagcalc import ruled
-from flagcalc.binforms import BinaryForm
-from flagcalc.biforms import BiForm, monomials, proportional, reduce_mod_incidence
+from flagcalc import linalg, ruled
+from flagcalc.binforms import BinaryForm, zero_form
+from flagcalc.biforms import (
+    BiForm,
+    conv,
+    monomials,
+    power_table,
+    proportional,
+    reduce_mod_incidence,
+)
 from flagcalc.errors import PreconditionError
 from flagcalc.flag import (
     ProjPoint,
@@ -33,8 +42,10 @@ from flagcalc.serialize import forms_from_json
 from oracles import (
     _fiber_at,
     evaluate,
+    form_powers,
     incidence_form,
     monomial,
+    random_binary_form,
     random_flag_point,
     rank,
     reference_circle_samples,
@@ -435,3 +446,59 @@ def test_positivity_check_rejects_common_conjugate_pair():
     bad = (BinaryForm([1, 0, 1, 0]), BinaryForm([0, 1, 0, 1]), BinaryForm([1, 1, 1, 1]))
     with pytest.raises(PreconditionError, match="the forms share a common factor"):
         twistor_ruled_surface(bad)
+
+
+def _implicit_curve(f, a):
+    """The kernel of the C(a+2, 2) degree-a ternary monomials evaluated on
+    the integer ruling f, a system of a^2 + 1 rows over Z[i], by
+    linalg.nullspace: (the exponents, the kernel vectors)."""
+    exps = [pe for pe, _ in monomials(a, 0)]
+    tables = [power_table(tuple(row), a) for row in f]
+    cols = [reduce(conv, [t[e] for t, e in zip(tables, ex)]) for ex in exps]
+    rows = [[linalg.GaussianInt(col[k]) for col in cols] for k in range(a * a + 1)]
+    return exps, linalg.nullspace(rows, len(exps))
+
+
+def _pullback_along_cross(g, exps, a) -> BiForm:
+    """g(p x l): x_i = p_j l_k - p_k l_j for (i, j, k) cyclic."""
+    e = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    x = [BiForm((1, 1), {(e[j], e[k]): 1, (e[k], e[j]): -1})
+         for j, k in ((1, 2), (2, 0), (0, 1))]
+    one = BiForm((0, 0), {((0, 0, 0), (0, 0, 0)): 1})
+    powers = [[one] for _ in range(3)]
+    for i in range(3):
+        for _ in range(a):
+            powers[i].append(powers[i][-1] * x[i])
+    G = BiForm((a, a))
+    for c, ex in zip(g, exps):
+        G = G + reduce(mul, (powers[i][ex[i]] for i in range(3))).scale(c)
+    return G
+
+
+def _seeded_quintic_ruling():
+    rng = SplitMix64(0x25A5)
+    return tuple(random_binary_form(rng, 5, height=3, real=True) for _ in range(3))
+
+
+@pytest.mark.parametrize("forms", [
+    *(os.path.basename(p)[:-5] for p in sorted(glob.glob(os.path.join(FORMS_DIR, "*.json")))),
+    "seeded a = 5",
+])
+def test_ruled_surface_is_the_pullback_of_the_implicit_curve(forms):
+    # S = g(p x l) on the flag for g the implicit equation of the image of
+    # f: reduce_mod_incidence of both agree up to scale, and g(f(s, t)) = 0
+    # is an identity of binary forms of degree a^2 over Q(i)
+    spec = twistor_ruled_surface(_seeded_quintic_ruling()) if forms == "seeded a = 5" \
+        else _catalog_spec(forms)
+    a = spec.degree
+    exps, kernel = _implicit_curve(spec.ruling, a)
+    assert len(kernel) == 1  # a birational image of degree a has one equation
+    (g, _), = kernel
+    G = _pullback_along_cross(g, exps, a)
+    assert not G.is_zero()
+    assert proportional(reduce_mod_incidence(spec.surface), reduce_mod_incidence(G))
+    powers = [form_powers(h, a) for h in spec.forms]
+    acc = zero_form(a * a)
+    for c, ex in zip(g, exps):
+        acc = acc + reduce(mul, (powers[i][ex[i]] for i in range(3))).scale(GR(c.re, c.im))
+    assert acc.is_zero()

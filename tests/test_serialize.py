@@ -1,12 +1,18 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcalc.binforms import BinaryForm
+from flagcalc.biforms import monomials
+from flagcalc.cli import main
 from flagcalc.errors import PreconditionError, SchemaError
 from flagcalc.flag import Conic, ProjPoint
 from flagcalc.gaussian import GaussianRational as GR
+from flagcalc.linalg import clear_rows
 from flagcalc.sampling import SplitMix64, random_smooth_conic
 from flagcalc.serialize import (
     biform_from_json,
@@ -16,30 +22,31 @@ from flagcalc.serialize import (
     conics_from_json,
     forms_from_json,
     forms_to_json,
-    gr_from_json,
     gr_to_json,
+    parse_frac,
+    point_from_json,
     point_to_json,
 )
 
-from oracles import incidence_form, monomial
+from oracles import incidence_form, monomial, read_scalar
 
 
 def test_scalar_round_trip():
     z = GR(Fraction(-7, 3), Fraction(22, 5))
-    assert gr_from_json(gr_to_json(z)) == z
+    assert read_scalar(gr_to_json(z)) == z
     assert gr_to_json(z) == {"re": "-7/3", "im": "22/5"}
 
 
 def test_scalar_shorthand():
-    assert gr_from_json("3/2") == GR(Fraction(3, 2))
-    assert gr_from_json(4) == GR(4)
+    assert read_scalar("3/2") == GR(Fraction(3, 2))
+    assert read_scalar(4) == GR(4)
     for text, value in [("-7", -7), ("+7", 7), ("007/014", Fraction(1, 2)),
                         ("-3/6", Fraction(-1, 2))]:
-        assert gr_from_json(text) == GR(value)
+        assert read_scalar(text) == GR(value)
     with pytest.raises(SchemaError):
-        gr_from_json("x")
+        read_scalar("x")
     with pytest.raises(SchemaError):
-        gr_from_json([1, 2])
+        read_scalar([1, 2])
 
 
 @pytest.mark.parametrize("text", ["1e3000000", "1E2", "1.5", "1.", ".5", "1_000", " 1", "1 ",
@@ -47,9 +54,9 @@ def test_scalar_shorthand():
 def test_scalar_strings_outside_the_grammar_refused(text):
     # only "num" and "num/den" in ASCII digits, the numerator optionally signed
     with pytest.raises(SchemaError, match="not a rational number"):
-        gr_from_json(text)
+        read_scalar(text)
     with pytest.raises(SchemaError, match="not a rational number"):
-        gr_from_json({"re": "1", "im": text})
+        read_scalar({"re": "1", "im": text})
 
 
 def test_biform_round_trip_and_order():
@@ -138,8 +145,8 @@ def test_biform_refuses_json_floats_and_booleans(doc):
 @pytest.mark.parametrize("obj", [True, False, 1.5, 2.0, {"re": 1.5}, {"im": 2.0}, {"re": True}])
 def test_scalar_refuses_json_floats_and_booleans(obj):
     with pytest.raises(SchemaError):
-        gr_from_json(obj)
-    assert gr_from_json({"re": 3, "im": "1/2"}) == GR(3, Fraction(1, 2))
+        read_scalar(obj)
+    assert read_scalar({"re": 3, "im": "1/2"}) == GR(3, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("obj, key", [
@@ -151,10 +158,10 @@ def test_scalar_refuses_json_floats_and_booleans(obj):
 def test_scalar_object_with_an_unknown_key_refused(obj, key):
     # obj.get("im", 0) would read a misspelled part as zero
     with pytest.raises(SchemaError, match="keys re and im") as err:
-        gr_from_json(obj)
+        read_scalar(obj)
     assert key in str(err.value)
-    assert gr_from_json({"re": "1"}) == GR(1)
-    assert gr_from_json({"im": "2"}) == GR(0, 2)
+    assert read_scalar({"re": "1"}) == GR(1)
+    assert read_scalar({"im": "2"}) == GR(0, 2)
 
 
 def test_repeated_monomial_rejected():
@@ -174,3 +181,81 @@ def test_declared_degree_must_match_the_forms():
             forms_from_json({"degree": degree, "forms": forms})
     with pytest.raises(SchemaError, match="the declared degree True is not the forms'"):
         forms_from_json({"degree": True, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
+
+
+# The scalar grammar: an optional sign, leading zeros, numerators up to 300
+# digits and nonzero denominators, and the signed and unsigned zeros.
+_ZEROS = st.integers(0, 3).map("0".__mul__)
+_NUMERATORS = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]), _ZEROS,
+                        st.one_of(st.integers(0, 99), st.integers(0, 10**300)))
+_DENOMINATORS = st.builds("{}{}".format, _ZEROS, st.one_of(st.integers(1, 99),
+                                                           st.integers(1, 10**40)))
+_RATIOS = st.one_of(_NUMERATORS, st.builds("{}/{}".format, _NUMERATORS, _DENOMINATORS),
+                    st.sampled_from(["-0/3", "0/7", "+0", "-0", "000/001", "-007/014"]))
+_SCALARS = st.one_of(
+    _RATIOS, st.integers(-10**50, 10**50),
+    st.fixed_dictionaries({}, optional={"re": _RATIOS, "im": st.one_of(_RATIOS, st.integers())})
+    .filter(bool),
+)
+
+
+def _fraction_scalar(obj) -> GR:
+    """The scalar as Fraction reads each part: the reference the int reader
+    must agree with."""
+    if isinstance(obj, dict):
+        return GR(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
+    return GR(Fraction(obj))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_RATIOS)
+def test_int_reader_agrees_with_fraction(text):
+    num, den = parse_frac(text)
+    assert den > 0 and Fraction(num, den) == Fraction(text)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(_SCALARS, min_size=3, max_size=3).filter(lambda c: any(map(_fraction_scalar, c))))
+def test_point_reader_stores_what_clearing_the_fractions_gives(coords):
+    assert point_from_json(coords).coords == ProjPoint([_fraction_scalar(c) for c in coords]).coords
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from([(0, 0), (1, 0), (1, 1), (2, 1)]).flatmap(
+    lambda ab: st.tuples(st.just(ab), st.lists(_SCALARS, min_size=len(monomials(*ab)),
+                                               max_size=len(monomials(*ab))))))
+def test_surface_reader_stores_what_clearing_the_fractions_gives(case):
+    # the stored D F is canonical: clear_rows of the lowest-terms Fractions
+    # gives it directly, and the int reader must reach it through the lcm
+    # of unreduced denominators and one gcd
+    (a, b), scalars = case
+    keys = monomials(a, b)
+    doc = {"bidegree": [a, b],
+           "terms": [{"p": list(pe), "l": list(le), "c": c} for (pe, le), c in zip(keys, scalars)]}
+    (row,), den = clear_rows([[_fraction_scalar(c) for c in scalars]])
+    F = biform_from_json(doc)
+    assert F.terms == {k: z for k, z in zip(keys, row) if z}
+    assert F.den == den
+
+
+@pytest.mark.parametrize("text", ["1/0", "-5/000", "0/0", "1" * (sys.get_int_max_str_digits() + 1),
+                                  "1/" + "2" * (sys.get_int_max_str_digits() + 1)])
+def test_zero_denominators_and_long_strings_are_schema_errors(capsys, tmp_path, text):
+    # never a bare ValueError or ZeroDivisionError: each reader exits 2
+    with pytest.raises(SchemaError, match="not a rational number"):
+        parse_frac(text)
+    with pytest.raises(SchemaError, match="not a rational number"):
+        point_from_json([1, {"im": text}, 0])
+    docs = {
+        "bad_surface": {"bidegree": [1, 1], "terms": [{"p": [1, 0, 0], "l": [0, 1, 0], "c": text}]},
+        "bad_conic": {"q": [1, 0, 0], "m": [1, text, 0]},
+        "surface": biform_to_json(incidence_form()),
+        "conic": conic_to_json(Conic((1, 0, 0), (1, 1, 0))),
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    for surface, conic in (("bad_surface", "conic"), ("surface", "bad_conic")):
+        assert main(["check-conic", "--surface", str(tmp_path / surface),
+                     "--conic", str(tmp_path / conic)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["code"] == "usage" and "not a rational number" in out["message"]
