@@ -19,19 +19,19 @@ flagcalc can check today; FACTS.json at the repo root is its output:
 import json
 import sys
 
-from flagcalc.binforms import BinaryForm
 from flagcalc.flag import singular_points_on_conic
 from flagcalc.fpcensus import conic_census, max_disjoint_subset, reduce_mod_p
 from flagcalc.invariants import h0_flag, miyaoka_conic_bound, ruling_curve_bound
+from flagcalc.linalg import GaussianInt
 from flagcalc.linsys import expected_system_dimension, independence_guaranteed, system_dimension
 from flagcalc.ruled import twistor_circle_samples, twistor_ruled_surface
 from flagcalc.sampling import SplitMix64, random_smooth_conics
 from flagcalc.serialize import forms_to_json, frac_str
 
 SEED = 2024
-RULINGS = {
-    2: (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1])),
-    3: (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0, 1])),
+RULINGS = {  # the coefficient rows of the forms
+    2: [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    3: [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
 }
 
 
@@ -55,14 +55,15 @@ def dimensions():
 
 
 def ruled():
-    specs = {a: twistor_ruled_surface(forms) for a, forms in RULINGS.items()}
+    specs = {a: twistor_ruled_surface([list(map(GaussianInt, row)) for row in rows])
+             for a, rows in RULINGS.items()}
     for a, spec in specs.items():
         fibers = []
         for C in twistor_circle_samples(spec, 4):
             g = singular_points_on_conic(spec.surface, C)
             fibers.append({"over": [str(c) for c in C.q.rational()],
                            "singular_gcd_degree": "whole conic" if g.is_zero() else g.degree})
-        yield {"claim": "twistor ruling", "a": a, "forms": forms_to_json(spec.forms),
+        yield {"claim": "twistor ruling", "a": a, "forms": forms_to_json(spec.ruling, spec.den),
                "bidegree": list(spec.surface.bidegree), "terms": len(spec.surface.terms),
                "certificate": spec.certificate, "fibers": fibers}
     for p in (5, 7, 11, 13):

@@ -12,11 +12,14 @@ descending lexicographic on the concatenated exponent tuples, so p0*l0 is
 the leading monomial of the incidence form.  mul_terms multiplies sparse
 forms, and conv and power_table the coefficient sequences of binary forms
 in (s, t), over any ring with + and *: Z[i], Z, and Q(i) for binforms.
+form_gcd takes the gcd of two such sequences over Z or Z[i], fraction-free.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import PreconditionError
 from .linalg import GaussianInt, clear_rows
@@ -158,6 +161,52 @@ def power_table(seq, n: int):
     for _ in range(n - 1):
         out.append(conv(out[-1], seq))
     return out[: n + 1]
+
+
+def _power(x, n: int):
+    """x**n for an int or a GaussianInt, which has no **."""
+    return reduce(mul, [x] * n, 1)
+
+
+def _strip(w) -> list:
+    """The list w without its zero top entries."""
+    w = list(w)
+    while w and not w[-1]:
+        w.pop()
+    return w
+
+
+def _prem(u, v) -> list:
+    """lc(v)^(deg u - deg v + 1) u mod v, on ascending coefficient lists
+    whose last entries are nonzero, stripped."""
+    r, dv, lead = list(u), len(v) - 1, v[-1]
+    for k in range(len(u) - 1, dv - 1, -1):
+        c, r = r[k], [x * lead for x in r[:k]]
+        for i in range(dv):
+            r[k - dv + i] = r[k - dv + i] - c * v[i]
+    return _strip(r)
+
+
+def form_gcd(f, g) -> list:
+    """A gcd, up to a scalar, of two nonzero binary forms given as
+    coefficient sequences over Z or Z[i], in the same convention.
+
+    The shared power of s (a root at (0, 1)) is the fewer trailing zeros;
+    the rest is the gcd of the dehomogenizations at s = 1, by the
+    subresultant remainder sequence (Collins; Brown and Traub), whose
+    divisions are all exact, so no fraction is formed.
+    """
+    u, v = _strip(f), _strip(g)
+    shared = min(len(f) - len(u), len(g) - len(v))
+    if len(u) < len(v):
+        u, v = v, u
+    lc = h = 1
+    while (r := _prem(u, v)) and len(r) > 1:
+        d = len(u) - len(v)
+        u, v = v, [x // (lc * _power(h, d)) for x in r]
+        lc = u[-1]
+        h = _power(lc, d) // _power(h, d - 1) if d else h
+    return (r or v) + [0 * v[0]] * shared  # padded with the ring's zero
 
 
 def _exps3(d: int):

@@ -1,21 +1,19 @@
 """Binary forms in (s, t) over Q(i): arithmetic and gcd.
 
 A form of degree d is stored as the tuple of its d+1 coefficients, where
-``coeffs[k]`` multiplies s^(d-k) * t^k.  Dehomogenizing at s = 1 maps the
-form to the univariate polynomial sum coeffs[k] * x^k; the drop between d
-and the degree of that polynomial counts the multiplicity of s as a factor.
-
-A bare coefficient sequence in that convention is a binary form too:
-biforms.conv multiplies two of them over any ring, here over Q(i).  Only
-Q(i) code imports this module: the ruling (ruled, the forms reader) and
-flag's Q(i) restriction and singular points.
+``coeffs[k]`` multiplies s^(d-k) * t^k.  A bare coefficient sequence in
+that convention is a binary form too: biforms.conv multiplies two of them
+over any ring, here over Q(i), and biforms.form_gcd takes their gcd over
+Z or Z[i], which bf_gcd clears its forms to.  Only flag's Q(i)
+restriction and singular points import this module.
 """
 
 from __future__ import annotations
 
-from .biforms import conv
+from .biforms import conv, form_gcd
 from .errors import PreconditionError
-from .gaussian import ONE, ZERO, to_gaussian
+from .gaussian import ONE, ZERO, GaussianRational, to_gaussian
+from .linalg import clear_rows
 
 
 class BinaryForm:
@@ -85,57 +83,9 @@ def zero_form(degree: int) -> BinaryForm:
     return BinaryForm([ZERO] * (degree + 1))
 
 
-# Univariate helpers on ascending coefficient lists over Q(i).
-
-def _pdeg(u) -> int:
-    for i in range(len(u) - 1, -1, -1):
-        if u[i]:
-            return i
-    return -1
-
-
-def _pdivmod(num, den):
-    dn = _pdeg(den)
-    if dn < 0:
-        raise PreconditionError("polynomial division by zero")
-    r = list(num)
-    q = [ZERO] * max(_pdeg(num) - dn + 1, 1)
-    while True:
-        dr = _pdeg(r)
-        if dr < dn:
-            break
-        c = r[dr] / den[dn]
-        q[dr - dn] = c
-        for i in range(dn + 1):
-            r[dr - dn + i] = r[dr - dn + i] - c * den[i]
-    return q, r
-
-
-def _pmonic(u):
-    d = _pdeg(u)
-    lead = u[d]
-    return [c / lead for c in u[: d + 1]]
-
-
-def _pgcd(u, v):
-    a = u[: _pdeg(u) + 1]
-    b = v[: _pdeg(v) + 1]
-    if _pdeg(a) < _pdeg(b):
-        a, b = b, a
-    while _pdeg(b) >= 0:
-        b = _pmonic(b)
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    return _pmonic(a)
-
-
 def bf_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Greatest common divisor, with first nonzero coefficient scaled to 1.
-
-    Common roots at (0, 1) show up as a shared power of s, detected through
-    the degree drop of the dehomogenizations; everything else is a Euclidean
-    gcd of univariate polynomials over Q(i).
-    """
+    """Greatest common divisor, with first nonzero coefficient scaled to 1:
+    biforms.form_gcd of the two forms cleared to Z[i]."""
     fz, gz = f.is_zero(), g.is_zero()
     if fz and gz:
         raise PreconditionError("gcd of two zero forms is undefined")
@@ -143,9 +93,5 @@ def bf_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         return g.normalized()
     if gz:
         return f.normalized()
-    uf = list(f.coeffs)
-    ug = list(g.coeffs)
-    ef, eg = _pdeg(uf), _pdeg(ug)
-    s_mult = min(f.degree - ef, g.degree - eg)
-    u = _pgcd(uf[: ef + 1], ug[: eg + 1])
-    return BinaryForm(u + [ZERO] * s_mult).normalized()
+    (u, v), _ = clear_rows([f.coeffs, g.coeffs])
+    return BinaryForm([GaussianRational(z.re, z.im) for z in form_gcd(u, v)]).normalized()

@@ -185,16 +185,16 @@ def _cmd_mk_ruled(args):
     if (n := args.samples) > RULED_MAX_SAMPLES:
         raise PreconditionError(f"--samples {n} takes about {n / 10000:.3g} s (0.1 ms per "
                                 f"fiber), over the cap {RULED_MAX_SAMPLES} samples")
-    forms = serialize.forms_from_json(_load_json(args.forms))
-    if (a := max(f.degree for f in forms)) > RULED_MAX_DEGREE:
+    rows, den = serialize.forms_from_json(_load_json(args.forms))
+    if (a := max(map(len, rows)) - 1) > RULED_MAX_DEGREE:
         est = 50 * 2.5 ** (min(a, 99) - RULED_MAX_DEGREE)
         raise PreconditionError(f"a degree-{a} ruling takes about {est:.3g} s to build (2.5x "
                                 f"per degree), over the cap of degree {RULED_MAX_DEGREE}")
-    spec = ruled.twistor_ruled_surface(forms)
+    spec = ruled.twistor_ruled_surface(rows, den)
     samples = ruled.twistor_circle_samples(spec, args.samples)
     return {
         "bidegree": list(spec.surface.bidegree),
-        "forms": serialize.forms_to_json(spec.forms),
+        "forms": serialize.forms_to_json(spec.ruling, spec.den),
         "surface": serialize.biform_to_json(spec.surface),
         # j swaps P and L and Bez(L, P) = -Bez(P, L), so j*S = (-1)^a S: a real
         # sign cannot be scaled away for odd a, so this is proportionality

@@ -15,12 +15,13 @@ contains infinitely many of them; the affine parameter k maps to
 vanishes there, because a real parameter where it did would be a common
 root of the f_i: the trivial gcd is the positivity certificate.
 
-The ruling is cleared to integers once, by linalg.clear_rows, and the spec
-carries it: the positivity and birationality gcds, the resultant, the
-certificate and the samples all read that integer ruling.  The surface is
-built and certified on its stored Z[i] terms.  Each fiber is handled as
-the integer triple m = f(s, t) at integers (s, t); a rational
-parameter n/d is the homogeneous evaluation f(n, d).  Containment of the
+The ruling comes in as the reader clears it, integer rows over one
+denominator, and the spec carries it: the positivity and birationality
+gcds (biforms.form_gcd, fraction-free), the resultant, the certificate and
+the samples all read that integer ruling, and no Q(i) value is formed.
+The surface is built and certified on its stored Z[i] terms.  Each fiber
+is handled as the integer triple m = f(s, t) at integers (s, t); a
+rational parameter n/d is the homogeneous evaluation f(n, d).  Containment of the
 whole family is certified by sampling: on a fixed chart the restriction's
 coefficients are polynomials in the parameter of bounded degree, so
 vanishing at bound + 1 distinct parameters proves identical vanishing, and
@@ -36,15 +37,14 @@ infinitely many twistor fibers): flag.singular_points_on_conic has degree
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, reduce
+from math import gcd
 from typing import NamedTuple
 
-from .binforms import BinaryForm, bf_gcd
-from .biforms import BiForm, from_ints, mul_terms
+from .biforms import BiForm, form_gcd, from_ints, mul_terms
 from .errors import PreconditionError
 from .flag import Conic, ProjPoint, substitute_forms, twistor_fiber_of
-from .linalg import GaussianInt, clear_rows
+from .linalg import GaussianInt
 from .sampling import SplitMix64
 
 DEFAULT_RULED_SEED = 0x52D
@@ -53,31 +53,34 @@ DEFAULT_RULED_SEED = 0x52D
 class RuledSurfaceSpec(NamedTuple):
     """A constructed ruled surface together with its verification data."""
 
-    forms: tuple[BinaryForm, BinaryForm, BinaryForm]
-    ruling: list  # the coefficient rows of the forms cleared to integers
+    ruling: list  # the integer coefficient rows of den times the forms
+    den: int
     degree: int
     surface: BiForm
     witness_params: list  # integer parameters (s, t) of fibers the certificate proves
     certificate: dict
 
 
-def twistor_ruled_surface(forms) -> RuledSurfaceSpec:
-    """Build the bidegree (a, a) surface swept by the conics L_{f(t), f(t)}.
+def twistor_ruled_surface(rows, den: int = 1) -> RuledSurfaceSpec:
+    """Build the bidegree (a, a) surface swept by the conics L_{f(t), f(t)},
+    for the forms f = rows / den: three rows of GaussianInt coefficients
+    over an int den > 0, as serialize.forms_from_json reads them.
 
     Preconditions: real coefficients, common degree a >= 2, trivial gcd,
     and t -> f(t) birational onto its image (_check_birational).  The result
     is never certified irreducible; factorization over Q(i) is out of scope.
     """
-    forms = tuple(f if isinstance(f, BinaryForm) else BinaryForm(f) for f in forms)
-    if len(forms) != 3:
+    if len(rows) != 3:
         raise PreconditionError("the ruling needs exactly three binary forms")
-    degrees = {f.degree for f in forms}
+    degrees = {len(row) - 1 for row in rows}
     if len(degrees) != 1:
         raise PreconditionError("the three forms must share one degree")
     a = degrees.pop()
     if a < 2:
         raise PreconditionError("the construction needs degree a >= 2")
-    f, den = _integer_ruling(forms)
+    if any(z.im for row in rows for z in row):
+        raise PreconditionError("the forms must have real coefficients")
+    f = [[z.re for z in row] for row in rows]
     _positivity_certificate(f)
     _check_birational(f)
 
@@ -89,17 +92,7 @@ def twistor_ruled_surface(forms) -> RuledSurfaceSpec:
     certificate = containment_certificate(f, surface)
     if not certificate["passed"]:
         raise PreconditionError("containment certificate failed")
-    return RuledSurfaceSpec(forms, f, a, surface, witness_params, certificate)
-
-
-def _integer_ruling(forms):
-    """The ruling cleared to integers: the coefficient rows of den * f, for
-    the lcm den of the denominators of the real forms f, and den."""
-    (row,), den = clear_rows([[c for g in forms for c in g.coeffs]])
-    if any(z.im for z in row):
-        raise PreconditionError("the forms must have real coefficients")
-    n = len(forms[0].coeffs)
-    return [[z.re for z in row[k : k + n]] for k in range(0, len(row), n)], den
+    return RuledSurfaceSpec(f, den, a, surface, witness_params, certificate)
 
 
 def _at(f, s, t) -> tuple:
@@ -164,10 +157,10 @@ def _check_birational(f):
         for x, y in ((0, 1), (0, 2), (1, 2)):
             mf = [u * q0[y] - v * q0[x] for u, v in zip(f[x], f[y])]
             if any(mf):
-                minors.append(BinaryForm(mf))
+                minors.append(mf)
         if not minors:
             raise PreconditionError("parametrization has constant image")
-        if reduce(bf_gcd, minors).degree == 1:
+        if len(reduce(form_gcd, minors)) == 2:  # a gcd of degree 1
             return
     raise PreconditionError("parametrization is not birational onto its image "
                             "(three sampled image points each have several preimages)")
@@ -181,10 +174,10 @@ def _positivity_certificate(f):
     real root (s0, t0), infinity included, is a common linear factor
     t0 s - s0 t; so a trivial gcd is the certificate.
     """
-    nonzero = [BinaryForm(row) for row in f if any(row)]
+    nonzero = [row for row in f if any(row)]
     if not nonzero:
         raise PreconditionError("gcd of an identically zero triple")
-    if reduce(bf_gcd, nonzero).degree > 0:
+    if len(reduce(form_gcd, nonzero)) > 1:  # a gcd of positive degree
         raise PreconditionError("the forms share a common factor")
 
 
@@ -232,7 +225,8 @@ def containment_certificate(f, surface: BiForm) -> dict:
     probes = []
     for _ in range(5):
         n, d = rng.int_in(-500, 500), rng.int_in(1, 60)
-        t = str(Fraction(n, d))
+        g = gcd(n, d)
+        t = f"{n // g}" if g == d else f"{n // g}/{d // g}"  # as str(Fraction(n, d))
         if not on_surface(_at(f, n, d)):
             return {"passed": False, "degree_bound": bound, "failed_probe": t}
         probes.append(t)

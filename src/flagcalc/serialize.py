@@ -5,8 +5,9 @@ integers, so arbitrary precision survives any JSON parser; a key may be
 left out, and any other key is refused.  A scalar string is read only as
 "num" or "num/den": ASCII digits, the numerator optionally signed, the
 denominator nonzero; exponent, decimal-point, underscore and whitespace
-forms are refused.  Points and surfaces are read straight into Z[i], over
-the lcm of their denominators; only the ruling's forms are read into Q(i).
+forms are refused.  Points, surfaces and the ruling's forms are read
+straight into Z[i], over the lcm of their denominators, and written from
+those integers; no reader or writer forms a Q(i) value.
 Biform terms are sorted in the fixed descending-lex monomial order and
 projective data is emitted in canonical form, which makes the output
 diff-stable and makes round trips exact.
@@ -56,10 +57,6 @@ def parse_frac(s) -> tuple[int, int]:
         raise SchemaError(f"not a rational number: {s!r}") from exc
 
 
-def gr_to_json(z) -> dict:
-    return {"re": frac_str(z.re), "im": frac_str(z.im)}
-
-
 _SCALAR_KEYS = {"re", "im"}
 
 
@@ -82,7 +79,7 @@ def _cleared(scalars) -> tuple[list[GaussianInt], int]:
 
 def _over_json(z, d: int) -> dict:
     """The scalar z / d for a GaussianInt z and an int d > 0, each part
-    written in lowest terms with one gcd, as gr_to_json writes it."""
+    written in lowest terms with one gcd."""
     g, h = gcd(z.re, d), gcd(z.im, d)
     return {"re": _ratio_str(z.re // g, d // g), "im": _ratio_str(z.im // h, d // h)}
 
@@ -146,28 +143,28 @@ def biform_from_json(obj) -> BiForm:
         raise SchemaError(f"malformed surface JSON: {exc}") from exc
 
 
-def forms_to_json(forms) -> dict:
-    return {"degree": forms[0].degree, "forms": [[gr_to_json(c) for c in f.coeffs] for f in forms]}
+def forms_to_json(rows, den: int) -> dict:
+    """The ruling whose forms have the integer coefficient rows over den."""
+    return {"degree": len(rows[0]) - 1,
+            "forms": [[_over_json(GaussianInt(c), den) for c in row] for row in rows]}
 
 
 def forms_from_json(obj) -> tuple:
-    """The ruling's three binary forms, the one Q(i) value the readers build."""
-    from fractions import Fraction
-
-    from .binforms import BinaryForm
-    from .gaussian import GaussianRational
-
+    """The ruling's three binary forms as their coefficient rows, GaussianInts
+    over the least common denominator, and that denominator."""
     doc = obj if isinstance(obj, dict) else {"forms": obj}
     items = doc.get("forms")
     if not isinstance(items, list) or len(items) != 3:
         raise SchemaError("expected {'forms': [form, form, form]}")
-    forms = []
+    scalars = []
     for f in items:
         if not isinstance(f, list) or not f:
             raise SchemaError("a binary form is a nonempty list of scalars")
-        parts = map(scalar_from_json, f)
-        forms.append(BinaryForm([GaussianRational(Fraction(*x), Fraction(*y)) for x, y in parts]))
-    degree = doc.get("degree", forms[0].degree)  # the key may be left out
-    if type(degree) is not int or degree != forms[0].degree:
+        scalars += map(scalar_from_json, f)
+    degree = doc.get("degree", len(items[0]) - 1)  # the key may be left out
+    if type(degree) is not int or degree != len(items[0]) - 1:
         raise SchemaError(f"the declared degree {degree!r} is not the forms' degree")
-    return tuple(forms)
+    row, den = _cleared(scalars)
+    g = gcd(den, *(x for z in row for x in (z.re, z.im)))  # "2/4" is read over 2, not 4
+    coeffs = iter(row)
+    return [[next(coeffs) // g for _ in f] for f in items], den // g

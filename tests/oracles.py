@@ -5,7 +5,8 @@ package decides another way (restriction along a Q(i) FlagCurve with
 Fraction arithmetic against restriction over Z[i] through the cleared
 chart, exact rank against the certified mod-p rank, one entry at a time
 against the packed rows of the mod-p echelon,
-exact division against the gcd, solving the five linear conditions against
+exact division against the gcd, the Euclidean gcd over Q(i) against the
+fraction-free subresultant gcd, solving the five linear conditions against
 the disjointness criterion, the Binet-Cauchy expansion against the mod-p
 meet test's cross products, Fraction pieces inverted one by one against
 the census reduction through the cleared lcm, the greedy loop against the
@@ -27,7 +28,7 @@ from functools import reduce
 from operator import mul
 
 from flagcalc import linalg, modp
-from flagcalc.binforms import ZERO, BinaryForm, _pdeg, _pdivmod, bf_gcd, zero_form
+from flagcalc.binforms import ZERO, BinaryForm, bf_gcd, zero_form
 from flagcalc.biforms import BiForm, conv, monomials, power_table
 from flagcalc.errors import DegenerateConicError, FlagcalcError, PreconditionError
 from flagcalc.flag import (
@@ -43,7 +44,7 @@ from flagcalc.fpcensus import conic_expansion
 from flagcalc.gaussian import ONE, GaussianRational, to_gaussian
 from flagcalc.invariants import _require_general_type, h0_flag
 from flagcalc.sampling import SplitMix64, random_proj_point
-from flagcalc.serialize import scalar_from_json
+from flagcalc.serialize import frac_str, scalar_from_json
 
 
 def pivot_one_form(raw) -> tuple:
@@ -162,6 +163,12 @@ def read_scalar(obj) -> GaussianRational:
     """A JSON scalar in Q(i), from the parts the readers' grammar reads."""
     (rn, rd), (jn, jd) = scalar_from_json(obj)
     return GaussianRational(Fraction(rn, rd), Fraction(jn, jd))
+
+
+def scalar_json(z: GaussianRational) -> dict:
+    """A Q(i) scalar as the writers print it: each Fraction part as
+    "num/den" in lowest terms."""
+    return {"re": frac_str(z.re), "im": frac_str(z.im)}
 
 
 def evaluate(F: BiForm, p, l) -> GaussianRational:
@@ -555,6 +562,22 @@ def _poly_det(rows, a: int) -> BiForm:
     return minor(0, tuple(range(n)))
 
 
+# Rulings: the tests' Q(i) forms as the reader's integer rows, and back.
+
+def integer_ruling(forms) -> tuple:
+    """Q(i) forms as twistor_ruled_surface takes them: the GaussianInt
+    coefficient rows of den * f, for the lcm den of the denominators of the
+    forms f, and den."""
+    (row,), den = linalg.clear_rows([[c for g in forms for c in g.coeffs]])
+    coeffs = iter(row)
+    return [[next(coeffs) for _ in g.coeffs] for g in forms], den
+
+
+def ruling_forms(spec) -> tuple:
+    """The Q(i) forms of a spec's integer ruling over its denominator."""
+    return tuple(BinaryForm([Fraction(c, spec.den) for c in row]) for row in spec.ruling)
+
+
 # Ruling fibers over Q(i): evaluate the forms, take the canonical point.
 
 def _fiber_at(forms, s, t) -> Conic:
@@ -591,7 +614,60 @@ def reference_circle_samples(forms, surface: BiForm, n: int) -> list[Conic]:
     return out
 
 
-# Exact division of binary forms.
+# Binary-form gcd and exact division by Euclid's algorithm over Q(i), on
+# the dehomogenizations at s = 1 (ascending coefficient lists); the shared
+# power of s is the drop from the form's degree to the polynomial's.
+
+def _pdeg(u) -> int:
+    for i in range(len(u) - 1, -1, -1):
+        if u[i]:
+            return i
+    return -1
+
+
+def _pdivmod(num, den):
+    dn = _pdeg(den)
+    if dn < 0:
+        raise PreconditionError("polynomial division by zero")
+    r = list(num)
+    q = [ZERO] * max(_pdeg(num) - dn + 1, 1)
+    while True:
+        dr = _pdeg(r)
+        if dr < dn:
+            break
+        c = r[dr] / den[dn]
+        q[dr - dn] = c
+        for i in range(dn + 1):
+            r[dr - dn + i] = r[dr - dn + i] - c * den[i]
+    return q, r
+
+
+def _pmonic(u):
+    d = _pdeg(u)
+    lead = u[d]
+    return [c / lead for c in u[: d + 1]]
+
+
+def _pgcd(u, v):
+    a = u[: _pdeg(u) + 1]
+    b = v[: _pdeg(v) + 1]
+    if _pdeg(a) < _pdeg(b):
+        a, b = b, a
+    while _pdeg(b) >= 0:
+        b = _pmonic(b)
+        _, r = _pdivmod(a, b)
+        a, b = b, r
+    return _pmonic(a)
+
+
+def reference_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """The gcd of two nonzero forms, first nonzero coefficient 1, by the
+    Euclidean algorithm over Q(i)."""
+    uf, ug = list(f.coeffs), list(g.coeffs)
+    ef, eg = _pdeg(uf), _pdeg(ug)
+    s_mult = min(f.degree - ef, g.degree - eg)
+    u = _pgcd(uf[: ef + 1], ug[: eg + 1])
+    return BinaryForm(u + [ZERO] * s_mult).normalized()
 
 def bf_div_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Quotient f / g when g divides f exactly."""

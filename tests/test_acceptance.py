@@ -50,11 +50,13 @@ from oracles import (
     conics_meet_bruteforce,
     evaluate,
     evaluation_rank_oracle,
+    integer_ruling,
     j_conic,
     monomial,
     qi_vector,
     random_binary_form,
     random_gaussian_rational,
+    ruling_forms,
     sylvester_resultant,
 )
 
@@ -173,7 +175,7 @@ def test_criterion_5_ruled_construction():
     t0 = time.time()
     for forms in (VERONESE, CUBIC):
         a = forms[0].degree
-        spec = twistor_ruled_surface(forms)
+        spec = twistor_ruled_surface(*integer_ruling(forms))
         assert spec.surface.bidegree == (a, a)
         assert is_j_invariant(spec.surface)
         assert spec.certificate["passed"]
@@ -195,7 +197,7 @@ def test_criterion_5_ruled_construction():
             for D in fibers[:i]:
                 assert conics_disjoint(C, D)
     # Veronese surface equals the symbolic 4x4 Sylvester determinant
-    spec2 = twistor_ruled_surface(VERONESE)
+    spec2 = twistor_ruled_surface(*integer_ruling(VERONESE))
     p_mon = [monomial(tuple(1 if j == i else 0 for j in range(3)), (0, 0, 0)) for i in range(3)]
     l_mon = [monomial((0, 0, 0), tuple(1 if j == i else 0 for j in range(3))) for i in range(3)]
     zp = BiForm((1, 0))
@@ -215,9 +217,9 @@ def test_criterion_5_ruled_construction():
 
 def test_criterion_6_uniqueness_probe():
     t0 = time.time()
-    spec = twistor_ruled_surface(VERONESE)
+    spec = twistor_ruled_surface(*integer_ruling(VERONESE))
     fibers = [
-        twistor_fiber_of(tuple(bf_evaluate(f, GR(t), GR(1)) for f in spec.forms))
+        twistor_fiber_of(tuple(bf_evaluate(f, GR(t), GR(1)) for f in ruling_forms(spec)))
         for t in range(12)
     ]
     assert len({(c.q.coords, c.m.coords) for c in fibers}) == 12
@@ -235,7 +237,7 @@ def test_criterion_6_uniqueness_probe():
 
 
 def test_criterion_7_census_oracle():
-    spec = twistor_ruled_surface(VERONESE)
+    spec = twistor_ruled_surface(*integer_ruling(VERONESE))
     failures = []
     for p in (5, 7, 11):
         t0 = time.time()

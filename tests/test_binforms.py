@@ -1,12 +1,18 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcalc.binforms import (
     BinaryForm,
     bf_gcd,
     zero_form,
 )
+from flagcalc.biforms import conv, form_gcd
 from flagcalc.errors import PreconditionError
 from flagcalc.gaussian import GaussianRational as GR, I
+from flagcalc.linalg import GaussianInt
 from flagcalc.sampling import SplitMix64
 
 from oracles import (
@@ -15,6 +21,7 @@ from oracles import (
     bf_evaluate,
     random_binary_form,
     random_gaussian_rational,
+    reference_gcd,
     sylvester_resultant,
 )
 
@@ -66,6 +73,71 @@ def test_gcd_divides_both():
         d = bf_gcd(f, g)
         assert bf_divides(d, f)
         assert bf_divides(d, g)
+
+
+def _qi(u) -> BinaryForm:
+    """A coefficient sequence over Z or Z[i] as a Q(i) form."""
+    return BinaryForm([GR(c.re, c.im) if isinstance(c, GaussianInt) else c for c in u])
+
+
+def _check_gcd(u, v):
+    # the fraction-free gcd and bf_gcd over it against the Q(i) Euclid
+    expected = reference_gcd(_qi(u), _qi(v))
+    assert bf_gcd(_qi(u), _qi(v)) == expected
+    assert bf_gcd(_qi(u).scale(Fraction(2, 3)), _qi(v).scale(GR(Fraction(1, 5), 1))) == expected
+    w = form_gcd(u, v)
+    assert len(w) - 1 == expected.degree
+    assert _qi(w).normalized() == expected
+    return expected.degree
+
+
+def _product(*factors):
+    """The product of coefficient sequences, every entry of one type."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = conv(out, f)
+    zero = 0 * factors[0][0]
+    return [c or zero for c in out]
+
+
+def _sequences(gaussian: bool, max_degree: int):
+    part = st.integers(-6, 6)
+    coeff = st.builds(GaussianInt, part, part) if gaussian else part
+    return st.lists(coeff, min_size=1, max_size=max_degree + 1).filter(any)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_fraction_free_gcd_matches_the_qi_euclid(data):
+    # a planted common factor with powers of s (trailing zeros) and of t
+    # (leading zeros), over Z or Z[i]
+    gaussian = data.draw(st.booleans())
+    one = GaussianInt(1) if gaussian else 1
+    s_power, t_power = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    monomial = [0 * one] * t_power + [one] + [0 * one] * s_power  # s^s_power t^t_power
+    common = _product(monomial, data.draw(_sequences(gaussian, 3)))
+    u = _product(common, data.draw(_sequences(gaussian, 4)))
+    v = _product(common, data.draw(_sequences(gaussian, 4)))
+    assert _check_gcd(u, v) >= len(common) - 1
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Z", "Z[i]"])
+def test_fraction_free_gcd_edge_cases(gaussian):
+    def seq(*cs):
+        return [GaussianInt(c, c % 3 - 1 if c else 0) if gaussian else c for c in cs]
+
+    f, g = seq(1, 0, 1), seq(1, 0, -1)  # s^2 + t^2 and s^2 - t^2
+    assert _check_gcd(f, g) == 0
+    h = _product(f, seq(2, -3))
+    assert _check_gcd(h, f) == _check_gcd(f, h) == 2  # one divides the other
+    assert _check_gcd(h, h) == 3  # equal forms
+    assert _check_gcd(seq(5), h) == _check_gcd(h, seq(0, 0, 7)) == 0  # a constant, t^2
+    # a degree-12 pair with a degree-5 common factor holding s^2 and t
+    common = _product(seq(0, 1), seq(1, 0), seq(1, 0), seq(3, -1, 2))
+    u = _product(common, seq(1, 4, -2, 0, 5, 1, -3, 2))
+    v = _product(common, seq(2, -1, 0, 3, 3, -4, 1, -1))
+    assert len(u) == len(v) == 13
+    assert _check_gcd(u, v) == 5
 
 
 def test_sum_of_different_degrees_rejected():

@@ -326,6 +326,19 @@ def test_zero_ruling_is_a_precondition_exit(capsys, tmp_path):
     assert (code, doc["code"]) == (3, "precondition")
 
 
+@pytest.mark.parametrize("forms, message", [
+    ([[1, 0, {"im": "1/2"}], [0, 1, 0], [0, 0, 1]], "the forms must have real coefficients"),
+    ([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1]], "the three forms must share one degree"),
+    ([[1, 0, 0], [0, 1, 0], [1, 0, 0]], "the forms share a common factor"),  # s^2, st, s^2
+    ([[1, 0, 0], [0, 0, 1], [0, 0, 0]], "parametrization is not birational onto its image "
+     "(three sampled image points each have several preimages)"),  # s^2, t^2, 0
+], ids=["nonreal", "degrees", "shared-factor", "not-birational"])
+def test_mk_ruled_refusals_are_precondition_exits(capsys, tmp_path, forms, message):
+    path = _write(tmp_path / "forms.json", {"forms": forms})
+    refusal = {"code": "precondition", "message": message}
+    assert run(capsys, "mk-ruled", "--forms", path) == (3, refusal)
+
+
 @pytest.mark.parametrize("surface", [
     {"bidegree": [1, 1], "terms": INCIDENCE_TERMS},  # p.l vanishes on the whole flag
     {"bidegree": [2, 1], "terms": [  # p0 (p.l)
@@ -897,9 +910,8 @@ QI_STACK = {"fractions", "decimal", "flagcalc.gaussian", "flagcalc.binforms"}
 
 
 def test_integer_requests_load_no_qi_code(tmp_path):
-    # points and surfaces are read straight into Z[i], and containment,
-    # interpolation and the census run on it; the ruling's forms are read
-    # into Q(i), so mk-ruled loads all of it
+    # points, surfaces and rulings are read straight into Z[i], and
+    # containment, interpolation, the census and the ruled surface run on it
     surface = "perfbench/fixtures/surfaces/ruled_d2_00.json"
     conic = "perfbench/fixtures/conics/random_00.json"
     conics = tmp_path / "conics.json"
@@ -911,12 +923,12 @@ def test_integer_requests_load_no_qi_code(tmp_path):
         ("mk-surface", "--a", "2", "--b", "2", "--random", "3"),
         ("mk-surface", "--a", "2", "--b", "2", "--conics", str(conics)),
         ("dim-report", "--a", "2", "--b", "2", "--x", "3", "--trials", "2"),
+        ("mk-ruled", "--forms", "perfbench/fixtures/forms/d2_00.json"),
     ):
         loaded = _modules_after_request(*argv)
         assert "flagcalc.linalg" in loaded, argv
         assert not loaded & QI_STACK, (argv, sorted(loaded & QI_STACK))
-    ruled = _modules_after_request("mk-ruled", "--forms", "perfbench/fixtures/forms/d2_00.json")
-    assert QI_STACK <= ruled
+    assert QI_STACK <= _modules_after("import flagcalc.binforms")
 
 
 def test_modp_imports_only_errors():

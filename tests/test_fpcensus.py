@@ -29,6 +29,7 @@ from oracles import (
     gaussian_mod_p,
     greedy_disjoint_size,
     incidence_form,
+    integer_ruling,
     monomial,
     pairwise_scan_pairs,
     qi_terms,
@@ -41,7 +42,7 @@ SURFACES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "
 
 @pytest.fixture(scope="module")
 def ruled2():
-    return twistor_ruled_surface(VERONESE)
+    return twistor_ruled_surface(*integer_ruling(VERONESE))
 
 
 def test_sqrt_minus_one():

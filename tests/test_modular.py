@@ -37,6 +37,7 @@ from flagcalc.serialize import biform_to_json
 from oracles import (
     evaluation_rank_oracle,
     gaussian_mod_p,
+    integer_ruling,
     qi_ratio,
     qi_vector,
     random_gaussian_rational,
@@ -51,12 +52,12 @@ QUARTIC = (BinaryForm([1, 0, 1, 0, 0]), BinaryForm([0, 1, 0, 0, 0]), BinaryForm(
 
 @pytest.fixture(scope="module")
 def fibers12():
-    return twistor_circle_samples(twistor_ruled_surface(VERONESE), 12)
+    return twistor_circle_samples(twistor_ruled_surface(*integer_ruling(VERONESE)), 12)
 
 
 @pytest.fixture(scope="module")
 def fibers28():
-    return twistor_circle_samples(twistor_ruled_surface(CUBIC), 28)
+    return twistor_circle_samples(twistor_ruled_surface(*integer_ruling(CUBIC)), 28)
 
 
 def _exact_nullity(a, b, conics):
@@ -450,7 +451,7 @@ def test_uniqueness_probe_is_the_bezout_surface(monkeypatch, forms, n, ratio):
     # a^2+ab+b^2+1 fibers of a ruling leave one (a,a) surface: the ruled
     # surface itself, built by the Bezout determinant, whose canonical form
     # mod the incidence form is proportional to the family's basis vector
-    spec = twistor_ruled_surface(forms)
+    spec = twistor_ruled_surface(*integer_ruling(forms))
     a = spec.degree
     assert n == 3 * a * a + 1
     spy = _Spy(monkeypatch, "nullspace")

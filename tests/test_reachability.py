@@ -147,8 +147,10 @@ def test_every_function_in_src_is_reached(tmp_path):
     assert not stale, f"allowlisted but reached or gone: {', '.join(stale)}"
 
 
-# The modules past the readers and linalg.clear_rows work in Z[i] or F_p only.
-INTEGER_MODULES = ("linalg", "linsys", "modp", "fpcensus", "biforms", "sampling")
+# The readers parse into Z[i], and they and the modules past them work in
+# Z[i] or F_p only.
+INTEGER_MODULES = ("linalg", "linsys", "modp", "fpcensus", "biforms", "sampling", "ruled",
+                   "serialize")
 QI_NAMES = {"fractions", "Fraction", "GaussianRational", "gaussian", "to_gaussian"}
 
 

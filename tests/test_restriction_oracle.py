@@ -36,7 +36,6 @@ from flagcalc.linsys import (
 )
 from flagcalc.ruled import (
     DEFAULT_RULED_SEED,
-    _integer_ruling,
     containment_certificate,
     twistor_circle_samples,
     twistor_ruled_surface,
@@ -50,9 +49,11 @@ from oracles import (
     conic_param,
     form_powers,
     incidence_form,
+    integer_ruling,
     qi_terms,
     random_gaussian_rational,
     restrict_to_curve,
+    ruling_forms,
     substitute_curve_forms,
 )
 
@@ -259,12 +260,12 @@ def _ref_census(S):
 
 @pytest.fixture(scope="module")
 def spec2():
-    return twistor_ruled_surface(VERONESE)
+    return twistor_ruled_surface(*integer_ruling(VERONESE))
 
 
 @pytest.fixture(scope="module")
 def spec3():
-    return twistor_ruled_surface(CUBIC)
+    return twistor_ruled_surface(*integer_ruling(CUBIC))
 
 
 @pytest.fixture(scope="module")
@@ -358,8 +359,8 @@ def test_certificate_matches_reference(spec2, spec3):
     catalog = []
     for path in sorted(glob.glob(os.path.join(FORMS_DIR, "*.json"))):
         with open(path, encoding="utf-8") as fh:
-            forms = forms_from_json(json.load(fh))
-        catalog.append((forms, twistor_ruled_surface(forms)))
+            spec = twistor_ruled_surface(*forms_from_json(json.load(fh)))
+        catalog.append((ruling_forms(spec), spec))
     assert len(catalog) == 13
     for forms, spec in [(VERONESE, spec2), (CUBIC, spec3), *catalog]:
         cert = containment_certificate(spec.ruling, spec.surface)
@@ -367,7 +368,8 @@ def test_certificate_matches_reference(spec2, spec3):
         assert cert == _ref_certificate(forms, spec.surface)
     # a surface that misses the ruling fails at the same chart and parameter
     other = (BinaryForm([1, 0, 1]), BinaryForm([0, 1, 0]), BinaryForm([1, 0, 0]))
-    cert = containment_certificate(_integer_ruling(other)[0], spec2.surface)
+    rows, _ = integer_ruling(other)
+    cert = containment_certificate([[z.re for z in row] for row in rows], spec2.surface)
     assert not cert["passed"]
     assert cert == _ref_certificate(other, spec2.surface)
 

@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from flagcalc import linalg, ruled
+from flagcalc import linalg, ruled, serialize
 from flagcalc.binforms import BinaryForm, zero_form
 from flagcalc.biforms import (
     BiForm,
@@ -30,7 +30,6 @@ from flagcalc.flag import (
 )
 from flagcalc.gaussian import GaussianRational as GR
 from flagcalc.ruled import (
-    _integer_ruling,
     _parameter_resultant,
     containment_certificate,
     twistor_circle_samples,
@@ -44,12 +43,14 @@ from oracles import (
     evaluate,
     form_powers,
     incidence_form,
+    integer_ruling,
     monomial,
     random_binary_form,
     random_flag_point,
     rank,
     reference_circle_samples,
     reference_parameter_resultant,
+    ruling_forms,
 )
 
 FORMS_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "forms")
@@ -60,12 +61,12 @@ CUBIC = (BinaryForm([1, 0, 0, 0]), BinaryForm([0, 1, 1, 0]), BinaryForm([0, 0, 0
 
 @pytest.fixture(scope="module")
 def spec2():
-    return twistor_ruled_surface(VERONESE)
+    return twistor_ruled_surface(*integer_ruling(VERONESE))
 
 
 @pytest.fixture(scope="module")
 def spec3():
-    return twistor_ruled_surface(CUBIC)
+    return twistor_ruled_surface(*integer_ruling(CUBIC))
 
 
 def test_veronese_surface_matches_sylvester_expansion(spec2):
@@ -105,9 +106,9 @@ def test_resultant_matches_sylvester_oracle_on_fixtures():
     assert len(paths) == 13
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            forms = forms_from_json(json.load(fh))
-        assert _parameter_resultant(*_integer_ruling(forms)) == reference_parameter_resultant(
-            forms
+            spec = twistor_ruled_surface(*forms_from_json(json.load(fh)))
+        assert _parameter_resultant(spec.ruling, spec.den) == reference_parameter_resultant(
+            ruling_forms(spec)
         ), path
 
 
@@ -124,13 +125,14 @@ def test_resultant_matches_sylvester_oracle_on_random_rational_triples():
             )
             expected = reference_parameter_resultant(forms)
             assert not expected.is_zero()
-            assert _parameter_resultant(*_integer_ruling(forms)) == expected
+            rows, den = integer_ruling(forms)
+            assert _parameter_resultant([[z.re for z in row] for row in rows], den) == expected
 
 
 def test_witness_params_verified(spec2):
     assert spec2.witness_params == [(0, 1), (1, 1), (2, 1), (3, 1), (1, 0)]
     for s, t in spec2.witness_params:
-        C = _fiber_at(spec2.forms, GR(s), GR(t))
+        C = _fiber_at(ruling_forms(spec2), GR(s), GR(t))
         assert C.is_twistor_fiber()
         assert contains_conic(spec2.surface, C)
 
@@ -140,10 +142,11 @@ def test_integer_fibers_match_qi_oracle_on_fixtures():
     # Q(i) fibers, checked there by restriction and conics_disjoint
     for path in sorted(glob.glob(os.path.join(FORMS_DIR, "*.json"))):
         with open(path, encoding="utf-8") as fh:
-            spec = twistor_ruled_surface(forms_from_json(json.load(fh)))
+            spec = twistor_ruled_surface(*forms_from_json(json.load(fh)))
+        forms = ruling_forms(spec)
         for s, t in spec.witness_params:
-            assert contains_conic(spec.surface, _fiber_at(spec.forms, GR(s), GR(t))), path
-        expected = reference_circle_samples(spec.forms, spec.surface, 9)
+            assert contains_conic(spec.surface, _fiber_at(forms, GR(s), GR(t))), path
+        expected = reference_circle_samples(forms, spec.surface, 9)
         assert twistor_circle_samples(spec, 9) == expected, path
 
 
@@ -157,7 +160,7 @@ def test_integer_fibers_match_qi_oracle_on_fixtures():
     ],
 )
 def test_circle_samples_skip_the_second_branch_of_a_node(forms, repeated):
-    spec = twistor_ruled_surface(forms)
+    spec = twistor_ruled_surface(*integer_ruling(forms))
     samples = twistor_circle_samples(spec, 6)
     assert len(set(samples)) == 6
     assert samples == reference_circle_samples(forms, spec.surface, 6)
@@ -175,7 +178,7 @@ def test_catalog_samples_are_pairwise_disjoint():
     # must give disjoint fibers by the cross-product criterion
     for path in sorted(glob.glob(os.path.join(FORMS_DIR, "*.json"))):
         with open(path, encoding="utf-8") as fh:
-            spec = twistor_ruled_surface(forms_from_json(json.load(fh)))
+            spec = twistor_ruled_surface(*forms_from_json(json.load(fh)))
         samples = twistor_circle_samples(spec, 49)
         assert all(conics_disjoint(C, D) for i, C in enumerate(samples) for D in samples[:i]), path
 
@@ -184,7 +187,7 @@ def test_circle_samples_skip_infinity_on_a_taken_point():
     # (s t^2, s^2 t, s^3 + t^3) maps both 0 and infinity to (0, 0, 1), so
     # infinity is replaced by the next integer parameter, 1
     forms = (BinaryForm([0, 0, 1, 0]), BinaryForm([0, 1, 0, 0]), BinaryForm([1, 0, 0, 1]))
-    spec = twistor_ruled_surface(forms)
+    spec = twistor_ruled_surface(*integer_ruling(forms))
     assert _fiber_at(forms, GR(1), GR(0)) == _fiber_at(forms, GR(0), GR(1))
     samples = twistor_circle_samples(spec, 2)
     assert samples == [twistor_fiber_of((0, 0, 1)), twistor_fiber_of((1, 1, 2))]
@@ -200,8 +203,8 @@ def test_rational_ruling_matches_its_integer_multiple():
     )
     integral = tuple(f.scale(42) for f in rational)
     assert all(c.re.denominator == 1 for f in integral for c in f.coeffs)
-    spec_q = twistor_ruled_surface(rational)
-    spec_z = twistor_ruled_surface(integral)
+    spec_q = twistor_ruled_surface(*integer_ruling(rational))
+    spec_z = twistor_ruled_surface(*integer_ruling(integral))
     assert spec_q.certificate["passed"]
     assert spec_q.certificate == spec_z.certificate
     assert spec_q.witness_params == spec_z.witness_params
@@ -219,7 +222,9 @@ def test_parameter_fiber_containment(spec2):
 
 def test_common_factor_rejected():
     with pytest.raises(PreconditionError):
-        twistor_ruled_surface((BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([1, 0, 0])))
+        twistor_ruled_surface(
+            *integer_ruling((BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([1, 0, 0])))
+        )
 
 
 # the Veronese ruling with f0 = s^2 + i t^2: its real parts are the Veronese
@@ -228,11 +233,11 @@ NONREAL = (BinaryForm([1, 0, GR(0, 1)]), BinaryForm([0, 1, 0]), BinaryForm([0, 0
 
 def test_nonreal_coefficients_rejected():
     with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
-        twistor_ruled_surface(
+        twistor_ruled_surface(*integer_ruling(
             (BinaryForm([GR(0, 1), 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
-        )
+        ))
     with pytest.raises(PreconditionError, match="the forms must have real coefficients"):
-        twistor_ruled_surface(NONREAL)
+        twistor_ruled_surface(*integer_ruling(NONREAL))
 
 
 def test_nonreal_forms_rejected_by_certificate(spec2):
@@ -243,28 +248,39 @@ def test_nonreal_forms_rejected_by_certificate(spec2):
 
 
 def test_ruling_is_cleared_once(monkeypatch):
+    # the reader clears the ruling, and ruled works on its integer rows
     calls = []
 
-    def spy(forms):
-        calls.append(forms)
-        return _integer_ruling(forms)
+    def spy(scalars):
+        calls.append(scalars)
+        return cleared(scalars)
 
-    monkeypatch.setattr(ruled, "_integer_ruling", spy)
-    spec = twistor_ruled_surface(tuple(f.scale(Fraction(1, 6)) for f in CUBIC))
+    cleared = serialize._cleared
+    monkeypatch.setattr(serialize, "_cleared", spy)
+    sixth = [["1/6", 0, 0, 0], [0, "1/6", "2/12", 0], [0, 0, 0, "1/6"]]
+    spec = twistor_ruled_surface(*forms_from_json({"forms": sixth}))
     twistor_circle_samples(spec, 9)
     assert len(calls) == 1
-    assert spec.ruling == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    assert not hasattr(ruled, "clear_rows")
+    assert spec.ruling == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]] and spec.den == 6
+    assert (spec.ruling, spec.den) == twistor_ruled_surface(
+        *integer_ruling(tuple(f.scale(Fraction(1, 6)) for f in CUBIC))
+    )[:2]
 
 
 def test_degree_one_rejected():
     with pytest.raises(PreconditionError):
-        twistor_ruled_surface((BinaryForm([1, 0]), BinaryForm([0, 1]), BinaryForm([1, 1])))
+        twistor_ruled_surface(
+            *integer_ruling((BinaryForm([1, 0]), BinaryForm([0, 1]), BinaryForm([1, 1])))
+        )
 
 
 def test_non_birational_rejected():
     # (s^2, t^2, 0) is gcd-free but double covers the line p2 = 0
     with pytest.raises(PreconditionError, match="not birational"):
-        twistor_ruled_surface((BinaryForm([1, 0, 0]), BinaryForm([0, 0, 1]), BinaryForm([0, 0, 0])))
+        twistor_ruled_surface(
+            *integer_ruling((BinaryForm([1, 0, 0]), BinaryForm([0, 0, 1]), BinaryForm([0, 0, 0])))
+        )
 
 
 # (s(t^2 - s^2), t(t^2 - s^2), s^3): the parameters (1, 1) and (1, -1) both
@@ -285,21 +301,21 @@ def _probes_on_the_node(monkeypatch, count):
 
 
 def test_one_probe_with_one_preimage_proves_birationality(monkeypatch):
-    f, _ = _integer_ruling(NODAL)
+    f = [[z.re for z in row] for row in integer_ruling(NODAL)[0]]
     forced = _probes_on_the_node(monkeypatch, 3)
     with pytest.raises(PreconditionError, match="each have several preimages"):
         ruled._check_birational(f)
     assert not forced
     forced = _probes_on_the_node(monkeypatch, 1)
-    spec = twistor_ruled_surface(NODAL)
+    spec = twistor_ruled_surface(*integer_ruling(NODAL))
     assert not forced and spec.certificate["passed"]
 
 
 def test_ruling_needs_three_forms_of_one_degree():
     with pytest.raises(PreconditionError, match="exactly three binary forms"):
-        twistor_ruled_surface(VERONESE[:2])
+        twistor_ruled_surface(*integer_ruling(VERONESE[:2]))
     with pytest.raises(PreconditionError, match="must share one degree"):
-        twistor_ruled_surface(CUBIC[:2] + VERONESE[2:])
+        twistor_ruled_surface(*integer_ruling(CUBIC[:2] + VERONESE[2:]))
 
 
 def test_circle_samples_need_at_least_one(spec2):
@@ -346,7 +362,7 @@ def test_surface_nonzero_off_sampled_fibers(spec2):
 
 def _catalog_spec(name):
     with open(os.path.join(FORMS_DIR, f"{name}.json"), encoding="utf-8") as fh:
-        return twistor_ruled_surface(forms_from_json(json.load(fh)))
+        return twistor_ruled_surface(*forms_from_json(json.load(fh)))
 
 
 @pytest.mark.parametrize("name, fibers", [
@@ -430,14 +446,14 @@ def test_positivity_check_rejects_real_parameter_zero():
     bad = (BinaryForm([1, 0, -1]), BinaryForm([1, -1, 0]), BinaryForm([0, 1, -1]))
     # each vanishes at (1,1): a common real root is a common linear factor
     with pytest.raises(PreconditionError, match="the forms share a common factor"):
-        twistor_ruled_surface(bad)
+        twistor_ruled_surface(*integer_ruling(bad))
 
 
 def test_positivity_check_rejects_common_root_at_infinity():
     # every f_i is divisible by t, so f.f vanishes at (s, t) = (1, 0)
     bad = (BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]), BinaryForm([0, 1, 1]))
     with pytest.raises(PreconditionError, match="the forms share a common factor"):
-        twistor_ruled_surface(bad)
+        twistor_ruled_surface(*integer_ruling(bad))
 
 
 def test_positivity_check_rejects_common_conjugate_pair():
@@ -445,7 +461,7 @@ def test_positivity_check_rejects_common_conjugate_pair():
     # the triple with a gcd
     bad = (BinaryForm([1, 0, 1, 0]), BinaryForm([0, 1, 0, 1]), BinaryForm([1, 1, 1, 1]))
     with pytest.raises(PreconditionError, match="the forms share a common factor"):
-        twistor_ruled_surface(bad)
+        twistor_ruled_surface(*integer_ruling(bad))
 
 
 def _implicit_curve(f, a):
@@ -488,7 +504,8 @@ def test_ruled_surface_is_the_pullback_of_the_implicit_curve(forms):
     # S = g(p x l) on the flag for g the implicit equation of the image of
     # f: reduce_mod_incidence of both agree up to scale, and g(f(s, t)) = 0
     # is an identity of binary forms of degree a^2 over Q(i)
-    spec = twistor_ruled_surface(_seeded_quintic_ruling()) if forms == "seeded a = 5" \
+    spec = twistor_ruled_surface(*integer_ruling(_seeded_quintic_ruling())) \
+        if forms == "seeded a = 5" \
         else _catalog_spec(forms)
     a = spec.degree
     exps, kernel = _implicit_curve(spec.ruling, a)
@@ -497,7 +514,7 @@ def test_ruled_surface_is_the_pullback_of_the_implicit_curve(forms):
     G = _pullback_along_cross(g, exps, a)
     assert not G.is_zero()
     assert proportional(reduce_mod_incidence(spec.surface), reduce_mod_incidence(G))
-    powers = [form_powers(h, a) for h in spec.forms]
+    powers = [form_powers(h, a) for h in ruling_forms(spec)]
     acc = zero_form(a * a)
     for c, ex in zip(g, exps):
         acc = acc + reduce(mul, (powers[i][ex[i]] for i in range(3))).scale(GR(c.re, c.im))

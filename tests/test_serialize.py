@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcalc.binforms import BinaryForm
 from flagcalc.biforms import monomials
 from flagcalc.cli import main
 from flagcalc.errors import PreconditionError, SchemaError
 from flagcalc.flag import Conic, ProjPoint
 from flagcalc.gaussian import GaussianRational as GR
-from flagcalc.linalg import clear_rows
+from flagcalc.linalg import GaussianInt, clear_rows
 from flagcalc.sampling import SplitMix64, random_smooth_conic
 from flagcalc.serialize import (
     biform_from_json,
@@ -22,19 +21,19 @@ from flagcalc.serialize import (
     conics_from_json,
     forms_from_json,
     forms_to_json,
-    gr_to_json,
     parse_frac,
     point_from_json,
     point_to_json,
 )
 
-from oracles import incidence_form, monomial, read_scalar
+from oracles import incidence_form, monomial, read_scalar, scalar_json
 
 
 def test_scalar_round_trip():
     z = GR(Fraction(-7, 3), Fraction(22, 5))
-    assert read_scalar(gr_to_json(z)) == z
-    assert gr_to_json(z) == {"re": "-7/3", "im": "22/5"}
+    doc = point_to_json(ProjPoint((1, z, 0)))[1]
+    assert read_scalar(doc) == z
+    assert doc == scalar_json(z) == {"re": "-7/3", "im": "22/5"}
 
 
 def test_scalar_shorthand():
@@ -96,7 +95,8 @@ def test_point_is_written_from_its_gaussian_integer_triple():
         if not any(coords):
             continue
         P = ProjPoint(coords)
-        assert point_to_json(P) == [gr_to_json(c) for c in P.rational()]
+        assert point_to_json(P) == [scalar_json(c) for c in P.rational()]
+        assert [read_scalar(c) for c in point_to_json(P)] == list(P.rational())
         parts = [x for c in P.rational() for x in (c.re, c.im)]
         points, negative, zero = points + 1, negative + (min(parts) < 0), zero + (0 in parts)
     assert negative > 50 and zero > 50
@@ -114,13 +114,35 @@ def test_conics_list_parsing():
         conics_from_json({"nope": 1})
 
 
+def _gaussian_rows(rows):
+    return [[GaussianInt(c) for c in row] for row in rows]
+
+
 def test_forms_round_trip():
-    forms = (BinaryForm([1, 0, 0]), BinaryForm([0, 1, 0]), BinaryForm([0, 0, 1]))
-    doc = forms_to_json(forms)
-    assert forms_from_json(doc) == forms
-    assert forms_from_json({"forms": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}) == forms
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    doc = forms_to_json(rows, 1)
+    assert forms_from_json(doc) == (_gaussian_rows(rows), 1)
+    assert forms_from_json({"forms": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}) == (
+        _gaussian_rows(rows), 1)
     with pytest.raises(SchemaError):
         forms_from_json({"forms": [["1"], ["1"]]})
+    # over a denominator, each coefficient is written in lowest terms
+    rows, den = [[3, -4, 0], [0, 2, 5], [-1, 0, 6]], 6
+    doc = forms_to_json(rows, den)
+    assert doc["forms"][0] == [scalar_json(GR(Fraction(c, den))) for c in rows[0]]
+    assert [[read_scalar(c) for c in f] for f in doc["forms"]] == [
+        [GR(Fraction(c, den)) for c in row] for row in rows]
+    assert forms_from_json(doc) == (_gaussian_rows(rows), den)
+
+
+def test_forms_are_read_over_the_least_common_denominator():
+    # the same rows and denominator as clear_rows gives for the Fractions,
+    # however the scalars are written
+    text = [["2/4", "0", {"re": "1/3", "im": "-5/10"}], ["-6/8", 1, 0], ["0", "0/7", "4/2"]]
+    values = [[read_scalar(c) for c in f] for f in text]
+    (row,), den = clear_rows([[c for f in values for c in f]])
+    assert den == 12
+    assert forms_from_json({"forms": text}) == ([row[0:3], row[3:6], row[6:9]], den)
 
 
 def test_biform_schema_errors():
