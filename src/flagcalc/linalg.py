@@ -2,16 +2,13 @@
 algebra on its rows.  This module imports only math.
 
 clear_rows scales each row, of Gaussian rationals or GaussianInts, by the
-lcm of its denominators to GaussianInt (it reads the numerator and
-denominator of each part, and an int has both).  Past it everything here
-is Z[i]: a kernel vector comes out as its entries over one int denominator.
-Rows are reduced by fraction-free Bareiss condensation: every intermediate
-entry is a minor of the matrix, so all divisions are exact divisions in
-Z[i] and no rational arithmetic happens inside the elimination loop.
-Pivots are chosen by smallest digit size with row order as the tie break,
-which keeps the whole pipeline deterministic.  The inner loops of Bareiss,
-back-substitution and annihilates spell Z[i] products out on .re and .im,
-1.1-1.4x faster there than GaussianInt's operators.
+lcm of its denominators to GaussianInt.  Past it everything here is Z[i]:
+a kernel vector comes out as its entries over one int denominator.
+annihilates is the certificate of every kernel linsys reads back from F_p.
+echelon_int and nullspace, fraction-free Bareiss with every division exact
+in Z[i], are the full-matrix reference the tests compare those kernels
+against; no request runs them.  Hot loops spell Z[i] products out on .re
+and .im, 1.1-1.4x faster there than GaussianInt's operators.
 """
 
 from __future__ import annotations

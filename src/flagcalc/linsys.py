@@ -3,32 +3,24 @@
 Sections of the (a, b) polarization on the flag threefold are represented
 by their canonical coefficients on the quotient monomial basis (monomials
 not divisible by p0*l0).  A conic imposes the a+b+1 coefficients of the
-restriction map as linear conditions.  They are built once, exactly, as
-GaussianInt rows (condition_matrix).  Their image mod modp.PRIME,
-with i sent to I_MOD, is eliminated first, and the rank mod p bounds the
-exact rank from below.  A dimension is returned from F_p only when the row
-count bounds it from the other side, after the forward pass alone
-(modp.echelon).  Otherwise, and for every kernel basis, the kernel is found
-in this order:
-  1. the forward pass over the image of the rows (modp.echelon) picks the
-     pivot rows, those independent mod p, and is back-reduced once
-     (modp.back_reduce); the image of the pivot rows with i sent to -I_MOD
-     is the only second elimination, back-reduced only when its pivot
-     columns agree;
-  2. the real and imaginary parts of each kernel entry are read back from
-     the two images (modp.reconstruct);
-  3. the certificate multiplies every row of every conic with every basis
-     vector exactly, which proves the kernel complete;
-  4. when the images disagree, an entry does not reconstruct or the
-     certificate fails, the pivot rows are eliminated by fraction-free
-     Bareiss and certified again, and all rows when that fails too.
-Every dimension and basis reported here is exact.  The singular points of
-a member along a conic are flag.singular_points_on_conic's.
+restriction map as linear conditions, built once, exactly, as GaussianInt
+rows (condition_matrix).  Their image mod modp.PRIME, with i sent to I_MOD,
+is eliminated first, and the rank mod p bounds the exact rank from below.
+A dimension is returned from F_p only when the row count bounds it from
+the other side, after the forward pass alone (modp.echelon).  Otherwise,
+and for every kernel basis, the kernel comes from F_p over as many primes
+(modp.primes) as its proof needs: the images of the rows with i sent to r
+and to -r, r^2 = -1 mod p, give the real and imaginary parts of its
+entries, combined by the Chinese remainder theorem and read back as
+fractions (modp.reconstruct) until linalg.annihilates proves the kernel on
+every row of every conic.  Every dimension and basis reported here is
+exact.  The singular points of a member along a conic are
+flag.singular_points_on_conic's.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from . import linalg, modp
@@ -39,11 +31,7 @@ from .invariants import h0_flag
 from .linalg import GaussianInt
 from .sampling import SplitMix64
 
-# Bareiss on r pivot rows of c columns with b-bit entries takes about
-# 3.4e-9 s x sum over steps k < r of (r-k)(c-k) cells of (k b)^1.35, kernel
-# and certificate included (2 vCPUs, Python 3.11): 28x64 0.45 s, 54x125 12 s,
-# 55x216 42 s, 88x216 152 s.  Above this the exact kernel is refused
-BAREISS_MAX_SECONDS = 60
+KERNEL_MAX_SECONDS = 60  # a kernel whose primes would take longer is refused
 
 
 class ConditionMatrix(NamedTuple):
@@ -90,84 +78,87 @@ def condition_matrix(a: int, b: int, conics) -> ConditionMatrix:
     return ConditionMatrix((a, b), conics, cols, rows)
 
 
-def _fp_kernel(rows: list[list[GaussianInt]], cols, red1, ncols: int):
-    """The reduced-echelon kernel of Gaussian-integer rows read back from
-    F_p, as linalg.nullspace gives it, or None when the two images disagree
-    or an entry does not reconstruct.
+def _kernel_budget(cm: ConditionMatrix, pivots) -> tuple[int, int]:
+    """The modulus bits and primes by which the kernel of cm's pivot rows
+    reads back (its entries are N/D for minors under the rows' Hadamard bound
+    H, with parts of height H^2), refused when its primes would take over
+    KERNEL_MAX_SECONDS at 5 us per cell of (rows + pivot rows) x columns."""
+    bits = 4 * sum((sum(z.re * z.re + z.im * z.im for z in cm.rows[r]).bit_length() + 1) // 2
+                   for r in pivots) + 2
+    primes = bits // (modp.PRIME.bit_length() - 1) + 1
+    shape = f"{len(cm.rows)} + {len(pivots)} rows x {len(cm.columns)} columns"
+    est = 5e-6 * primes * (len(cm.rows) + len(pivots)) * len(cm.columns)
+    if est > KERNEL_MAX_SECONDS:
+        raise PreconditionError(f"the exact kernel takes about {est:.3g} s ({primes} primes on "
+                                f"{shape}), over the cap {KERNEL_MAX_SECONDS} s")
+    return bits, primes
 
-    cols and red1 are the pivot columns and reduced rows of the rows' image
-    with i sent to I_MOD (modp.back_reduce); the image with i sent to
-    -I_MOD is eliminated here, and reduced once its pivot columns agree.
-    A kernel entry re + i im maps to k1 = re + I_MOD im and k2 = re - I_MOD
-    im, so re = (k1 + k2)/2 and im = (k1 - k2)/(2 I_MOD) mod p, each read
-    back by modp.reconstruct in lowest terms; den is the lcm of their
-    denominators.  The vector of a free column f has 1 at f and support on
-    the pivot columns before f.  The caller proves it.
-    """
-    p, i = modp.PRIME, modp.I_MOD
-    _, cols2, normed2 = modp.echelon(modp.reduce_rows(rows, p, p - i), ncols)
-    if set(cols) != set(cols2):
-        return None
-    conj = dict(zip(cols2, modp.back_reduce(cols2, normed2, ncols)))
-    pivots = sorted((c, r1, conj[c]) for c, r1 in zip(cols, red1))
-    half = (p + 1) // 2
-    im_scale = pow(2 * i, -1, p)
-    kernel = []
-    for f in range(ncols):
-        if f in conj:
-            continue
-        parts = {}  # pivot column -> ((re num, den), (im num, den))
-        for c, r1, r2 in pivots:
-            if c > f:
-                break
-            k1, k2 = -r1[f], -r2[f]
-            if not (k1 or k2):
-                continue
-            re = modp.reconstruct((k1 + k2) * half, p)
-            im = modp.reconstruct((k1 - k2) * im_scale, p)
-            if re is None or im is None:
+
+def _read_back(acc, m: int, ncols: int):
+    """The kernel vectors (entries, den) in lowest terms read back mod m, or
+    None.  den is the lcm of the denominators read so far; a part whose
+    den-multiple is a small symmetric residue skips modp.reconstruct."""
+    bound, kernel = isqrt(m // 2), []
+    for f, entries in acc.items():
+        den, parts = 1, []
+        for u in (u for e in entries for u in e[1:]):
+            s = (den * u + bound) % m - bound
+            got = (s, den) if abs(s) <= bound else modp.reconstruct(u, m)
+            if got is None:
                 return None
-            parts[c] = re, im
-        den = lcm(*(d for re, im in parts.values() for _, d in (re, im)))
+            den = lcm(den, got[1])
+            parts.append(got)
         v = [GaussianInt(0)] * ncols
         v[f] = GaussianInt(den)
-        for c, ((rn, rd), (jn, jd)) in parts.items():
-            v[c] = GaussianInt(rn * (den // rd), jn * (den // jd))
+        for e, (rn, rd), (jn, jd) in zip(entries, parts[::2], parts[1::2]):
+            v[e[0]] = GaussianInt(rn * (den // rd), jn * (den // jd))
         kernel.append((v, den))
     return kernel
 
 
 def _certified_kernel(cm: ConditionMatrix, pivots, cols, normed):
-    """The reduced-echelon kernel of cm from its pivot rows alone, proved by
-    linalg.annihilates on every row (a block of a+b+1 rows times a vector
-    is that surface's restriction to the conic).  pivots, cols and normed
-    are the echelon form of cm's rows with i sent to I_MOD, as modp.echelon
-    gives them; it is back-reduced once, and the kernel is read back from
-    F_p first (_fp_kernel).  When that fails, or its proof does, the pivot
-    rows are eliminated exactly by Bareiss and proved, unless Bareiss would
-    take over BAREISS_MAX_SECONDS; when that proof fails too (p divides a
-    minor the rank needs), all rows are, and proved again.
-
-    The F_p kernel has ncols - rank_p vectors, and rank_p is at most the
-    exact rank, so once proved it spans the exact kernel; a kernel has one
-    basis of that form, so it is the one Bareiss would give.
-    """
+    """The reduced-echelon kernel of cm, as nullspace gives it, from F_p; the
+    first prime's forward pass is given, as modp.echelon returns it.  The
+    primes folded agree on rank and pivot columns (best): a prime whose
+    images disagree or whose rank or columns are worse (lower, or later) is
+    skipped, and a better one restarts the fold.  Past _kernel_budget the
+    kernel fails its certificate (linalg.annihilates on every row).  A
+    proved kernel mod p has ncols - rank_p >= ncols - rank vectors."""
     ncols = len(cm.columns)
-    rows = [cm.rows[r] for r in pivots]
-    kernel = _fp_kernel(rows, cols, modp.back_reduce(cols, normed, ncols), ncols)
-    if kernel is not None and linalg.annihilates(cm.rows, kernel):
-        return kernel
-    bits = max((max(abs(z.re), abs(z.im)) for row in rows for z in row), default=0).bit_length()
-    est = 3.4e-9 * sum((len(rows) - k) * (ncols - k) * (k * bits) ** 1.35 for k in range(len(rows)))
-    if est > BAREISS_MAX_SECONDS:
-        raise PreconditionError(f"the exact kernel takes about {est:.3g} s (Bareiss on {len(rows)} "
-                                f"pivot rows x {ncols} columns of {bits}-bit entries), over the "
-                                f"cap {BAREISS_MAX_SECONDS} s")
-    for exact in (rows, cm.rows):
-        kernel = linalg.nullspace(exact, ncols=ncols)
-        if linalg.annihilates(cm.rows, kernel):
-            return kernel
-    raise FlagcalcError("the exact kernel of the condition matrix fails its certificate")
+    best, budget, m, skipped = (1, []), None, 1, 0  # best: (-rank, pivot columns)
+    for k, p in enumerate(modp.primes()):
+        i = modp.sqrt_minus_one(p)
+        if k:
+            pivots, cols, normed = modp.echelon(modp.reduce_rows(cm.rows, p, i), ncols, p)
+        key = (-len(cols), sorted(cols))
+        if key <= best:
+            conj = modp.reduce_rows([cm.rows[r] for r in pivots], p, p - i)
+            _, cols2, normed2 = modp.echelon(conj, ncols, p)
+        if key > best or set(cols2) != set(cols):
+            skipped += 1
+        else:
+            if key != best:  # free column f -> [c, re, im] for pivot columns c < f
+                best, budget, m, folded, due = key, None, 1, 0, 1
+                acc = {f: [[c, 0, 0] for c in key[1] if c < f]
+                       for f in sorted(set(range(ncols)) - set(cols))}
+            one = dict(zip(cols, modp.back_reduce(cols, normed, ncols, p)))
+            two = dict(zip(cols2, modp.back_reduce(cols2, normed2, ncols, p)))
+            half, im_scale, inv = (p + 1) // 2, pow(2 * i, -1, p), pow(m, -1, p)
+            for f, entries in acc.items():  # entry c of f is -one[c][f] and -two[c][f] mod p
+                for e in entries:
+                    x, y = one[e[0]][f], two[e[0]][f]
+                    e[1] += m * ((-(x + y) * half - e[1]) % p * inv % p)
+                    e[2] += m * (((y - x) * im_scale - e[2]) % p * inv % p)
+            m, folded = m * p, folded + 1
+            if folded == due or budget and m.bit_length() > budget[0]:
+                due = 2 * due if due < 8 else due + due // 4
+                kernel = _read_back(acc, m, ncols)
+                if kernel is not None and linalg.annihilates(cm.rows, kernel):
+                    return kernel
+        budget = budget or _kernel_budget(cm, pivots)
+        if m.bit_length() > budget[0] or skipped > budget[1]:
+            raise FlagcalcError(f"the exact kernel of the condition matrix fails its "
+                                f"certificate after {k + 1} primes")
 
 
 def system_dimension(a: int, b: int, conics) -> int:
@@ -214,9 +205,8 @@ class SurfaceFamily(NamedTuple):
 def surface_family(a: int, b: int, conics) -> SurfaceFamily:
     """The linear system of (a, b) surfaces through the conics, with the
     reduced-echelon kernel basis of the condition matrix: one vector per
-    free column, which is unique for the kernel.  Exact elimination runs
-    only on the rows that are independent mod p, and a certificate proves
-    that loses nothing.
+    free column, which is unique for the kernel.  It is read back from F_p
+    over as many primes as it needs, and a certificate proves it exact.
     """
     cm = condition_matrix(a, b, conics)
     image = modp.echelon(modp.reduce_rows(cm.rows, modp.PRIME, modp.I_MOD), len(cm.columns))

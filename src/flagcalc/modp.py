@@ -1,10 +1,10 @@
 """Arithmetic in the prime fields F_p, the one module that knows them.
 
-PRIME = 2^61 - 31 is 1 (mod 4).  Sending i to a square root of -1 mod p
-maps Z[i] onto F_p (reduce_rows, the one such map: the condition rows mod
-PRIME and the census surface mod a small p); it is a ring homomorphism, so
-a rank mod p never exceeds the exact one.  Nothing here reads a Gaussian
-rational: Q(i) data is cleared to Z[i] by linalg.clear_rows first.
+PRIME = 2^61 - 31, 1 (mod 4), starts primes(), the kernel moduli.  Sending
+i to a square root of -1 mod p maps Z[i] onto F_p (reduce_rows, the one
+such map: the condition rows mod a kernel prime and the census surface mod
+a small p); it is a ring homomorphism, so a rank mod p never exceeds the
+exact one.  Nothing here reads a Gaussian rational.
 
 Row elimination (echelon, then back_reduce) works on packed rows: a row
 of F_p entries is one int with a fixed-width slot per column, so
@@ -14,14 +14,23 @@ reconstruct reads a fraction of small height back from its image.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd, isqrt
 
 from .errors import PreconditionError
 
 
 def is_odd_prime(p: int) -> bool:
-    return p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
+    """Whether p is an odd prime: trial division by 3-23, then Miller-Rabin
+    on the first 13 primes as bases, exact below 3.3e24 (Sorenson-Webster)."""
+    if p < 3 or p % 2 == 0 or gcd(p, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23) not in (1, p):
+        return False
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d, d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, (p - 1) >> s, p)
+        if a % p and x != 1 and all(pow(x, 2**j, p) != p - 1 for j in range(s)):
+            return False
+    return True
 
 
 def sqrt_minus_one(p: int) -> int:
@@ -38,6 +47,11 @@ def sqrt_minus_one(p: int) -> int:
 
 PRIME = 2305843009213693921  # 2^61 - 31
 I_MOD = sqrt_minus_one(PRIME)
+
+
+def primes():
+    """PRIME, as it is at this call, then each larger prime = 1 (mod 4)."""
+    return (p for p in count(PRIME + (1 - PRIME) % 4, 4) if is_odd_prime(p))
 
 
 def reduce_rows(rows, p: int, i_img: int) -> list[list[int]]:
@@ -75,9 +89,9 @@ def _unpack(packed: int, n: int, nbytes: int, p: int) -> list[int]:
     return [int.from_bytes(raw[k : k + nbytes], "little") % p for k in range(0, n * nbytes, nbytes)]
 
 
-def echelon(rows: list[list[int]], ncols: int):
-    """Row echelon form over F_p (p = PRIME) of integer rows of ncols
-    entries, built greedily in row order; the rows are not modified.
+def echelon(rows: list[list[int]], ncols: int, p: int | None = None):
+    """Row echelon form over F_p (p = PRIME unless given) of integer rows of
+    ncols entries, built greedily in row order; the rows are not modified.
     Returns (pivot_rows, pivot_cols, normed): the rows independent of the
     rows before them, in increasing order, the column each pivots on, and
     normed[k] row pivot_rows[k] as the elimination leaves it, over all
@@ -90,7 +104,7 @@ def echelon(rows: list[list[int]], ncols: int):
     the negated pivot row (packed from the next column on) after shifting
     the slot out.
     """
-    p = PRIME
+    p = p or PRIME
     nbytes = _slot_bytes(p, ncols)
     width = 8 * nbytes
     mask = (1 << width) - 1
@@ -126,17 +140,17 @@ def echelon(rows: list[list[int]], ncols: int):
     return pivot_rows, list(negated), normed
 
 
-def back_reduce(pivot_cols: list[int], normed: list[list[int]], ncols: int) -> list[list[int]]:
-    """The fully reduced rows of an echelon form over F_p (p = PRIME), as
-    echelon gives pivot_cols and normed: reduced[k] has 1 at pivot_cols[k]
-    and 0 at every other pivot column.
+def back_reduce(pivot_cols: list[int], normed: list[list[int]], ncols: int, p: int | None = None):
+    """The fully reduced rows of an echelon form over F_p (p = PRIME unless
+    given), as echelon gives pivot_cols and normed: reduced[k] has 1 at
+    pivot_cols[k] and 0 at every other pivot column.
 
     It runs from the last pivot column down: a row becomes reduced once the
     fully reduced rows of the pivot columns after its own are subtracted,
     each times the row's entry there, which those rows, zero on each
     other's pivot columns, leave unchanged.
     """
-    p = PRIME
+    p = p or PRIME
     nbytes = _slot_bytes(p, ncols)
     negated: dict[int, int] = {}  # pivot column -> -(reduced row), all columns
     reduced: dict[int, list[int]] = {}
@@ -150,16 +164,16 @@ def back_reduce(pivot_cols: list[int], normed: list[list[int]], ncols: int) -> l
     return [reduced[c] for c in pivot_cols]
 
 
-def reconstruct(u: int, p: int):
-    """The fraction n/d = u (mod p) with |n|, d <= sqrt(p/2), as (n, d) in
-    lowest terms with d > 0, or None when there is none; there is at most
-    one, since 2 sqrt(p/2)^2 <= p.  Wang's algorithm (1981): the extended
-    Euclidean remainder sequence of (p, u) stops at the first remainder
-    n <= sqrt(p/2), whose cofactor t has t u = n (mod p); the answer is
+def reconstruct(u: int, m: int):
+    """The fraction n/d = u (mod m) with |n|, d <= sqrt(m/2), as (n, d) in
+    lowest terms with d > 0, or None; there is at most one with d prime to
+    m, since 2 sqrt(m/2)^2 <= m.  Wang's algorithm (1981): the extended
+    Euclidean remainder sequence of (m, u) stops at the first remainder
+    n <= sqrt(m/2), whose cofactor t has t u = n (mod m); the answer is
     n/t when |t| is in the bound and gcd(n, t) = 1.
     """
-    bound = isqrt(p // 2)
-    r0, r1 = p, u % p
+    bound = isqrt(m // 2)
+    r0, r1 = m, u % m
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1

@@ -436,11 +436,11 @@ def reference_nullspace(rows, ncols: int) -> list[list[GaussianRational]]:
 
 # Row echelon forms over F_p on lists, one entry at a time.
 
-def _reduced_mod_p(rows, ncols: int):
+def _reduced_mod_p(rows, ncols: int, p=None):
     """The greedy row-order elimination of modp.echelon on lists:
     (pivot_rows, {pivot column: its row with 1 there}), p = modp.PRIME
-    read at call time."""
-    p = modp.PRIME
+    read at call time unless given."""
+    p = p or modp.PRIME
     reduced: dict[int, list[int]] = {}
     pivot_rows: list[int] = []
     for r, row in enumerate(rows):
@@ -461,19 +461,19 @@ def _reduced_mod_p(rows, ncols: int):
     return pivot_rows, reduced
 
 
-def reference_echelon(rows, ncols: int):
+def reference_echelon(rows, ncols: int, p=None):
     """What modp.echelon returns: (pivot_rows, pivot_cols, normed rows)."""
-    pivot_rows, reduced = _reduced_mod_p(rows, ncols)
+    pivot_rows, reduced = _reduced_mod_p(rows, ncols, p)
     return pivot_rows, list(reduced), list(reduced.values())
 
 
-def reference_rref(rows, ncols: int):
+def reference_rref(rows, ncols: int, p=None):
     """The pivot rows and columns of modp.echelon with the rows of
     modp.back_reduce, by Gauss-Jordan back-substitution on lists:
     each pivot row, from the last pivot column down, has the later pivot
     rows subtracted at their columns."""
-    p = modp.PRIME
-    pivot_rows, reduced = _reduced_mod_p(rows, ncols)
+    p = p or modp.PRIME
+    pivot_rows, reduced = _reduced_mod_p(rows, ncols, p)
     for c in sorted(reduced, reverse=True):
         v = reduced[c]
         for c2 in reduced:

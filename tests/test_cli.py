@@ -21,7 +21,7 @@ from flagcalc.cli import (
     main,
 )
 from flagcalc.invariants import h0_flag
-from flagcalc.linsys import BAREISS_MAX_SECONDS
+from flagcalc.linsys import KERNEL_MAX_SECONDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -519,13 +519,16 @@ def test_cell_limit_admits_the_paper_sized_systems():
 
 def test_interpolation_refuses_an_exact_kernel_over_the_time_cap(capsys):
     # 176 rows x 216 columns are far under the cell limit, but the kernel
-    # does not read back from F_p, and Bareiss on the 176 pivot rows would
-    # run for about 1,000 s: refused once the read-back fails, before Bareiss
+    # does not read back from the first prime, and the Hadamard bound of the
+    # 176 pivot rows asks for hundreds of primes: refused once the first
+    # read-back fails, before the second prime
     message = _refused(capsys, "mk-surface", "--a", "5", "--b", "5", "--random", "16", "--seed", "3")
     assert message.startswith("the exact kernel takes about ")
-    assert message.endswith(" s (Bareiss on 176 pivot rows x 216 columns of 110-bit entries), "
-                            f"over the cap {BAREISS_MAX_SECONDS} s")
-    assert float(message.split()[5]) > 10 * BAREISS_MAX_SECONDS
+    assert message.endswith(" primes on 176 + 176 rows x 216 columns), "
+                            f"over the cap {KERNEL_MAX_SECONDS} s")
+    words = message.split()
+    assert float(words[5]) > 5 * KERNEL_MAX_SECONDS
+    assert int(words[7].lstrip("(")) > 500
 
 
 def _one_term_surface(path, a, b):
@@ -981,12 +984,12 @@ def test_trace_attributes_lazily_imported_requests(tmp_path):
             ["ruled.resultant"],
             [],
         ),
-        # random conics fail the one-prime kernel, so Bareiss runs and the
-        # echelon hook reads the condition rows as (re, im) pairs
+        # the kernel comes from F_p over several primes; no request enters
+        # Bareiss, so neither its span nor its entry-bits counter is seen
         "interp": (
             ["mk-surface", "--a", "2", "--b", "2", "--random", "3", "--seed", "0"],
-            ["linsys.condition_matrix", "linalg.echelon_int"],
-            ["linalg.max_entry_bits"],
+            ["linsys.condition_matrix", "linsys.surface_family"],
+            [],
         ),
     }
     for rid, (argv, spans, counters) in requests.items():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice, product
 from math import isqrt
 
 import pytest
@@ -14,6 +15,7 @@ from flagcalc.modp import (
     canonical,
     echelon,
     is_odd_prime,
+    primes,
     reconstruct,
     sqrt_minus_one,
 )
@@ -55,6 +57,38 @@ def test_is_odd_prime_matches_sieve():
     sieve = _sieve(10**4)
     for n in range(-5, 10**4):
         assert is_odd_prime(n) == (n > 2 and sieve[n]), n
+
+
+def test_is_odd_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 4, 9-11 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_odd_prime(n), n
+    assert is_odd_prime(PRIME) and not is_odd_prime(PRIME + 4)
+
+
+def test_is_odd_prime_matches_sympy_at_61_bits():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    found = 0
+    for _ in range(3000):
+        n = rng.getrandbits(61) | 1 << 60 | 1
+        assert is_odd_prime(n) == sympy.isprime(n), n
+        found += is_odd_prime(n)
+    assert found > 50  # about 1 in 21 odd 61-bit numbers is prime
+
+
+def test_primes_start_at_prime_and_go_up_through_one_mod_four(monkeypatch):
+    got = list(islice(primes(), 40))
+    assert got[0] == PRIME
+    assert all(p < q for p, q in zip(got, got[1:]))
+    assert all(p % 4 == 1 and is_odd_prime(p) for p in got)
+    # no prime = 1 (mod 4) is left out between two it yields
+    assert not any(is_odd_prime(n) for p, q in zip(got, got[1:]) for n in range(p + 4, q, 4))
+    # PRIME is read when primes() is called, and the sequence goes on past it
+    monkeypatch.setattr(modp, "PRIME", 5)
+    want = [p for p, flag in enumerate(_sieve(2000)) if flag and p % 4 == 1]
+    assert list(islice(modp.primes(), len(want))) == want
+    assert len(want) == 147
 
 
 def test_canonical_on_random_representatives():
@@ -110,11 +144,11 @@ def _random_matrix(rng, nrows, ncols, rank, height):
     return rows
 
 
-@pytest.mark.parametrize("p", [PRIME, 5, 13], ids=["PRIME", "5", "13"])
+@pytest.mark.parametrize("p", [PRIME, 5, 13, 29], ids=["PRIME", "5", "13", "29"])
 def test_packed_echelon_and_rref_match_list_oracle(monkeypatch, p):
-    # 5 and 13 are small enough that random rows lose rank mod p, and make
-    # entries reach p and beyond; at PRIME the entries have up to 90 bits
-    monkeypatch.setattr(modp, "PRIME", p)
+    # 5, 13 and 29 are small enough that random rows lose rank mod p, and
+    # make entries reach p and beyond; at PRIME the entries have up to 90
+    # bits.  The prime is passed, and PRIME, read at call time, is the default
     rng = random.Random(p)
     height = 2**88 if p == PRIME else 9
     checked = 0
@@ -126,12 +160,32 @@ def test_packed_echelon_and_rref_match_list_oracle(monkeypatch, p):
             (ncols // 4 + 2, 0),  # zero rows only
         ]:
             rows = _random_matrix(rng, nrows, ncols, rank, height)
-            want = reference_rref(rows, ncols)
-            got = echelon(rows, ncols)
-            assert got == reference_echelon(rows, ncols) and got[:2] == want[:2]
-            assert back_reduce(*got[1:], ncols) == want[2], (ncols, nrows, rank)
+            want = reference_rref(rows, ncols, p)
+            got = echelon(rows, ncols, p)
+            assert got == reference_echelon(rows, ncols, p) and got[:2] == want[:2]
+            assert back_reduce(*got[1:], ncols, p) == want[2], (ncols, nrows, rank)
+            with monkeypatch.context() as patch:
+                patch.setattr(modp, "PRIME", p)
+                assert echelon(rows, ncols) == got
+                assert back_reduce(*got[1:], ncols) == want[2]
             checked += 1
     assert checked == 44
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_echelon_rank_is_the_size_of_the_row_space(p):
+    # the rows span p^rank vectors mod p: every combination of them is
+    # enumerated, and the distinct ones counted
+    rng = random.Random(p)
+    for _ in range(12):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randrange(-2 * p, 2 * p) * rng.randint(0, 1) for _ in range(ncols)]
+                for _ in range(nrows)]
+        span = {tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(ncols))
+                for coeffs in product(range(p), repeat=nrows)}
+        pivot_rows, pivot_cols, normed = echelon(rows, ncols, p)
+        assert len(span) == p ** len(pivot_rows), (p, rows)
+        assert len(back_reduce(pivot_cols, normed, ncols, p)) == len(pivot_rows)
 
 
 def test_back_reduce_of_all_rows_is_rref_of_the_pivot_rows():

@@ -36,6 +36,8 @@ _UNPACKED = ("perfbench/trace_boot.py::_entry_bits unpacks echelon rows as (re, 
 ALLOWED = {
     "flag.conics_disjoint": _PROBED,
     "linsys.surface_through_conics": _PROBED,
+    "linalg.echelon_int": _PROBED,
+    "linalg.nullspace": _PROBED,
     "gaussian.GaussianRational.__pow__": _PINNED,
     "gaussian.GaussianRational.__rsub__": _PINNED,
     "gaussian.GaussianRational.__rtruediv__": _PINNED,
